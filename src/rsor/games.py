@@ -9,6 +9,7 @@ controls at desk scale, not proofs.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .crypto import SeedRng
@@ -811,6 +812,16 @@ ADVERSARIES = {
 }
 
 
+def fair_coin_pvalue(wins, games):
+    """Exact two-sided binomial test of wins out of games against p = 1/2.
+
+    The null distribution is symmetric, so the outcomes at most as likely as
+    the observed one are the two tails beyond min(wins, games - wins).
+    """
+    tail = sum(math.comb(games, i) for i in range(min(wins, games - wins) + 1))
+    return min(1.0, 2 * tail / 2**games)
+
+
 def run_game_batch(game, adversary_name, games, seed, params=None):
     """Run many independent games; returns wins plus a binomial p-value
     against the fair-coin null hypothesis."""
@@ -823,15 +834,12 @@ def run_game_batch(game, adversary_name, games, seed, params=None):
         adversary = adversary_cls(grng.fork(b"adv"))
         outcome = game_fn(adversary, grng.fork(b"chal").read(16), params=params)
         wins += outcome["guess_correct"]
-    from scipy.stats import binomtest
-
-    pvalue = binomtest(wins, games, 0.5).pvalue
     return {
         "game": game,
         "adversary": adversary_name,
         "games": games,
         "wins": wins,
         "win_rate": wins / games,
-        "binomial_pvalue": pvalue,
+        "binomial_pvalue": fair_coin_pvalue(wins, games),
         "expectation": ADVERSARIES[adversary_name][2],
     }

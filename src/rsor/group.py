@@ -4,12 +4,18 @@ Two instantiations are provided:
 
 * ``TOY_GROUP``: the order-5 subgroup of Z_11^*, small enough that tests can
   enumerate every element and exponent by hand.
-* ``PROD_GROUP``: the order-q subgroup of Z_p^* for a hardcoded 257-bit safe
-  prime p = 2q + 1, giving roughly 128-bit security with exact (unclamped)
-  exponent arithmetic.
+* ``PROD_GROUP``: the order-q subgroup of Z_p^* for a hardcoded 258-bit safe
+  prime p = 2q + 1, with exact (unclamped) exponent arithmetic.  This is a
+  reproduction backend, not a secure one: index-calculus (number field
+  sieve) discrete logarithms in a 258-bit prime field are far cheaper than
+  2^128 work, so the group gives nowhere near 128-bit security.
 
 Group elements are plain ints in [1, p); scalars are ints in [1, q).
 Elements travel on the wire as fixed-width big-endian byte strings.
+
+Membership costs a full modexp, so it is checked where bytes or keys enter
+(``decode``, the entry of ``packet.proc_onion``, spec validation), not
+inside ``exp`` or ``encode``.
 """
 
 from dataclasses import dataclass
@@ -30,8 +36,7 @@ class GroupParams:
     elem_len: int   # wire width of an encoded element, in bytes
 
     def exp(self, base: int, e: int) -> int:
-        """Modular exponentiation base**e mod p."""
-        assert self.is_element(base), "base must be a subgroup element"
+        """Modular exponentiation base**e mod p; base is trusted to be an element."""
         return pow(base, e % self.q, self.p)
 
     def is_element(self, v) -> bool:
@@ -45,8 +50,13 @@ class GroupParams:
         return isinstance(e, int) and 1 <= e < self.q
 
     def encode(self, v: int) -> bytes:
-        """Fixed-width big-endian encoding of an element."""
-        assert self.is_element(v), "cannot encode a non-element"
+        """Fixed-width big-endian encoding of an element.
+
+        Only the range is checked (membership is the caller's concern); an
+        out-of-range value raises ValueError rather than OverflowError.
+        """
+        if not isinstance(v, int) or not 1 <= v < self.p:
+            raise ValueError("cannot encode a value outside [1, p)")
         return v.to_bytes(self.elem_len, "big")
 
     def decode(self, data: bytes) -> int:
@@ -72,7 +82,8 @@ class GroupParams:
 # Order-5 subgroup of Z_11^*: {3, 9, 5, 4, 1}, generated by 3.
 TOY_GROUP = GroupParams(name="toy", p=11, q=5, g=3, elem_len=1)
 
-# Safe-prime production group: p = 2q + 1, both prime, q about 2**256.
+# Safe-prime reproduction group: p = 2q + 1, both prime, q about 2**256 (p has
+# 258 bits).  See the module docstring for why this is not a secure group.
 _PROD_Q = 0x1000000000000000000000000000000000000000000000000000000000000482B
 _PROD_P = 0x20000000000000000000000000000000000000000000000000000000000009057
 PROD_GROUP = GroupParams(name="prod", p=_PROD_P, q=_PROD_Q, g=4, elem_len=33)

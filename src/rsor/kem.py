@@ -72,8 +72,11 @@ def kem_chain_create(group, x: int, pubkeys, kappa: int) -> KemChain:
 
 
 def kem_decap(group, sk: int, alpha: int, kappa: int) -> LayerSecrets:
-    """Relay-side decapsulation; agrees with the sender's layer at this hop."""
-    assert group.is_element(alpha)
+    """Relay-side decapsulation; agrees with the sender's layer at this hop.
+
+    alpha comes off the wire, so the caller checks membership first
+    (``proc_onion`` does, at its entry).
+    """
     s = group.exp(alpha, sk)
     return _layer_from_secret(group, alpha, s, kappa)
 

@@ -1,10 +1,12 @@
 """Protocol runtime: relay, sender, and receiver state machines.
 
 Relays buffer processed onions until the environment tells them to forward
-(mix-style scheduling); exit relays remember repliable onions under a fresh
-rid so a receiver can answer later.  Senders keep reply expectations and
-drop anything unsolicited or tampered without reacting.  Receivers never
-parse onions at all -- they only see plaintext messages and rids.
+(mix-style scheduling).  Exit relays peel each onion once and remember the
+reply block of a repliable one under a fresh rid, so a receiver can answer
+later without the onion being processed again.  Senders keep reply
+expectations and drop anything unsolicited or tampered without reacting.
+Receivers never parse onions at all -- they only see plaintext messages and
+rids.
 """
 
 from dataclasses import dataclass, field
@@ -14,12 +16,11 @@ from .packet import (
     InMemoryView,
     Onion,
     OnionSpec,
-    ProcResult,
     _derive,
+    build_reply_onion,
+    decode_addr,
     form_onion,
-    form_reply,
     proc_onion,
-    serialize_onion,
 )
 
 
@@ -56,7 +57,7 @@ class RelayState:
     keypair: KemKeyPair
     view: InMemoryView = field(default_factory=InMemoryView)
     outgoing_buffer: dict = field(default_factory=dict)  # tid -> pending entry
-    reply_buffer: dict = field(default_factory=dict)     # rid -> exit-layer Onion
+    reply_buffer: dict = field(default_factory=dict)     # rid -> ReplyInfo
 
 
 @dataclass
@@ -90,9 +91,10 @@ def relay_on_onion(state: RelayState, onion: Onion, sender_of: bytes, params, rn
         state.outgoing_buffer[tid] = ("forward", result.next_hop, result.next_onion)
     else:
         assert result.kind == "exit"
-        # Keep the arriving layer itself: FormReply re-derives everything
-        # from it when the receiver answers.
-        state.outgoing_buffer[tid] = ("exit", result.receiver, result.message, onion)
+        # Keep only what answering needs: the reply block this peel already
+        # parsed (None when the onion is not repliable).
+        state.outgoing_buffer[tid] = ("exit", result.receiver, result.message,
+                                      result.reply_info)
     return make_event(state.name, "onion-received", tid=tid, via=sender_of.decode("ascii", "replace"))
 
 
@@ -100,7 +102,7 @@ def relay_forward(state: RelayState, tid: str, params, rng):
     """Environment-triggered flush of one buffered tid.
 
     Returns (event, action); unknown tids abort with (None, None).  Exit
-    deliveries mint a rid only when a reply could actually be formed.
+    deliveries mint a rid only when the onion carried a reply block.
     """
     entry = state.outgoing_buffer.pop(tid, None)
     if entry is None:
@@ -112,11 +114,11 @@ def relay_forward(state: RelayState, tid: str, params, rng):
         event = make_event(state.name, "forwarded", tid=tid,
                            to=next_hop.decode("ascii", "replace"))
         return event, SendOnion(next_hop=next_hop, onion=onion)
-    _kind, receiver, message, exit_onion = entry
+    _kind, receiver, message, reply_info = entry
     rid = None
-    if form_reply(b"", exit_onion, state.name, state.keypair.sk, params) is not None:
+    if reply_info is not None:
         rid = rng.read(params.kappa).hex()
-        state.reply_buffer[rid] = exit_onion
+        state.reply_buffer[rid] = reply_info
     event = make_event(state.name, "message-delivered", tid=tid, repliable=rid is not None)
     return event, SendMessage(receiver=receiver, message=message, rid=rid)
 
@@ -124,15 +126,17 @@ def relay_forward(state: RelayState, tid: str, params, rng):
 def relay_on_receiver_reply(state: RelayState, m_reply: bytes, rid: str, params):
     """A receiver answered (m_reply, rid); build and send the reply onion.
 
-    Each rid works exactly once; unknown or reused rids do nothing.
+    Each rid works exactly once; unknown or reused rids do nothing, and a
+    reply too long for the payload frame is dropped as unrepliable.
     """
-    exit_onion = state.reply_buffer.pop(rid, None)
-    if exit_onion is None:
+    info = state.reply_buffer.pop(rid, None)
+    if info is None:
         return make_event(state.name, "dropped", reason="unknown-rid"), None
-    formed = form_reply(m_reply, exit_onion, state.name, state.keypair.sk, params)
-    if formed is None:
+    try:
+        onion = build_reply_onion(info, m_reply, params)
+    except ValueError:
         return make_event(state.name, "dropped", reason="unrepliable"), None
-    onion, first_hop = formed
+    _tag, first_hop = decode_addr(info.first_hop)
     event = make_event(state.name, "reply-sent", to=first_hop.decode("ascii", "replace"))
     return event, SendOnion(next_hop=first_hop, onion=onion)
 

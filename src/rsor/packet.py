@@ -8,6 +8,7 @@ relay can send an answer back without learning who asked.
 """
 
 import functools
+import hashlib
 from dataclasses import dataclass
 
 from .crypto import SeedRng, mac, prg, prp_dec, prp_enc, xor_bytes
@@ -424,13 +425,12 @@ def form_onion(i: int, spec: OnionSpec, params: FormatParams) -> Onion:
 
 def recognize_onion(i: int, onion: Onion, spec: OnionSpec, params) -> bool:
     """Header-only comparison against the i-th layer; the payload may have
-    been tampered with and is deliberately ignored."""
-    expected = form_onion(i, spec, params).header
-    try:
-        got = serialize_header(onion.header, params)
-    except (AssertionError, GroupDecodeError):
-        return False
-    return got == serialize_header(expected, params)
+    been tampered with and is deliberately ignored.
+
+    Compares the header fields, so a malformed header (alpha out of range,
+    wrong widths) is simply unequal rather than an encoding error.
+    """
+    return onion.header == form_onion(i, spec, params).header
 
 
 def tag_payload(onion: Onion, mask: bytes) -> Onion:
@@ -446,16 +446,22 @@ def tag_payload(onion: Onion, mask: bytes) -> Onion:
 # Relay-side processing
 
 class InMemoryView:
-    """Minimal replay/expectation store for tests and standalone use."""
+    """Minimal replay/expectation store for tests and standalone use.
+
+    The replay cache keeps a 32-byte SHA-256 digest per processed header
+    rather than the header itself, since it grows with every onion a
+    long-lived relay accepts.
+    """
 
     def __init__(self):
         self._seen = set()
         self._expectations = {}
 
     def check_and_add(self, header_bytes: bytes) -> bool:
-        if header_bytes in self._seen:
+        key = hashlib.sha256(header_bytes).digest()
+        if key in self._seen:
             return False
-        self._seen.add(header_bytes)
+        self._seen.add(key)
         return True
 
     def expect_reply(self, ident: bytes, spec: OnionSpec):
@@ -534,8 +540,7 @@ def proc_onion(sk: int, onion: Onion, self_name: bytes, params, view) -> ProcRes
         if espec is None:
             return _fail("unsolicited")
         d = _derive(espec, params)
-        expected = serialize_header(d.rep_headers[-1], params)
-        if serialize_header(header, params) != expected:
+        if header != d.rep_headers[-1]:
             return _fail("unsolicited")
         # Invert the reply-path PRP composition: our own peel above applied
         # this hop's layer, so re-encrypt hop by hop, then strip k_tilde.
@@ -556,10 +561,12 @@ def proc_onion(sk: int, onion: Onion, self_name: bytes, params, view) -> ProcRes
 def form_reply(m_reply: bytes, onion_at_exit: Onion, exit_name: bytes, sk: int, params):
     """Build the reply onion an exit relay sends back, or None.
 
-    Reprocesses the stored exit-layer onion (without replay checks), extracts
+    Reprocesses the given exit-layer onion (without replay checks), extracts
     the embedded ReplyInfo, seals the reply message under k_tilde, and
     attaches the pre-built reply header.  None when the forward onion was
-    non-repliable or malformed.
+    non-repliable or malformed.  This is the one-shot form the game oracles
+    use; a relay keeps the ReplyInfo from its single peel and calls
+    build_reply_onion instead.
     """
 
     class _NoReplayView(InMemoryView):
