@@ -10,14 +10,13 @@ from rsor import (
     OnionSpec,
     PROD_GROUP,
     SeedRng,
-    form_onion,
+    derive,
     form_reply,
     proc_onion,
     receiver_addr,
     serialize_onion,
 )
 from rsor.kem import kem_keygen
-from rsor.packet import _derive
 
 params = FormatParams(group=PROD_GROUP)
 rng = SeedRng(b"round-trip-demo")
@@ -33,10 +32,12 @@ spec = OnionSpec(
     reply_path=tuple((n, keys[n].pk) for n in (b"back1", b"back2", b"alice")),
 )
 
+# The sender derives the onion once and keeps only what opens the reply.
+d = derive(spec, params)
 view = InMemoryView()
-view.expect_reply(_derive(spec, params).ident, spec)
+view.expect_reply(d.ident, d.opening)
 
-onion = form_onion(1, spec, params)
+onion = d.onion(1)
 print("every onion is %d bytes, regardless of direction or path length\n"
       % len(serialize_onion(onion, params)))
 

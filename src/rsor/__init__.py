@@ -19,6 +19,8 @@ from .packet import (
     OnionSpec,
     ProcResult,
     ReplyInfo,
+    ReplyOpening,
+    derive,
     form_onion,
     form_reply,
     parse_onion,

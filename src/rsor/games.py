@@ -13,12 +13,15 @@ import math
 from dataclasses import dataclass
 
 from .crypto import SeedRng
-from .kem import kem_keygen
+from .kem import kem_decap, kem_keygen
 from .packet import (
     FormatParams,
     InMemoryView,
+    NullView,
     Onion,
     OnionSpec,
+    build_reply_onion,
+    derive,
     form_onion,
     form_reply,
     proc_onion,
@@ -27,8 +30,8 @@ from .packet import (
     serialize_header,
     serialize_onion,
     tag_payload,
+    zero_run,
 )
-from .packet import _derive
 from .group import PROD_GROUP
 
 
@@ -57,14 +60,6 @@ class _EtaView:
 
     def lookup_reply(self, ident):
         return self._state.expectations.get(ident)
-
-
-class _NullView:
-    def check_and_add(self, header_bytes):
-        return True
-
-    def lookup_reply(self, ident):
-        return None
 
 
 def _translate(result):
@@ -275,8 +270,9 @@ def _correctness_once(rng, n, nr, params, corrupt_hop):
         bad_path[corrupt_hop - 1] = (bad_path[corrupt_hop - 1][0], wrong.pk)
         spec = dataclasses.replace(spec, path=tuple(bad_path))
 
+    d = derive(spec, params)
     view = InMemoryView()
-    onion = form_onion(1, spec, params)
+    onion = d.onion(1)
     for i in range(1, n + 1):
         name = path[i - 1][0]
         result = proc_onion(keys[name].sk, onion, name, params, view)
@@ -316,7 +312,7 @@ def _correctness_once(rng, n, nr, params, corrupt_hop):
         failures.append(("reply-reception-hop", n, nr))
         return failures
     sview = InMemoryView()
-    sview.expect_reply(_derive(spec, params).ident, spec)
+    sview.expect_reply(d.ident, d.opening)
     result = proc_onion(keys[sender].sk, reply_onion, sender, params, sview)
     if result.kind != "reply" or result.message != m_back:
         failures.append(("reply-reception", n, nr, result.reason))
@@ -367,21 +363,23 @@ def game_tlu_forward(adversary, seed, params=None, force_b=None):
         path=path[:j],
         reply_path=(),
     )
-    oracles.state[P_S].expectations[_derive(real, params).ident] = real
+    d_real = derive(real, params)
+    d_bar = derive(bar, params) if bit else None  # only the b = 1 world uses bar
+    oracles.state[P_S].expectations[d_real.ident] = d_real.opening
     tag_rng = rng.fork(b"tagpad")
 
     def special_proc(party, onion, header_bytes):
         if bit == 0 or party != P_H:
             return False, None
-        if not recognize_onion(j, onion, bar, params):
+        if not recognize_onion(j, onion, d_bar):
             return False, None
-        probe = proc_onion(keys[P_H].sk, onion, P_H, params, _NullView())
+        probe = proc_onion(keys[P_H].sk, onion, P_H, params, NullView())
         if probe.kind == "fail" and probe.reason != "integrity":
             return False, None  # header invalid: fall through to honest fail
         oracles.remember(P_H, onion)
         if j < n:
-            continuation = form_onion(j + 1, real, params)
-            if onion.delta == form_onion(j, bar, params).delta:
+            continuation = d_real.onion(j + 1)
+            if onion.delta == d_bar.onion(j).delta:
                 return True, ("forward", path[j][0], continuation)
             tagged = Onion(continuation.header, tag_rng.read(params.payload_len))
             return True, ("forward", path[j][0], tagged)
@@ -390,20 +388,20 @@ def game_tlu_forward(adversary, seed, params=None, force_b=None):
     def special_reply(party, onion, message):
         if bit == 0 or party != P_H or j != n:
             return False, None
-        if not recognize_onion(j, onion, bar, params):
+        if not recognize_onion(j, onion, d_bar):
             return False, None
         # FormReply on the literal bar onion is always None (its backward
         # path is empty); the b-independent reading is the real onion's
         # repliability, which holds whenever the submitted reply path does.
         if not real.reply_path:
             return True, None
-        reply_spec = dataclasses.replace(real, message=message)
-        return True, ("reply-onion", form_onion(n + 1, reply_spec, params),
-                      reply_path[0][0])
+        # Layer n+1 of real, carrying the adversary's message instead.
+        reply = build_reply_onion(d_real.reply_info, message, params)
+        return True, ("reply-onion", reply, reply_path[0][0])
 
     oracles.special_proc = special_proc
     oracles.special_reply = special_reply
-    challenge = form_onion(1, bar if bit else real, params)
+    challenge = (d_bar if bit else d_real).onion(1)
     adversary.on_challenge(challenge)
     guess = adversary.guess()
     return {"b": bit, "guess": guess, "guess_correct": guess == bit,
@@ -452,8 +450,17 @@ def game_slu_backward(adversary, seed, params=None, force_b=None):
         path=reply_path[j_back:],
         reply_path=(),
     )
-    oracles.state[P_S].expectations[_derive(real, params).ident] = real
+    d_real = derive(real, params)
+    oracles.state[P_S].expectations[d_real.ident] = d_real.opening
     next_name = reply_path[j_back][0]
+    d_bar = None
+
+    def derived_bar():
+        # Only b = 1 oracle answers use bar, so it is derived on first use.
+        nonlocal d_bar
+        if d_bar is None:
+            d_bar = derive(bar, params)
+        return d_bar
 
     def special_proc(party, onion, header_bytes):
         if party == P_S and _absorbed_at_sender(onion):
@@ -461,33 +468,33 @@ def game_slu_backward(adversary, seed, params=None, force_b=None):
             return True, None  # the challenger outputs nothing
         if party != P_H or j_back == 0:
             return False, None
-        if not recognize_onion(n + j_back, onion, real, params):
+        if not recognize_onion(n + j_back, onion, d_real):
             return False, None
-        probe = proc_onion(keys[P_H].sk, onion, P_H, params, _NullView())
+        probe = proc_onion(keys[P_H].sk, onion, P_H, params, NullView())
         if probe.kind == "fail" and probe.reason != "integrity":
             return False, None
         if bit == 0:
             return False, None  # honest processing is exactly the b=0 answer
         oracles.remember(P_H, onion)
-        return True, ("forward", next_name, form_onion(1, bar, params))
+        return True, ("forward", next_name, derived_bar().onion(1))
 
     def _absorbed_at_sender(onion):
         if bit == 0:
-            return recognize_onion(n + nr, onion, real, params)
-        return recognize_onion(nr - j_back, onion, bar, params)
+            return recognize_onion(n + nr, onion, d_real)
+        return recognize_onion(nr - j_back, onion, derived_bar())
 
     def special_reply(party, onion, message):
         if party != P_H or j_back != 0 or bit == 0:
             return False, None
-        if not recognize_onion(n, onion, real, params):
+        if not recognize_onion(n, onion, d_real):
             return False, None
         if form_reply(message, onion, P_H, keys[P_H].sk, params) is None:
             return True, None
-        return True, ("reply-onion", form_onion(1, bar, params), next_name)
+        return True, ("reply-onion", derived_bar().onion(1), next_name)
 
     oracles.special_proc = special_proc
     oracles.special_reply = special_reply
-    adversary.on_challenge(form_onion(1, real, params))
+    adversary.on_challenge(d_real.onion(1))
     guess = adversary.guess()
     return {"b": bit, "guess": guess, "guess_correct": guess == bit,
             "transcript": tuple(oracles.transcript)}
@@ -537,21 +544,20 @@ def game_sti_tail(adversary, seed, params=None, force_b=None):
         path=path[j:], reply_path=reply_path[:j_back],
     )
 
+    # Only the drawn world's spec is ever formed or recognized.  The
+    # challenge is its layer at hop j+1 of the real path, and the challenger
+    # absorbs its layer at the honest backward hop.
+    d = derive(bar if bit else real, params)
+    first, absorbed = (1, (n - j) + j_back) if bit else (j + 1, n + j_back)
+
     def special_proc(party, onion, header_bytes):
-        if party != P_H_BACK:
-            return False, None
-        if bit == 0:
-            recognized = recognize_onion(n + j_back, onion, real, params)
-        else:
-            recognized = recognize_onion((n - j) + j_back, onion, bar, params)
-        if not recognized:
+        if party != P_H_BACK or not recognize_onion(absorbed, onion, d):
             return False, None
         oracles.remember(P_H_BACK, onion)
         return True, None  # the challenger outputs nothing
 
     oracles.special_proc = special_proc
-    challenge = form_onion(1, bar, params) if bit else form_onion(j + 1, real, params)
-    adversary.on_challenge(challenge)
+    adversary.on_challenge(d.onion(first))
     guess = adversary.guess()
     return {"b": bit, "guess": guess, "guess_correct": guess == bit,
             "transcript": tuple(oracles.transcript)}
@@ -757,40 +763,24 @@ class PathLengthPaddingAdversary(_BaseAdversary):
             reply_path=((b"x5", self.keypair(b"x5").pk), (P_S, None)),
         )
 
-    def _zero_run(self, onion, sk):
-        from .crypto import prg, xor_bytes
-        from .kem import kem_decap
-
-        params = self.params
-        layer = kem_decap(params.group, sk, onion.header.alpha, params.kappa)
-        stream = prg(layer.k_rho, params.stream_len)
-        wide = xor_bytes(onion.header.beta + b"\x00" * (2 * params.kappa), stream)
-        run = 0
-        for byte in wide[params.kappa:]:
-            if byte != 0:
-                break
-            run += 1
-        return run
-
     def guess(self):
         params = self.params
         onion = self.challenge
-        order = [b"x1"] if self._mode == "tlu" else [b"x2", b"x3"]
-        view = InMemoryView()
         if self._mode == "tlu":
-            result = proc_onion(self.tail_keys[b"x1"].sk, onion, b"x1", params, view)
-            if result.kind != "forward":
-                return self.coin()
-            # Deepest reachable layer: the honest relay's.  Measure there.
-            run = self._zero_run(result.next_onion, self.tail_keys[b"x1"].sk)
-            return 1 if run >= 4 * params.kappa else 0
-        for label in order:
+            # Deepest reachable layer: the honest relay's.  Measure there
+            # (with x1's key, the only one the adversary has on the way).
+            peel, reader = [b"x1"], b"x1"
+        else:
+            peel, reader = [b"x2", b"x3"], b"x4"
+        view = InMemoryView()
+        for label in peel:
             result = proc_onion(self.tail_keys[label].sk, onion, label, params, view)
             if result.kind != "forward":
                 return self.coin()
             onion = result.next_onion
-        run = self._zero_run(onion, self.tail_keys[b"x4"].sk)
-        return 1 if run >= 4 * params.kappa else 0
+        layer = kem_decap(params.group, self.tail_keys[reader].sk, onion.header.alpha,
+                          params.kappa)
+        return 1 if zero_run(layer, onion.header, params) >= 4 * params.kappa else 0
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@
 Relays buffer processed onions until the environment tells them to forward
 (mix-style scheduling).  Exit relays peel each onion once and remember the
 reply block of a repliable one under a fresh rid, so a receiver can answer
-later without the onion being processed again.  Senders keep reply
-expectations and drop anything unsolicited or tampered without reacting.
-Receivers never parse onions at all -- they only see plaintext messages and
-rids.
+later without the onion being processed again.  Senders derive each onion
+once and keep only its ReplyOpening (the reply header and keys) under the
+reply identifier; they drop anything unsolicited or tampered without
+reacting.  Receivers never parse onions at all -- they only see plaintext
+messages and rids.
 """
 
 from dataclasses import dataclass, field
@@ -16,10 +17,9 @@ from .packet import (
     InMemoryView,
     Onion,
     OnionSpec,
-    _derive,
     build_reply_onion,
     decode_addr,
-    form_onion,
+    derive,
     proc_onion,
 )
 
@@ -64,7 +64,7 @@ class RelayState:
 class SenderState:
     name: bytes
     keypair: KemKeyPair
-    view: InMemoryView = field(default_factory=InMemoryView)
+    view: InMemoryView = field(default_factory=InMemoryView)  # ident -> ReplyOpening
     replies: list = field(default_factory=list)  # received reply messages
 
 
@@ -145,17 +145,16 @@ def relay_on_receiver_reply(state: RelayState, m_reply: bytes, rid: str, params)
 # Sender operations
 
 def sender_send(state: SenderState, spec: OnionSpec, params):
-    """Form the first onion layer and register the reply expectation."""
-    if spec.reply_path:
-        if spec.reply_path[-1][0] != state.name:
-            raise ValueError("reply path must end at this sender")
-        d = _derive(spec, params)
-        state.view.expect_reply(d.ident, spec)
-    onion = form_onion(1, spec, params)
+    """Derive the onion once, keep its reply opening, send the first layer."""
+    if spec.reply_path and spec.reply_path[-1][0] != state.name:
+        raise ValueError("reply path must end at this sender")
+    d = derive(spec, params)
+    if d.opening is not None:
+        state.view.expect_reply(d.ident, d.opening)
     first_hop = spec.path[0][0]
     event = make_event(state.name, "forwarded",
                        to=first_hop.decode("ascii", "replace"))
-    return event, SendOnion(next_hop=first_hop, onion=onion)
+    return event, SendOnion(next_hop=first_hop, onion=d.onion(1))
 
 
 def sender_on_onion(state: SenderState, onion: Onion, params):

@@ -1,13 +1,13 @@
 """Byte-exact onion packet format: forming, processing, and replying.
 
 An onion is a fixed-width packet (header eta = (alpha, beta, gamma), payload
-delta).  The sender derives every byte from a seed, so any layer of any onion
-can be recomputed on demand; relays peel one layer at a time with only their
-private key.  Forward payloads may embed a pre-built reply header so the exit
-relay can send an answer back without learning who asked.
+delta).  The sender derives every byte from a seed in one pass (derive) and
+keeps only a ReplyOpening to open the answer; relays peel one layer at a
+time with only their private key.  Forward payloads may embed a pre-built
+reply header so the exit relay can send an answer back without learning who
+asked.
 """
 
-import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -173,7 +173,10 @@ def receiver_addr(name, params):
 
 def validate_spec(spec: OnionSpec, params: FormatParams):
     """Check the structural invariants of an onion description."""
-    assert isinstance(spec.seed, bytes) and spec.seed, "seed must be nonempty bytes"
+    # A ValueError, not an assert: python -O strips asserts, and two specs
+    # with equal paths and an empty seed would form identical onions.
+    if not isinstance(spec.seed, bytes) or not spec.seed:
+        raise ValueError("seed must be nonempty bytes")
     if not 1 <= len(spec.path) <= params.max_hops:
         raise ValueError("forward path length out of range")
     if len(spec.reply_path) > params.max_hops:
@@ -314,16 +317,37 @@ def build_payload_reply(params, message: bytes) -> bytes:
 # Derivation of a complete onion from its spec
 
 @dataclass(frozen=True)
-class _Derived:
-    fwd_chain: KemChain
-    rep_chain: KemChain          # None when non-repliable
-    fwd_headers: tuple
-    rep_headers: tuple
-    fwd_deltas: tuple
-    rep_deltas: tuple
-    ident: bytes
+class ReplyOpening:
+    """What the creator of a repliable onion keeps to open the reply: the
+    header the reply arrives with, the reply path's PRP keys in hop order,
+    and k_tilde, under which the exit sealed the reply payload.  It holds
+    no seed, so it regenerates nothing else of the onion."""
+
+    header: Header
+    k_pis: tuple
     k_tilde: bytes
+
+
+@dataclass(frozen=True)
+class Derived:
+    """Every layer of one onion, derived once from its spec.
+
+    onions holds layers 1..n of the forward trip, then layers n+1..n+n_rep
+    of the reply trip carrying the spec's own message back.  ident,
+    reply_info and opening are None when the onion is not repliable.
+    """
+
+    onions: tuple
+    fwd_chain: KemChain
+    ident: bytes
     reply_info: ReplyInfo
+    opening: ReplyOpening
+
+    def onion(self, i: int) -> Onion:
+        """The onion exactly as it arrives at hop i of its combined path."""
+        if not 1 <= i <= len(self.onions):
+            raise ValueError("layer index out of range")
+        return self.onions[i - 1]
 
 
 def _filler(rng: SeedRng, n_bytes: int, params) -> bytes:
@@ -332,10 +356,10 @@ def _filler(rng: SeedRng, n_bytes: int, params) -> bytes:
     return rng.read(n_bytes)
 
 
-@functools.lru_cache(maxsize=512)
-def _derive(spec: OnionSpec, params: FormatParams) -> _Derived:
+def derive(spec: OnionSpec, params: FormatParams) -> Derived:
     """Expand a spec's seed into both KEM chains, every header layer, and
-    every payload layer.  Cached: specs are reused heavily by recognition."""
+    every payload layer.  Nothing is cached: a caller that needs several
+    layers of one onion keeps the result."""
     validate_spec(spec, params)
     kappa, r = params.kappa, params.max_hops
     rng = SeedRng(spec.seed)
@@ -347,12 +371,10 @@ def _derive(spec: OnionSpec, params: FormatParams) -> _Derived:
         params.group, x_fwd, [pk for _name, pk in spec.path], kappa
     )
 
-    rep_chain = None
-    rep_headers = ()
-    rep_deltas = ()
+    reply_onions = ()
     ident = None
-    k_tilde = None
     reply_info = None
+    opening = None
     if nr:
         x_rep = params.group.random_scalar(rng.fork(b"x-reply"))
         rep_chain = kem_chain_create(
@@ -367,26 +389,28 @@ def _derive(spec: OnionSpec, params: FormatParams) -> _Derived:
             + _filler(rng.fork(b"reply-filler"), (2 * (r - nr) + 1) * kappa, params)
         )
         addrs = [relay_addr(name, params) for name, _pk in spec.reply_path]
-        rep_headers = tuple(build_header(rep_chain, addrs, final, params))
+        rep_headers = build_header(rep_chain, addrs, final, params)
         reply_info = ReplyInfo(
             first_hop=addrs[0],
             eta0=rep_headers[0],
             k_tilde=k_tilde,
             ident=ident,
         )
+        k_pis = tuple(layer.k_pi for layer in rep_chain.layers)
+        opening = ReplyOpening(header=rep_headers[-1], k_pis=k_pis, k_tilde=k_tilde)
         # Reply payload layers: the exit seals under k_tilde, then every
         # reply-path relay (the sender included) peels one PRP layer.
         delta = prp_enc(k_tilde, build_payload_reply(params, spec.message), kappa)
         rep_deltas = [delta]
-        for j in range(1, nr):
-            rep_deltas.append(prp_dec(rep_chain.layers[j - 1].k_pi, rep_deltas[-1], kappa))
-        rep_deltas = tuple(rep_deltas)
+        for k_pi in k_pis[:-1]:
+            rep_deltas.append(prp_dec(k_pi, rep_deltas[-1], kappa))
+        reply_onions = tuple(map(Onion, rep_headers, rep_deltas))
 
     final = exit_addr(params) + _filler(
         rng.fork(b"forward-filler"), (2 * (r - n) + 2) * kappa, params
     )
     addrs = [relay_addr(name, params) for name, _pk in spec.path]
-    fwd_headers = tuple(build_header(fwd_chain, addrs, final, params))
+    fwd_headers = build_header(fwd_chain, addrs, final, params)
 
     plaintext = build_payload_forward(params, spec.receiver, reply_info, spec.message)
     fwd_deltas = [None] * n
@@ -394,43 +418,31 @@ def _derive(spec: OnionSpec, params: FormatParams) -> _Derived:
     for i in range(n - 1, -1, -1):
         delta = prp_enc(fwd_chain.layers[i].k_pi, delta, kappa)
         fwd_deltas[i] = delta
+    fwd_onions = tuple(map(Onion, fwd_headers, fwd_deltas))
 
-    return _Derived(
+    return Derived(
+        onions=fwd_onions + reply_onions,
         fwd_chain=fwd_chain,
-        rep_chain=rep_chain,
-        fwd_headers=fwd_headers,
-        rep_headers=rep_headers,
-        fwd_deltas=tuple(fwd_deltas),
-        rep_deltas=rep_deltas,
         ident=ident,
-        k_tilde=k_tilde,
         reply_info=reply_info,
+        opening=opening,
     )
 
 
 def form_onion(i: int, spec: OnionSpec, params: FormatParams) -> Onion:
-    """The onion exactly as it arrives at hop i of its combined path.
-
-    Layers 1..n are the forward trip; layers n+1..n+n_rep are the reply trip
-    carrying the spec's own message back along the reply path.
-    """
-    d = _derive(spec, params)
-    n, nr = len(spec.path), len(spec.reply_path)
-    if not 1 <= i <= n + nr:
-        raise ValueError("layer index out of range")
-    if i <= n:
-        return Onion(d.fwd_headers[i - 1], d.fwd_deltas[i - 1])
-    return Onion(d.rep_headers[i - n - 1], d.rep_deltas[i - n - 1])
+    """The onion exactly as it arrives at hop i of its combined path: a
+    one-shot derive(spec, params).onion(i)."""
+    return derive(spec, params).onion(i)
 
 
-def recognize_onion(i: int, onion: Onion, spec: OnionSpec, params) -> bool:
-    """Header-only comparison against the i-th layer; the payload may have
-    been tampered with and is deliberately ignored.
+def recognize_onion(i: int, onion: Onion, derived: Derived) -> bool:
+    """Header-only comparison against the i-th layer of a derived onion; the
+    payload may have been tampered with and is deliberately ignored.
 
     Compares the header fields, so a malformed header (alpha out of range,
     wrong widths) is simply unequal rather than an encoding error.
     """
-    return onion.header == form_onion(i, spec, params).header
+    return onion.header == derived.onion(i).header
 
 
 def tag_payload(onion: Onion, mask: bytes) -> Onion:
@@ -464,14 +476,26 @@ class InMemoryView:
         self._seen.add(key)
         return True
 
-    def expect_reply(self, ident: bytes, spec: OnionSpec):
-        self._expectations[ident] = spec
+    def expect_reply(self, ident: bytes, opening: ReplyOpening):
+        self._expectations[ident] = opening
 
     def lookup_reply(self, ident: bytes):
         return self._expectations.get(ident)
 
     def forget_reply(self, ident: bytes):
         self._expectations.pop(ident, None)
+
+
+class NullView:
+    """A view that accepts every header and expects no reply: for
+    reprocessing an onion outside any party's replay state (form_reply, the
+    game challengers' probes)."""
+
+    def check_and_add(self, header_bytes: bytes) -> bool:
+        return True
+
+    def lookup_reply(self, ident: bytes):
+        return None
 
 
 def _peel_beta(layer, header: Header, params):
@@ -482,6 +506,15 @@ def _peel_beta(layer, header: Header, params):
         wide[params.kappa : 2 * params.kappa],
         wide[2 * params.kappa :],
     )
+
+
+def zero_run(layer, header: Header, params) -> int:
+    """The number of zero bytes right after the routing field of a header
+    peeled with this layer's keys: what a relay can read off the filler of
+    its own layer (the legacy zero filler leaks the path length there)."""
+    _addr, gamma_next, beta_next = _peel_beta(layer, header, params)
+    tail = gamma_next + beta_next
+    return len(tail) - len(tail.lstrip(b"\x00"))
 
 
 def proc_onion(sk: int, onion: Onion, self_name: bytes, params, view) -> ProcResult:
@@ -536,18 +569,15 @@ def proc_onion(sk: int, onion: Onion, self_name: bytes, params, view) -> ProcRes
         if name != self_name:
             return _fail("misdirected")
         ident = gamma_next  # the reply final layer carries P_s | I
-        espec = view.lookup_reply(ident)
-        if espec is None:
-            return _fail("unsolicited")
-        d = _derive(espec, params)
-        if header != d.rep_headers[-1]:
+        opening = view.lookup_reply(ident)
+        if opening is None or header != opening.header:
             return _fail("unsolicited")
         # Invert the reply-path PRP composition: our own peel above applied
         # this hop's layer, so re-encrypt hop by hop, then strip k_tilde.
         plain = delta_peeled
-        for j in range(len(d.rep_chain.layers) - 1, -1, -1):
-            plain = prp_enc(d.rep_chain.layers[j].k_pi, plain, kappa)
-        plain = prp_dec(d.k_tilde, plain, kappa)
+        for k_pi in reversed(opening.k_pis):
+            plain = prp_enc(k_pi, plain, kappa)
+        plain = prp_dec(opening.k_tilde, plain, kappa)
         if plain[:kappa] != b"\x00" * kappa:
             return _fail("integrity")
         message = _unframe(plain[kappa + params.addr_len + params.reply_block_len :])
@@ -568,12 +598,7 @@ def form_reply(m_reply: bytes, onion_at_exit: Onion, exit_name: bytes, sk: int, 
     use; a relay keeps the ReplyInfo from its single peel and calls
     build_reply_onion instead.
     """
-
-    class _NoReplayView(InMemoryView):
-        def check_and_add(self, header_bytes):
-            return True
-
-    result = proc_onion(sk, onion_at_exit, exit_name, params, _NoReplayView())
+    result = proc_onion(sk, onion_at_exit, exit_name, params, NullView())
     if result.kind != "exit" or result.reply_info is None:
         return None
     try:
@@ -628,18 +653,17 @@ def parse_onion(data: bytes, params) -> Onion:
 def onion_vector_lines(spec: OnionSpec, params: FormatParams):
     """Hex test-vector records for one spec: padding, per-layer header
     pieces, and full serialized onions for both directions."""
-    d = _derive(spec, params)
+    d = derive(spec, params)
+    n = len(spec.path)
     lines = []
-    for i in range(len(spec.path) + 1):
+    for i in range(n + 1):
         lines.append("phi_%d,%s" % (i, build_padding(d.fwd_chain, i, params).hex()))
-    for i, header in enumerate(d.fwd_headers):
-        lines.append("beta_%d,%s" % (i, header.beta.hex()))
-        lines.append("gamma_%d,%s" % (i, header.gamma.hex()))
-    for i in range(1, len(spec.path) + len(spec.reply_path) + 1):
-        kind = "onion" if i <= len(spec.path) else "reply_onion"
-        lines.append(
-            "%s_%d,%s" % (kind, i, serialize_onion(form_onion(i, spec, params), params).hex())
-        )
+    for i, onion in enumerate(d.onions[:n]):
+        lines.append("beta_%d,%s" % (i, onion.header.beta.hex()))
+        lines.append("gamma_%d,%s" % (i, onion.header.gamma.hex()))
+    for i, onion in enumerate(d.onions, start=1):
+        kind = "onion" if i <= n else "reply_onion"
+        lines.append("%s_%d,%s" % (kind, i, serialize_onion(onion, params).hex()))
     return lines
 
 

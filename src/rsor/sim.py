@@ -11,7 +11,7 @@ the static usage-condition lint.
 import json
 from dataclasses import dataclass
 
-from .crypto import SeedRng, mac, prg, xor_bytes
+from .crypto import SeedRng, mac
 from .group import PROD_GROUP
 from .ideal import RsorIdeal
 from .kem import kem_decap, kem_keygen
@@ -35,13 +35,14 @@ from .packet import (
     OnionSpec,
     build_reply_onion,
     decode_addr,
+    derive,
     form_onion,
     parse_reply_block,
     receiver_addr,
     serialize_reply_block,
     tag_payload,
+    zero_run,
 )
-from .packet import _derive
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +523,9 @@ def scenario_nymserver_attack(seed, legacy: bool, guess="oracle"):
         path=tuple((n, keys[n].pk) for n in (b"a",)),
         reply_path=tuple((n, keys[n].pk) for n in (b"d", b"e", b"sender")),
     )
-    block = serialize_reply_block(_derive(reply_spec, params).reply_info, params)
-    sender.view.expect_reply(_derive(reply_spec, params).ident, reply_spec)
+    d = derive(reply_spec, params)
+    block = serialize_reply_block(d.reply_info, params)
+    sender.view.expect_reply(d.ident, d.opening)
 
     # Onion A: the conversation message; Onion B: the nym registration.
     spec_a = OnionSpec(
@@ -605,21 +607,6 @@ def attack_nymserver(trials, seed, legacy=True, guess="oracle"):
 # ---------------------------------------------------------------------------
 # Attack scenario: zero-padding path-length leak at a corrupted exit
 
-def _exit_zero_run(sk, onion, params):
-    """What a corrupted exit relay can read off its own peeled header:
-    the number of zero bytes following the routing field."""
-    layer = kem_decap(params.group, sk, onion.header.alpha, params.kappa)
-    assert mac(layer.k_mu, onion.header.beta, params.kappa) == onion.header.gamma
-    stream = prg(layer.k_rho, params.stream_len)
-    wide = xor_bytes(onion.header.beta + b"\x00" * (2 * params.kappa), stream)
-    run = 0
-    for byte in wide[params.kappa:]:
-        if byte != 0:
-            break
-        run += 1
-    return run
-
-
 def scenario_zero_padding_leak(seed, legacy: bool):
     """A corrupted exit estimates the path length from trailing filler.
 
@@ -638,8 +625,11 @@ def scenario_zero_padding_leak(seed, legacy: bool):
         receiver=receiver_addr(b"svc", params),
         path=tuple((n, keys[n].pk) for n in path_names),
     )
-    onion = form_onion(len(path_names), spec, params)
-    run = _exit_zero_run(keys[b"exit"].sk, onion, params)
+    header = form_onion(len(path_names), spec, params).header
+    # What the corrupted exit reads off its own, authentic layer.
+    layer = kem_decap(params.group, keys[b"exit"].sk, header.alpha, params.kappa)
+    assert mac(layer.k_mu, header.beta, params.kappa) == header.gamma
+    run = zero_run(layer, header, params)
     guessed_n = 2 if run >= 5 * params.kappa else 5
     return {
         "path_length_recovered": guessed_n == true_n,

@@ -27,6 +27,7 @@ from rsor.packet import (
     FormatParams,
     InMemoryView,
     OnionSpec,
+    derive,
     form_onion,
     form_reply,
     proc_onion,
@@ -85,17 +86,16 @@ def test_criterion_2_and_3_dual_construction_and_width():
         n = 1 + trng.read(1)[0] % 5
         nr = trng.read(1)[0] % 6
         spec, keys = _random_spec(trng, n, nr)
+        d = derive(spec, PARAMS)
         view = InMemoryView()
         if nr:
-            from rsor.packet import _derive
-
-            view.expect_reply(_derive(spec, PARAMS).ident, spec)
+            view.expect_reply(d.ident, d.opening)
         onion = form_onion(1, spec, PARAMS)
         combined = [(name, keys[name]) for name, _pk in spec.path + spec.reply_path]
         for i, (name, keypair) in enumerate(combined, start=1):
             widths.add(len(serialize_onion(onion, PARAMS)))
             assert serialize_onion(onion, PARAMS) == serialize_onion(
-                form_onion(i, spec, PARAMS), PARAMS
+                d.onion(i), PARAMS
             ), "dual construction mismatch at layer %d" % i
             result = proc_onion(keypair.sk, onion, name, PARAMS, view)
             if i == n and nr:

@@ -15,6 +15,7 @@ from rsor.packet import (
     FormatParams,
     InMemoryView,
     OnionSpec,
+    derive,
     form_onion,
     proc_onion,
     receiver_addr,
@@ -82,7 +83,7 @@ def test_out_of_range_alpha_is_not_recognized_or_processed(alpha):
     spec, keys = _spec(2, 1)
     onion = form_onion(1, spec, PARAMS)
     bad = dataclasses.replace(onion, header=dataclasses.replace(onion.header, alpha=alpha))
-    assert not recognize_onion(1, bad, spec, PARAMS)
+    assert not recognize_onion(1, bad, derive(spec, PARAMS))
     oracles = GameOracles(PARAMS, {b"r0": keys[b"r0"]})
     assert oracles.proc(b"r0", bad) is None
     assert oracles.reply(b"r0", bad, b"answer") is None

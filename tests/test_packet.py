@@ -14,6 +14,7 @@ from rsor.packet import (
     build_padding,
     check_onion_vectors,
     decode_addr,
+    derive,
     form_onion,
     form_reply,
     onion_vector_lines,
@@ -27,7 +28,6 @@ from rsor.packet import (
     validate_spec,
     write_vector_file,
 )
-from rsor.packet import _derive
 
 
 PARAMS = FormatParams(group=PROD_GROUP)
@@ -74,7 +74,7 @@ def test_width_invariant_across_path_lengths():
 
 def test_padding_length_recurrence():
     spec, _ = _spec(5, 0)
-    chain = _derive(spec, PARAMS).fwd_chain
+    chain = derive(spec, PARAMS).fwd_chain
     for i in range(6):
         assert len(build_padding(chain, i, PARAMS)) == 2 * i * PARAMS.kappa
 
@@ -83,11 +83,11 @@ def test_padding_is_beta_suffix():
     # Phi_{i-1} must be exactly what hop i's beta carries behind the live
     # routing bytes, which is why a peeling relay reveals consistent bytes.
     spec, _ = _spec(4, 0)
-    d = _derive(spec, PARAMS)
+    d = derive(spec, PARAMS)
     for i in range(1, 5):
         phi = build_padding(d.fwd_chain, i - 1, PARAMS)
         if phi:
-            assert d.fwd_headers[i - 1].beta.endswith(phi)
+            assert d.onion(i).header.beta.endswith(phi)
 
 
 def test_forward_trip_and_dual_construction():
@@ -137,7 +137,8 @@ def test_reply_round_trip():
 
     assert next_hop == b"sender"
     sview = InMemoryView()
-    sview.expect_reply(_derive(spec, PARAMS).ident, spec)
+    d = derive(spec, PARAMS)
+    sview.expect_reply(d.ident, d.opening)
     result = proc_onion(keys[b"sender"].sk, reply_onion, b"sender", PARAMS, sview)
     assert result.kind == "reply"
     assert result.message == b"pong!"
@@ -157,15 +158,16 @@ def test_form_reply_matches_direct_layers():
 def test_recognize_onion():
     spec, _ = _spec(3, 0)
     other, _ = _spec(3, 0, seed=b"other-seed")
+    d, d_other = derive(spec, PARAMS), derive(other, PARAMS)
     for i in range(1, 4):
         onion = form_onion(i, spec, PARAMS)
-        assert recognize_onion(i, onion, spec, PARAMS)
-        assert not recognize_onion(i, onion, other, PARAMS)
+        assert recognize_onion(i, onion, d)
+        assert not recognize_onion(i, onion, d_other)
         if i > 1:
-            assert not recognize_onion(i - 1, onion, spec, PARAMS)
+            assert not recognize_onion(i - 1, onion, d)
     # Tampered payloads are still recognized (header-only comparison).
     tagged = tag_payload(form_onion(1, spec, PARAMS), b"\x01" * PARAMS.payload_len)
-    assert recognize_onion(1, tagged, spec, PARAMS)
+    assert recognize_onion(1, tagged, d)
 
 
 def test_tagging_absorbed_until_exit():
@@ -253,6 +255,8 @@ def test_validate_spec_rejects_bad_inputs():
     bad_pk = ((spec.path[0][0], 0),) + spec.path[1:]
     with pytest.raises(ValueError):
         validate_spec(dataclasses.replace(spec, path=bad_pk), PARAMS)
+    with pytest.raises(ValueError):
+        validate_spec(dataclasses.replace(spec, seed=b""), PARAMS)
 
 
 def test_serialize_parse_roundtrip():
@@ -280,7 +284,7 @@ def test_vector_file_roundtrip(tmp_path):
 def _final_zero_run(spec, keys, params):
     n = len(spec.path)
     onion = form_onion(n, spec, params)
-    d = _derive(spec, params)
+    d = derive(spec, params)
     stream = prg(d.fwd_chain.layers[n - 1].k_rho, params.stream_len)
     wide = xor_bytes(onion.header.beta + b"\x00" * (2 * params.kappa), stream)
     run = 0

@@ -9,13 +9,13 @@ from rsor.packet import (
     FormatParams,
     InMemoryView,
     OnionSpec,
+    derive,
     form_onion,
     form_reply,
     proc_onion,
     receiver_addr,
     serialize_onion,
 )
-from rsor.packet import _derive
 
 PARAMS = FormatParams(group=PROD_GROUP)
 
@@ -71,7 +71,8 @@ def test_any_spec_round_trips(seed, message, reply, n, nr):
         assert len(serialize_onion(back, PARAMS)) == width
     assert next_hop == b"sender"
     sview = InMemoryView()
-    sview.expect_reply(_derive(spec, PARAMS).ident, spec)
+    d = derive(spec, PARAMS)
+    sview.expect_reply(d.ident, d.opening)
     result = proc_onion(keys[b"sender"].sk, back, b"sender", PARAMS, sview)
     assert result.kind == "reply"
     assert result.message == reply
