@@ -24,7 +24,6 @@ def _build_parser():
     run.add_argument("--config", help="key-value scenario description file")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--legacy-zero-padding", action="store_true")
-    run.add_argument("--legacy-nymserver", action="store_true")
     run.add_argument("--out", help="write the trace as JSON lines to this file")
 
     attack = sub.add_parser("attack", help="reproduce a deployed-format attack")
@@ -56,7 +55,6 @@ def _cmd_run(args):
         scenario,
         seed=args.seed,
         legacy_zero_padding=args.legacy_zero_padding or scenario.legacy_zero_padding,
-        legacy_nymserver=args.legacy_nymserver or scenario.legacy_nymserver,
     )
     trace = sim.run_scenario(scenario)
     if args.out:

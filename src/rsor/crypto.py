@@ -91,15 +91,9 @@ def ro_hsym(tag: str, group, s: int, kappa: int) -> bytes:
     return _key_oracle(_SYM_DOMAINS[tag], group, s, kappa)
 
 
-def prg(key: bytes, out_len: int, cap: int = None) -> bytes:
-    """Pseudorandom stream of out_len bytes under the given key.
-
-    Callers that slice header padding pass their format's maximum stream
-    length as cap; requesting more is an argument error.
-    """
+def prg(key: bytes, out_len: int) -> bytes:
+    """Pseudorandom stream of out_len bytes under the given key."""
     assert out_len >= 0
-    if cap is not None and out_len > cap:
-        raise ValueError("requested %d stream bytes, cap is %d" % (out_len, cap))
     return _aes_ctr_stream(_stream_key(key), 0, out_len)
 
 

@@ -17,10 +17,10 @@ from .kem import kem_decap, kem_keygen
 from .packet import (
     FormatParams,
     InMemoryView,
-    NullView,
     Onion,
     OnionSpec,
     build_reply_onion,
+    decode_addr,
     derive,
     form_onion,
     form_reply,
@@ -39,27 +39,24 @@ from .group import PROD_GROUP
 # Oracle plumbing shared by all games
 
 class _PartyState:
+    """One honest party's oracle state; also the view proc_onion consults."""
+
     def __init__(self):
         self.eta = set()       # headers already processed (replay rule)
-        self.onions = set()    # full onions seen (reply eligibility)
+        # Onion bytes seen -> the ReplyInfo their one peel returned, None
+        # unless a repliable exit (reply eligibility and the reply itself).
+        self.onions = {}
         self.replied = set()   # headers already replied to (one-reply rule)
         self.expectations = {}
 
-
-class _EtaView:
-    """Adapts a party's oracle state to the processing view protocol."""
-
-    def __init__(self, state):
-        self._state = state
-
     def check_and_add(self, header_bytes):
-        if header_bytes in self._state.eta:
+        if header_bytes in self.eta:
             return False
-        self._state.eta.add(header_bytes)
+        self.eta.add(header_bytes)
         return True
 
     def lookup_reply(self, ident):
-        return self._state.expectations.get(ident)
+        return self.expectations.get(ident)
 
 
 def _translate(result):
@@ -89,8 +86,9 @@ class GameOracles:
 
     The challenger installs special-case handlers for recognized challenge
     layers; everything else is processed honestly with the party's key.
-    Every answer's byte length is logged so tests can check that the
-    transcript shape is independent of the hidden bit.
+    Each party peels an onion once, in proc; reply answers from what that
+    peel returned.  Every answer's byte length is logged so tests can check
+    that the transcript shape is independent of the hidden bit.
     """
 
     def __init__(self, params, keypairs):
@@ -98,7 +96,7 @@ class GameOracles:
         self.keys = dict(keypairs)
         self.state = {name: _PartyState() for name in self.keys}
         self.special_proc = None   # fn(party, onion, header_bytes) -> (handled, out)
-        self.special_reply = None  # fn(party, onion, m) -> (handled, out)
+        self.special_reply = None  # fn(party, onion, m, reply_info) -> (handled, out)
         self.transcript = []
 
     def _log(self, move, out):
@@ -106,9 +104,12 @@ class GameOracles:
         return out
 
     def remember(self, party, onion):
+        """Mark a challenge layer the challenger answered itself as seen;
+        any reply to it is the special handler's to give."""
         state = self.state[party]
-        state.eta.add(serialize_header(onion.header, self.params))
-        state.onions.add(serialize_onion(onion, self.params))
+        header_bytes = serialize_header(onion.header, self.params)
+        state.eta.add(header_bytes)
+        state.onions[header_bytes + onion.delta] = None
 
     def proc(self, party, onion):
         state = self.state[party]
@@ -122,33 +123,35 @@ class GameOracles:
             handled, out = self.special_proc(party, onion, header_bytes)
             if handled:
                 return self._log("proc", out)
-        result = proc_onion(
-            self.keys[party].sk, onion, party, self.params, _EtaView(state)
-        )
+        result = proc_onion(self.keys[party].sk, onion, party, self.params, state)
         state.eta.add(header_bytes)
-        state.onions.add(serialize_onion(onion, self.params))
+        state.onions[header_bytes + onion.delta] = result.reply_info
         return self._log("proc", _translate(result))
 
     def reply(self, party, onion, message):
         state = self.state[party]
         try:
-            onion_bytes = serialize_onion(onion, self.params)
             header_bytes = serialize_header(onion.header, self.params)
         except (AssertionError, ValueError):
             return self._log("reply", None)
-        if onion_bytes not in state.onions or header_bytes in state.replied:
+        onion_bytes = header_bytes + onion.delta
+        # A message that cannot fit gets None in both worlds, before any
+        # special handler could answer it differently.
+        if (onion_bytes not in state.onions or header_bytes in state.replied
+                or len(message) > self.params.max_msg_len):
             return self._log("reply", None)
+        info = state.onions[onion_bytes]
         if self.special_reply is not None:
-            handled, out = self.special_reply(party, onion, message)
+            handled, out = self.special_reply(party, onion, message, info)
             if handled:
                 if out is not None:
                     state.replied.add(header_bytes)
                 return self._log("reply", out)
-        formed = form_reply(message, onion, party, self.keys[party].sk, self.params)
-        if formed is None:
+        if info is None:
             return self._log("reply", None)
         state.replied.add(header_bytes)
-        return self._log("reply", ("reply-onion", formed[0], formed[1]))
+        reply = build_reply_onion(info, message, self.params)
+        return self._log("reply", ("reply-onion", reply, decode_addr(info.first_hop)[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -369,33 +372,33 @@ def game_tlu_forward(adversary, seed, params=None, force_b=None):
     tag_rng = rng.fork(b"tagpad")
 
     def special_proc(party, onion, header_bytes):
-        if bit == 0 or party != P_H:
+        if bit == 0 or party != P_H or not recognize_onion(j, onion, d_bar):
             return False, None
-        if not recognize_onion(j, onion, d_bar):
+        # The header is valid for P_H, so a wrong payload width is the only
+        # way a forward layer can fail: leave it to the honest failure.
+        if len(onion.delta) != params.payload_len:
             return False, None
-        probe = proc_onion(keys[P_H].sk, onion, P_H, params, NullView())
-        if probe.kind == "fail" and probe.reason != "integrity":
-            return False, None  # header invalid: fall through to honest fail
+        intact = onion.delta == d_bar.onion(j).delta
+        if j == n and not intact:
+            return False, None  # a tagged exit layer fails integrity, as at b = 0
         oracles.remember(P_H, onion)
         if j < n:
             continuation = d_real.onion(j + 1)
-            if onion.delta == d_bar.onion(j).delta:
+            if intact:
                 return True, ("forward", path[j][0], continuation)
             tagged = Onion(continuation.header, tag_rng.read(params.payload_len))
             return True, ("forward", path[j][0], tagged)
         return True, ("exit", real.message, real.receiver)
 
-    def special_reply(party, onion, message):
-        if bit == 0 or party != P_H or j != n:
-            return False, None
-        if not recognize_onion(j, onion, d_bar):
+    def special_reply(party, onion, message, info):
+        # Only the intact bar exit layer that special_proc answered; a
+        # tagged one failed its honest peel and gets no reply, as at b = 0.
+        if bit == 0 or party != P_H or j != n or onion != d_bar.onion(j):
             return False, None
         # FormReply on the literal bar onion is always None (its backward
-        # path is empty); the b-independent reading is the real onion's
-        # repliability, which holds whenever the submitted reply path does.
-        if not real.reply_path:
-            return True, None
-        # Layer n+1 of real, carrying the adversary's message instead.
+        # path is empty); the b-independent answer is layer n+1 of real,
+        # which is repliable since TLU requires a reply path, carrying the
+        # adversary's message.
         reply = build_reply_onion(d_real.reply_info, message, params)
         return True, ("reply-onion", reply, reply_path[0][0])
 
@@ -466,15 +469,14 @@ def game_slu_backward(adversary, seed, params=None, force_b=None):
         if party == P_S and _absorbed_at_sender(onion):
             oracles.remember(P_S, onion)
             return True, None  # the challenger outputs nothing
-        if party != P_H or j_back == 0:
-            return False, None
+        if party != P_H or j_back == 0 or bit == 0:
+            return False, None  # honest processing is exactly the b=0 answer
         if not recognize_onion(n + j_back, onion, d_real):
             return False, None
-        probe = proc_onion(keys[P_H].sk, onion, P_H, params, NullView())
-        if probe.kind == "fail" and probe.reason != "integrity":
+        # A valid reply-path header for P_H forwards unless the payload
+        # width is wrong: leave that to the honest failure.
+        if len(onion.delta) != params.payload_len:
             return False, None
-        if bit == 0:
-            return False, None  # honest processing is exactly the b=0 answer
         oracles.remember(P_H, onion)
         return True, ("forward", next_name, derived_bar().onion(1))
 
@@ -483,13 +485,13 @@ def game_slu_backward(adversary, seed, params=None, force_b=None):
             return recognize_onion(n + nr, onion, d_real)
         return recognize_onion(nr - j_back, onion, derived_bar())
 
-    def special_reply(party, onion, message):
+    def special_reply(party, onion, message, info):
         if party != P_H or j_back != 0 or bit == 0:
             return False, None
         if not recognize_onion(n, onion, d_real):
             return False, None
-        if form_reply(message, onion, P_H, keys[P_H].sk, params) is None:
-            return True, None
+        if info is None:
+            return True, None  # the honest peel found no reply block
         return True, ("reply-onion", derived_bar().onion(1), next_name)
 
     oracles.special_proc = special_proc

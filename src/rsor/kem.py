@@ -55,14 +55,17 @@ def _layer_from_secret(group, alpha: int, s: int, kappa: int) -> LayerSecrets:
 
 
 def kem_chain_create(group, x: int, pubkeys, kappa: int) -> KemChain:
-    """Sender-side chain of LayerSecrets for the given hop public keys."""
+    """Sender-side chain of LayerSecrets for the given hop public keys.
+
+    The keys must already be group elements: ``validate_spec`` checks each
+    one once, before ``derive`` builds a chain, so this does not test again.
+    """
     if not pubkeys:
         raise ValueError("a KEM chain needs at least one hop public key")
     assert group.is_scalar(x)
     layers = []
     exponent = x
     for pk in pubkeys:
-        assert group.is_element(pk), "hop public key must be a group element"
         alpha = group.exp(group.g, exponent)
         s = group.exp(pk, exponent)
         layer = _layer_from_secret(group, alpha, s, kappa)

@@ -35,15 +35,17 @@ class FormatParams:
     group: GroupParams
     kappa: int = 16
     max_hops: int = 5
-    addr_len: int = 16
     payload_len: int = 355
     legacy_zero_filler: bool = False
 
     def __post_init__(self):
         assert self.kappa >= 8 and self.max_hops >= 1
-        # The beta slicing tables assume address fields and MACs share a width.
-        assert self.addr_len == self.kappa, "addr_len must equal kappa"
         assert self.payload_len >= self.min_payload_len
+
+    @property
+    def addr_len(self):
+        # The beta slicing tables assume address fields and MACs share a width.
+        return self.kappa
 
     @property
     def beta_len(self):
@@ -97,14 +99,11 @@ class Onion:
 @dataclass(frozen=True)
 class ReplyInfo:
     """What an exit relay needs to answer: where to send the pre-built reply
-    header and the key sealing the reply payload.  ident is only known to the
-    onion's creator (it travels encrypted inside eta0), so parsed instances
-    carry None there."""
+    header and the key sealing the reply payload."""
 
     first_hop: bytes
     eta0: Header
     k_tilde: bytes
-    ident: bytes = None
 
 
 @dataclass(frozen=True)
@@ -390,12 +389,7 @@ def derive(spec: OnionSpec, params: FormatParams) -> Derived:
         )
         addrs = [relay_addr(name, params) for name, _pk in spec.reply_path]
         rep_headers = build_header(rep_chain, addrs, final, params)
-        reply_info = ReplyInfo(
-            first_hop=addrs[0],
-            eta0=rep_headers[0],
-            k_tilde=k_tilde,
-            ident=ident,
-        )
+        reply_info = ReplyInfo(first_hop=addrs[0], eta0=rep_headers[0], k_tilde=k_tilde)
         k_pis = tuple(layer.k_pi for layer in rep_chain.layers)
         opening = ReplyOpening(header=rep_headers[-1], k_pis=k_pis, k_tilde=k_tilde)
         # Reply payload layers: the exit seals under k_tilde, then every
@@ -488,8 +482,7 @@ class InMemoryView:
 
 class NullView:
     """A view that accepts every header and expects no reply: for
-    reprocessing an onion outside any party's replay state (form_reply, the
-    game challengers' probes)."""
+    reprocessing an onion outside any party's replay state (form_reply)."""
 
     def check_and_add(self, header_bytes: bytes) -> bool:
         return True
@@ -594,8 +587,9 @@ def form_reply(m_reply: bytes, onion_at_exit: Onion, exit_name: bytes, sk: int, 
     Reprocesses the given exit-layer onion (without replay checks), extracts
     the embedded ReplyInfo, seals the reply message under k_tilde, and
     attaches the pre-built reply header.  None when the forward onion was
-    non-repliable or malformed.  This is the one-shot form the game oracles
-    use; a relay keeps the ReplyInfo from its single peel and calls
+    non-repliable or malformed.  This is the paper's one-shot FormReply,
+    kept for the correctness game and the demos; relays and the game
+    oracles keep the ReplyInfo from their single peel and call
     build_reply_onion instead.
     """
     result = proc_onion(sk, onion_at_exit, exit_name, params, NullView())

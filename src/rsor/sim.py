@@ -81,7 +81,6 @@ class Scenario:
     corrupted: tuple = ()
     adversary: tuple = ()
     legacy_zero_padding: bool = False
-    legacy_nymserver: bool = False
     seed: int = 0
     # Usage-condition surface (linted, not executed):
     exit_rule: str = "uniform"

@@ -1,0 +1,213 @@
+"""Golden files pinning wire bytes, a scenario trace and game outcomes.
+
+The files under tests/data/ were written by an earlier revision of the
+code; these tests recompute every record with the current code and compare.
+A failure means a refactor changed observable behaviour: onion bytes, the
+deterministic simulator trace, or some registered adversary's (b, guess,
+transcript) in a security game.
+
+Regenerate (only when a format change is intended) with
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+from rsor.crypto import SeedRng
+from rsor.games import ADVERSARIES, GAMES, P_H, P_S, Submission, _BaseAdversary
+from rsor.group import PROD_GROUP
+from rsor.kem import kem_keygen
+from rsor.packet import (
+    FormatParams,
+    InMemoryView,
+    Onion,
+    OnionSpec,
+    form_reply,
+    onion_vector_lines,
+    proc_onion,
+    receiver_addr,
+    serialize_onion,
+)
+from rsor.sim import baseline_scenario, run_scenario, write_trace
+
+DATA = Path(__file__).resolve().parent / "data"
+FILLERS = {"random": False, "zero": True}
+GAME_SEEDS = range(10)
+
+
+def _params(filler):
+    return FormatParams(group=PROD_GROUP, legacy_zero_filler=FILLERS[filler])
+
+
+def vector_lines(filler):
+    """Test vectors of one repliable spec with n = 3 and n_back = 2."""
+    params = _params(filler)
+    rng = SeedRng(b"golden-vectors")
+    names = (b"r0", b"r1", b"r2", b"q0", b"sender")
+    keys = {name: kem_keygen(params.group, rng.fork(name)).pk for name in names}
+    spec = OnionSpec(
+        seed=b"golden-spec-seed",
+        message=b"golden message",
+        receiver=receiver_addr(b"svc", params),
+        path=tuple((name, keys[name]) for name in names[:3]),
+        reply_path=tuple((name, keys[name]) for name in names[3:]),
+    )
+    return onion_vector_lines(spec, params)
+
+
+def trace_lines(path):
+    """The JSON-lines trace of the seeded baseline round trip."""
+    write_trace(path, run_scenario(baseline_scenario(seed=5)))
+    return path.read_text(encoding="ascii").splitlines()
+
+
+def game_records(filler):
+    """(game, adversary, seed, b, guess, transcript) for every registered
+    pair and each seed in GAME_SEEDS."""
+    params = _params(filler)
+    records = []
+    for adversary, (cls, games, _kind) in sorted(ADVERSARIES.items()):
+        for game in games:
+            for seed in GAME_SEEDS:
+                rng = SeedRng(b"golden-game/%s/%s/%d" % (game.encode(), adversary.encode(), seed))
+                out = GAMES[game](cls(rng.fork(b"adv")), seed, params=params)
+                records.append([game, adversary, seed, out["b"], out["guess"],
+                                [list(entry) for entry in out["transcript"]]])
+    return records
+
+
+class OracleWalkAdversary(_BaseAdversary):
+    """Walks the challenge to the honest relay with its own keys and drives
+    the Proc and Reply oracles there: a first proc, a replayed proc, a reply,
+    a second reply, then follows the answer to the honest sender.  Every
+    oracle answer is summarised in self.seen, so the golden file pins what
+    the challenger answers in each world, not only the answer lengths.
+
+    variant picks the honest relay's position: "tlu-mid" (j = 2 < n),
+    "tlu-exit" (j = n), "slu-exit" (j_back = 0) and "slu-reply" (j_back = 1).
+    """
+
+    def __init__(self, rng, variant):
+        super().__init__(rng)
+        self.variant = variant
+        self.seen = []
+
+    def submit(self):
+        self.k = {label: self.keypair(label) for label in (b"x1", b"x2", b"x3")}
+        own = lambda label: (label, self.k[label].pk)
+        path, reply_path, j, j_back = {
+            "tlu-mid": ((own(b"x1"), (P_H, None), own(b"x2")),
+                        (own(b"x3"), (P_S, None)), 2, None),
+            "tlu-exit": ((own(b"x1"), own(b"x2"), (P_H, None)),
+                         (own(b"x3"), (P_S, None)), 3, None),
+            "slu-exit": ((own(b"x1"), (P_H, None)),
+                         (own(b"x3"), (P_S, None)), None, 0),
+            "slu-reply": ((own(b"x1"), own(b"x2")),
+                          ((P_H, None), own(b"x3"), (P_S, None)), None, 1),
+        }[self.variant]
+        return Submission(message=b"walk", receiver=b"svc", path=path,
+                          reply_path=reply_path, j=j, j_back=j_back)
+
+    def _peel(self, onion, labels):
+        for label in labels:
+            result = proc_onion(self.k[label].sk, onion, label, self.params, InMemoryView())
+            if result.kind != "forward":
+                return None
+            onion = result.next_onion
+        return onion
+
+    def _note(self, out):
+        def summary(part):
+            if isinstance(part, Onion):
+                return hashlib.sha256(serialize_onion(part, self.params)).hexdigest()
+            return part.decode("latin-1") if isinstance(part, bytes) else part
+
+        self.seen.append(None if out is None else [summary(part) for part in out])
+        return out
+
+    # The adversary's own hops the challenge crosses before P_H (slu-reply:
+    # before its own exit x2, which then answers toward P_H).
+    PEEL = {"tlu-mid": [b"x1"], "tlu-exit": [b"x1", b"x2"],
+            "slu-exit": [b"x1"], "slu-reply": [b"x1"]}
+
+    def guess(self):
+        onion = self._peel(self.challenge, self.PEEL[self.variant])
+        if onion is not None and self.variant == "slu-reply":
+            formed = form_reply(b"walk-back", onion, b"x2", self.k[b"x2"].sk, self.params)
+            onion = formed[0] if formed else None
+        if onion is None:
+            return self.coin()
+        first = self._note(self.oracles.proc(P_H, onion))
+        self._note(self.oracles.proc(P_H, onion))
+        back = self._note(self.oracles.reply(P_H, onion, b"answer"))
+        self._note(self.oracles.reply(P_H, onion, b"again"))
+        if self.variant != "tlu-mid":
+            # A reply onion, or a forwarded reply layer, reaches P_S via x3.
+            onward = back[1] if back else first[2] if first and first[0] == "forward" else None
+            at_s = onward and self._peel(onward, [b"x3"])
+            if at_s is not None:
+                self._note(self.oracles.proc(P_S, at_s))
+        return self.coin()
+
+
+ORACLE_WALKS = {"tlu-mid": "tlu", "tlu-exit": "tlu", "slu-exit": "slu", "slu-reply": "slu"}
+
+
+def oracle_walk_records(filler):
+    """(game, variant, seed, b, guess, transcript, seen) for both forced bits
+    of each seed in GAME_SEEDS."""
+    params = _params(filler)
+    records = []
+    for variant, game in ORACLE_WALKS.items():
+        for seed in GAME_SEEDS:
+            for bit in (0, 1):
+                adv = OracleWalkAdversary(SeedRng(b"walk/%s/%d" % (variant.encode(), seed)), variant)
+                out = GAMES[game](adv, seed, params=params, force_b=bit)
+                records.append([game, variant, seed, out["b"], out["guess"],
+                                [list(entry) for entry in out["transcript"]], adv.seen])
+    return records
+
+
+def _read_lines(name):
+    return (DATA / name).read_text(encoding="ascii").splitlines()
+
+
+def test_onion_vectors_match_golden():
+    for filler in FILLERS:
+        assert vector_lines(filler) == _read_lines("vectors_%s_filler.txt" % filler)
+
+
+def test_baseline_trace_matches_golden(tmp_path):
+    assert trace_lines(tmp_path / "trace.jsonl") == _read_lines("baseline_trace_seed5.jsonl")
+
+
+def test_game_outcomes_match_golden():
+    for filler in FILLERS:
+        golden = [json.loads(line) for line in _read_lines("games_%s_filler.jsonl" % filler)]
+        assert game_records(filler) == golden
+
+
+def test_oracle_walks_match_golden():
+    for filler in FILLERS:
+        golden = [json.loads(line) for line in _read_lines("walks_%s_filler.jsonl" % filler)]
+        assert oracle_walk_records(filler) == golden
+
+
+def _write_all():
+    DATA.mkdir(exist_ok=True)
+    for filler in FILLERS:
+        (DATA / ("vectors_%s_filler.txt" % filler)).write_text(
+            "\n".join(vector_lines(filler)) + "\n", encoding="ascii")
+        (DATA / ("games_%s_filler.jsonl" % filler)).write_text(
+            "".join(json.dumps(r) + "\n" for r in game_records(filler)), encoding="ascii")
+        (DATA / ("walks_%s_filler.jsonl" % filler)).write_text(
+            "".join(json.dumps(r) + "\n" for r in oracle_walk_records(filler)), encoding="ascii")
+    write_trace(DATA / "baseline_trace_seed5.jsonl", run_scenario(baseline_scenario(seed=5)))
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(__doc__)
+    _write_all()

@@ -3,6 +3,10 @@ party processes an onion once.  These tests pin the modexp cost of that and
 the behaviour that must survive it: range errors, replay refusal, rid use."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -63,6 +67,56 @@ def test_forward_hop_costs_three_modexps(counts):
     assert result.kind == "forward"
     # alpha in G, then alpha^sk (decap) and alpha^b (blind).
     assert counts == {"exp": 2, "is_element": 1}
+
+
+def test_derive_checks_each_hop_key_once(counts):
+    spec, _keys = _spec(5, 0)
+    counts.update(exp=0, is_element=0)
+    derive(spec, PARAMS)
+    # validate_spec tests each key once; the chain then costs alpha and s.
+    assert counts == {"exp": 10, "is_element": 5}
+
+
+def test_off_group_key_and_empty_seed_raise_under_python_O():
+    # python -O strips asserts, so the one key check must not be one.
+    script = textwrap.dedent("""
+        import dataclasses
+        from rsor.crypto import SeedRng
+        from rsor.group import PROD_GROUP
+        from rsor.kem import kem_keygen
+        from rsor.packet import FormatParams, OnionSpec, derive, receiver_addr
+
+        assert False, "asserts must be stripped"
+        params = FormatParams(group=PROD_GROUP)
+        pk = kem_keygen(PROD_GROUP, SeedRng(b"k")).pk
+        spec = OnionSpec(seed=b"s", message=b"m", receiver=receiver_addr(b"svc", params),
+                         path=((b"r0", pk), (b"r1", PROD_GROUP.p - 1)))
+        for bad in (spec, dataclasses.replace(spec, path=spec.path[:1], seed=b"")):
+            try:
+                derive(bad, params)
+            except ValueError:
+                continue
+            raise SystemExit("derive accepted %r" % (bad,))
+        print("ok")
+    """)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0 and out.stdout.strip() == "ok", out.stderr
+
+
+def test_game_reply_answers_from_the_proc_peel(counts):
+    spec, keys = _spec(2, 2)
+    d = derive(spec, PARAMS)
+    oracles = GameOracles(PARAMS, {b"r1": keys[b"r1"]})
+    onion = d.onion(2)
+    assert oracles.proc(b"r1", onion)[0] == "exit"
+    counts.update(exp=0, is_element=0)
+    out = oracles.reply(b"r1", onion, spec.message)
+    assert counts == {"exp": 0, "is_element": 0}
+    assert out == ("reply-onion", d.onion(3), spec.reply_path[0][0])
 
 
 def test_encode_and_exp_do_no_membership_test(counts):

@@ -255,6 +255,10 @@ def test_validate_spec_rejects_bad_inputs():
     bad_pk = ((spec.path[0][0], 0),) + spec.path[1:]
     with pytest.raises(ValueError):
         validate_spec(dataclasses.replace(spec, path=bad_pk), PARAMS)
+    # In range for encode, but of order 2: only the membership test sees it.
+    off_group = ((spec.path[0][0], PROD_GROUP.p - 1),) + spec.path[1:]
+    with pytest.raises(ValueError):
+        validate_spec(dataclasses.replace(spec, path=off_group), PARAMS)
     with pytest.raises(ValueError):
         validate_spec(dataclasses.replace(spec, seed=b""), PARAMS)
 
