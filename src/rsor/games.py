@@ -103,11 +103,11 @@ class GameOracles:
         self.transcript.append((move, _out_len(out, self.params)))
         return out
 
-    def remember(self, party, onion):
+    def remember(self, party, onion, header_bytes):
         """Mark a challenge layer the challenger answered itself as seen;
-        any reply to it is the special handler's to give."""
+        any reply to it is the special handler's to give.  header_bytes is
+        the serialized header special_proc was handed."""
         state = self.state[party]
-        header_bytes = serialize_header(onion.header, self.params)
         state.eta.add(header_bytes)
         state.onions[header_bytes + onion.delta] = None
 
@@ -123,8 +123,8 @@ class GameOracles:
             handled, out = self.special_proc(party, onion, header_bytes)
             if handled:
                 return self._log("proc", out)
+        # proc_onion adds the header to eta once its MAC verifies.
         result = proc_onion(self.keys[party].sk, onion, party, self.params, state)
-        state.eta.add(header_bytes)
         state.onions[header_bytes + onion.delta] = result.reply_info
         return self._log("proc", _translate(result))
 
@@ -381,7 +381,7 @@ def game_tlu_forward(adversary, seed, params=None, force_b=None):
         intact = onion.delta == d_bar.onion(j).delta
         if j == n and not intact:
             return False, None  # a tagged exit layer fails integrity, as at b = 0
-        oracles.remember(P_H, onion)
+        oracles.remember(P_H, onion, header_bytes)
         if j < n:
             continuation = d_real.onion(j + 1)
             if intact:
@@ -467,7 +467,7 @@ def game_slu_backward(adversary, seed, params=None, force_b=None):
 
     def special_proc(party, onion, header_bytes):
         if party == P_S and _absorbed_at_sender(onion):
-            oracles.remember(P_S, onion)
+            oracles.remember(P_S, onion, header_bytes)
             return True, None  # the challenger outputs nothing
         if party != P_H or j_back == 0 or bit == 0:
             return False, None  # honest processing is exactly the b=0 answer
@@ -477,7 +477,7 @@ def game_slu_backward(adversary, seed, params=None, force_b=None):
         # width is wrong: leave that to the honest failure.
         if len(onion.delta) != params.payload_len:
             return False, None
-        oracles.remember(P_H, onion)
+        oracles.remember(P_H, onion, header_bytes)
         return True, ("forward", next_name, derived_bar().onion(1))
 
     def _absorbed_at_sender(onion):
@@ -555,7 +555,7 @@ def game_sti_tail(adversary, seed, params=None, force_b=None):
     def special_proc(party, onion, header_bytes):
         if party != P_H_BACK or not recognize_onion(absorbed, onion, d):
             return False, None
-        oracles.remember(P_H_BACK, onion)
+        oracles.remember(P_H_BACK, onion, header_bytes)
         return True, None  # the challenger outputs nothing
 
     oracles.special_proc = special_proc

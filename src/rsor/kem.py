@@ -4,6 +4,10 @@ A sender picks a secret x, sets alpha_0 = g^x, and derives for each hop i a
 shared secret s_i = y_i^(x*b_0*...*b_{i-1}) together with a blinding factor
 b_i = h_b(alpha_i, s_i).  Relays recover the same secrets from (alpha, sk)
 alone, so the chain can be computed hop by hop without the sender's state.
+
+Powers of the fixed generator (public keys, each alpha_i) come from the
+group's fixed-base table (``GroupParams.base``); only powers of other
+elements (s_i, blinding, decapsulation) cost a full modexp.
 """
 
 from dataclasses import dataclass
@@ -38,9 +42,10 @@ class KemChain:
 
 
 def kem_keygen(group, rng) -> KemKeyPair:
-    """Fresh keypair (x, g^x) from the injected randomness source."""
+    """Fresh keypair (x, g^x) from the injected randomness source; g^x
+    comes from the fixed-base table."""
     sk = group.random_scalar(rng)
-    return KemKeyPair(sk=sk, pk=group.exp(group.g, sk))
+    return KemKeyPair(sk=sk, pk=group.base(sk))
 
 
 def _layer_from_secret(group, alpha: int, s: int, kappa: int) -> LayerSecrets:
@@ -59,6 +64,8 @@ def kem_chain_create(group, x: int, pubkeys, kappa: int) -> KemChain:
 
     The keys must already be group elements: ``validate_spec`` checks each
     one once, before ``derive`` builds a chain, so this does not test again.
+    Each alpha_i = g^(x*b_0*...*b_{i-1}) is a fixed-base power; each s_i is
+    one full modexp.
     """
     if not pubkeys:
         raise ValueError("a KEM chain needs at least one hop public key")
@@ -66,7 +73,7 @@ def kem_chain_create(group, x: int, pubkeys, kappa: int) -> KemChain:
     layers = []
     exponent = x
     for pk in pubkeys:
-        alpha = group.exp(group.g, exponent)
+        alpha = group.base(exponent)
         s = group.exp(pk, exponent)
         layer = _layer_from_secret(group, alpha, s, kappa)
         layers.append(layer)
@@ -169,12 +176,12 @@ def kem_game_run(adversary, group, kappa, rng, max_hops=5, reveal_secret=False):
     # Walk the chain; the challenge layer's keys and blinding factor are
     # either honest or uniformly random depending on the hidden bit.
     exponent = x
-    alpha0 = group.exp(group.g, exponent)
+    alpha0 = group.base(exponent)
     pre = []
     post = []
     challenge = None
     for i in range(n):
-        alpha = group.exp(group.g, exponent)
+        alpha = group.base(exponent)
         s = group.exp(ys[i], exponent)
         if i == j:
             oracles.challenge_alpha = alpha

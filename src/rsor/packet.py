@@ -205,11 +205,16 @@ def build_padding(chain: KemChain, upto: int, params: FormatParams) -> bytes:
     of that hop's beta keystream, exactly the bytes a peeling relay will
     later shift into view.
     """
-    kappa, r = params.kappa, params.max_hops
     assert 0 <= upto <= len(chain.layers)
+    streams = [prg(layer.k_rho, params.stream_len) for layer in chain.layers[:upto]]
+    return _padding(streams, params)
+
+
+def _padding(streams, params) -> bytes:
+    """Phi_len(streams), from the beta keystreams of hops 1..len(streams)."""
+    kappa, r = params.kappa, params.max_hops
     phi = b""
-    for i in range(1, upto + 1):
-        stream = prg(chain.layers[i - 1].k_rho, params.stream_len)
+    for i, stream in enumerate(streams, start=1):
         phi = xor_bytes(phi + b"\x00" * (2 * kappa), stream[(2 * (r - i) + 3) * kappa:])
     return phi
 
@@ -231,7 +236,7 @@ def build_header(chain: KemChain, path_addrs, final_contents: bytes, params):
     assert len(final_contents) == (2 * (r - n) + 3) * kappa
 
     streams = [prg(layer.k_rho, params.stream_len) for layer in chain.layers]
-    phi = build_padding(chain, n - 1, params)
+    phi = _padding(streams[: n - 1], params)
 
     beta = xor_bytes(final_contents, streams[n - 1][: len(final_contents)]) + phi
     gamma = mac(chain.layers[n - 1].k_mu, beta, kappa)

@@ -46,8 +46,8 @@ def _spec(n, nr, seed=b"budget-spec"):
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Count GroupParams.exp and GroupParams.is_element calls."""
-    tally = {"exp": 0, "is_element": 0}
+    """Count GroupParams.base, GroupParams.exp and GroupParams.is_element calls."""
+    tally = {"base": 0, "exp": 0, "is_element": 0}
     for method in tally:
         original = getattr(GroupParams, method)
 
@@ -62,19 +62,25 @@ def counts(monkeypatch):
 def test_forward_hop_costs_three_modexps(counts):
     spec, keys = _spec(3, 0)
     onion = form_onion(2, spec, PARAMS)
-    counts.update(exp=0, is_element=0)
+    counts.update(base=0, exp=0, is_element=0)
     result = proc_onion(keys[b"r1"].sk, onion, b"r1", PARAMS, InMemoryView())
     assert result.kind == "forward"
     # alpha in G, then alpha^sk (decap) and alpha^b (blind).
-    assert counts == {"exp": 2, "is_element": 1}
+    assert counts == {"base": 0, "exp": 2, "is_element": 1}
 
 
 def test_derive_checks_each_hop_key_once(counts):
     spec, _keys = _spec(5, 0)
-    counts.update(exp=0, is_element=0)
+    counts.update(base=0, exp=0, is_element=0)
     derive(spec, PARAMS)
-    # validate_spec tests each key once; the chain then costs alpha and s.
-    assert counts == {"exp": 10, "is_element": 5}
+    # validate_spec tests each key once; the chain then costs alpha (a
+    # fixed-base power) and s (a full modexp) per hop.
+    assert counts == {"base": 5, "exp": 5, "is_element": 5}
+
+
+def test_keygen_costs_one_fixed_base_power(counts):
+    kem_keygen(PROD_GROUP, SeedRng(b"keygen-budget"))
+    assert counts == {"base": 1, "exp": 0, "is_element": 0}
 
 
 def test_off_group_key_and_empty_seed_raise_under_python_O():
@@ -113,9 +119,9 @@ def test_game_reply_answers_from_the_proc_peel(counts):
     oracles = GameOracles(PARAMS, {b"r1": keys[b"r1"]})
     onion = d.onion(2)
     assert oracles.proc(b"r1", onion)[0] == "exit"
-    counts.update(exp=0, is_element=0)
+    counts.update(base=0, exp=0, is_element=0)
     out = oracles.reply(b"r1", onion, spec.message)
-    assert counts == {"exp": 0, "is_element": 0}
+    assert counts == {"base": 0, "exp": 0, "is_element": 0}
     assert out == ("reply-onion", d.onion(3), spec.reply_path[0][0])
 
 
@@ -123,7 +129,7 @@ def test_encode_and_exp_do_no_membership_test(counts):
     element = pow(PROD_GROUP.g, 12345, PROD_GROUP.p)
     PROD_GROUP.encode(element)
     PROD_GROUP.exp(element, 7)
-    assert counts == {"exp": 1, "is_element": 0}
+    assert counts == {"base": 0, "exp": 1, "is_element": 0}
 
 
 @pytest.mark.parametrize("value", [0, PROD_GROUP.p, -1])
@@ -162,7 +168,7 @@ def test_exit_processes_a_repliable_onion_once(counts):
     state = RelayState(name=exit_name, keypair=keys[exit_name])
     ids = SeedRng(b"exit-ids")
     onion = form_onion(2, spec, PARAMS)
-    counts.update(exp=0, is_element=0)
+    counts.update(base=0, exp=0, is_element=0)
     event = relay_on_onion(state, onion, b"r0", PARAMS, ids)
     _event, delivery = relay_forward(state, event["tid"], PARAMS, ids)
     assert isinstance(delivery, SendMessage) and delivery.rid is not None
@@ -170,7 +176,7 @@ def test_exit_processes_a_repliable_onion_once(counts):
     assert sent["kind"] == "reply-sent"
     # One peel: alpha in G, one decap, and the decode of the embedded reply
     # header; minting the rid and answering cost no modexp.
-    assert counts == {"exp": 1, "is_element": 2}
+    assert counts == {"base": 0, "exp": 1, "is_element": 2}
     assert reply.next_hop == spec.reply_path[0][0]
     assert reply.onion == form_onion(3, spec, PARAMS)
 
