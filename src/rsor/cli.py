@@ -6,8 +6,6 @@ import sys
 
 from . import sim
 from .games import ADVERSARIES, GAMES, game_correctness, run_game_batch
-from .group import PROD_GROUP
-from .packet import FormatParams
 
 
 def _build_parser():
@@ -83,8 +81,7 @@ def _cmd_attack(args):
 
 
 def _cmd_game(args):
-    params = FormatParams(group=PROD_GROUP,
-                          legacy_zero_filler=args.legacy_zero_padding)
+    params = sim.default_params(legacy_zero_filler=args.legacy_zero_padding)
     if args.name == "correctness":
         result = game_correctness(args.games, args.seed, params=params)
         print("correctness trials=%d pass=%s" % (result["trials"], result["pass"]))

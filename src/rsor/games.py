@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .crypto import SeedRng
 from .kem import kem_decap, kem_keygen
 from .packet import (
-    FormatParams,
     InMemoryView,
     Onion,
     OnionSpec,
@@ -23,7 +22,6 @@ from .packet import (
     decode_addr,
     derive,
     form_onion,
-    form_reply,
     proc_onion,
     receiver_addr,
     recognize_onion,
@@ -32,7 +30,7 @@ from .packet import (
     tag_payload,
     zero_run,
 )
-from .group import PROD_GROUP
+from .sim import _seed_bytes, default_params
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +208,6 @@ def _random_receiver(rng, params):
     return receiver_addr(rng.read(7).hex().encode(), params)
 
 
-def default_game_params():
-    return FormatParams(group=PROD_GROUP)
-
-
 # ---------------------------------------------------------------------------
 # Correctness as a named game
 
@@ -223,8 +217,8 @@ def game_correctness(trials, seed, params=None, corrupt_hop=None):
     corrupt_hop deliberately mismatches that forward hop's public key as a
     negative control; the forward-path clause must then fail.
     """
-    params = params or default_game_params()
-    rng = SeedRng(b"correctness" + _seed_label(seed))
+    params = params or default_params()
+    rng = SeedRng(b"correctness" + _seed_bytes(seed))
     failures = []
     for trial in range(trials):
         trng = rng.fork(b"t%d" % trial)
@@ -236,20 +230,14 @@ def game_correctness(trials, seed, params=None, corrupt_hop=None):
 
 def check_correctness_pair(n, nr, trials, seed, params=None):
     """Correctness clauses for one fixed (n, n_back) combination."""
-    params = params or default_game_params()
-    rng = SeedRng(b"correct-pair" + _seed_label(seed) + b"%d/%d" % (n, nr))
+    params = params or default_params()
+    rng = SeedRng(b"correct-pair" + _seed_bytes(seed) + b"%d/%d" % (n, nr))
     failures = []
     for trial in range(trials):
         failures.extend(
             _correctness_once(rng.fork(b"t%d" % trial), n, nr, params, None)
         )
     return {"pass": not failures, "failures": failures}
-
-
-def _seed_label(seed):
-    if isinstance(seed, bytes):
-        return seed
-    return int(seed).to_bytes(8, "big")
 
 
 def _correctness_once(rng, n, nr, params, corrupt_hop):
@@ -294,12 +282,12 @@ def _correctness_once(rng, n, nr, params, corrupt_hop):
     if not nr:
         return failures
     m_back = rng.fork(b"mb").read(1 + rng.read(1)[0] % params.max_msg_len)
-    exit_name = path[-1][0]
-    formed = form_reply(m_back, onion, exit_name, keys[exit_name].sk, params)
-    if formed is None:
-        failures.append(("backward-path-formreply", n, nr))
+    # The exit answers from the ReplyInfo of its one peel above.
+    if result.reply_info is None:
+        failures.append(("backward-path-reply-block", n, nr))
         return failures
-    reply_onion, next_hop = formed
+    reply_onion = build_reply_onion(result.reply_info, m_back, params)
+    next_hop = decode_addr(result.reply_info.first_hop)[1]
     for i in range(1, nr):
         name = rpath[i - 1][0]
         if next_hop != name:
@@ -323,33 +311,31 @@ def _correctness_once(rng, n, nr, params, corrupt_hop):
 
 
 # ---------------------------------------------------------------------------
-# TLU-forward: tagging-forward layer unlinkability
+# The challenger skeleton the three onion games share
 
 P_H = b"honest-relay"
 P_H_BACK = b"honest-return"
 P_S = b"honest-sender"
 
 
-def game_tlu_forward(adversary, seed, params=None, force_b=None):
-    """One run of the tagging-forward layer-unlinkability game."""
-    params = params or default_game_params()
-    rng = SeedRng(b"tlu" + _seed_label(seed))
-    keys = {
-        P_H: kem_keygen(params.group, rng.fork(b"kH")),
-        P_S: kem_keygen(params.group, rng.fork(b"kS")),
-    }
-    oracles = GameOracles(params, keys)
-    adversary.begin(params, (P_H, P_S), {n: k.pk for n, k in keys.items()}, oracles)
-    sub = adversary.submit()
+def _play(label, honest, positions, world, adversary, seed, params, force_b,
+          bar_keeps_message=False):
+    """One run of an onion indistinguishability game.
 
-    n = len(sub.path)
-    j = sub.j
-    if not (1 <= j <= n and n <= params.max_hops):
-        raise ValueError("position j out of range")
-    if len(sub.reply_path) < 1 or len(sub.reply_path) > params.max_hops:
-        raise ValueError("reply path length out of range")
-    honest_slots = {(0, j - 1): P_H, (1, len(sub.reply_path) - 1): P_S}
-    path, reply_path = _checked_paths(sub, oracles, honest_slots, params)
+    honest lists (party, key label) pairs.  positions(sub, oracles, params)
+    checks the submission's positions and returns its completed forward and
+    reply paths, then bar's.  bar is the b = 1 stand-in onion: it carries a
+    fresh message to a random receiver unless bar_keeps_message.
+    world(oracles, rng, sub, bit, real, bar) derives what the drawn world
+    uses and returns (challenge onion, special_proc, special_reply).
+    """
+    params = params or default_params()
+    rng = SeedRng(label + _seed_bytes(seed))
+    keys = {party: kem_keygen(params.group, rng.fork(fork)) for party, fork in honest}
+    oracles = GameOracles(params, keys)
+    adversary.begin(params, tuple(keys), {n: k.pk for n, k in keys.items()}, oracles)
+    sub = adversary.submit()
+    path, reply_path, bar_path, bar_reply_path = positions(sub, oracles, params)
 
     bit = force_b if force_b is not None else rng.fork(b"bit").read(1)[0] & 1
     real = OnionSpec(
@@ -359,13 +345,49 @@ def game_tlu_forward(adversary, seed, params=None, force_b=None):
         path=path,
         reply_path=reply_path,
     )
+    if bar_keeps_message:
+        bar_message, bar_receiver = real.message, real.receiver
+    else:
+        bar_message = rng.fork(b"mbar").read(params.max_msg_len)
+        bar_receiver = _random_receiver(rng.fork(b"rbar"), params)
     bar = OnionSpec(
         seed=rng.fork(b"Rbar").read(32),
-        message=rng.fork(b"mbar").read(params.max_msg_len),
-        receiver=_random_receiver(rng.fork(b"rbar"), params),
-        path=path[:j],
-        reply_path=(),
+        message=bar_message,
+        receiver=bar_receiver,
+        path=bar_path,
+        reply_path=bar_reply_path,
     )
+    challenge, oracles.special_proc, oracles.special_reply = world(
+        oracles, rng, sub, bit, real, bar
+    )
+    adversary.on_challenge(challenge)
+    guess = adversary.guess()
+    return {"b": bit, "guess": guess, "guess_correct": guess == bit,
+            "transcript": tuple(oracles.transcript)}
+
+
+# ---------------------------------------------------------------------------
+# TLU-forward: tagging-forward layer unlinkability
+
+def game_tlu_forward(adversary, seed, params=None, force_b=None):
+    """One run of the tagging-forward layer-unlinkability game."""
+    return _play(b"tlu", ((P_H, b"kH"), (P_S, b"kS")), _tlu_positions, _tlu_world,
+                 adversary, seed, params, force_b)
+
+
+def _tlu_positions(sub, oracles, params):
+    n, j = len(sub.path), sub.j
+    if not (1 <= j <= n and n <= params.max_hops):
+        raise ValueError("position j out of range")
+    if len(sub.reply_path) < 1 or len(sub.reply_path) > params.max_hops:
+        raise ValueError("reply path length out of range")
+    honest_slots = {(0, j - 1): P_H, (1, len(sub.reply_path) - 1): P_S}
+    path, reply_path = _checked_paths(sub, oracles, honest_slots, params)
+    return path, reply_path, path[:j], ()
+
+
+def _tlu_world(oracles, rng, sub, bit, real, bar):
+    params, path, j, n = oracles.params, real.path, sub.j, len(real.path)
     d_real = derive(real, params)
     d_bar = derive(bar, params) if bit else None  # only the b = 1 world uses bar
     oracles.state[P_S].expectations[d_real.ident] = d_real.opening
@@ -400,15 +422,9 @@ def game_tlu_forward(adversary, seed, params=None, force_b=None):
         # which is repliable since TLU requires a reply path, carrying the
         # adversary's message.
         reply = build_reply_onion(d_real.reply_info, message, params)
-        return True, ("reply-onion", reply, reply_path[0][0])
+        return True, ("reply-onion", reply, real.reply_path[0][0])
 
-    oracles.special_proc = special_proc
-    oracles.special_reply = special_reply
-    challenge = (d_bar if bit else d_real).onion(1)
-    adversary.on_challenge(challenge)
-    guess = adversary.guess()
-    return {"b": bit, "guess": guess, "guess_correct": guess == bit,
-            "transcript": tuple(oracles.transcript)}
+    return (d_bar if bit else d_real).onion(1), special_proc, special_reply
 
 
 # ---------------------------------------------------------------------------
@@ -416,46 +432,27 @@ def game_tlu_forward(adversary, seed, params=None, force_b=None):
 
 def game_slu_backward(adversary, seed, params=None, force_b=None):
     """One run of the backward layer-unlinkability game."""
-    params = params or default_game_params()
-    rng = SeedRng(b"slu" + _seed_label(seed))
-    keys = {
-        P_H: kem_keygen(params.group, rng.fork(b"kH")),
-        P_S: kem_keygen(params.group, rng.fork(b"kS")),
-    }
-    oracles = GameOracles(params, keys)
-    adversary.begin(params, (P_H, P_S), {n: k.pk for n, k in keys.items()}, oracles)
-    sub = adversary.submit()
+    return _play(b"slu", ((P_H, b"kH"), (P_S, b"kS")), _slu_positions, _slu_world,
+                 adversary, seed, params, force_b)
 
-    n, nr = len(sub.path), len(sub.reply_path)
-    j_back = sub.j_back
+
+def _slu_positions(sub, oracles, params):
+    n, nr, j_back = len(sub.path), len(sub.reply_path), sub.j_back
     if not (0 <= j_back <= nr and 1 <= n <= params.max_hops
             and 1 <= nr <= params.max_hops):
         raise ValueError("position out of range")
     honest_slots = {(1, nr - 1): P_S}
-    if j_back == 0:
-        honest_slots[(0, n - 1)] = P_H
-    else:
-        honest_slots[(1, j_back - 1)] = P_H
+    honest_slots[(0, n - 1) if j_back == 0 else (1, j_back - 1)] = P_H
     path, reply_path = _checked_paths(sub, oracles, honest_slots, params)
+    return path, reply_path, reply_path[j_back:], ()
 
-    bit = force_b if force_b is not None else rng.fork(b"bit").read(1)[0] & 1
-    real = OnionSpec(
-        seed=rng.fork(b"R").read(32),
-        message=sub.message,
-        receiver=receiver_addr(sub.receiver, params),
-        path=path,
-        reply_path=reply_path,
-    )
-    bar = OnionSpec(
-        seed=rng.fork(b"Rbar").read(32),
-        message=rng.fork(b"mbar").read(params.max_msg_len),
-        receiver=_random_receiver(rng.fork(b"rbar"), params),
-        path=reply_path[j_back:],
-        reply_path=(),
-    )
+
+def _slu_world(oracles, rng, sub, bit, real, bar):
+    params, j_back = oracles.params, sub.j_back
+    n, nr = len(real.path), len(real.reply_path)
     d_real = derive(real, params)
     oracles.state[P_S].expectations[d_real.ident] = d_real.opening
-    next_name = reply_path[j_back][0]
+    next_name = real.reply_path[j_back][0]
     d_bar = None
 
     def derived_bar():
@@ -494,12 +491,7 @@ def game_slu_backward(adversary, seed, params=None, force_b=None):
             return True, None  # the honest peel found no reply block
         return True, ("reply-onion", derived_bar().onion(1), next_name)
 
-    oracles.special_proc = special_proc
-    oracles.special_reply = special_reply
-    adversary.on_challenge(d_real.onion(1))
-    guess = adversary.guess()
-    return {"b": bit, "guess": guess, "guess_correct": guess == bit,
-            "transcript": tuple(oracles.transcript)}
+    return d_real.onion(1), special_proc, special_reply
 
 
 # ---------------------------------------------------------------------------
@@ -507,19 +499,13 @@ def game_slu_backward(adversary, seed, params=None, force_b=None):
 
 def game_sti_tail(adversary, seed, params=None, force_b=None):
     """One run of the tail-indistinguishability game."""
-    params = params or default_game_params()
-    rng = SeedRng(b"sti" + _seed_label(seed))
-    keys = {
-        P_H: kem_keygen(params.group, rng.fork(b"kH")),
-        P_H_BACK: kem_keygen(params.group, rng.fork(b"kHb")),
-        P_S: kem_keygen(params.group, rng.fork(b"kS")),
-    }
-    oracles = GameOracles(params, keys)
-    adversary.begin(
-        params, (P_H, P_H_BACK, P_S), {n: k.pk for n, k in keys.items()}, oracles
-    )
-    sub = adversary.submit()
+    # The corrupted exit reads bar's message, so bar carries real's.
+    return _play(b"sti", ((P_H, b"kH"), (P_H_BACK, b"kHb"), (P_S, b"kS")),
+                 _sti_positions, _sti_world, adversary, seed, params, force_b,
+                 bar_keeps_message=True)
 
+
+def _sti_positions(sub, oracles, params):
     n, nr = len(sub.path), len(sub.reply_path)
     j, j_back = sub.j, sub.j_back
     if not (0 <= j < n and n <= params.max_hops):
@@ -532,24 +518,17 @@ def game_sti_tail(adversary, seed, params=None, force_b=None):
             raise ValueError("honest relay expected at position j")
         honest_slots[(0, j - 1)] = sub.path[j - 1][0]
     path, reply_path = _checked_paths(sub, oracles, honest_slots, params)
-    if path[-1][0] in keys:
+    if path[-1][0] in oracles.keys:
         raise ValueError("the exit relay must be corrupted")
+    return path, reply_path, path[j:], reply_path[:j_back]
 
-    bit = force_b if force_b is not None else rng.fork(b"bit").read(1)[0] & 1
-    receiver = receiver_addr(sub.receiver, params)
-    real = OnionSpec(
-        seed=rng.fork(b"R").read(32), message=sub.message, receiver=receiver,
-        path=path, reply_path=reply_path,
-    )
-    bar = OnionSpec(
-        seed=rng.fork(b"Rbar").read(32), message=sub.message, receiver=receiver,
-        path=path[j:], reply_path=reply_path[:j_back],
-    )
 
+def _sti_world(oracles, rng, sub, bit, real, bar):
+    n, j, j_back = len(real.path), sub.j, sub.j_back
     # Only the drawn world's spec is ever formed or recognized.  The
     # challenge is its layer at hop j+1 of the real path, and the challenger
     # absorbs its layer at the honest backward hop.
-    d = derive(bar if bit else real, params)
+    d = derive(bar if bit else real, oracles.params)
     first, absorbed = (1, (n - j) + j_back) if bit else (j + 1, n + j_back)
 
     def special_proc(party, onion, header_bytes):
@@ -558,11 +537,7 @@ def game_sti_tail(adversary, seed, params=None, force_b=None):
         oracles.remember(P_H_BACK, onion, header_bytes)
         return True, None  # the challenger outputs nothing
 
-    oracles.special_proc = special_proc
-    adversary.on_challenge(d.onion(first))
-    guess = adversary.guess()
-    return {"b": bit, "guess": guess, "guess_correct": guess == bit,
-            "transcript": tuple(oracles.transcript)}
+    return d.onion(first), special_proc, None
 
 
 # ---------------------------------------------------------------------------
@@ -705,17 +680,15 @@ class DirectionStructureAdversary(_BaseAdversary):
     def guess(self):
         params = self.params
         view = InMemoryView()
-        # Forward trip with our own keys, then build the reply ourselves.
+        # Forward trip with our own keys, then build the reply ourselves
+        # from the exit's one peel.
         result = proc_onion(self.k1.sk, self.challenge, b"x1", params, view)
         if result.kind != "forward":
             return self.coin()
-        exit_onion = result.next_onion
-        if proc_onion(self.k2.sk, exit_onion, b"x2", params, InMemoryView()).kind != "exit":
+        result = proc_onion(self.k2.sk, result.next_onion, b"x2", params, view)
+        if result.kind != "exit" or result.reply_info is None:
             return self.coin()
-        formed = form_reply(b"reply-probe", exit_onion, b"x2", self.k2.sk, params)
-        if formed is None:
-            return self.coin()
-        reply_onion, _first = formed
+        reply_onion = build_reply_onion(result.reply_info, b"reply-probe", params)
         out = self.oracles.proc(P_H, reply_onion)
         if out is None or out[0] != "forward":
             return self.coin()
@@ -819,7 +792,7 @@ def run_game_batch(game, adversary_name, games, seed, params=None):
     against the fair-coin null hypothesis."""
     game_fn = GAMES[game]
     adversary_cls = ADVERSARIES[adversary_name][0]
-    master = SeedRng(_seed_label(seed) + game.encode() + adversary_name.encode())
+    master = SeedRng(_seed_bytes(seed) + game.encode() + adversary_name.encode())
     wins = 0
     for i in range(games):
         grng = master.fork(b"g%d" % i)

@@ -176,12 +176,13 @@ def kem_game_run(adversary, group, kappa, rng, max_hops=5, reveal_secret=False):
     # Walk the chain; the challenge layer's keys and blinding factor are
     # either honest or uniformly random depending on the hidden bit.
     exponent = x
-    alpha0 = group.base(exponent)
     pre = []
     post = []
     challenge = None
     for i in range(n):
         alpha = group.base(exponent)
+        if i == 0:
+            alpha0 = alpha
         s = group.exp(ys[i], exponent)
         if i == j:
             oracles.challenge_alpha = alpha

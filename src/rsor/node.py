@@ -56,7 +56,7 @@ class RelayState:
     name: bytes
     keypair: KemKeyPair
     view: InMemoryView = field(default_factory=InMemoryView)
-    outgoing_buffer: dict = field(default_factory=dict)  # tid -> pending entry
+    outgoing_buffer: dict = field(default_factory=dict)  # tid -> ProcResult
     reply_buffer: dict = field(default_factory=dict)     # rid -> ReplyInfo
 
 
@@ -78,23 +78,15 @@ class ReceiverState:
 # Relay operations
 
 def relay_on_onion(state: RelayState, onion: Onion, sender_of: bytes, params, rng):
-    """Process an arriving onion; buffer the outcome under a fresh tid."""
+    """Process an arriving onion; buffer the outcome of its one peel under a
+    fresh tid.  An integrity failure had a valid header, so the onion is
+    accepted; the destroyed payload only surfaces when the relay gets around
+    to forwarding it."""
     result = proc_onion(state.keypair.sk, onion, state.name, params, state.view)
     if result.kind == "fail" and result.reason != "integrity":
         return make_event(state.name, "dropped", reason=result.reason)
     tid = rng.read(params.kappa).hex()
-    if result.kind == "fail":
-        # The header was valid, so the onion is accepted; the destroyed
-        # payload only surfaces when the relay gets around to processing it.
-        state.outgoing_buffer[tid] = ("drop", result.reason)
-    elif result.kind == "forward":
-        state.outgoing_buffer[tid] = ("forward", result.next_hop, result.next_onion)
-    else:
-        assert result.kind == "exit"
-        # Keep only what answering needs: the reply block this peel already
-        # parsed (None when the onion is not repliable).
-        state.outgoing_buffer[tid] = ("exit", result.receiver, result.message,
-                                      result.reply_info)
+    state.outgoing_buffer[tid] = result
     return make_event(state.name, "onion-received", tid=tid, via=sender_of.decode("ascii", "replace"))
 
 
@@ -104,23 +96,22 @@ def relay_forward(state: RelayState, tid: str, params, rng):
     Returns (event, action); unknown tids abort with (None, None).  Exit
     deliveries mint a rid only when the onion carried a reply block.
     """
-    entry = state.outgoing_buffer.pop(tid, None)
-    if entry is None:
+    result = state.outgoing_buffer.pop(tid, None)
+    if result is None:
         return None, None
-    if entry[0] == "drop":
-        return make_event(state.name, "dropped", reason=entry[1]), None
-    if entry[0] == "forward":
-        _kind, next_hop, onion = entry
+    if result.kind == "fail":
+        return make_event(state.name, "dropped", reason=result.reason), None
+    if result.kind == "forward":
         event = make_event(state.name, "forwarded", tid=tid,
-                           to=next_hop.decode("ascii", "replace"))
-        return event, SendOnion(next_hop=next_hop, onion=onion)
-    _kind, receiver, message, reply_info = entry
+                           to=result.next_hop.decode("ascii", "replace"))
+        return event, SendOnion(next_hop=result.next_hop, onion=result.next_onion)
+    # An exit: the reply block this peel parsed is all answering needs.
     rid = None
-    if reply_info is not None:
+    if result.reply_info is not None:
         rid = rng.read(params.kappa).hex()
-        state.reply_buffer[rid] = reply_info
+        state.reply_buffer[rid] = result.reply_info
     event = make_event(state.name, "message-delivered", tid=tid, repliable=rid is not None)
-    return event, SendMessage(receiver=receiver, message=message, rid=rid)
+    return event, SendMessage(receiver=result.receiver, message=result.message, rid=rid)
 
 
 def relay_on_receiver_reply(state: RelayState, m_reply: bytes, rid: str, params):

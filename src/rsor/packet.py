@@ -307,14 +307,23 @@ def build_payload_forward(params, receiver: bytes, reply, message: bytes) -> byt
 
 
 def build_payload_reply(params, message: bytes) -> bytes:
-    """Innermost reply plaintext: 0_kappa | zero filler | message, padded to
-    the exact forward-payload width."""
-    if len(message) > params.max_msg_len:
-        raise ValueError("message too long for payload")
-    pad = b"\x00" * (params.addr_len + params.reply_block_len)
-    out = b"\x00" * params.kappa + pad + _frame(message, params)
-    assert len(out) == params.payload_len
-    return out
+    """Innermost reply plaintext: the forward layout with an all-zero
+    receiver and reply block."""
+    return build_payload_forward(params, b"\x00" * params.addr_len, None, message)
+
+
+def _open_payload(plain: bytes, params):
+    """(receiver, reply block, message) of an innermost plaintext, or None
+    when its zero prefix or message frame is broken."""
+    kappa = params.kappa
+    if plain[:kappa] != b"\x00" * kappa:
+        return None
+    block_at = kappa + params.addr_len
+    message_at = block_at + params.reply_block_len
+    message = _unframe(plain[message_at:])
+    if message is None:
+        return None
+    return plain[kappa:block_at], plain[block_at:message_at], message
 
 
 # ---------------------------------------------------------------------------
@@ -547,15 +556,10 @@ def proc_onion(sk: int, onion: Onion, self_name: bytes, params, view) -> ProcRes
         )
 
     if tag == ADDR_EXIT:
-        if delta_peeled[:kappa] != b"\x00" * kappa:
+        opened = _open_payload(delta_peeled, params)
+        if opened is None:
             return _fail("integrity")
-        receiver = delta_peeled[kappa : kappa + params.addr_len]
-        block = delta_peeled[
-            kappa + params.addr_len : kappa + params.addr_len + params.reply_block_len
-        ]
-        message = _unframe(delta_peeled[kappa + params.addr_len + params.reply_block_len :])
-        if message is None:
-            return _fail("integrity")
+        receiver, block, message = opened
         return ProcResult(
             kind="exit",
             message=message,
@@ -575,13 +579,10 @@ def proc_onion(sk: int, onion: Onion, self_name: bytes, params, view) -> ProcRes
         plain = delta_peeled
         for k_pi in reversed(opening.k_pis):
             plain = prp_enc(k_pi, plain, kappa)
-        plain = prp_dec(opening.k_tilde, plain, kappa)
-        if plain[:kappa] != b"\x00" * kappa:
+        opened = _open_payload(prp_dec(opening.k_tilde, plain, kappa), params)
+        if opened is None:
             return _fail("integrity")
-        message = _unframe(plain[kappa + params.addr_len + params.reply_block_len :])
-        if message is None:
-            return _fail("integrity")
-        return ProcResult(kind="reply", message=message, ident=ident)
+        return ProcResult(kind="reply", message=opened[2], ident=ident)
 
     return _fail("bad-address")
 
@@ -593,9 +594,9 @@ def form_reply(m_reply: bytes, onion_at_exit: Onion, exit_name: bytes, sk: int, 
     the embedded ReplyInfo, seals the reply message under k_tilde, and
     attaches the pre-built reply header.  None when the forward onion was
     non-repliable or malformed.  This is the paper's one-shot FormReply,
-    kept for the correctness game and the demos; relays and the game
-    oracles keep the ReplyInfo from their single peel and call
-    build_reply_onion instead.
+    kept as the tests' reference and for the demos; relays, the game
+    challengers and the game adversaries keep the ReplyInfo from their
+    single peel and call build_reply_onion instead.
     """
     result = proc_onion(sk, onion_at_exit, exit_name, params, NullView())
     if result.kind != "exit" or result.reply_info is None:
@@ -664,18 +665,3 @@ def onion_vector_lines(spec: OnionSpec, params: FormatParams):
         kind = "onion" if i <= n else "reply_onion"
         lines.append("%s_%d,%s" % (kind, i, serialize_onion(onion, params).hex()))
     return lines
-
-
-def write_vector_file(path, lines):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_vector_file(path):
-    with open(path, encoding="ascii") as fh:
-        return [line.strip() for line in fh if line.strip()]
-
-
-def check_onion_vectors(path, spec, params) -> bool:
-    """True iff the file's records match a fresh derivation of the spec."""
-    return read_vector_file(path) == onion_vector_lines(spec, params)

@@ -131,16 +131,14 @@ def _gen_keys(names, rng, group):
     return {name: kem_keygen(group, rng.fork(b"key:" + name)) for name in names}
 
 
-def run_scenario(scenario: Scenario, seed=None, params=None):
+def run_scenario(scenario: Scenario):
     """Execute a scenario in the real world; returns the event trace.
 
-    Fully deterministic in (scenario, seed): relay keys, onion seeds, and
-    all temporary ids come from one seeded stream.
+    Fully deterministic in the scenario and its seed: relay keys, onion
+    seeds, and all temporary ids come from one seeded stream.
     """
-    seed = scenario.seed if seed is None else seed
-    rng = SeedRng(_seed_bytes(seed))
-    if params is None:
-        params = default_params(legacy_zero_filler=scenario.legacy_zero_padding)
+    rng = SeedRng(_seed_bytes(scenario.seed))
+    params = default_params(legacy_zero_filler=scenario.legacy_zero_padding)
     keys = _gen_keys(scenario.relays + scenario.senders, rng.fork(b"keys"), params.group)
     relays = {name: RelayState(name=name, keypair=keys[name]) for name in scenario.relays}
     senders = {name: SenderState(name=name, keypair=keys[name]) for name in scenario.senders}
@@ -250,15 +248,14 @@ def _run_onion(scenario, idx, item, action, relays, senders, receivers,
 # ---------------------------------------------------------------------------
 # Ideal-world engine (same schedule, abstract onions)
 
-def run_ideal_scenario(scenario: Scenario, seed=None, max_hops=5):
+def run_ideal_scenario(scenario: Scenario):
     """Drive the ideal functionality with the scenario's schedule.
 
     Returns (env_trace, adv_trace).  The env trace is comparable to the
     real trace after normalization.
     """
-    seed = scenario.seed if seed is None else seed
-    rng = SeedRng(_seed_bytes(seed) + b"ideal")
-    ideal = RsorIdeal(bad=scenario.corrupted, rng=rng, max_hops=max_hops)
+    rng = SeedRng(_seed_bytes(scenario.seed) + b"ideal")
+    ideal = RsorIdeal(bad=scenario.corrupted, rng=rng)
     rules = {(r.item, r.hop): r for r in scenario.adversary}
     names = {n.decode("ascii", "replace"): n
              for n in scenario.relays + scenario.senders + scenario.receivers}
@@ -406,7 +403,6 @@ def scenario_tagging_linkage(seed, tag=True):
     """First hop tags one sender's onion; the corrupted exit that sees the
     integrity failure reveals which exit the tagged sender was using."""
     rng = SeedRng(_seed_bytes(seed) + b"tagging")
-    params = default_params()
     swap = rng.read(1)[0] & 1
     exits = (b"exit2", b"exit1") if swap else (b"exit1", b"exit2")
     scenario = Scenario(
@@ -422,7 +418,7 @@ def scenario_tagging_linkage(seed, tag=True):
         adversary=(Rule("tag", 0, 2),) if tag else (),
         seed=int.from_bytes(rng.read(8), "big"),
     )
-    trace = run_scenario(scenario, params=params)
+    trace = run_scenario(scenario)
     failures = [
         e["relay"] for e in trace
         if e.get("kind") == "adv-observe" and e.get("saw") == "drop"
@@ -547,43 +543,20 @@ def scenario_nymserver_attack(seed, legacy: bool, guess="oracle"):
     for index, spec in enumerate((spec_a, spec_b)):
         if index == dropped:
             continue
-        onion = form_onion(1, spec, params)
-        current, prev = b"a", b"sender"
-        while True:
-            state = relays[current]
-            event = relay_on_onion(state, onion, prev, params, ids_rng)
-            if event["kind"] == "dropped":
-                break
-            _event2, action = relay_forward(state, event["tid"], params, ids_rng)
-            if action is None:
-                break
-            if isinstance(action, SendOnion):
-                prev, current, onion = current, action.next_hop, action.onion
-                continue
-            _t, rname = decode_addr(action.receiver)
-            if rname == b"nymsrv":
-                ns.register(action.message[:8], action.message[8:8 + params.reply_block_len])
-            break
+        action = _walk(relays, SendOnion(b"a", form_onion(1, spec, params)), b"sender",
+                       params, ids_rng)
+        if (isinstance(action, SendMessage)
+                and decode_addr(action.receiver)[1] == b"nymsrv"):
+            ns.register(action.message[:8], action.message[8:8 + params.reply_block_len])
 
     # The pseudonym's conversation partner writes to the nym regardless.
     result = ns.lookup_and_send(nym, b"letter for the pseudonym")
     no_reply_signal = any(e["kind"] == "no-reply-onion" for e in ns.events)
     got_reply = False
     if result is not None:
-        onion, current, prev = result.onion, result.next_hop, b"nymsrv"
-        while True:
-            if current == b"sender":
-                event = sender_on_onion(sender, onion, params)
-                got_reply = event["kind"] == "got-reply"
-                break
-            state = relays[current]
-            event = relay_on_onion(state, onion, prev, params, ids_rng)
-            if event["kind"] == "dropped":
-                break
-            _event2, action = relay_forward(state, event["tid"], params, ids_rng)
-            if not isinstance(action, SendOnion):
-                break
-            prev, current, onion = current, action.next_hop, action.onion
+        action = _walk(relays, result, b"nymsrv", params, ids_rng)
+        if isinstance(action, SendOnion) and action.next_hop == sender.name:
+            got_reply = sender_on_onion(sender, action.onion, params)["kind"] == "got-reply"
 
     return {
         "attack_succeeds": no_reply_signal,
@@ -592,6 +565,20 @@ def scenario_nymserver_attack(seed, legacy: bool, guess="oracle"):
         "reply_round_trip": got_reply,
         "nymserver_events": ns.events,
     }
+
+
+def _walk(relays, action, prev, params, ids_rng):
+    """Push an onion through honest relays, each forwarding at once, until it
+    leaves them.  Returns the last action: a SendOnion to a non-relay, a
+    SendMessage, or None when a relay dropped it."""
+    while isinstance(action, SendOnion) and action.next_hop in relays:
+        state = relays[action.next_hop]
+        event = relay_on_onion(state, action.onion, prev, params, ids_rng)
+        if event["kind"] == "dropped":
+            return None
+        prev = action.next_hop
+        _event, action = relay_forward(state, event["tid"], params, ids_rng)
+    return action
 
 
 def attack_nymserver(trials, seed, legacy=True, guess="oracle"):

@@ -12,7 +12,6 @@ from rsor.packet import (
     Onion,
     OnionSpec,
     build_padding,
-    check_onion_vectors,
     decode_addr,
     derive,
     form_onion,
@@ -26,7 +25,6 @@ from rsor.packet import (
     serialize_onion,
     tag_payload,
     validate_spec,
-    write_vector_file,
 )
 
 
@@ -272,17 +270,12 @@ def test_serialize_parse_roundtrip():
         assert serialize_onion(back, PARAMS) == raw
 
 
-def test_vector_file_roundtrip(tmp_path):
+def test_vector_file_roundtrip():
+    # The vector files themselves are pinned by tests/test_golden.py.
     spec, _ = _spec(2, 1, seed=b"vectors")
     lines = onion_vector_lines(spec, PARAMS)
     assert any(line.startswith("phi_1,") for line in lines)
     assert any(line.startswith("reply_onion_3,") for line in lines)
-    path = tmp_path / "onion_vectors.csv"
-    write_vector_file(path, lines)
-    assert check_onion_vectors(path, spec, PARAMS)
-    mutated = lines[:-1] + [lines[-1][:-1] + ("0" if lines[-1][-1] != "0" else "1")]
-    write_vector_file(path, mutated)
-    assert not check_onion_vectors(path, spec, PARAMS)
 
 
 def _final_zero_run(spec, keys, params):
