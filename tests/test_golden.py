@@ -30,7 +30,15 @@ from rsor.packet import (
     receiver_addr,
     serialize_onion,
 )
-from rsor.sim import baseline_scenario, run_scenario, write_trace
+from rsor.sim import (
+    Rule,
+    Scenario,
+    WorkItem,
+    baseline_scenario,
+    run_scenario,
+    scenario_nymserver_attack,
+    write_trace,
+)
 
 DATA = Path(__file__).resolve().parent / "data"
 FILLERS = {"random": False, "zero": True}
@@ -61,6 +69,42 @@ def trace_lines(path):
     """The JSON-lines trace of the seeded baseline round trip."""
     write_trace(path, run_scenario(baseline_scenario(seed=5)))
     return path.read_text(encoding="ascii").splitlines()
+
+
+def adversarial_scenario():
+    """Seed 5, relays a-e with a, c and e corrupted, one item per outcome:
+    a repliable round trip, a delivery to an unknown receiver, a payload
+    tagged on arrival at its corrupted exit (hop 2), a reply tagged on its
+    last hop (the sender's diagnostic drop) and a drop at hop 2."""
+    return Scenario(
+        name="adversarial",
+        relays=(b"a", b"b", b"c", b"d", b"e"),
+        senders=(b"alice", b"bob"),
+        receivers=(b"svc",),
+        corrupted=(b"a", b"c", b"e"),
+        workload=(
+            WorkItem(b"alice", (b"a", b"b", b"c"), b"svc", b"ping",
+                     reply_path=(b"d", b"e", b"alice"), reply_message=b"pong"),
+            WorkItem(b"bob", (b"b", b"e"), b"ghost", b"to nobody"),
+            WorkItem(b"bob", (b"b", b"c"), b"svc", b"tagged at exit"),
+            WorkItem(b"alice", (b"a", b"b"), b"svc", b"hi",
+                     reply_path=(b"d", b"alice"), reply_message=b"tagged reply"),
+            WorkItem(b"bob", (b"d", b"a", b"b"), b"svc", b"dropped"),
+        ),
+        adversary=(Rule("tag", 2, 2), Rule("tag", 3, 4), Rule("drop", 4, 2)),
+        seed=5,
+    )
+
+
+NYM_SEEDS = range(12)
+
+
+def nymserver_records():
+    """(seed, legacy, guess, result) for every NYM_SEEDS run of the nymserver
+    attack, both flows and both guess rules."""
+    return [[seed, legacy, guess, scenario_nymserver_attack(seed, legacy, guess)]
+            for seed in NYM_SEEDS for legacy in (True, False)
+            for guess in ("oracle", "uniform")]
 
 
 def game_records(filler):
@@ -183,6 +227,17 @@ def test_baseline_trace_matches_golden(tmp_path):
     assert trace_lines(tmp_path / "trace.jsonl") == _read_lines("baseline_trace_seed5.jsonl")
 
 
+def test_adversarial_trace_matches_golden(tmp_path):
+    write_trace(tmp_path / "trace.jsonl", run_scenario(adversarial_scenario()))
+    assert (tmp_path / "trace.jsonl").read_text(encoding="ascii").splitlines() == \
+        _read_lines("adversarial_trace_seed5.jsonl")
+
+
+def test_nymserver_attack_matches_golden():
+    golden = [json.loads(line) for line in _read_lines("nymserver_attack.jsonl")]
+    assert nymserver_records() == golden
+
+
 def test_game_outcomes_match_golden():
     for filler in FILLERS:
         golden = [json.loads(line) for line in _read_lines("games_%s_filler.jsonl" % filler)]
@@ -205,6 +260,9 @@ def _write_all():
         (DATA / ("walks_%s_filler.jsonl" % filler)).write_text(
             "".join(json.dumps(r) + "\n" for r in oracle_walk_records(filler)), encoding="ascii")
     write_trace(DATA / "baseline_trace_seed5.jsonl", run_scenario(baseline_scenario(seed=5)))
+    write_trace(DATA / "adversarial_trace_seed5.jsonl", run_scenario(adversarial_scenario()))
+    (DATA / "nymserver_attack.jsonl").write_text(
+        "".join(json.dumps(r) + "\n" for r in nymserver_records()), encoding="ascii")
 
 
 if __name__ == "__main__":
