@@ -438,7 +438,8 @@ def game_slu_backward(adversary, seed, params=None, force_b=None):
 
 def _slu_positions(sub, oracles, params):
     n, nr, j_back = len(sub.path), len(sub.reply_path), sub.j_back
-    if not (0 <= j_back <= nr and 1 <= n <= params.max_hops
+    # j_back = nr would put P_H in the sender's slot (P_S's, at nr - 1).
+    if not (0 <= j_back < nr and 1 <= n <= params.max_hops
             and 1 <= nr <= params.max_hops):
         raise ValueError("position out of range")
     honest_slots = {(1, nr - 1): P_S}
@@ -510,7 +511,8 @@ def _sti_positions(sub, oracles, params):
     j, j_back = sub.j, sub.j_back
     if not (0 <= j < n and n <= params.max_hops):
         raise ValueError("position j out of range (j = n is rejected)")
-    if not (1 <= j_back <= nr and nr <= params.max_hops):
+    # j_back = nr would put P_H_BACK in the sender's slot (P_S's, at nr - 1).
+    if not (1 <= j_back < nr and nr <= params.max_hops):
         raise ValueError("backward position out of range")
     honest_slots = {(1, j_back - 1): P_H_BACK, (1, nr - 1): P_S}
     if j > 0:

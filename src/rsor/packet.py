@@ -494,17 +494,6 @@ class InMemoryView:
         self._expectations.pop(ident, None)
 
 
-class NullView:
-    """A view that accepts every header and expects no reply: for
-    reprocessing an onion outside any party's replay state (form_reply)."""
-
-    def check_and_add(self, header_bytes: bytes) -> bool:
-        return True
-
-    def lookup_reply(self, ident: bytes):
-        return None
-
-
 def _peel_beta(layer, header: Header, params):
     stream = prg(layer.k_rho, params.stream_len)
     wide = xor_bytes(header.beta + b"\x00" * (2 * params.kappa), stream)
@@ -590,15 +579,16 @@ def proc_onion(sk: int, onion: Onion, self_name: bytes, params, view) -> ProcRes
 def form_reply(m_reply: bytes, onion_at_exit: Onion, exit_name: bytes, sk: int, params):
     """Build the reply onion an exit relay sends back, or None.
 
-    Reprocesses the given exit-layer onion (without replay checks), extracts
-    the embedded ReplyInfo, seals the reply message under k_tilde, and
-    attaches the pre-built reply header.  None when the forward onion was
+    Reprocesses the given exit-layer onion against a fresh replay cache,
+    outside any party's replay state, extracts the embedded ReplyInfo,
+    seals the reply message under k_tilde, and attaches the pre-built
+    reply header.  None when the forward onion was
     non-repliable or malformed.  This is the paper's one-shot FormReply,
     kept as the tests' reference and for the demos; relays, the game
     challengers and the game adversaries keep the ReplyInfo from their
     single peel and call build_reply_onion instead.
     """
-    result = proc_onion(sk, onion_at_exit, exit_name, params, NullView())
+    result = proc_onion(sk, onion_at_exit, exit_name, params, InMemoryView())
     if result.kind != "exit" or result.reply_info is None:
         return None
     try:

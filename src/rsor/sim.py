@@ -2,10 +2,12 @@
 
 Runs whole workloads of onions over a relay topology with logical-time
 scheduling, records JSON-lines traces, and can drive the ideal
-functionality with the identical schedule for trace comparison.  Also
-houses the three reproduced attacks (payload tagging linkage, the legacy
-nymserver drop attack, and the legacy zero-padding path-length leak) plus
-the static usage-condition lint.
+functionality with the identical schedule for trace comparison.  One
+real-world network object holds the parties' states and the adversary's
+rules and drives every onion hop by hop, scenarios and the nymserver
+attack alike.  Also houses the three reproduced attacks (payload tagging
+linkage, the legacy nymserver drop attack, and the legacy zero-padding
+path-length leak) plus the static usage-condition lint.
 """
 
 import json
@@ -105,30 +107,120 @@ def default_params(legacy_zero_filler=False, payload_len=355):
 # ---------------------------------------------------------------------------
 # Real-world engine
 
-class _Trace:
-    def __init__(self):
+def _gen_keys(names, rng, group):
+    return {name: kem_keygen(group, rng.fork(b"key:" + name)) for name in names}
+
+
+class _Network:
+    """The real world of one scenario: every party's state, built once, the
+    adversary's rules over them, and the event trace.  Every onion of a run,
+    replies included, travels hop by hop through run_onion."""
+
+    def __init__(self, scenario, params, rng):
+        self.params = params
+        self.keys = _gen_keys(scenario.relays + scenario.senders, rng.fork(b"keys"), params.group)
+        self.relays = {n: RelayState(name=n, keypair=self.keys[n]) for n in scenario.relays}
+        self.senders = {n: SenderState(name=n, keypair=self.keys[n]) for n in scenario.senders}
+        self.receivers = {n: ReceiverState(name=n) for n in scenario.receivers}
+        self.corrupted = set(scenario.corrupted)
+        self.rules = {(r.item, r.hop): r for r in scenario.adversary}
+        self.ids_rng = rng.fork(b"ids")
+        self.adv_rng = rng.fork(b"adv")
         self.events = []
 
     def log(self, event):
-        if event is None:
-            return
-        event = dict(event)
-        event["time"] = len(self.events)
-        self.events.append(event)
+        self.events.append(dict(event, time=len(self.events)))
+
+    def link(self, src, dst, secure=False):
+        # Secure relay-to-relay links leak nothing but a constant-size marker.
+        self.log({"kind": "link", "src": src.decode("ascii", "replace"),
+                  "dst": dst.decode("ascii", "replace"),
+                  "marker": "onion", "secure": secure})
+
+    def send(self, idx, item, seed):
+        """Form workload item idx at its sender and run it to completion."""
+        spec = OnionSpec(
+            seed=seed,
+            message=item.message,
+            receiver=receiver_addr(item.receiver, self.params),
+            path=tuple((name, self.keys[name].pk) for name in item.path),
+            reply_path=tuple((name, self.keys[name].pk) for name in item.reply_path),
+        )
+        event, action = sender_send(self.senders[item.sender], spec, self.params)
+        self.log(event)
+        self.run_onion(idx, item.sender, action, item.reply_message)
+
+    def run_onion(self, idx, prev, action, reply_message=None):
+        """Drive the SendOnion action from prev, and the reply its exit may
+        send, hop by hop until it is delivered, dropped or at a sender.
+        Hops count from 1; the reply's continue the forward numbering."""
+        hop = 1
+        while action is not None:
+            current, onion = action.next_hop, action.onion
+            rule = self.rules.get((idx, hop))
+            if rule is not None and rule.action == "drop":
+                self.log({"kind": "adv-drop", "item": idx, "hop": hop})
+                return
+            if rule is not None and rule.action == "tag":
+                onion = tag_payload(onion, self.adv_rng.read(self.params.payload_len))
+                self.log({"kind": "adv-tag", "item": idx, "hop": hop})
+            self.link(prev, current, secure=current in self.relays and prev in self.relays)
+
+            if current in self.senders:
+                event = sender_on_onion(self.senders[current], onion, self.params)
+                if event["kind"] == "dropped":
+                    event["diagnostic"] = True
+                self.log(event)
+                return
+
+            state = self.relays[current]
+            event = relay_on_onion(state, onion, prev, self.params, self.ids_rng)
+            action = None
+            if event["kind"] != "dropped":
+                self.log(event)
+                event, action = relay_forward(state, event["tid"], self.params, self.ids_rng)
+            self.log(event)
+            if current in self.corrupted:
+                self.log(_observed(event, action))
+            if isinstance(action, SendMessage):
+                action = self._deliver(state, action, reply_message)
+            prev, hop = current, hop + 1
+
+    def _deliver(self, state, action, reply_message):
+        """Hand an exit's message to its receiver; returns the SendOnion of
+        the reply the receiver has the exit send, or None."""
+        _tag, rname = decode_addr(action.receiver)
+        rstate = self.receivers.get(rname)
+        if rstate is None:
+            self.log({"kind": "adv-drop-receiverless",
+                      "receiver": rname.decode("ascii", "replace")})
+            return None
+        self.link(state.name, rname)
+        self.log(receiver_on_message(rstate, action.message, action.rid, state.name))
+        if action.rid is None or reply_message is None:
+            return None
+        reply = receiver_reply(rstate, reply_message, action.rid, state.name)
+        self.link(rname, state.name)
+        self.log(make_event(state.name, "reply-received", rid=action.rid,
+                            sender_of=rname.decode("ascii", "replace")))
+        event, action = relay_on_receiver_reply(state, reply.message, reply.rid, self.params)
+        self.log(event)
+        return action
 
 
-def _spec_for_item(item, keys, seed, params):
-    return OnionSpec(
-        seed=seed,
-        message=item.message,
-        receiver=receiver_addr(item.receiver, params),
-        path=tuple((name, keys[name].pk) for name in item.path),
-        reply_path=tuple((name, keys[name].pk) for name in item.reply_path),
-    )
-
-
-def _gen_keys(names, rng, group):
-    return {name: kem_keygen(group, rng.fork(b"key:" + name)) for name in names}
+def _observed(event, action):
+    """The adv-observe record of a corrupted relay whose last step logged
+    event and returned action (None: dropped)."""
+    record = {"kind": "adv-observe", "relay": event["actor"]}
+    if action is None:
+        record.update(saw="drop", reason=event["reason"])
+    elif isinstance(action, SendOnion):
+        record["saw"] = "forward"
+    else:
+        _tag, rname = decode_addr(action.receiver)
+        record.update(saw="exit", message=action.message.decode("utf-8", "replace"),
+                      receiver=rname.decode("ascii", "replace"))
+    return record
 
 
 def run_scenario(scenario: Scenario):
@@ -138,111 +230,10 @@ def run_scenario(scenario: Scenario):
     seeds, and all temporary ids come from one seeded stream.
     """
     rng = SeedRng(_seed_bytes(scenario.seed))
-    params = default_params(legacy_zero_filler=scenario.legacy_zero_padding)
-    keys = _gen_keys(scenario.relays + scenario.senders, rng.fork(b"keys"), params.group)
-    relays = {name: RelayState(name=name, keypair=keys[name]) for name in scenario.relays}
-    senders = {name: SenderState(name=name, keypair=keys[name]) for name in scenario.senders}
-    receivers = {name: ReceiverState(name=name) for name in scenario.receivers}
-    corrupted = set(scenario.corrupted)
-    rules = {(r.item, r.hop): r for r in scenario.adversary}
-    ids_rng = rng.fork(b"ids")
-    adv_rng = rng.fork(b"adv")
-    trace = _Trace()
-
+    net = _Network(scenario, default_params(legacy_zero_filler=scenario.legacy_zero_padding), rng)
     for idx, item in enumerate(scenario.workload):
-        spec = _spec_for_item(
-            item, keys, rng.fork(b"item:%d" % idx).read(32), params
-        )
-        event, action = sender_send(senders[item.sender], spec, params)
-        trace.log(event)
-        _run_onion(
-            scenario, idx, item, action, relays, senders, receivers,
-            corrupted, rules, params, ids_rng, adv_rng, trace, hop=1,
-        )
-    return trace.events
-
-
-def _log_link(trace, src, dst, secure):
-    # Secure relay-to-relay links leak nothing but a constant-size marker.
-    trace.log({"kind": "link", "src": src.decode("ascii", "replace"),
-               "dst": dst.decode("ascii", "replace"),
-               "marker": "onion", "secure": secure})
-
-
-def _run_onion(scenario, idx, item, action, relays, senders, receivers,
-               corrupted, rules, params, ids_rng, adv_rng, trace, hop):
-    """Drive one onion (and its eventual reply) hop by hop to completion."""
-    prev = item.sender
-    onion = action.onion
-    current = action.next_hop
-    while True:
-        rule = rules.get((idx, hop))
-        if rule is not None and rule.action == "drop":
-            trace.log({"kind": "adv-drop", "item": idx, "hop": hop})
-            return
-        if rule is not None and rule.action == "tag":
-            onion = tag_payload(onion, adv_rng.read(params.payload_len))
-            trace.log({"kind": "adv-tag", "item": idx, "hop": hop})
-        _log_link(trace, prev, current, secure=current in relays and prev in relays)
-
-        if current in senders:
-            event = sender_on_onion(senders[current], onion, params)
-            if event["kind"] == "dropped":
-                event["diagnostic"] = True
-            trace.log(event)
-            return
-
-        state = relays[current]
-        event = relay_on_onion(state, onion, prev, params, ids_rng)
-        trace.log(event)
-        if event["kind"] == "dropped":
-            if current in corrupted:
-                trace.log({"kind": "adv-observe", "relay": event["actor"],
-                           "saw": "drop", "reason": event["reason"]})
-            return
-        event2, action2 = relay_forward(state, event["tid"], params, ids_rng)
-        trace.log(event2)
-        if action2 is None:
-            if current in corrupted:
-                trace.log({"kind": "adv-observe", "relay": event["actor"],
-                           "saw": "drop", "reason": event2["reason"]})
-            return
-        if isinstance(action2, SendOnion):
-            if current in corrupted:
-                trace.log({"kind": "adv-observe", "relay": event["actor"],
-                           "saw": "forward"})
-            prev, current, onion = current, action2.next_hop, action2.onion
-            hop += 1
-            continue
-
-        assert isinstance(action2, SendMessage)
-        _tag, rname = decode_addr(action2.receiver)
-        if current in corrupted:
-            trace.log({"kind": "adv-observe", "relay": event["actor"],
-                       "saw": "exit",
-                       "message": action2.message.decode("utf-8", "replace"),
-                       "receiver": rname.decode("ascii", "replace")})
-        rstate = receivers.get(rname)
-        if rstate is None:
-            trace.log({"kind": "adv-drop-receiverless",
-                       "receiver": rname.decode("ascii", "replace")})
-            return
-        _log_link(trace, current, rname, secure=False)
-        trace.log(receiver_on_message(rstate, action2.message, action2.rid, current))
-        if action2.rid is None or item.reply_message is None:
-            return
-        reply_action = receiver_reply(rstate, item.reply_message, action2.rid, current)
-        _log_link(trace, rname, current, secure=False)
-        trace.log(make_event(current, "reply-received", rid=action2.rid,
-                             sender_of=rname.decode("ascii", "replace")))
-        event3, action3 = relay_on_receiver_reply(
-            state, reply_action.message, reply_action.rid, params
-        )
-        trace.log(event3)
-        if action3 is None:
-            return
-        prev, current, onion = current, action3.next_hop, action3.onion
-        hop += 1
+        net.send(idx, item, rng.fork(b"item:%d" % idx).read(32))
+    return net.events
 
 
 # ---------------------------------------------------------------------------
@@ -503,10 +494,17 @@ def scenario_nymserver_attack(seed, legacy: bool, guess="oracle"):
         return {"attack_succeeds": False, "expressible": False}
     rng = SeedRng(_seed_bytes(seed) + b"nymserver")
     params = default_params(payload_len=700)
-    relay_names = (b"a", b"b", b"c", b"d", b"e")
-    keys = _gen_keys(relay_names + (b"sender",), rng.fork(b"keys"), params.group)
-    relays = {n: RelayState(name=n, keypair=keys[n]) for n in relay_names}
-    sender = SenderState(name=b"sender", keypair=keys[b"sender"])
+    if guess == "oracle":
+        dropped = 1  # always hits the registration onion
+    else:
+        dropped = rng.fork(b"guess").read(1)[0] & 1
+    # The two onions are sent below: onion 1's message holds a reply block
+    # built from the network's own keys.
+    net = _Network(Scenario(
+        name="nymserver", relays=(b"a", b"b", b"c", b"d", b"e"), senders=(b"sender",),
+        receivers=(b"partner", b"nymsrv"), workload=(),
+        adversary=(Rule("drop", dropped, 1),),
+    ), params, rng)
     ns = Nymserver(params)
     nym = rng.fork(b"nym").read(8)
 
@@ -515,70 +513,34 @@ def scenario_nymserver_attack(seed, legacy: bool, guess="oracle"):
         seed=rng.fork(b"reply-seed").read(32),
         message=b"",
         receiver=receiver_addr(b"nymsrv", params),
-        path=tuple((n, keys[n].pk) for n in (b"a",)),
-        reply_path=tuple((n, keys[n].pk) for n in (b"d", b"e", b"sender")),
+        path=tuple((n, net.keys[n].pk) for n in (b"a",)),
+        reply_path=tuple((n, net.keys[n].pk) for n in (b"d", b"e", b"sender")),
     )
     d = derive(reply_spec, params)
     block = serialize_reply_block(d.reply_info, params)
-    sender.view.expect_reply(d.ident, d.opening)
+    net.senders[b"sender"].view.expect_reply(d.ident, d.opening)
 
-    # Onion A: the conversation message; Onion B: the nym registration.
-    spec_a = OnionSpec(
-        seed=rng.fork(b"seed-a").read(32), message=b"hello via nym " + nym.hex().encode(),
-        receiver=receiver_addr(b"partner", params),
-        path=tuple((n, keys[n].pk) for n in (b"a", b"b", b"c")),
-    )
-    spec_b = OnionSpec(
-        seed=rng.fork(b"seed-b").read(32), message=nym + block,
-        receiver=receiver_addr(b"nymsrv", params),
-        path=tuple((n, keys[n].pk) for n in (b"a", b"b", b"c")),
-    )
-
-    if guess == "oracle":
-        dropped = 1  # always hits the registration onion
-    else:
-        dropped = rng.fork(b"guess").read(1)[0] & 1
-
-    ids_rng = rng.fork(b"ids")
-    for index, spec in enumerate((spec_a, spec_b)):
-        if index == dropped:
-            continue
-        action = _walk(relays, SendOnion(b"a", form_onion(1, spec, params)), b"sender",
-                       params, ids_rng)
-        if (isinstance(action, SendMessage)
-                and decode_addr(action.receiver)[1] == b"nymsrv"):
-            ns.register(action.message[:8], action.message[8:8 + params.reply_block_len])
+    # Onion 0: the conversation message; onion 1: the nym registration.
+    net.send(0, WorkItem(b"sender", (b"a", b"b", b"c"), b"partner",
+                         b"hello via nym " + nym.hex().encode()),
+             rng.fork(b"seed-a").read(32))
+    net.send(1, WorkItem(b"sender", (b"a", b"b", b"c"), b"nymsrv", nym + block),
+             rng.fork(b"seed-b").read(32))
+    for message, _rid, _relay in net.receivers[b"nymsrv"].inbox:
+        ns.register(message[:8], message[8:8 + params.reply_block_len])
 
     # The pseudonym's conversation partner writes to the nym regardless.
     result = ns.lookup_and_send(nym, b"letter for the pseudonym")
-    no_reply_signal = any(e["kind"] == "no-reply-onion" for e in ns.events)
-    got_reply = False
     if result is not None:
-        action = _walk(relays, result, b"nymsrv", params, ids_rng)
-        if isinstance(action, SendOnion) and action.next_hop == sender.name:
-            got_reply = sender_on_onion(sender, action.onion, params)["kind"] == "got-reply"
+        net.run_onion(2, b"nymsrv", result)
 
     return {
-        "attack_succeeds": no_reply_signal,
+        "attack_succeeds": any(e["kind"] == "no-reply-onion" for e in ns.events),
         "expressible": True,
         "dropped_registration": dropped == 1,
-        "reply_round_trip": got_reply,
+        "reply_round_trip": bool(net.senders[b"sender"].replies),
         "nymserver_events": ns.events,
     }
-
-
-def _walk(relays, action, prev, params, ids_rng):
-    """Push an onion through honest relays, each forwarding at once, until it
-    leaves them.  Returns the last action: a SendOnion to a non-relay, a
-    SendMessage, or None when a relay dropped it."""
-    while isinstance(action, SendOnion) and action.next_hop in relays:
-        state = relays[action.next_hop]
-        event = relay_on_onion(state, action.onion, prev, params, ids_rng)
-        if event["kind"] == "dropped":
-            return None
-        prev = action.next_hop
-        _event, action = relay_forward(state, event["tid"], params, ids_rng)
-    return action
 
 
 def attack_nymserver(trials, seed, legacy=True, guess="oracle"):

@@ -83,6 +83,34 @@ def test_sti_rejects_honest_exit():
         game_sti_tail(HonestExit(SeedRng(b"he")), b"seed")
 
 
+def test_slu_rejects_honest_relay_in_sender_slot():
+    # j_back = nr names the last reply slot, which is the sender's.
+    class SenderSlot(GuessingAdversary):
+        def submit(self):
+            sub = super().submit()
+            return Submission(
+                message=sub.message, receiver=sub.receiver, j_back=2,
+                path=(sub.path[0], sub.path[2]),
+                reply_path=(sub.reply_path[1], (P_H, None)),
+            )
+
+    with pytest.raises(ValueError):
+        game_slu_backward(SenderSlot(SeedRng(b"ss")), b"seed")
+
+
+def test_sti_rejects_honest_back_relay_in_sender_slot():
+    class SenderSlot(GuessingAdversary):
+        def submit(self):
+            sub = super().submit()
+            return Submission(
+                message=sub.message, receiver=sub.receiver, j=1, j_back=2,
+                path=sub.path, reply_path=sub.reply_path[1:],
+            )
+
+    with pytest.raises(ValueError):
+        game_sti_tail(SenderSlot(SeedRng(b"ss")), b"seed")
+
+
 def test_cyclic_paths_rejected():
     class Cyclic(GuessingAdversary):
         def submit(self):
