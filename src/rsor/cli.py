@@ -42,7 +42,12 @@ def _build_parser():
 def _cmd_run(args):
     if args.config:
         with open(args.config) as handle:
-            scenario = sim.parse_config(handle.read())
+            text = handle.read()
+        try:
+            scenario = sim.parse_config(text)
+        except ValueError as exc:
+            print("bad config: %s" % exc, file=sys.stderr)
+            return 2
     else:
         if args.scenario not in sim.SCENARIOS:
             print("unknown scenario: %s" % args.scenario, file=sys.stderr)

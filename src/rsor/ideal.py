@@ -8,12 +8,15 @@ adversary-scheduled via temporary ids that are re-randomized at every
 honest relay, which is precisely what makes hops unlinkable in this model.
 
 The adversary role is called S and the environment role Z; both drive the
-same instance through the message methods below.  All events are appended
-to adv_events (visible to S) and env_events (visible to Z / the parties).
+same instance through the message methods below.  All events are
+node.make_event records, as in the real world, appended to adv_events
+(visible to S) and env_events (visible to Z / the parties).
 """
 
 import dataclasses
 from dataclasses import dataclass
+
+from .node import make_event
 
 
 @dataclass(frozen=True)
@@ -65,14 +68,10 @@ class RsorIdeal:
         return prefix + "-" + self._rng.read(8).hex()
 
     def _to_adv(self, kind, **fields):
-        event = {"kind": kind}
-        event.update(fields)
-        self.adv_events.append(event)
+        self.adv_events.append(make_event(None, kind, **fields))
 
     def _to_env(self, actor, kind, **fields):
-        event = {"actor": actor.decode("ascii", "replace"), "kind": kind}
-        event.update(fields)
-        self.env_events.append(event)
+        self.env_events.append(make_event(actor, kind, **fields))
 
     def _tagged(self, onion):
         return (onion.sid, onion.direction) in self.l_tag
@@ -131,12 +130,10 @@ class RsorIdeal:
             # Arrived back at the reply receiver: deliver quietly, and only
             # if the payload was never tagged in transit.
             if onion.message is not None and not self._tagged(onion):
-                self._to_env(onion.receiver, "got-reply",
-                             message=_text(onion.message))
+                self._to_env(onion.receiver, "got-reply", message=onion.message)
             return
         tid_new = self._fresh("tid")
-        self._to_env(onion.hop(j), "onion-received", tid=tid_new,
-                     via=_text(onion.hop(j - 1)))
+        self._to_env(onion.hop(j), "onion-received", tid=tid_new, via=onion.hop(j - 1))
         self.buffers[(onion.hop(j), tid_new)] = onion
 
     def forward_onion(self, party, tid):
@@ -159,7 +156,7 @@ class RsorIdeal:
 
     def deliver_message(self, relay, message, rid, receiver):
         """S forwards an exit delivery over the plaintext edge link."""
-        fields = {"message": _text(message), "from": _text(relay)}
+        fields = {"message": message, "from": relay}
         if rid is not None:
             fields["rid"] = rid
         self._to_env(receiver, "message-received",
@@ -167,12 +164,12 @@ class RsorIdeal:
 
     def initiate_reply(self, receiver, relay, message, rid):
         """A receiver answers (m, rid) toward the exit relay it saw."""
-        self._to_adv("initiate-reply", receiver=_text(receiver),
-                     relay=_text(relay), message=_text(message), rid=rid)
+        self._to_adv("initiate-reply", receiver=receiver, relay=relay,
+                     message=message, rid=rid)
 
     def deliver_reply(self, receiver, relay, message, rid):
         """S forwards the receiver's (m, rid) pair to the exit relay."""
-        self._to_env(relay, "reply-received", rid=rid, sender_of=_text(receiver))
+        self._to_env(relay, "reply-received", rid=rid, sender_of=receiver)
         tid = self.rep.pop((relay, rid), None)  # rids are single-use
         if tid is None:
             return
@@ -197,18 +194,17 @@ class RsorIdeal:
         if onion.direction == "f" and onion.sender in self.bad:
             self._to_adv(
                 "sender-leak", tid=tid, sid=onion.sid,
-                sender=_text(onion.sender), receiver=_text(onion.receiver),
-                message=_text(onion.message), n=len(onion.path),
-                path=_names(onion.path),
-                reply_path=_names(onion.reply_path), direction="f",
+                sender=onion.sender, receiver=onion.receiver,
+                message=onion.message, n=len(onion.path), path=onion.path,
+                reply_path=onion.reply_path, direction="f",
             )
         elif onion.direction == "b" and onion.receiver in self.bad:
             self._to_adv(
                 "sender-leak", tid=tid, sid=onion.sid,
-                sender=_text(onion.sender), receiver=_text(onion.receiver),
-                message=_text(onion.message),
-                path=_names(fwd_path if fwd_path is not None else onion.path),
-                reply_path=_names(onion.path), direction="b",
+                sender=onion.sender, receiver=onion.receiver,
+                message=onion.message,
+                path=fwd_path if fwd_path is not None else onion.path,
+                reply_path=onion.path, direction="b",
                 replying_to=self.id_fwd.get(onion.sid),
             )
 
@@ -221,10 +217,10 @@ class RsorIdeal:
         )
         tid = self._fresh("tid")
         self._to_adv(
-            "segment", tid=tid, frm=_text(onion.hop(i)), to=_text(onion.hop(j)),
-            via=_names(onion.path[i : j - 1]),
+            "segment", tid=tid, frm=onion.hop(i), to=onion.hop(j),
+            via=onion.path[i : j - 1],
         )
-        self._to_env(onion.hop(i), "forwarded", to=_text(onion.hop(i + 1)))
+        self._to_env(onion.hop(i), "forwarded", to=onion.hop(i + 1))
         self._out_cor_sender(onion, tid)
         if onion.direction == "b" and i == 0:
             self._to_adv("tid-sid", tid=tid, sid=onion.sid)
@@ -248,7 +244,7 @@ class RsorIdeal:
                 prefix.append(name)
                 if name not in self.bad:
                     break
-            self._to_adv("reply-setup", tid=tid, reply_prefix=_names(prefix))
+            self._to_adv("reply-setup", tid=tid, reply_prefix=prefix)
 
     def _leak_message(self, onion):
         if onion.message is None:
@@ -259,25 +255,24 @@ class RsorIdeal:
             self._setup_reply(onion, rid)
         if onion.pos == len(onion.path):
             self._to_env(onion.hop(onion.pos), "message-delivered",
-                         receiver=_text(onion.receiver))
+                         receiver=onion.receiver)
         else:
             self._to_env(onion.hop(onion.pos), "forwarded",
-                         to=_text(onion.hop(onion.pos + 1)))
+                         to=onion.hop(onion.pos + 1))
         self._to_adv(
-            "message-leak", frm=_text(onion.hop(onion.pos)),
-            message=_text(onion.message), receiver=_text(onion.receiver),
-            via=_names(onion.path[onion.pos :]),
+            "message-leak", frm=onion.hop(onion.pos),
+            message=onion.message, receiver=onion.receiver,
+            via=onion.path[onion.pos :],
         )
 
     def _leak_reply(self, onion):
         tid = self._fresh("tid")
         self._to_adv(
-            "reply-leak", tid=tid, frm=_text(onion.hop(onion.pos)),
-            message=_text(onion.message), receiver=_text(onion.receiver),
-            via=_names(onion.path[onion.pos : len(onion.path) - 1]),
+            "reply-leak", tid=tid, frm=onion.hop(onion.pos),
+            message=onion.message, receiver=onion.receiver,
+            via=onion.path[onion.pos : len(onion.path) - 1],
         )
-        self._to_env(onion.hop(onion.pos), "forwarded",
-                     to=_text(onion.hop(onion.pos + 1)))
+        self._to_env(onion.hop(onion.pos), "forwarded", to=onion.hop(onion.pos + 1))
         self._out_cor_sender(onion, tid)
 
     def _proc_next_step(self, onion):
@@ -289,23 +284,12 @@ class RsorIdeal:
         if self._tagged(onion):
             self._out_cor_sender(onion, "tagged")
             if i < n:
-                self._to_adv("tagged-to-corrupt", frm=_text(onion.hop(i)),
-                             via=_names(onion.path[i:]))
-                self._to_env(onion.hop(i), "forwarded",
-                             to=_text(onion.hop(i + 1)))
+                self._to_adv("tagged-to-corrupt", frm=onion.hop(i),
+                             via=onion.path[i:])
+                self._to_env(onion.hop(i), "forwarded", to=onion.hop(i + 1))
             else:
                 self._to_env(onion.hop(i), "dropped", reason="integrity")
         elif onion.direction == "f":
             self._leak_message(onion)
         else:
             self._leak_reply(onion)
-
-
-def _text(value):
-    if isinstance(value, bytes):
-        return value.decode("ascii", "replace")
-    return value
-
-
-def _names(path):
-    return [_text(name) for name in path]

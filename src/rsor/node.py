@@ -44,11 +44,24 @@ class SendReply:
     rid: bytes
 
 
-def make_event(actor: bytes, kind: str, **fields):
-    """One trace record; the simulator adds the time field when logging."""
-    record = {"actor": actor.decode("ascii", "replace"), "kind": kind}
-    record.update(fields)
+def make_event(actor, kind: str, **fields):
+    """One trace record of either world, actor None when no party logs it
+    (links, the adversary's view); the simulator adds the time field when
+    logging.  Every value is rendered by trace_text."""
+    record = {"kind": kind} if actor is None else {"actor": trace_text(actor), "kind": kind}
+    for key, value in fields.items():
+        record[key] = trace_text(value)
     return record
+
+
+def trace_text(value):
+    """The one place bytes become trace text: UTF-8, invalid bytes replaced;
+    lists and tuples element by element; other values as they are."""
+    if isinstance(value, bytes):
+        return str(value, "utf-8", "replace")
+    if isinstance(value, (list, tuple)):
+        return [trace_text(item) for item in value]
+    return value
 
 
 @dataclass
@@ -87,7 +100,7 @@ def relay_on_onion(state: RelayState, onion: Onion, sender_of: bytes, params, rn
         return make_event(state.name, "dropped", reason=result.reason)
     tid = rng.read(params.kappa).hex()
     state.outgoing_buffer[tid] = result
-    return make_event(state.name, "onion-received", tid=tid, via=sender_of.decode("ascii", "replace"))
+    return make_event(state.name, "onion-received", tid=tid, via=sender_of)
 
 
 def relay_forward(state: RelayState, tid: str, params, rng):
@@ -102,8 +115,7 @@ def relay_forward(state: RelayState, tid: str, params, rng):
     if result.kind == "fail":
         return make_event(state.name, "dropped", reason=result.reason), None
     if result.kind == "forward":
-        event = make_event(state.name, "forwarded", tid=tid,
-                           to=result.next_hop.decode("ascii", "replace"))
+        event = make_event(state.name, "forwarded", tid=tid, to=result.next_hop)
         return event, SendOnion(next_hop=result.next_hop, onion=result.next_onion)
     # An exit: the reply block this peel parsed is all answering needs.
     rid = None
@@ -128,7 +140,7 @@ def relay_on_receiver_reply(state: RelayState, m_reply: bytes, rid: str, params)
     except ValueError:
         return make_event(state.name, "dropped", reason="unrepliable"), None
     _tag, first_hop = decode_addr(info.first_hop)
-    event = make_event(state.name, "reply-sent", to=first_hop.decode("ascii", "replace"))
+    event = make_event(state.name, "reply-sent", to=first_hop)
     return event, SendOnion(next_hop=first_hop, onion=onion)
 
 
@@ -143,8 +155,7 @@ def sender_send(state: SenderState, spec: OnionSpec, params):
     if d.opening is not None:
         state.view.expect_reply(d.ident, d.opening)
     first_hop = spec.path[0][0]
-    event = make_event(state.name, "forwarded",
-                       to=first_hop.decode("ascii", "replace"))
+    event = make_event(state.name, "forwarded", to=first_hop)
     return event, SendOnion(next_hop=first_hop, onion=d.onion(1))
 
 
@@ -158,7 +169,7 @@ def sender_on_onion(state: SenderState, onion: Onion, params):
     if result.kind == "reply":
         state.view.forget_reply(result.ident)
         state.replies.append(result.message)
-        return make_event(state.name, "got-reply", message=result.message.decode("utf-8", "replace"))
+        return make_event(state.name, "got-reply", message=result.message)
     return make_event(state.name, "dropped", reason=result.reason)
 
 
@@ -171,7 +182,7 @@ def receiver_on_message(state: ReceiverState, message, rid, from_relay: bytes):
         return make_event(state.name, "dropped", reason="onion-at-receiver")
     state.inbox.append((message, rid, from_relay))
     return make_event(state.name, "message-received",
-                      message=message.decode("utf-8", "replace"), repliable=rid is not None)
+                      message=message, repliable=rid is not None)
 
 
 def receiver_reply(state: ReceiverState, m_reply: bytes, rid: str, to_relay: bytes):

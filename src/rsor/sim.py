@@ -31,6 +31,7 @@ from .node import (
     relay_on_receiver_reply,
     sender_on_onion,
     sender_send,
+    trace_text,
 )
 from .packet import (
     FormatParams,
@@ -133,9 +134,7 @@ class _Network:
 
     def link(self, src, dst, secure=False):
         # Secure relay-to-relay links leak nothing but a constant-size marker.
-        self.log({"kind": "link", "src": src.decode("ascii", "replace"),
-                  "dst": dst.decode("ascii", "replace"),
-                  "marker": "onion", "secure": secure})
+        self.log(make_event(None, "link", src=src, dst=dst, marker="onion", secure=secure))
 
     def send(self, idx, item, seed):
         """Form workload item idx at its sender and run it to completion."""
@@ -159,11 +158,11 @@ class _Network:
             current, onion = action.next_hop, action.onion
             rule = self.rules.get((idx, hop))
             if rule is not None and rule.action == "drop":
-                self.log({"kind": "adv-drop", "item": idx, "hop": hop})
+                self.log(make_event(None, "adv-drop", item=idx, hop=hop))
                 return
             if rule is not None and rule.action == "tag":
                 onion = tag_payload(onion, self.adv_rng.read(self.params.payload_len))
-                self.log({"kind": "adv-tag", "item": idx, "hop": hop})
+                self.log(make_event(None, "adv-tag", item=idx, hop=hop))
             self.link(prev, current, secure=current in self.relays and prev in self.relays)
 
             if current in self.senders:
@@ -192,8 +191,7 @@ class _Network:
         _tag, rname = decode_addr(action.receiver)
         rstate = self.receivers.get(rname)
         if rstate is None:
-            self.log({"kind": "adv-drop-receiverless",
-                      "receiver": rname.decode("ascii", "replace")})
+            self.log(make_event(None, "adv-drop-receiverless", receiver=rname))
             return None
         self.link(state.name, rname)
         self.log(receiver_on_message(rstate, action.message, action.rid, state.name))
@@ -201,8 +199,7 @@ class _Network:
             return None
         reply = receiver_reply(rstate, reply_message, action.rid, state.name)
         self.link(rname, state.name)
-        self.log(make_event(state.name, "reply-received", rid=action.rid,
-                            sender_of=rname.decode("ascii", "replace")))
+        self.log(make_event(state.name, "reply-received", rid=action.rid, sender_of=rname))
         event, action = relay_on_receiver_reply(state, reply.message, reply.rid, self.params)
         self.log(event)
         return action
@@ -211,16 +208,15 @@ class _Network:
 def _observed(event, action):
     """The adv-observe record of a corrupted relay whose last step logged
     event and returned action (None: dropped)."""
-    record = {"kind": "adv-observe", "relay": event["actor"]}
+    fields = {"relay": event["actor"]}
     if action is None:
-        record.update(saw="drop", reason=event["reason"])
+        fields.update(saw="drop", reason=event["reason"])
     elif isinstance(action, SendOnion):
-        record["saw"] = "forward"
+        fields["saw"] = "forward"
     else:
         _tag, rname = decode_addr(action.receiver)
-        record.update(saw="exit", message=action.message.decode("utf-8", "replace"),
-                      receiver=rname.decode("ascii", "replace"))
-    return record
+        fields.update(saw="exit", message=action.message, receiver=rname)
+    return make_event(None, "adv-observe", **fields)
 
 
 def run_scenario(scenario: Scenario):
@@ -243,29 +239,27 @@ def run_ideal_scenario(scenario: Scenario):
     """Drive the ideal functionality with the scenario's schedule.
 
     Returns (env_trace, adv_trace).  The env trace is comparable to the
-    real trace after normalization.
+    real trace after normalization, within the scope traces_equivalent
+    states; deliveries to unknown receivers are dropped in both worlds.
     """
     rng = SeedRng(_seed_bytes(scenario.seed) + b"ideal")
     ideal = RsorIdeal(bad=scenario.corrupted, rng=rng)
     rules = {(r.item, r.hop): r for r in scenario.adversary}
-    names = {n.decode("ascii", "replace"): n
-             for n in scenario.relays + scenario.senders + scenario.receivers}
-
-    for idx, item in enumerate(scenario.workload):
-        ideal.process_new_onion(
-            item.sender, item.receiver, item.message, item.path, item.reply_path
-        )
-        _pump_ideal(ideal, item, idx, rules, names)
-
+    names = {trace_text(n): n for n in scenario.relays + scenario.senders + scenario.receivers}
+    for idx in range(len(scenario.workload)):
+        _pump_ideal(ideal, scenario, idx, rules, names)
     env = [dict(e, time=i) for i, e in enumerate(ideal.env_events)]
     adv = [dict(e, time=i) for i, e in enumerate(ideal.adv_events)]
     return env, adv
 
 
-def _pump_ideal(ideal, item, idx, rules, names):
-    ai = ei = 0
-    hop = 0
-    last_rid = None
+def _pump_ideal(ideal, scenario, idx, rules, names):
+    """Hand workload item idx to the ideal functionality and play S and Z
+    on the events it causes until it is quiescent."""
+    item = scenario.workload[idx]
+    ai, ei = len(ideal.adv_events), len(ideal.env_events)
+    ideal.process_new_onion(item.sender, item.receiver, item.message, item.path, item.reply_path)
+    hop, last_rid = 0, None
     while ai < len(ideal.adv_events) or ei < len(ideal.env_events):
         if ai < len(ideal.adv_events):
             event = ideal.adv_events[ai]
@@ -281,30 +275,21 @@ def _pump_ideal(ideal, item, idx, rules, names):
                 ideal.deliver_onion(event["tid"])
             elif kind == "reply-setup" and "rid" in event:
                 last_rid = event["rid"]
-            elif kind == "message-leak":
-                ideal.deliver_message(
-                    names[event["frm"]], event["message"], last_rid,
-                    names[event["receiver"]],
-                )
+            elif kind == "message-leak" and item.receiver in scenario.receivers:
+                # The real world drops a delivery to an unknown receiver.
+                ideal.deliver_message(names[event["frm"]], item.message, last_rid, item.receiver)
             elif kind == "initiate-reply":
-                ideal.deliver_reply(
-                    names[event["receiver"]], names[event["relay"]],
-                    event["message"], event["rid"],
-                )
+                ideal.deliver_reply(item.receiver, names[event["relay"]],
+                                    item.reply_message, event["rid"])
             continue
         event = ideal.env_events[ei]
         ei += 1
         kind = event["kind"]
-        if kind == "onion-received":
+        if kind in ("onion-received", "reply-onion-ready"):
             ideal.forward_onion(names[event["actor"]], event["tid"])
-        elif kind == "message-received" and event.get("repliable"):
-            if item.reply_message is not None:
-                ideal.initiate_reply(
-                    names[event["actor"]], names[event["from"]],
-                    item.reply_message, event["rid"],
-                )
-        elif kind == "reply-onion-ready":
-            ideal.forward_onion(names[event["actor"]], event["tid"])
+        elif kind == "message-received" and event["repliable"] and item.reply_message is not None:
+            ideal.initiate_reply(item.receiver, names[event["from"]],
+                                 item.reply_message, event["rid"])
 
 
 # ---------------------------------------------------------------------------
@@ -330,10 +315,10 @@ def normalize_trace(trace):
         elif kind == "message-delivered":
             out.append(("message-delivered", actor))
         elif kind == "message-received":
-            out.append(("message-received", actor, _msg(event.get("message")),
+            out.append(("message-received", actor, event.get("message"),
                         bool(event.get("repliable"))))
         elif kind == "got-reply":
-            out.append(("got-reply", actor, _msg(event.get("message"))))
+            out.append(("got-reply", actor, event.get("message")))
         elif kind == "reply-received":
             out.append(("reply-received", actor))
         elif kind == "dropped":
@@ -341,29 +326,19 @@ def normalize_trace(trace):
     return sorted(out)
 
 
-def _msg(value):
-    if isinstance(value, bytes):
-        return value.decode("utf-8", "replace")
-    return value
-
-
 def traces_equivalent(real_trace, ideal_env_trace) -> bool:
+    """Whether both worlds show the environment the same events.  Claimed
+    only for scenarios with no corrupted party (drop and tag rules allowed):
+    the real trace logs a corrupted party's own events, which the ideal
+    world leaves to the adversary, and run_ideal_scenario does not play a
+    corrupted exit (no rid, no reply)."""
     return normalize_trace(real_trace) == normalize_trace(ideal_env_trace)
 
 
 def write_trace(path, trace):
     with open(path, "w", encoding="ascii") as fh:
         for event in trace:
-            fh.write(json.dumps(_jsonable(event), sort_keys=True) + "\n")
-
-
-def _jsonable(event):
-    out = {}
-    for key, value in event.items():
-        if isinstance(value, bytes):
-            value = value.decode("utf-8", "replace")
-        out[key] = value
-    return out
+            fh.write(json.dumps(event, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -680,4 +655,13 @@ def parse_config(text: str) -> Scenario:
             values[key] = tuple(p.strip().encode() for p in value.split(",") if p.strip())
         else:
             raise ValueError("unknown config key: %r" % key)
+    for item in workload:  # only a receiver may be unknown: its exit drops the delivery
+        if item.sender not in values["senders"]:
+            raise ValueError("onion sender %r is not in senders" % item.sender.decode())
+        for name in item.path + item.reply_path[:-1]:
+            if name not in values["relays"]:
+                raise ValueError("onion relay %r is not in relays" % name.decode())
+        if item.reply_path and item.reply_path[-1] != item.sender:
+            raise ValueError("reply path ends at %r, not at its sender"
+                             % item.reply_path[-1].decode())
     return Scenario(workload=tuple(workload), **values)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from rsor.cli import main
 
 
@@ -24,6 +26,19 @@ def test_run_config_file(tmp_path, capsys):
     )
     assert main(["run", "--config", str(config), "--seed", "1"]) == 0
     assert "message-received" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line, named", [
+    ("onion = alice | a, z | svc | hi", "'z'"),
+    ("onion = bob | a, b | svc | hi", "'bob'"),
+    ("this line has no equals sign", "this line has no equals sign"),
+])
+def test_run_config_rejects_bad_input(tmp_path, capsys, line, named):
+    config = tmp_path / "scenario.cfg"
+    config.write_text("relays = a, b\nsenders = alice\nreceivers = svc\n" + line + "\n")
+    assert main(["run", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert named in captured.err and captured.out == ""
 
 
 def test_attack_summary(capsys):

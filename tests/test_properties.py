@@ -1,6 +1,6 @@
 """Property-based round trips over randomly drawn specs and inputs."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rsor.crypto import SeedRng, prp_dec, prp_enc
 from rsor.group import PROD_GROUP
@@ -16,6 +16,7 @@ from rsor.packet import (
     receiver_addr,
     serialize_onion,
 )
+from rsor.sim import Scenario, WorkItem, run_ideal_scenario, run_scenario, traces_equivalent
 
 PARAMS = FormatParams(group=PROD_GROUP)
 
@@ -76,3 +77,38 @@ def test_any_spec_round_trips(seed, message, reply, n, nr):
     result = proc_onion(keys[b"sender"].sk, back, b"sender", PARAMS, sview)
     assert result.kind == "reply"
     assert result.message == reply
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    message=st.binary(min_size=1, max_size=64),
+    reply=st.binary(min_size=1, max_size=64),
+    n=st.integers(min_value=1, max_value=3),
+    nr=st.integers(min_value=0, max_value=2),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(message="h\u00e9llo".encode(), reply="p\u00f6ng".encode(), n=3, nr=2, seed=1)
+@example(message=b"\xff\xfe\x80", reply=b"ok\xc3", n=1, nr=1, seed=2)
+def test_ideal_and_real_traces_agree_on_any_message_bytes(message, reply, n, nr, seed):
+    relays = (b"a", b"b", b"c", b"d", b"e")
+    repliable = nr > 0
+    scenario = Scenario(
+        name="bytes",
+        relays=relays,
+        senders=(b"alice",),
+        receivers=(b"svc",),
+        workload=(WorkItem(
+            b"alice", relays[:n], b"svc", message,
+            reply_path=relays[n : n + nr] + (b"alice",) if repliable else (),
+            reply_message=reply if repliable else None,
+        ),),
+        seed=seed,
+    )
+    real = run_scenario(scenario)
+    env, _adv = run_ideal_scenario(scenario)
+    assert traces_equivalent(real, env)
+
+    def received(trace):
+        return [e["message"] for e in trace if e["kind"] == "message-received"]
+
+    assert received(real) == received(env) == [message.decode("utf-8", "replace")]

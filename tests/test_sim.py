@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from rsor.sim import (
     Rule,
     Scenario,
@@ -84,6 +86,31 @@ def test_real_ideal_correspondence_with_tagging():
     env, _adv = run_ideal_scenario(scenario)
     assert traces_equivalent(real, env)
     assert ("dropped", "c", "integrity") in normalize_trace(real)
+
+
+def test_real_ideal_correspondence_two_senders():
+    # Each item's ideal run starts at its own events, not at the first item's.
+    for seed in range(3):
+        scenario = two_senders_scenario(seed=seed)
+        env, _adv = run_ideal_scenario(scenario)
+        assert traces_equivalent(run_scenario(scenario), env)
+
+
+def test_real_ideal_correspondence_unknown_receiver():
+    scenario = Scenario(
+        name="ghost", relays=(b"a", b"b", b"c"), senders=(b"alice",), receivers=(b"svc",),
+        workload=(
+            WorkItem(b"alice", (b"a", b"b"), b"ghost", b"boo",
+                     reply_path=(b"c", b"alice"), reply_message=b"who"),
+            WorkItem(b"alice", (b"b", b"a"), b"ghost", b"boo-2"),
+        ),
+        seed=8,
+    )
+    real = run_scenario(scenario)
+    assert [e["receiver"] for e in real if e["kind"] == "adv-drop-receiverless"] == \
+        ["ghost", "ghost"]
+    env, _adv = run_ideal_scenario(scenario)
+    assert traces_equivalent(real, env)
 
 
 def test_normalize_skips_diagnostics():
@@ -181,14 +208,28 @@ def test_parse_config_round_trip():
 
 
 def test_parse_config_rejects_garbage():
-    import pytest
-
     with pytest.raises(ValueError):
         parse_config("what even is this")
     with pytest.raises(ValueError):
         parse_config("onion = too | few")
     with pytest.raises(ValueError):
         parse_config("mystery = 1")
+
+
+@pytest.mark.parametrize("onion, named", [
+    ("bob | a, b | svc | hi", "'bob'"),
+    ("alice | a, z | svc | hi", "'z'"),
+    ("alice | a, b | svc | hi | z, alice | ho", "'z'"),
+    ("alice | a, b | svc | hi | c, b | ho", "'b'"),
+])
+def test_parse_config_rejects_unknown_parties(onion, named):
+    with pytest.raises(ValueError, match=named):
+        parse_config("relays = a, b, c\nsenders = alice\nonion = " + onion)
+
+
+def test_parse_config_allows_unknown_receiver():
+    scenario = parse_config("relays = a\nsenders = alice\nonion = alice | a | ghost | hi")
+    assert scenario.workload[0].receiver == b"ghost"
 
 
 def test_empty_scenario_lint_clean():
