@@ -31,31 +31,36 @@ class SeedRng:
     """Deterministic byte stream expanded from a seed.
 
     Used for every random choice an onion former or game challenger makes, so
-    that whole runs replay bit-identically from a single seed.
+    that whole runs replay bit-identically from a single seed.  The stream is
+    the AES-128-CTR keystream (zero nonce) under sha256(0xb4 | seed)[:16]; one
+    cipher context is opened on the first read and every later read continues
+    it, so reads split at any sizes concatenate to one long read.
     """
 
     def __init__(self, seed: bytes):
         assert isinstance(seed, (bytes, bytearray))
         self._key = hashlib.sha256(_DOM_RNG + bytes(seed)).digest()[:16]
-        self._offset = 0
+        self._stream = None
 
     def read(self, n: int) -> bytes:
         """Return the next n bytes of the stream."""
-        out = _aes_ctr_stream(self._key, self._offset, n)
-        self._offset += n
-        return out
+        if self._stream is None:
+            self._stream = _aes_ctr_stream(self._key)
+        return self._stream.update(bytes(n))
 
     def fork(self, label: bytes) -> "SeedRng":
-        """An independent stream derived from this seed and a label."""
+        """An independent stream derived from this seed and a label; it does
+        not depend on how much of this stream has been read."""
         return SeedRng(self._key + bytes(label))
 
 
-def _aes_ctr_stream(key16: bytes, offset: int, n: int) -> bytes:
-    """AES-128-CTR keystream bytes [offset, offset+n) for a zero IV."""
-    block, skip = divmod(offset, 16)
-    cipher = Cipher(algorithms.AES(key16), modes.CTR(block.to_bytes(16, "big")))
-    enc = cipher.encryptor()
-    return enc.update(b"\x00" * (skip + n))[skip:]
+# Every keystream starts at counter block zero, so all share one mode object.
+_ZERO_NONCE = modes.CTR(bytes(16))
+
+
+def _aes_ctr_stream(key16: bytes):
+    """A fresh AES-128-CTR encryptor at the start of the zero-nonce stream."""
+    return Cipher(algorithms.AES(key16), _ZERO_NONCE).encryptor()
 
 
 def _stream_key(key: bytes) -> bytes:
@@ -94,7 +99,7 @@ def ro_hsym(tag: str, group, s: int, kappa: int) -> bytes:
 def prg(key: bytes, out_len: int) -> bytes:
     """Pseudorandom stream of out_len bytes under the given key."""
     assert out_len >= 0
-    return _aes_ctr_stream(_stream_key(key), 0, out_len)
+    return _aes_ctr_stream(_stream_key(key)).update(bytes(out_len))
 
 
 def mac(key: bytes, data: bytes, kappa: int) -> bytes:

@@ -1,15 +1,16 @@
 """Byte-exact onion packet format: forming, processing, and replying.
 
 An onion is a fixed-width packet (header eta = (alpha, beta, gamma), payload
-delta).  The sender derives every byte from a seed in one pass (derive) and
-keeps only a ReplyOpening to open the answer; relays peel one layer at a
-time with only their private key.  Forward payloads may embed a pre-built
-reply header so the exit relay can send an answer back without learning who
-asked.
+delta).  The sender derives every byte it sends from a seed in one pass
+(derive) and keeps only a ReplyOpening to open the answer; relays peel one
+layer at a time with only their private key.  Forward payloads may embed a
+pre-built reply header so the exit relay can send an answer back without
+learning who asked.
 """
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 from .crypto import SeedRng, mac, prg, prp_dec, prp_enc, xor_bytes
 from .group import GroupDecodeError, GroupParams
@@ -39,8 +40,14 @@ class FormatParams:
     legacy_zero_filler: bool = False
 
     def __post_init__(self):
-        assert self.kappa >= 8 and self.max_hops >= 1
-        assert self.payload_len >= self.min_payload_len
+        # ValueErrors, not asserts: python -O strips asserts, and an
+        # undersized payload_len would then fail every hop with bad-width.
+        if self.kappa < 8:
+            raise ValueError("kappa must be at least 8 bytes")
+        if self.max_hops < 1:
+            raise ValueError("max_hops must be at least 1")
+        if self.payload_len < self.min_payload_len:
+            raise ValueError("payload_len must be at least %d" % self.min_payload_len)
 
     @property
     def addr_len(self):
@@ -345,22 +352,43 @@ class ReplyOpening:
 class Derived:
     """Every layer of one onion, derived once from its spec.
 
-    onions holds layers 1..n of the forward trip, then layers n+1..n+n_rep
-    of the reply trip carrying the spec's own message back.  ident,
-    reply_info and opening are None when the onion is not repliable.
+    fwd_onions holds layers 1..n of the forward trip.  Layers n+1..n+nr are
+    the reply trip carrying the spec's own message back: reply_headers holds
+    their headers, and their payloads, which no sender sends, are sealed only
+    on the first onion(i) with i > n or access to onions, then kept here.
+    ident, reply_info and opening are None, and reply_headers is empty, when
+    the onion is not repliable.
     """
 
-    onions: tuple
+    fwd_onions: tuple
     fwd_chain: KemChain
     ident: bytes
     reply_info: ReplyInfo
     opening: ReplyOpening
+    reply_headers: tuple
+    message: bytes
+    params: FormatParams
+
+    @cached_property
+    def onions(self) -> tuple:
+        """Layers 1..n+nr in hop order."""
+        if self.opening is None:
+            return self.fwd_onions
+        # The exit seals under k_tilde, then every reply-path relay before
+        # the sender peels one PRP layer.
+        kappa = self.params.kappa
+        plain = build_payload_reply(self.params, self.message)
+        deltas = [prp_enc(self.opening.k_tilde, plain, kappa)]
+        for k_pi in self.opening.k_pis[:-1]:
+            deltas.append(prp_dec(k_pi, deltas[-1], kappa))
+        return self.fwd_onions + tuple(map(Onion, self.reply_headers, deltas))
 
     def onion(self, i: int) -> Onion:
         """The onion exactly as it arrives at hop i of its combined path."""
-        if not 1 <= i <= len(self.onions):
+        n = len(self.fwd_onions)
+        if not 1 <= i <= n + len(self.reply_headers):
             raise ValueError("layer index out of range")
-        return self.onions[i - 1]
+        return self.fwd_onions[i - 1] if i <= n else self.onions[i - 1]
 
 
 def _filler(rng: SeedRng, n_bytes: int, params) -> bytes:
@@ -371,8 +399,9 @@ def _filler(rng: SeedRng, n_bytes: int, params) -> bytes:
 
 def derive(spec: OnionSpec, params: FormatParams) -> Derived:
     """Expand a spec's seed into both KEM chains, every header layer, and
-    every payload layer.  Nothing is cached: a caller that needs several
-    layers of one onion keeps the result."""
+    the forward payload layers; the reply payload layers are sealed on
+    request (see Derived).  Nothing is cached across calls: a caller that
+    needs several layers of one onion keeps the result."""
     validate_spec(spec, params)
     kappa, r = params.kappa, params.max_hops
     rng = SeedRng(spec.seed)
@@ -384,7 +413,7 @@ def derive(spec: OnionSpec, params: FormatParams) -> Derived:
         params.group, x_fwd, [pk for _name, pk in spec.path], kappa
     )
 
-    reply_onions = ()
+    rep_headers = ()
     ident = None
     reply_info = None
     opening = None
@@ -406,13 +435,6 @@ def derive(spec: OnionSpec, params: FormatParams) -> Derived:
         reply_info = ReplyInfo(first_hop=addrs[0], eta0=rep_headers[0], k_tilde=k_tilde)
         k_pis = tuple(layer.k_pi for layer in rep_chain.layers)
         opening = ReplyOpening(header=rep_headers[-1], k_pis=k_pis, k_tilde=k_tilde)
-        # Reply payload layers: the exit seals under k_tilde, then every
-        # reply-path relay (the sender included) peels one PRP layer.
-        delta = prp_enc(k_tilde, build_payload_reply(params, spec.message), kappa)
-        rep_deltas = [delta]
-        for k_pi in k_pis[:-1]:
-            rep_deltas.append(prp_dec(k_pi, rep_deltas[-1], kappa))
-        reply_onions = tuple(map(Onion, rep_headers, rep_deltas))
 
     final = exit_addr(params) + _filler(
         rng.fork(b"forward-filler"), (2 * (r - n) + 2) * kappa, params
@@ -426,14 +448,16 @@ def derive(spec: OnionSpec, params: FormatParams) -> Derived:
     for i in range(n - 1, -1, -1):
         delta = prp_enc(fwd_chain.layers[i].k_pi, delta, kappa)
         fwd_deltas[i] = delta
-    fwd_onions = tuple(map(Onion, fwd_headers, fwd_deltas))
 
     return Derived(
-        onions=fwd_onions + reply_onions,
+        fwd_onions=tuple(map(Onion, fwd_headers, fwd_deltas)),
         fwd_chain=fwd_chain,
         ident=ident,
         reply_info=reply_info,
         opening=opening,
+        reply_headers=tuple(rep_headers),
+        message=spec.message,
+        params=params,
     )
 
 
@@ -516,8 +540,11 @@ def zero_run(layer, header: Header, params) -> int:
 def proc_onion(sk: int, onion: Onion, self_name: bytes, params, view) -> ProcResult:
     """Process one onion with this relay's private key.
 
-    Every failure collapses to kind="fail"; the reason field exists for
-    tests only and must never influence honest behavior.
+    A forwarding or exit relay peels one PRP layer off the payload; the
+    sender receiving its reply peels none, since the reply path's last PRP
+    key was never applied, and opens the arriving payload with its
+    ReplyOpening.  Every failure collapses to kind="fail"; the reason field
+    exists for tests only and must never influence honest behavior.
     """
     kappa = params.kappa
     header, delta = onion.header, onion.delta
@@ -533,19 +560,19 @@ def proc_onion(sk: int, onion: Onion, self_name: bytes, params, view) -> ProcRes
         return _fail("replay")
 
     addr, gamma_next, beta_next = _peel_beta(layer, header, params)
-    delta_peeled = prp_dec(layer.k_pi, delta, kappa)
     tag, name = decode_addr(addr)
 
     if tag == ADDR_RELAY:
         alpha_next = kem_blind(params.group, header.alpha, layer.b)
+        delta_next = prp_dec(layer.k_pi, delta, kappa)
         return ProcResult(
             kind="forward",
             next_hop=name,
-            next_onion=Onion(Header(alpha_next, beta_next, gamma_next), delta_peeled),
+            next_onion=Onion(Header(alpha_next, beta_next, gamma_next), delta_next),
         )
 
     if tag == ADDR_EXIT:
-        opened = _open_payload(delta_peeled, params)
+        opened = _open_payload(prp_dec(layer.k_pi, delta, kappa), params)
         if opened is None:
             return _fail("integrity")
         receiver, block, message = opened
@@ -563,10 +590,11 @@ def proc_onion(sk: int, onion: Onion, self_name: bytes, params, view) -> ProcRes
         opening = view.lookup_reply(ident)
         if opening is None or header != opening.header:
             return _fail("unsolicited")
-        # Invert the reply-path PRP composition: our own peel above applied
-        # this hop's layer, so re-encrypt hop by hop, then strip k_tilde.
-        plain = delta_peeled
-        for k_pi in reversed(opening.k_pis):
+        # Invert the reply-path PRP composition: re-encrypt under the keys of
+        # the relays before us, last first, then strip k_tilde.  Our own
+        # hop's key was never applied, so there is no layer of ours to undo.
+        plain = delta
+        for k_pi in reversed(opening.k_pis[:-1]):
             plain = prp_enc(k_pi, plain, kappa)
         opened = _open_payload(prp_dec(opening.k_tilde, plain, kappa), params)
         if opened is None:

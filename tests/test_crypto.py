@@ -1,6 +1,9 @@
+import hashlib
 import os
 
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from hypothesis import given, settings, strategies as st
 
 from rsor.crypto import (
     SeedRng,
@@ -32,6 +35,27 @@ def test_seed_rng_determinism_and_forking():
     fork2 = SeedRng(b"seed").fork(b"two")
     assert fork1.read(16) != fork2.read(16)
     assert SeedRng(b"seed").fork(b"one").read(16) == SeedRng(b"seed").fork(b"one").read(16)
+
+
+@settings(max_examples=50)
+@given(
+    seed=st.binary(max_size=40),
+    sizes=st.lists(st.integers(min_value=0, max_value=70), max_size=8),
+    label=st.binary(max_size=8),
+)
+def test_seed_rng_reads_continue_one_keystream(seed, sizes, label):
+    rng = SeedRng(seed)
+    parts = [rng.read(n) for n in sizes]
+    assert [len(part) for part in parts] == sizes
+    whole = SeedRng(seed).read(sum(sizes))
+    assert b"".join(parts) == whole
+    # The stream is AES-128-CTR from a zero counter block under the
+    # domain-separated seed hash.
+    key = hashlib.sha256(b"\xb4" + seed).digest()[:16]
+    reference = Cipher(algorithms.AES(key), modes.CTR(bytes(16))).encryptor()
+    assert whole == reference.update(bytes(sum(sizes)))
+    # A fork does not depend on how much of its parent was read.
+    assert rng.fork(label).read(40) == SeedRng(seed).fork(label).read(40)
 
 
 def test_prg_prefix_property():

@@ -1,6 +1,7 @@
 """Group membership is checked once, where untrusted values enter, and each
-party processes an onion once.  These tests pin the modexp cost of that and
-the behaviour that must survive it: range errors, replay refusal, rid use."""
+party processes an onion once.  These tests pin the modexp cost of that, the
+LIONESS cost of a round trip, and the behaviour that must survive them:
+range errors, replay refusal, rid use."""
 
 import dataclasses
 import os
@@ -10,11 +11,21 @@ import textwrap
 
 import pytest
 
+import rsor.packet
 from rsor.crypto import SeedRng
 from rsor.games import GameOracles
 from rsor.group import PROD_GROUP, GroupParams
 from rsor.kem import kem_keygen
-from rsor.node import RelayState, SendMessage, relay_forward, relay_on_onion, relay_on_receiver_reply
+from rsor.node import (
+    RelayState,
+    SenderState,
+    SendMessage,
+    relay_forward,
+    relay_on_onion,
+    relay_on_receiver_reply,
+    sender_on_onion,
+    sender_send,
+)
 from rsor.packet import (
     FormatParams,
     InMemoryView,
@@ -111,6 +122,82 @@ def test_off_group_key_and_empty_seed_raise_under_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0 and out.stdout.strip() == "ok", out.stderr
+
+
+def test_undersized_format_params_raise_under_python_O():
+    # An assert here would let an undersized payload_len through under -O,
+    # and every hop would then fail with bad-width.
+    script = textwrap.dedent("""
+        from rsor.group import PROD_GROUP
+        from rsor.packet import FormatParams
+
+        assert False, "asserts must be stripped"
+        params = FormatParams(group=PROD_GROUP)
+        for bad in ({"kappa": 7}, {"max_hops": 0},
+                    {"payload_len": params.min_payload_len - 1}):
+            try:
+                FormatParams(group=PROD_GROUP, **bad)
+            except ValueError:
+                continue
+            raise SystemExit("FormatParams accepted %r" % (bad,))
+        FormatParams(group=PROD_GROUP, payload_len=params.min_payload_len)
+        print("ok")
+    """)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0 and out.stdout.strip() == "ok", out.stderr
+
+
+@pytest.fixture
+def prp_counts(monkeypatch):
+    """Count the LIONESS calls made through rsor.packet."""
+    tally = {"prp_enc": 0, "prp_dec": 0}
+    for name in tally:
+
+        def counted(*args, _original=getattr(rsor.packet, name), _name=name):
+            tally[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(rsor.packet, name, counted)
+    return tally
+
+
+def test_round_trip_seals_only_the_payload_layers_that_travel(prp_counts):
+    n, nr = 3, 3
+    spec, keys = _spec(n, nr)
+    relays = {name: RelayState(name=name, keypair=kp) for name, kp in keys.items()}
+    sender = SenderState(name=b"sender", keypair=keys[b"sender"])
+    ids = SeedRng(b"prp-ids")
+    _event, action = sender_send(sender, spec, PARAMS)
+    # One seal per forward hop; the reply payload layers are not built.
+    assert prp_counts == {"prp_enc": n, "prp_dec": 0}
+
+    arrivals = [action.onion]  # arrivals[i - 1] reaches hop i
+    current, prev = action.next_hop, b"sender"
+    while current != b"sender":
+        state = relays[current]
+        event = relay_on_onion(state, arrivals[-1], prev, PARAMS, ids)
+        _event, out = relay_forward(state, event["tid"], PARAMS, ids)
+        if isinstance(out, SendMessage):
+            _event, out = relay_on_receiver_reply(state, spec.message, out.rid, PARAMS)
+        prev, current = current, out.next_hop
+        arrivals.append(out.onion)
+    assert len(arrivals) == n + nr
+
+    prp_counts.update(prp_enc=0, prp_dec=0)
+    event = sender_on_onion(sender, arrivals[-1], PARAMS)
+    assert event["kind"] == "got-reply" and sender.replies == [spec.message]
+    # Re-apply the nr - 1 relay peels, then strip k_tilde; the sender's own
+    # layer was never applied, so it is neither peeled nor re-sealed.
+    assert prp_counts == {"prp_enc": nr - 1, "prp_dec": 1}
+
+    d = derive(spec, PARAMS)
+    for j in range(1, nr + 1):
+        assert d.onion(n + j) == arrivals[n + j - 1]
+    assert d.onions == tuple(arrivals)
 
 
 def test_game_reply_answers_from_the_proc_peel(counts):
