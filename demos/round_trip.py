@@ -35,7 +35,7 @@ spec = OnionSpec(
 # The sender derives the onion once and keeps only what opens the reply.
 d = derive(spec, params)
 view = InMemoryView()
-view.expect_reply(d.ident, d.opening)
+view.expect_reply(d.opening)
 
 onion = d.onion(1)
 print("every onion is %d bytes, regardless of direction or path length\n"

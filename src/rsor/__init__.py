@@ -36,7 +36,6 @@ from .node import (
     RelayState,
     SenderState,
     receiver_on_message,
-    receiver_reply,
     relay_forward,
     relay_on_onion,
     relay_on_receiver_reply,

@@ -19,7 +19,6 @@ from .packet import (
     Onion,
     OnionSpec,
     build_reply_onion,
-    decode_addr,
     derive,
     form_onion,
     proc_onion,
@@ -36,25 +35,17 @@ from .sim import _seed_bytes, default_params
 # ---------------------------------------------------------------------------
 # Oracle plumbing shared by all games
 
-class _PartyState:
-    """One honest party's oracle state; also the view proc_onion consults."""
+class _PartyState(InMemoryView):
+    """One honest party's oracle state: the view proc_onion consults (the
+    replay rule and P_S's reply expectations) plus what the Reply oracle
+    needs."""
 
     def __init__(self):
-        self.eta = set()       # headers already processed (replay rule)
+        super().__init__()
         # Onion bytes seen -> the ReplyInfo their one peel returned, None
         # unless a repliable exit (reply eligibility and the reply itself).
         self.onions = {}
         self.replied = set()   # headers already replied to (one-reply rule)
-        self.expectations = {}
-
-    def check_and_add(self, header_bytes):
-        if header_bytes in self.eta:
-            return False
-        self.eta.add(header_bytes)
-        return True
-
-    def lookup_reply(self, ident):
-        return self.expectations.get(ident)
 
 
 def _translate(result):
@@ -106,7 +97,7 @@ class GameOracles:
         any reply to it is the special handler's to give.  header_bytes is
         the serialized header special_proc was handed."""
         state = self.state[party]
-        state.eta.add(header_bytes)
+        state.check_and_add(header_bytes)
         state.onions[header_bytes + onion.delta] = None
 
     def proc(self, party, onion):
@@ -115,13 +106,15 @@ class GameOracles:
             header_bytes = serialize_header(onion.header, self.params)
         except (AssertionError, ValueError):
             return self._log("proc", None)
-        if header_bytes in state.eta:
+        # A replay is refused before any special handler, which would
+        # otherwise overwrite a repliable exit's ReplyInfo with None.
+        if state.seen(header_bytes):
             return self._log("proc", None)
         if self.special_proc is not None:
             handled, out = self.special_proc(party, onion, header_bytes)
             if handled:
                 return self._log("proc", out)
-        # proc_onion adds the header to eta once its MAC verifies.
+        # proc_onion adds the header to the replay cache once its MAC verifies.
         result = proc_onion(self.keys[party].sk, onion, party, self.params, state)
         state.onions[header_bytes + onion.delta] = result.reply_info
         return self._log("proc", _translate(result))
@@ -148,8 +141,7 @@ class GameOracles:
         if info is None:
             return self._log("reply", None)
         state.replied.add(header_bytes)
-        reply = build_reply_onion(info, message, self.params)
-        return self._log("reply", ("reply-onion", reply, decode_addr(info.first_hop)[1]))
+        return self._log("reply", ("reply-onion", *build_reply_onion(info, message, self.params)))
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +278,7 @@ def _correctness_once(rng, n, nr, params, corrupt_hop):
     if result.reply_info is None:
         failures.append(("backward-path-reply-block", n, nr))
         return failures
-    reply_onion = build_reply_onion(result.reply_info, m_back, params)
-    next_hop = decode_addr(result.reply_info.first_hop)[1]
+    reply_onion, next_hop = build_reply_onion(result.reply_info, m_back, params)
     for i in range(1, nr):
         name = rpath[i - 1][0]
         if next_hop != name:
@@ -303,7 +294,7 @@ def _correctness_once(rng, n, nr, params, corrupt_hop):
         failures.append(("reply-reception-hop", n, nr))
         return failures
     sview = InMemoryView()
-    sview.expect_reply(d.ident, d.opening)
+    sview.expect_reply(d.opening)
     result = proc_onion(keys[sender].sk, reply_onion, sender, params, sview)
     if result.kind != "reply" or result.message != m_back:
         failures.append(("reply-reception", n, nr, result.reason))
@@ -390,7 +381,7 @@ def _tlu_world(oracles, rng, sub, bit, real, bar):
     params, path, j, n = oracles.params, real.path, sub.j, len(real.path)
     d_real = derive(real, params)
     d_bar = derive(bar, params) if bit else None  # only the b = 1 world uses bar
-    oracles.state[P_S].expectations[d_real.ident] = d_real.opening
+    oracles.state[P_S].expect_reply(d_real.opening)
     tag_rng = rng.fork(b"tagpad")
 
     def special_proc(party, onion, header_bytes):
@@ -421,8 +412,7 @@ def _tlu_world(oracles, rng, sub, bit, real, bar):
         # path is empty); the b-independent answer is layer n+1 of real,
         # which is repliable since TLU requires a reply path, carrying the
         # adversary's message.
-        reply = build_reply_onion(d_real.reply_info, message, params)
-        return True, ("reply-onion", reply, real.reply_path[0][0])
+        return True, ("reply-onion", *build_reply_onion(d_real.reply_info, message, params))
 
     return (d_bar if bit else d_real).onion(1), special_proc, special_reply
 
@@ -452,7 +442,7 @@ def _slu_world(oracles, rng, sub, bit, real, bar):
     params, j_back = oracles.params, sub.j_back
     n, nr = len(real.path), len(real.reply_path)
     d_real = derive(real, params)
-    oracles.state[P_S].expectations[d_real.ident] = d_real.opening
+    oracles.state[P_S].expect_reply(d_real.opening)
     next_name = real.reply_path[j_back][0]
     d_bar = None
 
@@ -690,7 +680,7 @@ class DirectionStructureAdversary(_BaseAdversary):
         result = proc_onion(self.k2.sk, result.next_onion, b"x2", params, view)
         if result.kind != "exit" or result.reply_info is None:
             return self.coin()
-        reply_onion = build_reply_onion(result.reply_info, b"reply-probe", params)
+        reply_onion, _first_hop = build_reply_onion(result.reply_info, b"reply-probe", params)
         out = self.oracles.proc(P_H, reply_onion)
         if out is None or out[0] != "forward":
             return self.coin()

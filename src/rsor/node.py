@@ -3,11 +3,12 @@
 Relays buffer processed onions until the environment tells them to forward
 (mix-style scheduling).  Exit relays peel each onion once and remember the
 reply block of a repliable one under a fresh rid, so a receiver can answer
-later without the onion being processed again.  Senders derive each onion
-once and keep only its ReplyOpening (the reply header and keys) under the
-reply identifier; they drop anything unsolicited or tampered without
-reacting.  Receivers never parse onions at all -- they only see plaintext
-messages and rids.
+later without the onion being processed again; a receiver's answer goes
+straight to relay_on_receiver_reply with that rid.  Senders derive each onion
+once and keep only its ReplyOpening (ident, reply header and keys) in their
+view, which proc_onion retires when the reply opens; they drop anything
+unsolicited or tampered without reacting.  Receivers never parse onions at
+all -- they only see plaintext messages and rids.
 """
 
 from dataclasses import dataclass, field
@@ -18,7 +19,6 @@ from .packet import (
     Onion,
     OnionSpec,
     build_reply_onion,
-    decode_addr,
     derive,
     proc_onion,
 )
@@ -35,13 +35,6 @@ class SendMessage:
     receiver: bytes
     message: bytes
     rid: bytes = None  # None for non-repliable deliveries
-
-
-@dataclass(frozen=True)
-class SendReply:
-    relay: bytes
-    message: bytes
-    rid: bytes
 
 
 def make_event(actor, kind: str, **fields):
@@ -77,7 +70,7 @@ class RelayState:
 class SenderState:
     name: bytes
     keypair: KemKeyPair
-    view: InMemoryView = field(default_factory=InMemoryView)  # ident -> ReplyOpening
+    view: InMemoryView = field(default_factory=InMemoryView)  # replay cache, ReplyOpenings
     replies: list = field(default_factory=list)  # received reply messages
 
 
@@ -136,10 +129,9 @@ def relay_on_receiver_reply(state: RelayState, m_reply: bytes, rid: str, params)
     if info is None:
         return make_event(state.name, "dropped", reason="unknown-rid"), None
     try:
-        onion = build_reply_onion(info, m_reply, params)
+        onion, first_hop = build_reply_onion(info, m_reply, params)
     except ValueError:
         return make_event(state.name, "dropped", reason="unrepliable"), None
-    _tag, first_hop = decode_addr(info.first_hop)
     event = make_event(state.name, "reply-sent", to=first_hop)
     return event, SendOnion(next_hop=first_hop, onion=onion)
 
@@ -153,7 +145,7 @@ def sender_send(state: SenderState, spec: OnionSpec, params):
         raise ValueError("reply path must end at this sender")
     d = derive(spec, params)
     if d.opening is not None:
-        state.view.expect_reply(d.ident, d.opening)
+        state.view.expect_reply(d.opening)
     first_hop = spec.path[0][0]
     event = make_event(state.name, "forwarded", to=first_hop)
     return event, SendOnion(next_hop=first_hop, onion=d.onion(1))
@@ -167,7 +159,6 @@ def sender_on_onion(state: SenderState, onion: Onion, params):
     """
     result = proc_onion(state.keypair.sk, onion, state.name, params, state.view)
     if result.kind == "reply":
-        state.view.forget_reply(result.ident)
         state.replies.append(result.message)
         return make_event(state.name, "got-reply", message=result.message)
     return make_event(state.name, "dropped", reason=result.reason)
@@ -183,9 +174,3 @@ def receiver_on_message(state: ReceiverState, message, rid, from_relay: bytes):
     state.inbox.append((message, rid, from_relay))
     return make_event(state.name, "message-received",
                       message=message, repliable=rid is not None)
-
-
-def receiver_reply(state: ReceiverState, m_reply: bytes, rid: str, to_relay: bytes):
-    """Answer a repliable delivery over the plain link to the exit relay."""
-    assert rid is not None
-    return SendReply(relay=to_relay, message=m_reply, rid=rid)

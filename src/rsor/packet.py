@@ -140,7 +140,6 @@ class ProcResult:
     message: bytes = None
     receiver: bytes = None
     reply_info: ReplyInfo = None
-    ident: bytes = None
     reason: str = None
 
 
@@ -153,7 +152,9 @@ def _fail(reason):
 
 def encode_addr(tag: int, name: bytes, params) -> bytes:
     """Pack a type tag and a short name into a fixed-width address field."""
-    assert len(name) <= params.addr_len - 1, "name too long for address field"
+    # A ValueError, not an assert: python -O strips asserts.
+    if len(name) > params.addr_len - 1:
+        raise ValueError("name too long for an address field")
     return bytes([tag]) + name.ljust(params.addr_len - 1, b"\x00")
 
 
@@ -339,10 +340,12 @@ def _open_payload(plain: bytes, params):
 @dataclass(frozen=True)
 class ReplyOpening:
     """What the creator of a repliable onion keeps to open the reply: the
-    header the reply arrives with, the reply path's PRP keys in hop order,
-    and k_tilde, under which the exit sealed the reply payload.  It holds
-    no seed, so it regenerates nothing else of the onion."""
+    reply identifier it is filed under, the header the reply arrives with,
+    the PRP keys of the reply relays before the sender in hop order, and
+    k_tilde, under which the exit sealed the reply payload.  It holds no
+    seed, so it regenerates nothing else of the onion."""
 
+    ident: bytes
     header: Header
     k_pis: tuple
     k_tilde: bytes
@@ -356,13 +359,12 @@ class Derived:
     the reply trip carrying the spec's own message back: reply_headers holds
     their headers, and their payloads, which no sender sends, are sealed only
     on the first onion(i) with i > n or access to onions, then kept here.
-    ident, reply_info and opening are None, and reply_headers is empty, when
-    the onion is not repliable.
+    reply_info and opening are None, and reply_headers is empty, when the
+    onion is not repliable.
     """
 
     fwd_onions: tuple
     fwd_chain: KemChain
-    ident: bytes
     reply_info: ReplyInfo
     opening: ReplyOpening
     reply_headers: tuple
@@ -374,14 +376,12 @@ class Derived:
         """Layers 1..n+nr in hop order."""
         if self.opening is None:
             return self.fwd_onions
-        # The exit seals under k_tilde, then every reply-path relay before
-        # the sender peels one PRP layer.
-        kappa = self.params.kappa
-        plain = build_payload_reply(self.params, self.message)
-        deltas = [prp_enc(self.opening.k_tilde, plain, kappa)]
-        for k_pi in self.opening.k_pis[:-1]:
-            deltas.append(prp_dec(k_pi, deltas[-1], kappa))
-        return self.fwd_onions + tuple(map(Onion, self.reply_headers, deltas))
+        # The exit seals the reply, then every reply-path relay before the
+        # sender peels one PRP layer.
+        reply = [build_reply_onion(self.reply_info, self.message, self.params)[0]]
+        for header, k_pi in zip(self.reply_headers[1:], self.opening.k_pis):
+            reply.append(Onion(header, prp_dec(k_pi, reply[-1].delta, self.params.kappa)))
+        return self.fwd_onions + tuple(reply)
 
     def onion(self, i: int) -> Onion:
         """The onion exactly as it arrives at hop i of its combined path."""
@@ -414,7 +414,6 @@ def derive(spec: OnionSpec, params: FormatParams) -> Derived:
     )
 
     rep_headers = ()
-    ident = None
     reply_info = None
     opening = None
     if nr:
@@ -433,8 +432,9 @@ def derive(spec: OnionSpec, params: FormatParams) -> Derived:
         addrs = [relay_addr(name, params) for name, _pk in spec.reply_path]
         rep_headers = build_header(rep_chain, addrs, final, params)
         reply_info = ReplyInfo(first_hop=addrs[0], eta0=rep_headers[0], k_tilde=k_tilde)
-        k_pis = tuple(layer.k_pi for layer in rep_chain.layers)
-        opening = ReplyOpening(header=rep_headers[-1], k_pis=k_pis, k_tilde=k_tilde)
+        # The sender's own reply hop applies no PRP layer, so its key is not kept.
+        k_pis = tuple(layer.k_pi for layer in rep_chain.layers[:-1])
+        opening = ReplyOpening(ident=ident, header=rep_headers[-1], k_pis=k_pis, k_tilde=k_tilde)
 
     final = exit_addr(params) + _filler(
         rng.fork(b"forward-filler"), (2 * (r - n) + 2) * kappa, params
@@ -452,7 +452,6 @@ def derive(spec: OnionSpec, params: FormatParams) -> Derived:
     return Derived(
         fwd_onions=tuple(map(Onion, fwd_headers, fwd_deltas)),
         fwd_chain=fwd_chain,
-        ident=ident,
         reply_info=reply_info,
         opening=opening,
         reply_headers=tuple(rep_headers),
@@ -469,12 +468,15 @@ def form_onion(i: int, spec: OnionSpec, params: FormatParams) -> Onion:
 
 def recognize_onion(i: int, onion: Onion, derived: Derived) -> bool:
     """Header-only comparison against the i-th layer of a derived onion; the
-    payload may have been tampered with and is deliberately ignored.
+    payload may have been tampered with and is deliberately ignored, and a
+    reply layer's payload is never sealed for it.
 
     Compares the header fields, so a malformed header (alpha out of range,
     wrong widths) is simply unequal rather than an encoding error.
     """
-    return onion.header == derived.onion(i).header
+    n = len(derived.fwd_onions)
+    header = derived.onion(i).header if i <= n else derived.reply_headers[i - n - 1]
+    return onion.header == header
 
 
 def tag_payload(onion: Onion, mask: bytes) -> Onion:
@@ -490,16 +492,22 @@ def tag_payload(onion: Onion, mask: bytes) -> Onion:
 # Relay-side processing
 
 class InMemoryView:
-    """Minimal replay/expectation store for tests and standalone use.
+    """A party's replay cache and a sender's reply expectations: the one
+    store proc_onion reads and writes, for relays, senders and the game
+    oracles' honest parties alike.
 
     The replay cache keeps a 32-byte SHA-256 digest per processed header
     rather than the header itself, since it grows with every onion a
-    long-lived relay accepts.
+    long-lived relay accepts.  An expectation is a ReplyOpening filed under
+    its ident until proc_onion opens the reply it expects.
     """
 
     def __init__(self):
         self._seen = set()
         self._expectations = {}
+
+    def seen(self, header_bytes: bytes) -> bool:
+        return hashlib.sha256(header_bytes).digest() in self._seen
 
     def check_and_add(self, header_bytes: bytes) -> bool:
         key = hashlib.sha256(header_bytes).digest()
@@ -508,8 +516,8 @@ class InMemoryView:
         self._seen.add(key)
         return True
 
-    def expect_reply(self, ident: bytes, opening: ReplyOpening):
-        self._expectations[ident] = opening
+    def expect_reply(self, opening: ReplyOpening):
+        self._expectations[opening.ident] = opening
 
     def lookup_reply(self, ident: bytes):
         return self._expectations.get(ident)
@@ -542,9 +550,10 @@ def proc_onion(sk: int, onion: Onion, self_name: bytes, params, view) -> ProcRes
 
     A forwarding or exit relay peels one PRP layer off the payload; the
     sender receiving its reply peels none, since the reply path's last PRP
-    key was never applied, and opens the arriving payload with its
-    ReplyOpening.  Every failure collapses to kind="fail"; the reason field
-    exists for tests only and must never influence honest behavior.
+    key was never applied, opens the arriving payload with its ReplyOpening,
+    and retires that opening from the view once the reply opens.  Every
+    failure collapses to kind="fail"; the reason field exists for tests only
+    and must never influence honest behavior.
     """
     kappa = params.kappa
     header, delta = onion.header, onion.delta
@@ -591,15 +600,17 @@ def proc_onion(sk: int, onion: Onion, self_name: bytes, params, view) -> ProcRes
         if opening is None or header != opening.header:
             return _fail("unsolicited")
         # Invert the reply-path PRP composition: re-encrypt under the keys of
-        # the relays before us, last first, then strip k_tilde.  Our own
-        # hop's key was never applied, so there is no layer of ours to undo.
+        # the relays before us, last first, then strip k_tilde.
         plain = delta
-        for k_pi in reversed(opening.k_pis[:-1]):
+        for k_pi in reversed(opening.k_pis):
             plain = prp_enc(k_pi, plain, kappa)
         opened = _open_payload(prp_dec(opening.k_tilde, plain, kappa), params)
         if opened is None:
             return _fail("integrity")
-        return ProcResult(kind="reply", message=opened[2], ident=ident)
+        # Only an opened reply retires its opening: a forged header under a
+        # known ident failed above and leaves it in place.
+        view.forget_reply(ident)
+        return ProcResult(kind="reply", message=opened[2])
 
     return _fail("bad-address")
 
@@ -608,10 +619,10 @@ def form_reply(m_reply: bytes, onion_at_exit: Onion, exit_name: bytes, sk: int, 
     """Build the reply onion an exit relay sends back, or None.
 
     Reprocesses the given exit-layer onion against a fresh replay cache,
-    outside any party's replay state, extracts the embedded ReplyInfo,
-    seals the reply message under k_tilde, and attaches the pre-built
-    reply header.  None when the forward onion was
-    non-repliable or malformed.  This is the paper's one-shot FormReply,
+    outside any party's replay state, and builds the reply from the
+    embedded ReplyInfo with build_reply_onion, whose (onion, first-hop
+    name) it returns.  None when the forward onion was non-repliable or
+    malformed.  This is the paper's one-shot FormReply,
     kept as the tests' reference and for the demos; relays, the game
     challengers and the game adversaries keep the ReplyInfo from their
     single peel and call build_reply_onion instead.
@@ -620,17 +631,18 @@ def form_reply(m_reply: bytes, onion_at_exit: Onion, exit_name: bytes, sk: int, 
     if result.kind != "exit" or result.reply_info is None:
         return None
     try:
-        onion = build_reply_onion(result.reply_info, m_reply, params)
+        return build_reply_onion(result.reply_info, m_reply, params)
     except ValueError:
         return None
-    _tag, first_hop = decode_addr(result.reply_info.first_hop)
-    return onion, first_hop
 
 
-def build_reply_onion(info: ReplyInfo, m_reply: bytes, params) -> Onion:
-    """Seal a reply message under k_tilde and attach the stored header."""
+def build_reply_onion(info: ReplyInfo, m_reply: bytes, params):
+    """The reply onion for info and the name of the relay it goes to first:
+    the reply message sealed under k_tilde behind the stored header.  Raises
+    ValueError when the message does not fit the payload frame."""
     delta = prp_enc(info.k_tilde, build_payload_reply(params, m_reply), params.kappa)
-    return Onion(info.eta0, delta)
+    _tag, first_hop = decode_addr(info.first_hop)
+    return Onion(info.eta0, delta), first_hop
 
 
 # ---------------------------------------------------------------------------

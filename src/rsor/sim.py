@@ -25,7 +25,6 @@ from .node import (
     SenderState,
     make_event,
     receiver_on_message,
-    receiver_reply,
     relay_forward,
     relay_on_onion,
     relay_on_receiver_reply,
@@ -197,10 +196,9 @@ class _Network:
         self.log(receiver_on_message(rstate, action.message, action.rid, state.name))
         if action.rid is None or reply_message is None:
             return None
-        reply = receiver_reply(rstate, reply_message, action.rid, state.name)
         self.link(rname, state.name)
         self.log(make_event(state.name, "reply-received", rid=action.rid, sender_of=rname))
-        event, action = relay_on_receiver_reply(state, reply.message, reply.rid, self.params)
+        event, action = relay_on_receiver_reply(state, reply_message, action.rid, self.params)
         self.log(event)
         return action
 
@@ -449,8 +447,7 @@ class Nymserver:
         if info is None:
             self.events.append({"kind": "no-reply-onion", "nym": nym.hex()})
             return None
-        onion = build_reply_onion(info, message, self.params)
-        _tag, first_hop = decode_addr(info.first_hop)
+        onion, first_hop = build_reply_onion(info, message, self.params)
         self.events.append({"kind": "reply-onion-sent", "nym": nym.hex()})
         return SendOnion(next_hop=first_hop, onion=onion)
 
@@ -493,7 +490,7 @@ def scenario_nymserver_attack(seed, legacy: bool, guess="oracle"):
     )
     d = derive(reply_spec, params)
     block = serialize_reply_block(d.reply_info, params)
-    net.senders[b"sender"].view.expect_reply(d.ident, d.opening)
+    net.senders[b"sender"].view.expect_reply(d.opening)
 
     # Onion 0: the conversation message; onion 1: the nym registration.
     net.send(0, WorkItem(b"sender", (b"a", b"b", b"c"), b"partner",
@@ -655,6 +652,12 @@ def parse_config(text: str) -> Scenario:
             values[key] = tuple(p.strip().encode() for p in value.split(",") if p.strip())
         else:
             raise ValueError("unknown config key: %r" % key)
+    longest = default_params().addr_len - 1
+    for name in (values["relays"] + values["senders"] + values["receivers"]
+                 + tuple(item.receiver for item in workload)):
+        if len(name) > longest:
+            raise ValueError("name %r is longer than an address field's %d bytes"
+                             % (name.decode(), longest))
     for item in workload:  # only a receiver may be unknown: its exit drops the delivery
         if item.sender not in values["senders"]:
             raise ValueError("onion sender %r is not in senders" % item.sender.decode())

@@ -89,7 +89,7 @@ def test_criterion_2_and_3_dual_construction_and_width():
         d = derive(spec, PARAMS)
         view = InMemoryView()
         if nr:
-            view.expect_reply(d.ident, d.opening)
+            view.expect_reply(d.opening)
         onion = form_onion(1, spec, PARAMS)
         combined = [(name, keys[name]) for name, _pk in spec.path + spec.reply_path]
         for i, (name, keypair) in enumerate(combined, start=1):

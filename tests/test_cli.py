@@ -32,6 +32,10 @@ def test_run_config_file(tmp_path, capsys):
     ("onion = alice | a, z | svc | hi", "'z'"),
     ("onion = bob | a, b | svc | hi", "'bob'"),
     ("this line has no equals sign", "this line has no equals sign"),
+    # Names that do not fit an address field: a receiver, and a reply relay.
+    ("onion = alice | a, b | %s | hi" % ("r" * 20), "'%s'" % ("r" * 20)),
+    ("relays = a, %s\nonion = alice | a | svc | hi | %s, alice | ho" % ("q" * 16, "q" * 16),
+     "'%s'" % ("q" * 16)),
 ])
 def test_run_config_rejects_bad_input(tmp_path, capsys, line, named):
     config = tmp_path / "scenario.cfg"

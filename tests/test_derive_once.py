@@ -82,19 +82,22 @@ def test_reply_is_opened_without_deriving_again(monkeypatch):
 def test_sender_keeps_a_reply_opening_and_no_spec():
     _relays, sender, spec, _action, _ids = _send()
     d = derive(spec, PARAMS)
-    opening = sender.view.lookup_reply(d.ident)
+    opening = sender.view.lookup_reply(d.opening.ident)
     assert isinstance(opening, ReplyOpening)
     assert opening == d.opening
-    assert [f.name for f in dataclasses.fields(opening)] == ["header", "k_pis", "k_tilde"]
-    assert len(opening.k_pis) == len(spec.reply_path)
-    held = [opening.header.beta, opening.header.gamma, opening.k_tilde, *opening.k_pis]
+    assert [f.name for f in dataclasses.fields(opening)] == ["ident", "header", "k_pis", "k_tilde"]
+    # The sender's own reply hop applies no PRP layer, so only the relays'
+    # keys before it are kept.
+    assert len(opening.k_pis) == len(spec.reply_path) - 1
+    held = [opening.ident, opening.header.beta, opening.header.gamma, opening.k_tilde,
+            *opening.k_pis]
     assert all(isinstance(value, bytes) and spec.seed not in value for value in held)
 
 
 def test_non_repliable_onion_has_no_opening():
     _relays, _sender, spec, action, _ids = _send(nr=0)
     d = derive(spec, PARAMS)
-    assert d.ident is None and d.reply_info is None and d.opening is None
+    assert d.reply_info is None and d.opening is None
     assert action.onion == d.onion(1)
     assert len(d.onions) == len(spec.path)
     with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from rsor.packet import (
     FormatParams,
     InMemoryView,
     OnionSpec,
+    derive,
     form_onion,
     proc_onion,
     receiver_addr,
@@ -80,3 +81,16 @@ def test_wrong_payload_width_is_refused_not_raised():
     oracles = GameOracles(PARAMS, keys)
     assert oracles.proc(b"r0", short) is None
     assert oracles.reply(b"r0", short, b"answer") is None
+
+
+def test_game_sender_retires_the_opening_its_proc_opens():
+    keys = {name: kem_keygen(PROD_GROUP, SeedRng(name)) for name in (b"r0", b"q0", P_S)}
+    spec = OnionSpec(seed=b"retire", message=b"m", receiver=receiver_addr(b"svc", PARAMS),
+                     path=((b"r0", keys[b"r0"].pk),),
+                     reply_path=((b"q0", keys[b"q0"].pk), (P_S, keys[P_S].pk)))
+    d = derive(spec, PARAMS)
+    oracles = GameOracles(PARAMS, {P_S: keys[P_S]})
+    oracles.state[P_S].expect_reply(d.opening)
+    assert oracles.proc(P_S, d.onion(3)) == ("reply", b"m")
+    assert oracles.state[P_S].lookup_reply(d.opening.ident) is None
+    assert oracles.proc(P_S, d.onion(3)) is None

@@ -4,7 +4,7 @@ The files under tests/data/ were written by an earlier revision of the
 code; these tests recompute every record with the current code and compare.
 A failure means a refactor changed observable behaviour: onion bytes, the
 deterministic simulator trace, or some registered adversary's (b, guess,
-transcript) in a security game.
+transcript) in a security game or in the KEM game.
 
 Regenerate (only when a format change is intended) with
     PYTHONPATH=src python tests/test_golden.py --write
@@ -18,7 +18,7 @@ from pathlib import Path
 from rsor.crypto import SeedRng
 from rsor.games import ADVERSARIES, GAMES, P_H, P_S, Submission, _BaseAdversary
 from rsor.group import PROD_GROUP
-from rsor.kem import kem_keygen
+from rsor.kem import GuessingKemAdversary, WhiteBoxKemAdversary, kem_game_run, kem_keygen
 from rsor.packet import (
     FormatParams,
     InMemoryView,
@@ -119,6 +119,51 @@ def game_records(filler):
                 out = GAMES[game](cls(rng.fork(b"adv")), seed, params=params)
                 records.append([game, adversary, seed, out["b"], out["guess"],
                                 [list(entry) for entry in out["transcript"]]])
+    return records
+
+
+KEM_SEEDS = range(4)
+KEM_ADVERSARIES = (("guessing", GuessingKemAdversary, False),
+                   ("white-box", WhiteBoxKemAdversary, True))
+
+
+def _challenge_digest(alpha0, pre, challenge, post):
+    """SHA-256 over what the KEM challenger hands on_challenge."""
+    layers = lambda pairs: [[keys.hex(), b] for keys, b in pairs]
+    alpha, keys, b = challenge
+    handed = [alpha0, layers(pre), [alpha, keys.hex(), b], layers(post)]
+    return hashlib.sha256(json.dumps(handed).encode("ascii")).hexdigest()
+
+
+def _recording(adversary, digests):
+    """Wrap adversary.on_challenge so each call also appends its digest."""
+    on_challenge = adversary.on_challenge
+
+    def record(*handed):
+        digests.append(_challenge_digest(*handed))
+        on_challenge(*handed)
+
+    adversary.on_challenge = record
+    return adversary
+
+
+def kem_game_records():
+    """(adversary, n, j, seed, b, guess, transcript, challenge digest) of
+    kem_game_run for both KEM adversaries, the white-box one told the chain
+    secret, at every n in 1..max_hops, every position j and each seed in
+    KEM_SEEDS."""
+    records = []
+    for name, cls, reveal in KEM_ADVERSARIES:
+        for n in range(1, 6):
+            for j in range(n):
+                for seed in KEM_SEEDS:
+                    rng = SeedRng(b"golden-kem/%s/%d/%d/%d" % (name.encode(), n, j, seed))
+                    digests = []
+                    adversary = _recording(cls(rng.fork(b"adv"), n=n, j=j), digests)
+                    out = kem_game_run(adversary, PROD_GROUP, 16, rng.fork(b"game"),
+                                       reveal_secret=reveal)
+                    records.append([name, n, j, seed, out["b"], out["guess"],
+                                    [list(entry) for entry in out["transcript"]]] + digests)
     return records
 
 
@@ -250,6 +295,11 @@ def test_oracle_walks_match_golden():
         assert oracle_walk_records(filler) == golden
 
 
+def test_kem_games_match_golden():
+    golden = [json.loads(line) for line in _read_lines("kem_games.jsonl")]
+    assert kem_game_records() == golden
+
+
 def _write_all():
     DATA.mkdir(exist_ok=True)
     for filler in FILLERS:
@@ -263,6 +313,8 @@ def _write_all():
     write_trace(DATA / "adversarial_trace_seed5.jsonl", run_scenario(adversarial_scenario()))
     (DATA / "nymserver_attack.jsonl").write_text(
         "".join(json.dumps(r) + "\n" for r in nymserver_records()), encoding="ascii")
+    (DATA / "kem_games.jsonl").write_text(
+        "".join(json.dumps(r) + "\n" for r in kem_game_records()), encoding="ascii")
 
 
 if __name__ == "__main__":

@@ -200,6 +200,19 @@ def test_round_trip_seals_only_the_payload_layers_that_travel(prp_counts):
     assert d.onions == tuple(arrivals)
 
 
+def test_recognizing_a_reply_layer_seals_no_payload(prp_counts):
+    n, nr = 3, 3
+    spec, _keys = _spec(n, nr)
+    arrivals = derive(spec, PARAMS).onions
+    for j in range(1, nr + 1):
+        d = derive(spec, PARAMS)
+        prp_counts.update(prp_enc=0, prp_dec=0)
+        # A header-only comparison: no reply payload layer is sealed for it.
+        assert recognize_onion(n + j, arrivals[n + j - 1], d)
+        assert not recognize_onion(n + j, arrivals[n + j - 2], d)
+        assert prp_counts == {"prp_enc": 0, "prp_dec": 0}
+
+
 def test_game_reply_answers_from_the_proc_peel(counts):
     spec, keys = _spec(2, 2)
     d = derive(spec, PARAMS)

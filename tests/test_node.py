@@ -1,6 +1,6 @@
 from rsor.crypto import SeedRng
 from rsor.group import PROD_GROUP
-from rsor.kem import kem_keygen
+from rsor.kem import kem_chain_create, kem_keygen
 from rsor.node import (
     ReceiverState,
     RelayState,
@@ -8,14 +8,24 @@ from rsor.node import (
     SendOnion,
     SenderState,
     receiver_on_message,
-    receiver_reply,
     relay_forward,
     relay_on_onion,
     relay_on_receiver_reply,
     sender_on_onion,
     sender_send,
 )
-from rsor.packet import FormatParams, OnionSpec, receiver_addr, tag_payload
+from rsor.packet import (
+    ADDR_REPLY_RETURN,
+    FormatParams,
+    Onion,
+    OnionSpec,
+    build_header,
+    derive,
+    encode_addr,
+    receiver_addr,
+    relay_addr,
+    tag_payload,
+)
 
 PARAMS = FormatParams(group=PROD_GROUP)
 
@@ -56,8 +66,7 @@ def _drive(relays, sender, receiver, action, params, ids_rng, reply_message):
         receiver_on_message(receiver, action2.message, action2.rid, current)
         if action2.rid is None or reply_message is None:
             return event2
-        reply = receiver_reply(receiver, reply_message, action2.rid, current)
-        event3, action3 = relay_on_receiver_reply(state, reply.message, reply.rid, params)
+        event3, action3 = relay_on_receiver_reply(state, reply_message, action2.rid, params)
         if action3 is None:
             return event3
         current, onion = action3.next_hop, action3.onion
@@ -152,3 +161,34 @@ def test_receiver_drops_raw_onions():
     event = receiver_on_message(receiver, form_onion(1, spec, PARAMS), None, b"r0")
     assert event["kind"] == "dropped" and event["reason"] == "onion-at-receiver"
     assert receiver.inbox == []
+
+
+def test_sender_retires_its_opening_when_the_reply_opens():
+    _relays, sender, _receiver, spec, _ids = _network(1, 2, b"retire")
+    sender_send(sender, spec, PARAMS)
+    d = derive(spec, PARAMS)
+    reply = d.onion(len(spec.path) + len(spec.reply_path))
+    assert sender.view.lookup_reply(d.opening.ident) == d.opening
+    assert sender_on_onion(sender, reply, PARAMS)["kind"] == "got-reply"
+    assert sender.view.lookup_reply(d.opening.ident) is None
+    again = sender_on_onion(sender, reply, PARAMS)
+    assert again["kind"] == "dropped" and again["reason"] == "replay"
+    assert sender.replies == [spec.message]
+
+
+def test_forged_reply_header_under_a_known_ident_leaves_the_opening():
+    _relays, sender, _receiver, spec, _ids = _network(1, 2, b"forged")
+    sender_send(sender, spec, PARAMS)
+    d = derive(spec, PARAMS)
+    reply = d.onion(len(spec.path) + len(spec.reply_path))
+    # A one-hop reply header of the adversary's own to the sender carrying
+    # the known ident: its MAC verifies, but it is not the expected header.
+    chain = kem_chain_create(PROD_GROUP, 12345, [sender.keypair.pk], PARAMS.kappa)
+    final = (encode_addr(ADDR_REPLY_RETURN, b"alice", PARAMS) + d.opening.ident
+             + bytes((2 * PARAMS.max_hops - 1) * PARAMS.kappa))
+    header = build_header(chain, [relay_addr(b"alice", PARAMS)], final, PARAMS)[0]
+    assert header != reply.header
+    event = sender_on_onion(sender, Onion(header, reply.delta), PARAMS)
+    assert event["kind"] == "dropped" and event["reason"] == "unsolicited"
+    assert sender.view.lookup_reply(d.opening.ident) == d.opening
+    assert sender_on_onion(sender, reply, PARAMS)["kind"] == "got-reply"

@@ -136,7 +136,7 @@ def test_reply_round_trip():
     assert next_hop == b"sender"
     sview = InMemoryView()
     d = derive(spec, PARAMS)
-    sview.expect_reply(d.ident, d.opening)
+    sview.expect_reply(d.opening)
     result = proc_onion(keys[b"sender"].sk, reply_onion, b"sender", PARAMS, sview)
     assert result.kind == "reply"
     assert result.message == b"pong!"
@@ -308,6 +308,13 @@ def test_random_filler_hides_path_length():
     spec5, keys5 = _spec(5, 0, seed=b"rnd5")
     assert _final_zero_run(spec2, keys2, PARAMS) < 2 * PARAMS.kappa
     assert _final_zero_run(spec5, keys5, PARAMS) < 2 * PARAMS.kappa
+
+
+def test_address_names_longer_than_the_field_raise_value_error():
+    # A ValueError, not an assert, so python -O still refuses the name.
+    assert decode_addr(receiver_addr(b"x" * 15, PARAMS)) == (ADDR_RECEIVER, b"x" * 15)
+    with pytest.raises(ValueError):
+        receiver_addr(b"x" * 16, PARAMS)
 
 
 def test_tag_payload_validation():

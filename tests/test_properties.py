@@ -73,7 +73,7 @@ def test_any_spec_round_trips(seed, message, reply, n, nr):
     assert next_hop == b"sender"
     sview = InMemoryView()
     d = derive(spec, PARAMS)
-    sview.expect_reply(d.ident, d.opening)
+    sview.expect_reply(d.opening)
     result = proc_onion(keys[b"sender"].sk, back, b"sender", PARAMS, sview)
     assert result.kind == "reply"
     assert result.message == reply

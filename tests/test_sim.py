@@ -227,6 +227,23 @@ def test_parse_config_rejects_unknown_parties(onion, named):
         parse_config("relays = a, b, c\nsenders = alice\nonion = " + onion)
 
 
+LONG = "n" * 16  # one byte more than an address field holds after its tag
+
+
+@pytest.mark.parametrize("config", [
+    "relays = a\nsenders = alice\nonion = alice | a | %s | hi" % LONG,
+    "relays = a, %s\nsenders = alice\nonion = alice | a | svc | hi | %s, alice | ho"
+    % (LONG, LONG),
+    "relays = a\nsenders = %s\nonion = %s | a | svc | hi | a, %s | ho" % (LONG, LONG, LONG),
+    "relays = a\nsenders = alice\nreceivers = %s" % LONG,
+])
+def test_parse_config_rejects_names_too_long_for_an_address(config):
+    with pytest.raises(ValueError, match=LONG):
+        parse_config(config)
+    # One byte shorter fits, and the scenario runs.
+    run_scenario(parse_config(config.replace(LONG, LONG[:-1])))
+
+
 def test_parse_config_allows_unknown_receiver():
     scenario = parse_config("relays = a\nsenders = alice\nonion = alice | a | ghost | hi")
     assert scenario.workload[0].receiver == b"ghost"
