@@ -41,11 +41,10 @@ def _build_parser():
 
 def _cmd_run(args):
     if args.config:
-        with open(args.config) as handle:
-            text = handle.read()
         try:
-            scenario = sim.parse_config(text)
-        except ValueError as exc:
+            with open(args.config) as handle:
+                scenario = sim.parse_config(handle.read())
+        except (OSError, ValueError) as exc:
             print("bad config: %s" % exc, file=sys.stderr)
             return 2
     else:

@@ -15,38 +15,64 @@ Elements travel on the wire as fixed-width big-endian byte strings.
 
 Both groups use a safe prime p = 2q + 1, so the order-q subgroup is exactly
 the quadratic residues mod p, and by Euler's criterion v**q == 1 (mod p)
-holds iff the Legendre symbol (v|p) is 1.  ``is_element`` therefore
-computes that symbol with a binary Jacobi-symbol loop instead of a modexp;
-``GroupParams`` refuses any p other than 2q + 1, since the test is only
-equivalent then (that p and q are prime is taken on trust).  Membership is
-still checked where bytes or keys enter (``decode``, the entry of
-``packet.proc_onion``, spec validation), not inside ``exp`` or ``encode``.
+holds iff the Legendre symbol (v|p) is 1.  ``GroupParams`` refuses any p
+other than 2q + 1, since the two tests are only equivalent then (that p and
+q are prime is taken on trust).  Membership is checked where bytes or keys
+enter (``decode``, the entry of ``packet.proc_onion``, spec validation), not
+inside ``exp`` or ``encode``.
 
-``base(e)`` computes g**e from a fixed-window table of
-g**(d * 2**(6*i)), built once per group on first use (about 2.7k elements
-for ``PROD_GROUP``), so a fixed-base power costs one modular multiply per
-six exponent bits instead of a full modexp.
+The kernels run in libcrypto's BIGNUM code, reached through the handle of
+the extension module CPython's ``hashlib`` already loads (``_hashlib``, which
+links libcrypto): ``exp`` and ``base`` are Montgomery modexps
+(``BN_mod_exp_mont``), and ``is_element`` computes the Legendre symbol with
+``BN_kronecker``.  Whether the symbols resolve is decided once, at import;
+if they do not, ``exp`` and ``base`` fall back to ``pow`` and membership to
+Euler's ``pow(v, q, p) == 1``, with the same results.  Each group keeps its
+libcrypto state (a ``BN_CTX``, p with its Montgomery context, scratch
+BIGNUMs and a result buffer) from first use until the process ends; the
+scratch is shared by every call, so the kernels must run on one thread.
 """
 
+import ctypes
 from dataclasses import dataclass
 from functools import cached_property
 
-_WINDOW = 6  # exponent bits per row of the fixed-base table
+
+def _resolve_libcrypto():
+    """The libcrypto handle with every BIGNUM function the kernels call
+    typed, or None when _hashlib or any of the functions is missing."""
+    ptr, num = ctypes.c_void_p, ctypes.c_int
+    signatures = {
+        "BN_new": (ptr, []),
+        "BN_CTX_new": (ptr, []),
+        "BN_MONT_CTX_new": (ptr, []),
+        "BN_MONT_CTX_set": (num, [ptr, ptr, ptr]),
+        "BN_bin2bn": (ptr, [ctypes.c_char_p, num, ptr]),
+        "BN_bn2binpad": (num, [ptr, ctypes.c_char_p, num]),
+        "BN_mod_exp_mont": (num, [ptr, ptr, ptr, ptr, ptr, ptr]),
+        "BN_kronecker": (num, [ptr, ptr, ptr]),
+    }
+    try:
+        import _hashlib
+
+        # dlsym on this handle also searches the libcrypto _hashlib links.
+        lib = ctypes.CDLL(_hashlib.__file__)
+        for name, (restype, argtypes) in signatures.items():
+            fn = getattr(lib, name)
+            fn.restype, fn.argtypes = restype, argtypes
+    except (ImportError, OSError, AttributeError):
+        return None
+    return lib
 
 
-def _jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a|n) for odd n > 0, by the binary algorithm."""
-    a %= n
-    result = 1
-    while a:
-        zeros = (a & -a).bit_length() - 1
-        a >>= zeros
-        if zeros & 1 and (n & 7) in (3, 5):
-            result = -result
-        if a & n & 2:  # quadratic reciprocity: both are 3 mod 4
-            result = -result
-        a, n = n % a, a
-    return result if n == 1 else 0
+_LIBCRYPTO = _resolve_libcrypto()
+
+
+def _ok(result, call):
+    """result, unless libcrypto reported failure with 0 or NULL."""
+    if not result:
+        raise RuntimeError("libcrypto %s failed" % call)
+    return result
 
 
 class GroupDecodeError(ValueError):
@@ -67,39 +93,60 @@ class GroupParams:
         if self.p != 2 * self.q + 1:
             raise ValueError("p must be the safe prime 2q + 1 (is_element relies on it)")
 
-    def exp(self, base: int, e: int) -> int:
-        """Modular exponentiation base**e mod p; base is trusted to be an element."""
-        return pow(base, e % self.q, self.p)
-
     @cached_property
-    def _base_table(self):
-        """Row i holds g**(d * 2**(_WINDOW*i)) for every digit d."""
-        rows = []
-        row_base = self.g
-        for _ in range(-(-self.q.bit_length() // _WINDOW)):
-            row = [1, row_base]
-            for _ in range(2, 1 << _WINDOW):
-                row.append(row[-1] * row_base % self.p)
-            rows.append(row)
-            row_base = row[-1] * row_base % self.p
-        return rows
+    def _bn(self):
+        """This group's libcrypto state: a BN_CTX, p as a BIGNUM, its
+        Montgomery context, scratch BIGNUMs for the result, base and
+        exponent, and an elem_len result buffer.  Pointers into this
+        process, shared by every call: one thread only."""
+        lib, width = _LIBCRYPTO, self.elem_len
+        ctx = _ok(lib.BN_CTX_new(), "BN_CTX_new")
+        mod = _ok(lib.BN_bin2bn(self.p.to_bytes(width, "big"), width, None), "BN_bin2bn")
+        mont = _ok(lib.BN_MONT_CTX_new(), "BN_MONT_CTX_new")
+        _ok(lib.BN_MONT_CTX_set(mont, mod, ctx), "BN_MONT_CTX_set")
+        r, a, x = (_ok(lib.BN_new(), "BN_new") for _ in range(3))
+        return ctx, mod, mont, r, a, x, ctypes.create_string_buffer(width)
+
+    def _power(self, base: int, e: int) -> int:
+        """base**(e mod q) mod p, by BN_mod_exp_mont when libcrypto resolved."""
+        e %= self.q
+        lib = _LIBCRYPTO
+        if lib is None:
+            return pow(base, e, self.p)
+        ctx, mod, mont, r, a, x, out = self._bn
+        width = self.elem_len
+        _ok(lib.BN_bin2bn((base % self.p).to_bytes(width, "big"), width, a), "BN_bin2bn")
+        _ok(lib.BN_bin2bn(e.to_bytes(width, "big"), width, x), "BN_bin2bn")
+        _ok(lib.BN_mod_exp_mont(r, a, x, mod, ctx, mont), "BN_mod_exp_mont")
+        if lib.BN_bn2binpad(r, out, width) != width:
+            raise RuntimeError("libcrypto BN_bn2binpad failed")
+        return int.from_bytes(out.raw, "big")
+
+    def exp(self, base: int, e: int) -> int:
+        """Modular exponentiation base**(e mod q) mod p; base is trusted to be
+        an element."""
+        return self._power(base, e)
 
     def base(self, e: int) -> int:
-        """g**(e mod q), the same value as exp(g, e), from the fixed-base table."""
-        e %= self.q
-        mask = (1 << _WINDOW) - 1
-        acc = 1
-        for row in self._base_table:
-            acc = acc * row[e & mask] % self.p
-            e >>= _WINDOW
-        return acc
+        """g**(e mod q), the same value as exp(g, e).  It calls the kernel
+        itself rather than exp, so callers can count the two apart."""
+        return self._power(self.g, e)
 
     def is_element(self, v) -> bool:
         """True if v is a member of the order-q subgroup (including identity):
         for p = 2q + 1, the Legendre symbol (v|p) is 1."""
         if not isinstance(v, int) or not 1 <= v < self.p:
             return False
-        return _jacobi(v, self.p) == 1
+        lib = _LIBCRYPTO
+        if lib is None:
+            return pow(v, self.q, self.p) == 1
+        ctx, mod, _mont, _r, a, _x, _out = self._bn
+        width = self.elem_len
+        _ok(lib.BN_bin2bn(v.to_bytes(width, "big"), width, a), "BN_bin2bn")
+        symbol = lib.BN_kronecker(a, mod, ctx)
+        if symbol == -2:
+            raise RuntimeError("libcrypto BN_kronecker failed")
+        return symbol == 1
 
     def is_scalar(self, e) -> bool:
         """True if e is a valid nonzero exponent."""

@@ -5,9 +5,9 @@ shared secret s_i = y_i^(x*b_0*...*b_{i-1}) together with a blinding factor
 b_i = h_b(alpha_i, s_i).  Relays recover the same secrets from (alpha, sk)
 alone, so the chain can be computed hop by hop without the sender's state.
 
-Powers of the fixed generator (public keys, each alpha_i) come from the
-group's fixed-base table (``GroupParams.base``); only powers of other
-elements (s_i, blinding, decapsulation) cost a full modexp.
+Powers of the fixed generator (public keys, each alpha_i) come from
+``GroupParams.base`` and powers of other elements (s_i, blinding,
+decapsulation) from ``GroupParams.exp``; both are one modexp.
 """
 
 from dataclasses import dataclass
@@ -43,7 +43,7 @@ class KemChain:
 
 def kem_keygen(group, rng) -> KemKeyPair:
     """Fresh keypair (x, g^x) from the injected randomness source; g^x
-    comes from the fixed-base table."""
+    comes from ``group.base``."""
     sk = group.random_scalar(rng)
     return KemKeyPair(sk=sk, pk=group.base(sk))
 
@@ -64,8 +64,8 @@ def kem_chain_create(group, x: int, pubkeys, kappa: int) -> KemChain:
 
     The keys must already be group elements: ``validate_spec`` checks each
     one once, before ``derive`` builds a chain, so this does not test again.
-    Each alpha_i = g^(x*b_0*...*b_{i-1}) is a fixed-base power; each s_i is
-    one full modexp.
+    Each alpha_i = g^(x*b_0*...*b_{i-1}) is one ``group.base`` power and
+    each s_i one ``group.exp`` power.
     """
     if not pubkeys:
         raise ValueError("a KEM chain needs at least one hop public key")

@@ -4,11 +4,13 @@ Relays buffer processed onions until the environment tells them to forward
 (mix-style scheduling).  Exit relays peel each onion once and remember the
 reply block of a repliable one under a fresh rid, so a receiver can answer
 later without the onion being processed again; a receiver's answer goes
-straight to relay_on_receiver_reply with that rid.  Senders derive each onion
-once and keep only its ReplyOpening (ident, reply header and keys) in their
-view, which proc_onion retires when the reply opens; they drop anything
-unsolicited or tampered without reacting.  Receivers never parse onions at
-all -- they only see plaintext messages and rids.
+straight to relay_on_receiver_reply with that rid.  Each relay keeps at most
+REPLY_BUFFER_CAP rids and evicts the oldest to make room, so a receiver that
+answers too late finds its rid unknown.  Senders derive each onion once and
+keep only its ReplyOpening (ident, reply header and keys) in their view,
+which proc_onion retires when the expected reply header arrives, tampered or
+not; they drop anything unsolicited or tampered without reacting.  Receivers
+never parse onions at all -- they only see plaintext messages and rids.
 """
 
 from dataclasses import dataclass, field
@@ -22,6 +24,9 @@ from .packet import (
     derive,
     proc_onion,
 )
+
+
+REPLY_BUFFER_CAP = 64  # rids one relay keeps for receivers yet to answer
 
 
 @dataclass(frozen=True)
@@ -63,7 +68,7 @@ class RelayState:
     keypair: KemKeyPair
     view: InMemoryView = field(default_factory=InMemoryView)
     outgoing_buffer: dict = field(default_factory=dict)  # tid -> ProcResult
-    reply_buffer: dict = field(default_factory=dict)     # rid -> ReplyInfo
+    reply_buffer: dict = field(default_factory=dict)     # rid -> ReplyInfo, oldest first
 
 
 @dataclass
@@ -100,7 +105,8 @@ def relay_forward(state: RelayState, tid: str, params, rng):
     """Environment-triggered flush of one buffered tid.
 
     Returns (event, action); unknown tids abort with (None, None).  Exit
-    deliveries mint a rid only when the onion carried a reply block.
+    deliveries mint a rid only when the onion carried a reply block; a full
+    reply buffer first evicts its oldest rid.
     """
     result = state.outgoing_buffer.pop(tid, None)
     if result is None:
@@ -114,6 +120,8 @@ def relay_forward(state: RelayState, tid: str, params, rng):
     rid = None
     if result.reply_info is not None:
         rid = rng.read(params.kappa).hex()
+        if len(state.reply_buffer) >= REPLY_BUFFER_CAP:
+            del state.reply_buffer[next(iter(state.reply_buffer))]
         state.reply_buffer[rid] = result.reply_info
     event = make_event(state.name, "message-delivered", tid=tid, repliable=rid is not None)
     return event, SendMessage(receiver=result.receiver, message=result.message, rid=rid)
@@ -122,8 +130,8 @@ def relay_forward(state: RelayState, tid: str, params, rng):
 def relay_on_receiver_reply(state: RelayState, m_reply: bytes, rid: str, params):
     """A receiver answered (m_reply, rid); build and send the reply onion.
 
-    Each rid works exactly once; unknown or reused rids do nothing, and a
-    reply too long for the payload frame is dropped as unrepliable.
+    Each rid works exactly once; unknown, reused or evicted rids do nothing,
+    and a reply too long for the payload frame is dropped as unrepliable.
     """
     info = state.reply_buffer.pop(rid, None)
     if info is None:

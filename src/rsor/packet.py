@@ -551,9 +551,10 @@ def proc_onion(sk: int, onion: Onion, self_name: bytes, params, view) -> ProcRes
     A forwarding or exit relay peels one PRP layer off the payload; the
     sender receiving its reply peels none, since the reply path's last PRP
     key was never applied, opens the arriving payload with its ReplyOpening,
-    and retires that opening from the view once the reply opens.  Every
-    failure collapses to kind="fail"; the reason field exists for tests only
-    and must never influence honest behavior.
+    and retires that opening from the view once the expected reply header
+    arrives, whether or not the payload then opens.  Every failure collapses
+    to kind="fail"; the reason field exists for tests only and must never
+    influence honest behavior.
     """
     kappa = params.kappa
     header, delta = onion.header, onion.delta
@@ -599,6 +600,11 @@ def proc_onion(sk: int, onion: Onion, self_name: bytes, params, view) -> ProcRes
         opening = view.lookup_reply(ident)
         if opening is None or header != opening.header:
             return _fail("unsolicited")
+        # The expected header is in the replay cache now, so no later copy
+        # can open this reply: retire the opening whether or not the payload
+        # opens.  A forged header under a known ident failed above and leaves
+        # the opening in place.
+        view.forget_reply(ident)
         # Invert the reply-path PRP composition: re-encrypt under the keys of
         # the relays before us, last first, then strip k_tilde.
         plain = delta
@@ -607,9 +613,6 @@ def proc_onion(sk: int, onion: Onion, self_name: bytes, params, view) -> ProcRes
         opened = _open_payload(prp_dec(opening.k_tilde, plain, kappa), params)
         if opened is None:
             return _fail("integrity")
-        # Only an opened reply retires its opening: a forged header under a
-        # known ident failed above and leaves it in place.
-        view.forget_reply(ident)
         return ProcResult(kind="reply", message=opened[2])
 
     return _fail("bad-address")

@@ -329,7 +329,9 @@ def traces_equivalent(real_trace, ideal_env_trace) -> bool:
     only for scenarios with no corrupted party (drop and tag rules allowed):
     the real trace logs a corrupted party's own events, which the ideal
     world leaves to the adversary, and run_ideal_scenario does not play a
-    corrupted exit (no rid, no reply)."""
+    corrupted exit (no rid, no reply).  node.REPLY_BUFFER_CAP shows in
+    neither trace, since the real network answers each rid at once or
+    never, so no rid is evicted before its answer."""
     return normalize_trace(real_trace) == normalize_trace(ideal_env_trace)
 
 

@@ -4,6 +4,9 @@ import pytest
 
 from rsor.cli import main
 
+# Config cases that are no file's contents: the path names nothing, or a directory.
+MISSING, DIRECTORY = object(), object()
+
 
 def test_run_writes_trace(tmp_path, capsys):
     out = tmp_path / "trace.jsonl"
@@ -36,10 +39,15 @@ def test_run_config_file(tmp_path, capsys):
     ("onion = alice | a, b | %s | hi" % ("r" * 20), "'%s'" % ("r" * 20)),
     ("relays = a, %s\nonion = alice | a | svc | hi | %s, alice | ho" % ("q" * 16, "q" * 16),
      "'%s'" % ("q" * 16)),
+    pytest.param(MISSING, "scenario.cfg", id="missing-file"),
+    pytest.param(DIRECTORY, "scenario.cfg", id="directory"),
 ])
 def test_run_config_rejects_bad_input(tmp_path, capsys, line, named):
     config = tmp_path / "scenario.cfg"
-    config.write_text("relays = a, b\nsenders = alice\nreceivers = svc\n" + line + "\n")
+    if line is DIRECTORY:
+        config.mkdir()
+    elif line is not MISSING:
+        config.write_text("relays = a, b\nsenders = alice\nreceivers = svc\n" + line + "\n")
     assert main(["run", "--config", str(config)]) == 2
     captured = capsys.readouterr()
     assert named in captured.err and captured.out == ""

@@ -1,66 +1,173 @@
-"""The fixed-base table and the Legendre-symbol membership test against the
-plain modexps they replace: the same value for every input."""
+"""The group kernels against plain Python references: ``exp`` and ``base``
+against ``pow(b, e % q, p)``, and the Legendre-symbol membership test
+against Euler's criterion ``pow(v, q, p) == 1``.  Each check runs on the
+libcrypto kernel and on the ``pow`` fallback, which is forced by hiding the
+module's resolved libcrypto handle; both must give the reference value for
+every input."""
 
 import os
 import subprocess
 import sys
 import textwrap
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rsor.group as group_module
 from rsor.crypto import SeedRng
 from rsor.group import PROD_GROUP, TOY_GROUP, GroupParams
 
 GROUPS = pytest.mark.parametrize("group", [TOY_GROUP, PROD_GROUP], ids=["toy", "prod"])
+# The libcrypto path only where its functions resolved (CI fails otherwise).
+BACKENDS = ("libcrypto", "pow") if group_module._LIBCRYPTO is not None else ("pow",)
+ON_BACKENDS = pytest.mark.parametrize("backend", BACKENDS)
+
+
+@contextmanager
+def _backend(name):
+    """Run the body on the named kernel: "pow" hides the libcrypto handle."""
+    with pytest.MonkeyPatch.context() as mp:
+        if name == "pow":
+            mp.setattr(group_module, "_LIBCRYPTO", None)
+        yield
 
 
 def _reference_is_element(group, v):
     return isinstance(v, int) and 1 <= v < group.p and pow(v, group.q, group.p) == 1
 
 
+def _edge_exponents(group):
+    q = group.q
+    return (0, 1, q - 1, q, q + 1, -1, 2**300)
+
+
+@ON_BACKENDS
+def test_toy_exp_matches_pow_on_every_element_and_exponent(backend):
+    group = TOY_GROUP
+    elements = [v for v in range(1, group.p) if _reference_is_element(group, v)]
+    assert elements == [1, 3, 4, 5, 9]
+    with _backend(backend):
+        for b in elements:
+            for e in range(-2 * group.q, 3 * group.q):
+                assert group.exp(b, e) == pow(b, e % group.q, group.p), (b, e)
+
+
+@ON_BACKENDS
+@GROUPS
+def test_exp_matches_pow_at_edge_exponents_and_bases(group, backend):
+    # 1 is the identity; p - 1 has order 2, outside the subgroup, and the
+    # kernel must still agree with pow on it.
+    with _backend(backend):
+        for b in (1, group.p - 1, group.g, group.base(3)):
+            for e in _edge_exponents(group):
+                assert group.exp(b, e) == pow(b, e % group.q, group.p), (b, e)
+
+
+@ON_BACKENDS
+@settings(max_examples=200, deadline=None)
+@given(root=st.integers(min_value=1, max_value=PROD_GROUP.p - 1),
+       e=st.integers(min_value=-(2**400), max_value=2**400))
+def test_prod_exp_matches_pow(backend, root, e):
+    group = PROD_GROUP
+    b = root * root % group.p  # a square, so a subgroup element
+    with _backend(backend):
+        assert group.exp(b, e) == pow(b, e % group.q, group.p)
+
+
 @GROUPS
 def test_base_matches_pow_at_edge_exponents(group):
-    q = group.q
-    for e in (0, 1, q - 1, q, q + 1, -1, 2**300):
-        assert group.base(e) == pow(group.g, e % q, group.p), e
+    for backend in BACKENDS:
+        with _backend(backend):
+            for e in _edge_exponents(group):
+                assert group.base(e) == pow(group.g, e % group.q, group.p), (backend, e)
 
 
 @GROUPS
 @settings(max_examples=200, deadline=None)
 @given(e=st.integers(min_value=-(2**400), max_value=2**400))
 def test_base_matches_pow(group, e):
-    assert group.base(e) == pow(group.g, e % group.q, group.p)
+    for backend in BACKENDS:
+        with _backend(backend):
+            assert group.base(e) == pow(group.g, e % group.q, group.p), backend
 
 
 def test_toy_membership_matches_euler_on_every_int():
-    for v in range(-2, TOY_GROUP.p + 3):
-        assert TOY_GROUP.is_element(v) == _reference_is_element(TOY_GROUP, v), v
+    for backend in BACKENDS:
+        with _backend(backend):
+            for v in range(-2, TOY_GROUP.p + 3):
+                assert TOY_GROUP.is_element(v) == _reference_is_element(TOY_GROUP, v), (backend, v)
 
 
 def test_prod_membership_matches_euler_at_edges():
     p = PROD_GROUP.p
-    # 0 and p are out of range; p - 1 has order 2; g generates the group.
-    for v in (0, 1, p - 1, p, PROD_GROUP.g, -1, p + 1):
-        assert PROD_GROUP.is_element(v) == _reference_is_element(PROD_GROUP, v), v
-    assert not PROD_GROUP.is_element(p - 1)
-    assert not PROD_GROUP.is_element(str(PROD_GROUP.g))
-    assert not PROD_GROUP.is_element(float(1))
+    for backend in BACKENDS:
+        with _backend(backend):
+            # 0 and p are out of range; p - 1 has order 2; g generates the group.
+            for v in (0, 1, p - 1, p, PROD_GROUP.g, -1, p + 1):
+                assert PROD_GROUP.is_element(v) == _reference_is_element(PROD_GROUP, v), (backend, v)
+            assert not PROD_GROUP.is_element(p - 1)
+            assert not PROD_GROUP.is_element(str(PROD_GROUP.g))
+            assert not PROD_GROUP.is_element(float(1))
 
 
 def test_prod_membership_matches_euler_on_random_values():
     rng = SeedRng(b"membership")
     values = [int.from_bytes(rng.read(PROD_GROUP.elem_len), "big") for _ in range(300)]
-    verdicts = [PROD_GROUP.is_element(v) for v in values]
-    assert verdicts == [_reference_is_element(PROD_GROUP, v) for v in values]
+    expected = [_reference_is_element(PROD_GROUP, v) for v in values]
     # Half of Z_p^* is in the subgroup, so both answers must occur.
-    assert any(verdicts) and not all(verdicts)
+    assert any(expected) and not all(expected)
+    for backend in BACKENDS:
+        with _backend(backend):
+            assert [PROD_GROUP.is_element(v) for v in values] == expected, backend
 
 
 @settings(max_examples=200, deadline=None)
 @given(v=st.integers(min_value=-5, max_value=PROD_GROUP.p + 5))
 def test_prod_membership_matches_euler(v):
-    assert PROD_GROUP.is_element(v) == _reference_is_element(PROD_GROUP, v)
+    for backend in BACKENDS:
+        with _backend(backend):
+            assert PROD_GROUP.is_element(v) == _reference_is_element(PROD_GROUP, v), backend
+
+
+class _StubLibcrypto:
+    """Answers every kernel call with success, except the one named call,
+    which reports failure the way libcrypto does."""
+
+    def __init__(self, failing):
+        self.failing = failing
+
+    def __getattr__(self, name):
+        failure = {"BN_bn2binpad": -1, "BN_kronecker": -2}.get(name, 0)
+
+        def call(*args):
+            if name == self.failing:
+                return failure
+            if name == "BN_bn2binpad":
+                return args[2]  # the requested width
+            return 1  # a non-NULL pointer, a success code, or the symbol 1
+
+        return call
+
+
+@pytest.mark.parametrize("failing", [
+    "BN_CTX_new", "BN_bin2bn", "BN_MONT_CTX_new", "BN_MONT_CTX_set", "BN_new",
+    "BN_mod_exp_mont", "BN_bn2binpad", "BN_kronecker",
+])
+def test_libcrypto_failures_raise(monkeypatch, failing):
+    monkeypatch.setattr(group_module, "_LIBCRYPTO", _StubLibcrypto(failing))
+    group = GroupParams(name="stub", p=11, q=5, g=3, elem_len=1)
+    with pytest.raises(RuntimeError, match=failing):
+        group.is_element(3) if failing == "BN_kronecker" else group.exp(3, 2)
+
+
+def test_unresolved_symbol_selects_the_pow_fallback(monkeypatch):
+    class NoBignum:
+        def __init__(self, path):
+            pass
+
+    monkeypatch.setattr(group_module.ctypes, "CDLL", NoBignum)
+    assert group_module._resolve_libcrypto() is None
 
 
 def test_non_safe_prime_group_is_refused():

@@ -1,7 +1,11 @@
+import dataclasses
+import hashlib
+
 from rsor.crypto import SeedRng
 from rsor.group import PROD_GROUP
 from rsor.kem import kem_chain_create, kem_keygen
 from rsor.node import (
+    REPLY_BUFFER_CAP,
     ReceiverState,
     RelayState,
     SendMessage,
@@ -140,11 +144,16 @@ def test_sender_drops_tampered_reply_silently():
     final = sender_on_onion(sender, tampered, PARAMS)
     assert final["kind"] == "dropped" and final["reason"] == "integrity"
     assert sender.replies == []
+    # The expected header is in the replay cache now, so the opening is
+    # retired with it, and the intact copy can only drop as a replay.
+    assert sender.view.lookup_reply(derive(spec, PARAMS).opening.ident) is None
+    intact = sender_on_onion(sender, send.onion, PARAMS)
+    assert intact["kind"] == "dropped" and intact["reason"] == "replay"
+    assert sender.replies == []
 
 
 def test_sender_requires_own_name_on_reply_path():
     relays, sender, receiver, spec, ids = _network(1, 2, b"own")
-    import dataclasses
     import pytest
 
     broken = dataclasses.replace(
@@ -192,3 +201,29 @@ def test_forged_reply_header_under_a_known_ident_leaves_the_opening():
     assert event["kind"] == "dropped" and event["reason"] == "unsolicited"
     assert sender.view.lookup_reply(d.opening.ident) == d.opening
     assert sender_on_onion(sender, reply, PARAMS)["kind"] == "got-reply"
+
+
+def test_exit_keeps_at_most_reply_buffer_cap_rids():
+    relays, sender, _receiver, spec, ids = _network(1, 2, b"cap")
+    exit_state = relays[b"r0"]
+    rids = []
+    for i in range(3 * REPLY_BUFFER_CAP):
+        seed = hashlib.sha256(b"cap%d" % i).digest()
+        _event, action = sender_send(sender, dataclasses.replace(spec, seed=seed), PARAMS)
+        event = relay_on_onion(exit_state, action.onion, b"alice", PARAMS, ids)
+        _event2, delivered = relay_forward(exit_state, event["tid"], PARAMS, ids)
+        rids.append(delivered.rid)
+        assert len(exit_state.reply_buffer) <= REPLY_BUFFER_CAP
+        if len(rids) == REPLY_BUFFER_CAP + 1:
+            assert len(exit_state.reply_buffer) == REPLY_BUFFER_CAP
+            # The oldest rid was evicted to make room for the newest.
+            late, nothing = relay_on_receiver_reply(exit_state, b"late", rids[0], PARAMS)
+            assert nothing is None and late["reason"] == "unknown-rid"
+            _sent, reply = relay_on_receiver_reply(exit_state, b"pong", rids[-1], PARAMS)
+            hop = relays[reply.next_hop]
+            event = relay_on_onion(hop, reply.onion, b"r0", PARAMS, ids)
+            _forwarded, back = relay_forward(hop, event["tid"], PARAMS, ids)
+            assert back.next_hop == b"alice"
+            assert sender_on_onion(sender, back.onion, PARAMS)["kind"] == "got-reply"
+            assert sender.replies == [b"pong"]
+    assert len(exit_state.reply_buffer) == REPLY_BUFFER_CAP
