@@ -50,7 +50,6 @@ from .sim import (
     attack_nymserver,
     attack_padding,
     attack_tagging,
-    check_usage_conditions,
     default_params,
     normalize_trace,
     parse_config,

@@ -27,6 +27,7 @@ from .packet import (
     serialize_header,
     serialize_onion,
     tag_payload,
+    validate_spec,
     zero_run,
 )
 from .sim import _seed_bytes, default_params
@@ -104,7 +105,7 @@ class GameOracles:
         state = self.state[party]
         try:
             header_bytes = serialize_header(onion.header, self.params)
-        except (AssertionError, ValueError):
+        except ValueError:
             return self._log("proc", None)
         # A replay is refused before any special handler, which would
         # otherwise overwrite a repliable exit's ReplyInfo with None.
@@ -123,7 +124,7 @@ class GameOracles:
         state = self.state[party]
         try:
             header_bytes = serialize_header(onion.header, self.params)
-        except (AssertionError, ValueError):
+        except ValueError:
             return self._log("reply", None)
         onion_bytes = header_bytes + onion.delta
         # A message that cannot fit gets None in both worlds, before any
@@ -160,39 +161,28 @@ class Submission:
     j_back: int = None
 
 
-def _checked_paths(sub, oracles, honest_slots, params):
-    """Validate a submission and fill in the challenger public keys.
+def _checked_paths(sub, oracles, honest_slots):
+    """Check a submission against the game's own rules and fill in the
+    challenger public keys; _play's validate_spec checks the rest.
 
     honest_slots maps (which_path, index) -> party name.  Returns the two
-    completed paths.  Raises ValueError on any malformed submission.
+    completed paths, or raises ValueError.
     """
     paths = [list(sub.path), list(sub.reply_path)]
     key_of = {}
     for which in (0, 1):
-        names = [name for name, _pk in paths[which]]
-        if len(set(names)) != len(names):
-            raise ValueError("path must be acyclic")
-    for which in (0, 1):
         for idx, (name, pk) in enumerate(paths[which]):
-            if (which, idx) in honest_slots:
-                party = honest_slots[(which, idx)]
-                if name != party:
-                    raise ValueError("honest relay expected at this position")
-                pk = oracles.keys[party].pk
-            elif name in oracles.keys:
-                # Adversaries may route through honest parties elsewhere too.
+            if honest_slots.get((which, idx), name) != name:
+                raise ValueError("honest relay expected at this position")
+            if name in oracles.keys:
+                # Honest parties, in their slots or elsewhere, take their own keys.
                 pk = oracles.keys[name].pk
-            else:
-                if pk is None or not params.group.is_element(pk):
-                    raise ValueError("invalid public key")
             if name in key_of and key_of[name] != pk:
                 raise ValueError("same router name must use the same key")
             key_of[name] = pk
             paths[which][idx] = (name, pk)
-    if len(sub.message) > params.max_msg_len:
-        raise ValueError("message too long")
-    if not sub.receiver or len(sub.receiver) > params.addr_len - 1:
-        raise ValueError("invalid receiver name")
+    if not sub.receiver:
+        raise ValueError("empty receiver name")
     return tuple(paths[0]), tuple(paths[1])
 
 
@@ -313,7 +303,7 @@ def _play(label, honest, positions, world, adversary, seed, params, force_b,
           bar_keeps_message=False):
     """One run of an onion indistinguishability game.
 
-    honest lists (party, key label) pairs.  positions(sub, oracles, params)
+    honest lists (party, key label) pairs.  positions(sub, oracles)
     checks the submission's positions and returns its completed forward and
     reply paths, then bar's.  bar is the b = 1 stand-in onion: it carries a
     fresh message to a random receiver unless bar_keeps_message.
@@ -326,9 +316,7 @@ def _play(label, honest, positions, world, adversary, seed, params, force_b,
     oracles = GameOracles(params, keys)
     adversary.begin(params, tuple(keys), {n: k.pk for n, k in keys.items()}, oracles)
     sub = adversary.submit()
-    path, reply_path, bar_path, bar_reply_path = positions(sub, oracles, params)
-
-    bit = force_b if force_b is not None else rng.fork(b"bit").read(1)[0] & 1
+    path, reply_path, bar_path, bar_reply_path = positions(sub, oracles)
     real = OnionSpec(
         seed=rng.fork(b"R").read(32),
         message=sub.message,
@@ -336,6 +324,11 @@ def _play(label, honest, positions, world, adversary, seed, params, force_b,
         path=path,
         reply_path=reply_path,
     )
+    # Refuse an invalid challenge before the bit exists, so the refusal
+    # cannot depend on it; bar's paths are slices of real's.
+    validate_spec(real, params)
+
+    bit = force_b if force_b is not None else rng.fork(b"bit").read(1)[0] & 1
     if bar_keeps_message:
         bar_message, bar_receiver = real.message, real.receiver
     else:
@@ -366,14 +359,14 @@ def game_tlu_forward(adversary, seed, params=None, force_b=None):
                  adversary, seed, params, force_b)
 
 
-def _tlu_positions(sub, oracles, params):
+def _tlu_positions(sub, oracles):
     n, j = len(sub.path), sub.j
-    if not (1 <= j <= n and n <= params.max_hops):
+    if not 1 <= j <= n:
         raise ValueError("position j out of range")
-    if len(sub.reply_path) < 1 or len(sub.reply_path) > params.max_hops:
-        raise ValueError("reply path length out of range")
+    if not sub.reply_path:
+        raise ValueError("the game needs a reply path")
     honest_slots = {(0, j - 1): P_H, (1, len(sub.reply_path) - 1): P_S}
-    path, reply_path = _checked_paths(sub, oracles, honest_slots, params)
+    path, reply_path = _checked_paths(sub, oracles, honest_slots)
     return path, reply_path, path[:j], ()
 
 
@@ -426,15 +419,14 @@ def game_slu_backward(adversary, seed, params=None, force_b=None):
                  adversary, seed, params, force_b)
 
 
-def _slu_positions(sub, oracles, params):
+def _slu_positions(sub, oracles):
     n, nr, j_back = len(sub.path), len(sub.reply_path), sub.j_back
     # j_back = nr would put P_H in the sender's slot (P_S's, at nr - 1).
-    if not (0 <= j_back < nr and 1 <= n <= params.max_hops
-            and 1 <= nr <= params.max_hops):
+    if not 0 <= j_back < nr:
         raise ValueError("position out of range")
     honest_slots = {(1, nr - 1): P_S}
     honest_slots[(0, n - 1) if j_back == 0 else (1, j_back - 1)] = P_H
-    path, reply_path = _checked_paths(sub, oracles, honest_slots, params)
+    path, reply_path = _checked_paths(sub, oracles, honest_slots)
     return path, reply_path, reply_path[j_back:], ()
 
 
@@ -496,20 +488,20 @@ def game_sti_tail(adversary, seed, params=None, force_b=None):
                  bar_keeps_message=True)
 
 
-def _sti_positions(sub, oracles, params):
+def _sti_positions(sub, oracles):
     n, nr = len(sub.path), len(sub.reply_path)
     j, j_back = sub.j, sub.j_back
-    if not (0 <= j < n and n <= params.max_hops):
+    if not 0 <= j < n:
         raise ValueError("position j out of range (j = n is rejected)")
     # j_back = nr would put P_H_BACK in the sender's slot (P_S's, at nr - 1).
-    if not (1 <= j_back < nr and nr <= params.max_hops):
+    if not 1 <= j_back < nr:
         raise ValueError("backward position out of range")
     honest_slots = {(1, j_back - 1): P_H_BACK, (1, nr - 1): P_S}
     if j > 0:
         if sub.path[j - 1][0] not in (P_H, P_H_BACK):
             raise ValueError("honest relay expected at position j")
         honest_slots[(0, j - 1)] = sub.path[j - 1][0]
-    path, reply_path = _checked_paths(sub, oracles, honest_slots, params)
+    path, reply_path = _checked_paths(sub, oracles, honest_slots)
     if path[-1][0] in oracles.keys:
         raise ValueError("the exit relay must be corrupted")
     return path, reply_path, path[j:], reply_path[:j_back]

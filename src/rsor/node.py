@@ -9,7 +9,8 @@ REPLY_BUFFER_CAP rids and evicts the oldest to make room, so a receiver that
 answers too late finds its rid unknown.  Senders derive each onion once and
 keep only its ReplyOpening (ident, reply header and keys) in their view,
 which proc_onion retires when the expected reply header arrives, tampered or
-not; they drop anything unsolicited or tampered without reacting.  Receivers
+not, and which holds at most packet.REPLY_OPENING_CAP of them, oldest
+evicted first; they drop anything unsolicited or tampered without reacting.  Receivers
 never parse onions at all -- they only see plaintext messages and rids.
 """
 

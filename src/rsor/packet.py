@@ -22,6 +22,8 @@ ADDR_EXIT = 0x02        # the final-hop sentinel on a forward path
 ADDR_REPLY_RETURN = 0x03  # final hop of a reply path: the original sender
 ADDR_RECEIVER = 0x04
 
+REPLY_OPENING_CAP = 64  # replies one view awaits at a time
+
 
 @dataclass(frozen=True)
 class FormatParams:
@@ -152,10 +154,15 @@ def _fail(reason):
 
 def encode_addr(tag: int, name: bytes, params) -> bytes:
     """Pack a type tag and a short name into a fixed-width address field."""
+    check_name(name, params)
+    return bytes([tag]) + name.ljust(params.addr_len - 1, b"\x00")
+
+
+def check_name(name: bytes, params):
+    """Raise ValueError unless name fits an address field after its tag."""
     # A ValueError, not an assert: python -O strips asserts.
     if len(name) > params.addr_len - 1:
-        raise ValueError("name too long for an address field")
-    return bytes([tag]) + name.ljust(params.addr_len - 1, b"\x00")
+        raise ValueError("name %r does not fit an address field" % (name,))
 
 
 def decode_addr(field: bytes):
@@ -179,28 +186,35 @@ def receiver_addr(name, params):
 # Spec validation
 
 def validate_spec(spec: OnionSpec, params: FormatParams):
-    """Check the structural invariants of an onion description."""
+    """The one definition of a valid onion description."""
     # A ValueError, not an assert: python -O strips asserts, and two specs
     # with equal paths and an empty seed would form identical onions.
     if not isinstance(spec.seed, bytes) or not spec.seed:
         raise ValueError("seed must be nonempty bytes")
-    if not 1 <= len(spec.path) <= params.max_hops:
-        raise ValueError("forward path length out of range")
-    if len(spec.reply_path) > params.max_hops:
-        raise ValueError("reply path length out of range")
-    if len(spec.message) > params.max_msg_len:
-        raise ValueError("message does not fit the payload frame")
+    validate_shape([name for name, _pk in spec.path],
+                   [name for name, _pk in spec.reply_path], spec.message, params)
     if len(spec.receiver) != params.addr_len:
         raise ValueError("receiver must be a full address field")
     for path in (spec.path, spec.reply_path):
-        names = [name for name, _pk in path]
-        if len(set(names)) != len(names):
-            raise ValueError("path must be acyclic")
-        for name, pk in path:
-            if len(name) > params.addr_len - 1:
-                raise ValueError("relay name too long")
+        for _name, pk in path:
             if not params.group.is_element(pk):
                 raise ValueError("hop public key is not a group element")
+
+
+def validate_shape(path_names, reply_names, message: bytes, params: FormatParams):
+    """The key-free rules of validate_spec, for callers with names but no
+    keys: path lengths, acyclic paths, name widths and the message width."""
+    if not 1 <= len(path_names) <= params.max_hops:
+        raise ValueError("forward path length out of range")
+    if len(reply_names) > params.max_hops:
+        raise ValueError("reply path length out of range")
+    if len(message) > params.max_msg_len:
+        raise ValueError("message does not fit the payload frame")
+    for names in (path_names, reply_names):
+        if len(set(names)) != len(names):
+            raise ValueError("path must be acyclic")
+        for name in names:
+            check_name(name, params)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +242,7 @@ def _padding(streams, params) -> bytes:
 
 
 def build_header(chain: KemChain, path_addrs, final_contents: bytes, params):
-    """All n header layers for one direction.
+    """All n header layers for one direction, n <= max_hops (validate_spec).
 
     path_addrs[i] is the address field of hop i+1 (path_addrs[0], the first
     hop's own address, is never embedded -- the sender delivers directly).
@@ -238,8 +252,6 @@ def build_header(chain: KemChain, path_addrs, final_contents: bytes, params):
     """
     kappa, r = params.kappa, params.max_hops
     n = len(chain.layers)
-    if n > r:
-        raise ValueError("path exceeds max_hops")
     assert len(path_addrs) == n
     assert len(final_contents) == (2 * (r - n) + 3) * kappa
 
@@ -262,7 +274,8 @@ def build_header(chain: KemChain, path_addrs, final_contents: bytes, params):
 # Payload construction
 
 def _frame(message: bytes, params) -> bytes:
-    assert len(message) <= params.max_msg_len
+    if len(message) > params.max_msg_len:
+        raise ValueError("message does not fit the payload frame")
     return len(message).to_bytes(2, "big") + message.ljust(
         params.max_msg_len, b"\x00"
     )
@@ -301,9 +314,6 @@ def build_payload_forward(params, receiver: bytes, reply, message: bytes) -> byt
     A missing reply (None) is encoded as an all-zero block of the same width,
     so repliable and non-repliable payloads are indistinguishable by length.
     """
-    if len(message) > params.max_msg_len:
-        raise ValueError("message too long for payload")
-    assert len(receiver) == params.addr_len
     block = (
         serialize_reply_block(reply, params)
         if reply is not None
@@ -499,7 +509,9 @@ class InMemoryView:
     The replay cache keeps a 32-byte SHA-256 digest per processed header
     rather than the header itself, since it grows with every onion a
     long-lived relay accepts.  An expectation is a ReplyOpening filed under
-    its ident until proc_onion opens the reply it expects.
+    its ident until proc_onion opens the reply it expects; a view keeps at
+    most REPLY_OPENING_CAP of them and evicts the oldest to make room, so a
+    reply that comes back too late drops as unsolicited.
     """
 
     def __init__(self):
@@ -517,6 +529,8 @@ class InMemoryView:
         return True
 
     def expect_reply(self, opening: ReplyOpening):
+        if len(self._expectations) >= REPLY_OPENING_CAP:
+            del self._expectations[next(iter(self._expectations))]
         self._expectations[opening.ident] = opening
 
     def lookup_reply(self, ident: bytes):
@@ -653,7 +667,8 @@ def build_reply_onion(info: ReplyInfo, m_reply: bytes, params):
 
 def serialize_header(header: Header, params) -> bytes:
     out = params.group.encode(header.alpha) + header.beta + header.gamma
-    assert len(out) == params.header_len
+    if len(out) != params.header_len:
+        raise ValueError("header fields have the wrong widths")
     return out
 
 
@@ -667,7 +682,8 @@ def parse_header(data: bytes, params) -> Header:
 
 def serialize_onion(onion: Onion, params) -> bytes:
     out = serialize_header(onion.header, params) + onion.delta
-    assert len(out) == params.onion_len
+    if len(out) != params.onion_len:
+        raise ValueError("payload has the wrong width")
     return out
 
 

@@ -7,7 +7,7 @@ real-world network object holds the parties' states and the adversary's
 rules and drives every onion hop by hop, scenarios and the nymserver
 attack alike.  Also houses the three reproduced attacks (payload tagging
 linkage, the legacy nymserver drop attack, and the legacy zero-padding
-path-length leak) plus the static usage-condition lint.
+path-length leak).
 """
 
 import json
@@ -36,6 +36,7 @@ from .packet import (
     FormatParams,
     OnionSpec,
     build_reply_onion,
+    check_name,
     decode_addr,
     derive,
     form_onion,
@@ -43,6 +44,7 @@ from .packet import (
     receiver_addr,
     serialize_reply_block,
     tag_payload,
+    validate_shape,
     zero_run,
 )
 
@@ -84,16 +86,20 @@ class Scenario:
     adversary: tuple = ()
     legacy_zero_padding: bool = False
     seed: int = 0
-    # Usage-condition surface (linted, not executed):
-    exit_rule: str = "uniform"
-    sender_reacts_to_drops: bool = False
-    session_markers: tuple = ()
 
 
 def _seed_bytes(seed) -> bytes:
     if isinstance(seed, bytes):
         return seed
     return int(seed).to_bytes(8, "big")
+
+
+def parse_seed(text) -> int:
+    """An int seed from text; ValueError outside what _seed_bytes encodes."""
+    seed = int(text)
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed %d is outside [0, 2**64)" % seed)
+    return seed
 
 
 def default_params(legacy_zero_filler=False, payload_len=355):
@@ -339,27 +345,6 @@ def write_trace(path, trace):
     with open(path, "w", encoding="ascii") as fh:
         for event in trace:
             fh.write(json.dumps(event, sort_keys=True) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# Usage-condition lint (static checks over a scenario description)
-
-def check_usage_conditions(scenario: Scenario):
-    """Lint a scenario against the safe-usage conditions.
-
-    1. Exit relays must be chosen independently of the receiver/message.
-    2. Senders must not produce observable output on dropped/tagged replies.
-    3. Sessions must not be visible (linkable) at the exit relay.
-    """
-    violations = []
-    if scenario.exit_rule != "uniform":
-        violations.append("exit-choice-leaks-information")
-    if scenario.sender_reacts_to_drops:
-        violations.append("sender-output-on-dropped-reply")
-    markers = [m for m in scenario.session_markers if m is not None]
-    if len(set(markers)) < len(markers):
-        violations.append("linkable-session-at-exit")
-    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +605,7 @@ def parse_config(text: str) -> Scenario:
     Recognized keys (comma-separated lists, '|'-separated onion fields):
       name, relays, senders, receivers, corrupted, seed,
       onion = sender|path|receiver|message[|reply_path|reply_message]
+    Raises ValueError on a config run_scenario could not run.
     """
     values = {"name": "config", "relays": (), "senders": (), "receivers": (),
               "corrupted": (), "seed": 0}
@@ -647,19 +633,16 @@ def parse_config(text: str) -> Scenario:
             )
             workload.append(item)
         elif key == "seed":
-            values["seed"] = int(value)
+            values["seed"] = parse_seed(value)
         elif key == "name":
             values["name"] = value
         elif key in ("relays", "senders", "receivers", "corrupted"):
             values[key] = tuple(p.strip().encode() for p in value.split(",") if p.strip())
         else:
             raise ValueError("unknown config key: %r" % key)
-    longest = default_params().addr_len - 1
-    for name in (values["relays"] + values["senders"] + values["receivers"]
-                 + tuple(item.receiver for item in workload)):
-        if len(name) > longest:
-            raise ValueError("name %r is longer than an address field's %d bytes"
-                             % (name.decode(), longest))
+    params = default_params()
+    for name in values["relays"] + values["senders"] + values["receivers"]:
+        check_name(name, params)
     for item in workload:  # only a receiver may be unknown: its exit drops the delivery
         if item.sender not in values["senders"]:
             raise ValueError("onion sender %r is not in senders" % item.sender.decode())
@@ -669,4 +652,6 @@ def parse_config(text: str) -> Scenario:
         if item.reply_path and item.reply_path[-1] != item.sender:
             raise ValueError("reply path ends at %r, not at its sender"
                              % item.reply_path[-1].decode())
+        check_name(item.receiver, params)
+        validate_shape(item.path, item.reply_path, item.message, params)
     return Scenario(workload=tuple(workload), **values)

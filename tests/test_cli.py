@@ -39,6 +39,15 @@ def test_run_config_file(tmp_path, capsys):
     ("onion = alice | a, b | %s | hi" % ("r" * 20), "'%s'" % ("r" * 20)),
     ("relays = a, %s\nonion = alice | a | svc | hi | %s, alice | ho" % ("q" * 16, "q" * 16),
      "'%s'" % ("q" * 16)),
+    # Onions run_scenario could not derive, and a seed _seed_bytes cannot encode.
+    ("relays = a, b, c, d, e, f\nonion = alice | a, b, c, d, e, f | svc | hi",
+     "forward path length"),
+    ("relays = a, b, c, d, e, f\nonion = alice | a | svc | hi | a, b, c, d, e, alice | ho",
+     "reply path length"),
+    ("onion = alice | a, b, a | svc | hi", "acyclic"),
+    ("onion = alice | a | svc | hi | a, b, a, alice | ho", "acyclic"),
+    ("onion = alice | a | svc | %s" % ("m" * 65), "payload frame"),
+    ("seed = -1", "seed -1"),
     pytest.param(MISSING, "scenario.cfg", id="missing-file"),
     pytest.param(DIRECTORY, "scenario.cfg", id="directory"),
 ])
@@ -51,6 +60,35 @@ def test_run_config_rejects_bad_input(tmp_path, capsys, line, named):
     assert main(["run", "--config", str(config)]) == 2
     captured = capsys.readouterr()
     assert named in captured.err and captured.out == ""
+
+
+def test_run_config_seed_applies_unless_seed_is_given(tmp_path, capsys):
+    def trace(seed_line, *argv):
+        config = tmp_path / "scenario.cfg"
+        config.write_text("relays = a, b\nsenders = alice\nreceivers = svc\n"
+                          "onion = alice | a, b | svc | hi\n" + seed_line)
+        assert main(["run", "--config", str(config), *argv]) == 0
+        return capsys.readouterr().out
+
+    assert trace("seed = 42\n") == trace("seed = 0\n", "--seed", "42")
+    assert trace("seed = 42\n") != trace("seed = 0\n")
+    assert trace("seed = 42\n", "--seed", "0") == trace("seed = 0\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--seed", "-1"],
+    ["run", "--seed", str(2**64)],
+    ["attack", "padding", "--seed", "-1"],
+    ["game", "tlu", "--seed", str(2**64)],
+    ["attack", "tagging", "--trials", "0"],
+    ["game", "tlu", "--games", "0"],
+    ["game", "correctness", "--games", "-3"],
+])
+def test_out_of_range_seeds_and_counts_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_attack_summary(capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from rsor.crypto import SeedRng
@@ -137,6 +139,32 @@ def test_bad_public_key_rejected():
 
     with pytest.raises(ValueError):
         game_tlu_forward(BadKey(SeedRng(b"bk")), b"seed")
+
+
+class _NamedBeforeHonestHop(GuessingAdversary):
+    """A guessing adversary whose first forward relay, a corrupted one before
+    the honest hop, has the given name: STI's b = 1 stand-in path leaves it
+    out, so only a check made before the bit refuses it in both worlds."""
+
+    def __init__(self, rng, name):
+        super().__init__(rng)
+        self.name = name
+
+    def submit(self):
+        sub = super().submit()
+        if len(self.parties) == 3:  # STI: move its honest hop from j = 1 to j = 2
+            x0 = (b"x0", self.keypair(b"x0").pk)
+            sub = dataclasses.replace(sub, j=2, path=(x0,) + sub.path)
+        return dataclasses.replace(sub, path=((self.name, sub.path[0][1]),) + sub.path[1:])
+
+
+@pytest.mark.parametrize("game", [game_tlu_forward, game_slu_backward, game_sti_tail])
+@pytest.mark.parametrize("bit", [0, 1])
+def test_overlong_relay_name_refused_in_both_worlds(game, bit):
+    longest = b"n" * 15  # an address field's width after its tag
+    game(_NamedBeforeHonestHop(SeedRng(b"nm"), longest), b"seed", force_b=bit)
+    with pytest.raises(ValueError, match="address field"):
+        game(_NamedBeforeHonestHop(SeedRng(b"nm"), longest + b"n"), b"seed", force_b=bit)
 
 
 class _ReplayProbe(_BaseAdversary):

@@ -84,8 +84,8 @@ def test_derive_checks_each_hop_key_once(counts):
     spec, _keys = _spec(5, 0)
     counts.update(base=0, exp=0, is_element=0)
     derive(spec, PARAMS)
-    # validate_spec tests each key once; the chain then costs alpha (a
-    # fixed-base power) and s (a full modexp) per hop.
+    # validate_spec tests each key once; the chain then costs alpha (base:
+    # g to a power, a Montgomery modexp in libcrypto) and s (exp) per hop.
     assert counts == {"base": 5, "exp": 5, "is_element": 5}
 
 

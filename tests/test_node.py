@@ -20,6 +20,7 @@ from rsor.node import (
 )
 from rsor.packet import (
     ADDR_REPLY_RETURN,
+    REPLY_OPENING_CAP,
     FormatParams,
     Onion,
     OnionSpec,
@@ -206,10 +207,12 @@ def test_forged_reply_header_under_a_known_ident_leaves_the_opening():
 def test_exit_keeps_at_most_reply_buffer_cap_rids():
     relays, sender, _receiver, spec, ids = _network(1, 2, b"cap")
     exit_state = relays[b"r0"]
-    rids = []
+    rids, specs = [], []
     for i in range(3 * REPLY_BUFFER_CAP):
         seed = hashlib.sha256(b"cap%d" % i).digest()
-        _event, action = sender_send(sender, dataclasses.replace(spec, seed=seed), PARAMS)
+        specs.append(dataclasses.replace(spec, seed=seed))
+        _event, action = sender_send(sender, specs[-1], PARAMS)
+        assert len(sender.view._expectations) <= REPLY_OPENING_CAP
         event = relay_on_onion(exit_state, action.onion, b"alice", PARAMS, ids)
         _event2, delivered = relay_forward(exit_state, event["tid"], PARAMS, ids)
         rids.append(delivered.rid)
@@ -227,3 +230,9 @@ def test_exit_keeps_at_most_reply_buffer_cap_rids():
             assert sender_on_onion(sender, back.onion, PARAMS)["kind"] == "got-reply"
             assert sender.replies == [b"pong"]
     assert len(exit_state.reply_buffer) == REPLY_BUFFER_CAP
+    # The sender evicted its oldest openings the same way: the newest reply
+    # opens, the oldest drops as unsolicited.
+    assert len(sender.view._expectations) == REPLY_OPENING_CAP
+    oldest, newest = (derive(s, PARAMS).onion(3) for s in (specs[0], specs[-1]))
+    assert sender_on_onion(sender, newest, PARAMS)["kind"] == "got-reply"
+    assert sender_on_onion(sender, oldest, PARAMS)["reason"] == "unsolicited"

@@ -270,6 +270,21 @@ def test_serialize_parse_roundtrip():
         assert serialize_onion(back, PARAMS) == raw
 
 
+def test_wrong_widths_raise_value_error():
+    # ValueErrors, not asserts: python -O strips asserts, and callers such
+    # as the game oracles refuse a malformed onion by catching ValueError.
+    onion = form_onion(1, _spec(2, 0, seed=b"widths")[0], PARAMS)
+    header = onion.header
+    for bad in (dataclasses.replace(header, beta=header.beta[:-1]),
+                dataclasses.replace(header, gamma=header.gamma + b"\x00")):
+        with pytest.raises(ValueError):
+            serialize_header(bad, PARAMS)
+        with pytest.raises(ValueError):
+            serialize_onion(Onion(bad, onion.delta), PARAMS)
+    with pytest.raises(ValueError):
+        serialize_onion(Onion(header, onion.delta[:-1]), PARAMS)
+
+
 def test_vector_file_roundtrip():
     # The vector files themselves are pinned by tests/test_golden.py.
     spec, _ = _spec(2, 1, seed=b"vectors")

@@ -10,7 +10,6 @@ from rsor.sim import (
     attack_padding,
     attack_tagging,
     baseline_scenario,
-    check_usage_conditions,
     normalize_trace,
     parse_config,
     run_ideal_scenario,
@@ -131,20 +130,6 @@ def test_write_trace_json_lines(tmp_path):
     assert parsed[0]["time"] == 0
 
 
-def test_usage_conditions():
-    assert check_usage_conditions(baseline_scenario()) == []
-    bad = Scenario(
-        name="bad", relays=(), senders=(), receivers=(), workload=(),
-        exit_rule="by-receiver", sender_reacts_to_drops=True,
-        session_markers=("s1", "s1"),
-    )
-    assert check_usage_conditions(bad) == [
-        "exit-choice-leaks-information",
-        "sender-output-on-dropped-reply",
-        "linkable-session-at-exit",
-    ]
-
-
 def test_tagging_linkage_single_run():
     result = scenario_tagging_linkage(0, tag=True)
     assert result["linked"]
@@ -251,5 +236,4 @@ def test_parse_config_allows_unknown_receiver():
 
 def test_empty_scenario_lint_clean():
     empty = Scenario(name="empty", relays=(), senders=(), receivers=(), workload=())
-    assert check_usage_conditions(empty) == []
     assert run_scenario(empty) == []
