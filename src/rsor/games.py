@@ -361,7 +361,7 @@ def game_tlu_forward(adversary, seed, params=None, force_b=None):
 
 def _tlu_positions(sub, oracles):
     n, j = len(sub.path), sub.j
-    if not 1 <= j <= n:
+    if not isinstance(j, int) or not 1 <= j <= n:
         raise ValueError("position j out of range")
     if not sub.reply_path:
         raise ValueError("the game needs a reply path")
@@ -422,7 +422,7 @@ def game_slu_backward(adversary, seed, params=None, force_b=None):
 def _slu_positions(sub, oracles):
     n, nr, j_back = len(sub.path), len(sub.reply_path), sub.j_back
     # j_back = nr would put P_H in the sender's slot (P_S's, at nr - 1).
-    if not 0 <= j_back < nr:
+    if not isinstance(j_back, int) or not 0 <= j_back < nr:
         raise ValueError("position out of range")
     honest_slots = {(1, nr - 1): P_S}
     honest_slots[(0, n - 1) if j_back == 0 else (1, j_back - 1)] = P_H
@@ -491,10 +491,10 @@ def game_sti_tail(adversary, seed, params=None, force_b=None):
 def _sti_positions(sub, oracles):
     n, nr = len(sub.path), len(sub.reply_path)
     j, j_back = sub.j, sub.j_back
-    if not 0 <= j < n:
+    if not isinstance(j, int) or not 0 <= j < n:
         raise ValueError("position j out of range (j = n is rejected)")
     # j_back = nr would put P_H_BACK in the sender's slot (P_S's, at nr - 1).
-    if not 1 <= j_back < nr:
+    if not isinstance(j_back, int) or not 1 <= j_back < nr:
         raise ValueError("backward position out of range")
     honest_slots = {(1, j_back - 1): P_H_BACK, (1, nr - 1): P_S}
     if j > 0:

@@ -8,11 +8,17 @@ alone, so the chain can be computed hop by hop without the sender's state.
 Powers of the fixed generator (public keys, each alpha_i) come from
 ``GroupParams.base`` and powers of other elements (s_i, blinding,
 decapsulation) from ``GroupParams.exp``; both are one modexp.
+
+The KEM game runs kem_chain_create and kem_decap themselves, so it hands
+an adversary what derive and proc_onion compute.
 """
 
+import math
 from dataclasses import dataclass
 
 from .crypto import ro_hb, ro_hsym
+
+MAX_HOPS = 5  # the longest chain kem_game_run accepts
 
 
 @dataclass(frozen=True)
@@ -32,12 +38,16 @@ class LayerSecrets:
     k_mu: bytes
     k_pi: bytes
 
+    @property
+    def keys(self) -> bytes:
+        """h_*(s) = k_rho|k_mu|k_pi, the layer's keys as the KEM game hands them out."""
+        return self.k_rho + self.k_mu + self.k_pi
+
 
 @dataclass(frozen=True)
 class KemChain:
     """Sender-side view of every hop's LayerSecrets for one onion direction."""
 
-    x: int
     layers: tuple
 
 
@@ -48,15 +58,19 @@ def kem_keygen(group, rng) -> KemKeyPair:
     return KemKeyPair(sk=sk, pk=group.base(sk))
 
 
+def _sym_keys(group, s: int, kappa: int) -> tuple:
+    """(k_rho, k_mu, k_pi): the three key oracles on one shared secret."""
+    return (ro_hsym("rho", group, s, kappa), ro_hsym("mu", group, s, kappa),
+            ro_hsym("pi", group, s, kappa))
+
+
+def h_star(group, s: int, kappa: int) -> bytes:
+    """Concatenation of the three key oracles on one shared secret."""
+    return b"".join(_sym_keys(group, s, kappa))
+
+
 def _layer_from_secret(group, alpha: int, s: int, kappa: int) -> LayerSecrets:
-    return LayerSecrets(
-        alpha=alpha,
-        s=s,
-        b=ro_hb(group, alpha, s),
-        k_rho=ro_hsym("rho", group, s, kappa),
-        k_mu=ro_hsym("mu", group, s, kappa),
-        k_pi=ro_hsym("pi", group, s, kappa),
-    )
+    return LayerSecrets(alpha, s, ro_hb(group, alpha, s), *_sym_keys(group, s, kappa))
 
 
 def kem_chain_create(group, x: int, pubkeys, kappa: int) -> KemChain:
@@ -78,7 +92,7 @@ def kem_chain_create(group, x: int, pubkeys, kappa: int) -> KemChain:
         layer = _layer_from_secret(group, alpha, s, kappa)
         layers.append(layer)
         exponent = (exponent * layer.b) % group.q
-    return KemChain(x=x, layers=tuple(layers))
+    return KemChain(layers=tuple(layers))
 
 
 def kem_decap(group, sk: int, alpha: int, kappa: int) -> LayerSecrets:
@@ -96,20 +110,12 @@ def kem_blind(group, alpha: int, b: int) -> int:
     return group.exp(alpha, b)
 
 
-def h_star(group, s: int, kappa: int) -> bytes:
-    """Concatenation of the three key oracles on one shared secret."""
-    return (
-        ro_hsym("rho", group, s, kappa)
-        + ro_hsym("mu", group, s, kappa)
-        + ro_hsym("pi", group, s, kappa)
-    )
-
-
 class KemGameOracles:
     """Oracle front end handed to KEM-game adversaries.
 
-    Every query is logged so the harness can check transcript-shape
-    invariants; the decapsulation oracle refuses the challenge element.
+    decap answers as the honest relay would, from kem_decap, but refuses a
+    non-member and the challenge element; h_star and h_b are the random
+    oracles the chain is built from.
     """
 
     def __init__(self, group, kappa, sk):
@@ -117,30 +123,23 @@ class KemGameOracles:
         self._kappa = kappa
         self._sk = sk
         self.challenge_alpha = None
-        self.decap_log = []
-        self.h_log = []
-        self.hb_log = []
 
     def decap(self, alpha):
-        """(h_*(alpha^sk), h_b(alpha, alpha^sk)), refusing the challenge alpha."""
-        self.decap_log.append(alpha)
-        if not self._group.is_element(alpha):
+        """(h_*(alpha^sk), h_b(alpha, alpha^sk)), or None for a non-member
+        or the challenge alpha."""
+        if not self._group.is_element(alpha) or alpha == self.challenge_alpha:
             return None
-        if self.challenge_alpha is not None and alpha == self.challenge_alpha:
-            return None
-        s = self._group.exp(alpha, self._sk)
-        return h_star(self._group, s, self._kappa), ro_hb(self._group, alpha, s)
+        layer = kem_decap(self._group, self._sk, alpha, self._kappa)
+        return layer.keys, layer.b
 
     def h_star(self, s):
-        self.h_log.append(s)
         return h_star(self._group, s, self._kappa)
 
     def h_b(self, alpha, s):
-        self.hb_log.append((alpha, s))
         return ro_hb(self._group, alpha, s)
 
 
-def kem_game_run(adversary, group, kappa, rng, max_hops=5, reveal_secret=False):
+def kem_game_run(adversary, group, kappa, rng, reveal_secret=False):
     """Run the KEM indistinguishability experiment against one adversary.
 
     The adversary object implements begin/submit/on_challenge/guess.  With
@@ -157,7 +156,7 @@ def kem_game_run(adversary, group, kappa, rng, max_hops=5, reveal_secret=False):
     j, pubkeys = adversary.submit()
 
     n = len(pubkeys)
-    if not (0 <= j < n and n <= max_hops):
+    if not isinstance(j, int) or not 0 <= j < n <= MAX_HOPS:
         raise ValueError("challenge position out of range")
     submitted = [pk for i, pk in enumerate(pubkeys) if i != j]
     if len(submitted) != n - 1 or any(pk is None for pk in submitted):
@@ -173,37 +172,27 @@ def kem_game_run(adversary, group, kappa, rng, max_hops=5, reveal_secret=False):
     bit = rng.fork(b"bit").read(1)[0] & 1
     x = group.random_scalar(rng.fork(b"x"))
 
-    # Walk the chain; the challenge layer's keys and blinding factor are
-    # either honest or uniformly random depending on the hidden bit.
-    exponent = x
-    pre = []
-    post = []
-    challenge = None
-    for i in range(n):
-        alpha = group.base(exponent)
-        if i == 0:
-            alpha0 = alpha
-        s = group.exp(ys[i], exponent)
-        if i == j:
-            oracles.challenge_alpha = alpha
-            if bit == 0:
-                keys = h_star(group, s, kappa)
-                b = ro_hb(group, alpha, s)
-            else:
-                keys = rng.fork(b"rkeys").read(3 * kappa)
-                b = group.random_scalar(rng.fork(b"rblind"))
-            challenge = (alpha, keys, b)
-        else:
-            keys = h_star(group, s, kappa)
-            b = ro_hb(group, alpha, s)
-            (pre if i < j else post).append((keys, b))
-        exponent = (exponent * b) % group.q
+    # Positions 0..j are the honest chain.  The hidden bit picks position
+    # j's keys and blinding factor b, and the chain after j continues from
+    # x*b_0*...*b_{j-1}*b.
+    layers = kem_chain_create(group, x, ys[:j + 1], kappa).layers
+    alpha = oracles.challenge_alpha = layers[j].alpha
+    if bit == 0:
+        keys, b = layers[j].keys, layers[j].b
+    else:
+        keys = rng.fork(b"rkeys").read(3 * kappa)
+        b = group.random_scalar(rng.fork(b"rblind"))
+    if j + 1 < n:
+        exponent = math.prod([x, b] + [layer.b for layer in layers[:j]]) % group.q
+        layers += kem_chain_create(group, exponent, ys[j + 1:], kappa).layers
+    handed = [(layer.keys, layer.b) for layer in layers]
+    pre, post = handed[:j], handed[j + 1:]
 
     transcript.append(("aux", group.elem_len + sum(3 * kappa for _ in pre) + len(pre)))
     transcript.append(("challenge", group.elem_len + 3 * kappa + 1))
     transcript.append(("post", sum(3 * kappa for _ in post) + len(post)))
 
-    adversary.on_challenge(alpha0, pre, challenge, post)
+    adversary.on_challenge(layers[0].alpha, pre, (alpha, keys, b), post)
     if reveal_secret:
         adversary.on_reveal(x)
     guess = adversary.guess()
@@ -223,19 +212,13 @@ class GuessingKemAdversary:
         self._rng = rng
         self._n = n
         self._j = j
-        self._group = None
 
     def begin(self, group, kappa, pk, oracles):
         self._group = group
-        self._kappa = kappa
 
     def submit(self):
-        pubkeys = []
-        for i in range(self._n):
-            if i == self._j:
-                pubkeys.append(None)
-            else:
-                pubkeys.append(kem_keygen(self._group, self._rng).pk)
+        pubkeys = [None if i == self._j else kem_keygen(self._group, self._rng).pk
+                   for i in range(self._n)]
         return self._j, pubkeys
 
     def on_challenge(self, alpha0, pre, challenge, post):
@@ -259,9 +242,7 @@ class WhiteBoxKemAdversary(GuessingKemAdversary):
         self._challenge = challenge
 
     def on_reveal(self, x):
-        exponent = x
-        for _keys, b in self._pre:
-            exponent = (exponent * b) % self._group.q
+        exponent = math.prod([x] + [b for _keys, b in self._pre]) % self._group.q
         s_j = self._group.exp(self._pk, exponent)
         expected = self._oracles.h_star(s_j)
         self._answer = 0 if expected == self._challenge[1] else 1

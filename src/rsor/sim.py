@@ -89,16 +89,19 @@ class Scenario:
 
 
 def _seed_bytes(seed) -> bytes:
+    """bytes as given, an int in [0, 2**64) as 8 big-endian bytes."""
     if isinstance(seed, bytes):
         return seed
-    return int(seed).to_bytes(8, "big")
+    seed = int(seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed %d is outside [0, 2**64)" % seed)
+    return seed.to_bytes(8, "big")
 
 
 def parse_seed(text) -> int:
-    """An int seed from text; ValueError outside what _seed_bytes encodes."""
+    """An int seed from text; ValueError where _seed_bytes refuses it."""
     seed = int(text)
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed %d is outside [0, 2**64)" % seed)
+    _seed_bytes(seed)
     return seed
 
 
@@ -223,14 +226,34 @@ def _observed(event, action):
     return make_event(None, "adv-observe", **fields)
 
 
+def _check_workload(scenario: Scenario, params):
+    """ValueError unless each onion's sender and relays are declared, its reply
+    path ends at its sender and validate_shape accepts it.  A receiver may be
+    undeclared: its exit drops the delivery."""
+    for item in scenario.workload:
+        if item.sender not in scenario.senders:
+            raise ValueError("onion sender %r is not in senders" % item.sender.decode())
+        for name in item.path + item.reply_path[:-1]:
+            if name not in scenario.relays:
+                raise ValueError("onion relay %r is not in relays" % name.decode())
+        if item.reply_path and item.reply_path[-1] != item.sender:
+            raise ValueError("reply path ends at %r, not at its sender"
+                             % item.reply_path[-1].decode())
+        check_name(item.receiver, params)
+        validate_shape(item.path, item.reply_path, item.message, params)
+
+
 def run_scenario(scenario: Scenario):
     """Execute a scenario in the real world; returns the event trace.
 
     Fully deterministic in the scenario and its seed: relay keys, onion
-    seeds, and all temporary ids come from one seeded stream.
+    seeds, and all temporary ids come from one seeded stream.  Raises
+    ValueError for a seed or workload parse_config would refuse.
     """
+    params = default_params(legacy_zero_filler=scenario.legacy_zero_padding)
+    _check_workload(scenario, params)
     rng = SeedRng(_seed_bytes(scenario.seed))
-    net = _Network(scenario, default_params(legacy_zero_filler=scenario.legacy_zero_padding), rng)
+    net = _Network(scenario, params, rng)
     for idx, item in enumerate(scenario.workload):
         net.send(idx, item, rng.fork(b"item:%d" % idx).read(32))
     return net.events
@@ -246,6 +269,7 @@ def run_ideal_scenario(scenario: Scenario):
     real trace after normalization, within the scope traces_equivalent
     states; deliveries to unknown receivers are dropped in both worlds.
     """
+    _check_workload(scenario, default_params())
     rng = SeedRng(_seed_bytes(scenario.seed) + b"ideal")
     ideal = RsorIdeal(bad=scenario.corrupted, rng=rng)
     rules = {(r.item, r.hop): r for r in scenario.adversary}
@@ -643,15 +667,6 @@ def parse_config(text: str) -> Scenario:
     params = default_params()
     for name in values["relays"] + values["senders"] + values["receivers"]:
         check_name(name, params)
-    for item in workload:  # only a receiver may be unknown: its exit drops the delivery
-        if item.sender not in values["senders"]:
-            raise ValueError("onion sender %r is not in senders" % item.sender.decode())
-        for name in item.path + item.reply_path[:-1]:
-            if name not in values["relays"]:
-                raise ValueError("onion relay %r is not in relays" % name.decode())
-        if item.reply_path and item.reply_path[-1] != item.sender:
-            raise ValueError("reply path ends at %r, not at its sender"
-                             % item.reply_path[-1].decode())
-        check_name(item.receiver, params)
-        validate_shape(item.path, item.reply_path, item.message, params)
-    return Scenario(workload=tuple(workload), **values)
+    scenario = Scenario(workload=tuple(workload), **values)
+    _check_workload(scenario, params)
+    return scenario

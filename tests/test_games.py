@@ -167,6 +167,29 @@ def test_overlong_relay_name_refused_in_both_worlds(game, bit):
         game(_NamedBeforeHonestHop(SeedRng(b"nm"), longest + b"n"), b"seed", force_b=bit)
 
 
+class _UnsetPosition(GuessingAdversary):
+    """A guessing adversary that leaves its submission's j or j_back unset."""
+
+    def __init__(self, rng, field):
+        super().__init__(rng)
+        self.field = field
+
+    def submit(self):
+        return dataclasses.replace(super().submit(), **{self.field: None})
+
+
+@pytest.mark.parametrize("game, field", [
+    (game_tlu_forward, "j"),
+    (game_slu_backward, "j_back"),
+    (game_sti_tail, "j"),
+    (game_sti_tail, "j_back"),
+])
+@pytest.mark.parametrize("bit", [0, 1])
+def test_unset_position_refused_in_both_worlds(game, field, bit):
+    with pytest.raises(ValueError, match="position"):
+        game(_UnsetPosition(SeedRng(b"unset"), field), b"seed", force_b=bit)
+
+
 class _ReplayProbe(_BaseAdversary):
     """Drives the TLU challenge to the honest exit and probes the oracle's
     replay and one-reply rules."""

@@ -106,6 +106,9 @@ def test_game_decap_refuses_challenge():
         def on_challenge(self, alpha0, pre, challenge, post):
             self.refused = self._oracles.decap(challenge[0]) is None
             self.answered = self._oracles.decap(alpha0) is not None
+            # 0 and p are out of range; p - 1 has order 2.
+            self.non_members = [self._oracles.decap(v)
+                                for v in (0, PROD_GROUP.p - 1, PROD_GROUP.p)]
 
         def begin(self, group, kappa, pk, oracles):
             super().begin(group, kappa, pk, oracles)
@@ -115,6 +118,66 @@ def test_game_decap_refuses_challenge():
     kem_game_run(adversary, PROD_GROUP, KAPPA, SeedRng(b"probe-game"))
     assert adversary.refused
     assert adversary.answered
+    assert adversary.non_members == [None, None, None]
+
+
+class _ChainWalkingAdversary(GuessingKemAdversary):
+    """Submits the challenger's own key at position mine and its own keys
+    elsewhere, then walks alpha_i from alpha0 and the handed blinding
+    factors.  At each alpha_i it checks the handed (keys, b): at mine
+    against the decap oracle, at its own positions against kem_decap with
+    its own key, and at the challenge that the oracle refuses it."""
+
+    def __init__(self, rng, n, j, mine):
+        super().__init__(rng, n=n, j=j)
+        self._mine = mine
+
+    def begin(self, group, kappa, pk, oracles):
+        super().begin(group, kappa, pk, oracles)
+        self._kappa, self._pk, self._oracles = kappa, pk, oracles
+
+    def submit(self):
+        self._own = [kem_keygen(self._group, self._rng.fork(b"k%d" % i))
+                     for i in range(self._n)]
+        pubkeys = [keypair.pk for keypair in self._own]
+        pubkeys[self._j] = None
+        if self._mine is not None:
+            pubkeys[self._mine] = self._pk
+        return self._j, pubkeys
+
+    def on_challenge(self, alpha0, pre, challenge, post):
+        self.checked = []
+        alpha = alpha0
+        for i, (keys, b) in enumerate(pre + [challenge[1:]] + post):
+            if i == self._j:
+                assert alpha == challenge[0]
+                assert self._oracles.decap(alpha) is None
+            elif i == self._mine:
+                assert self._oracles.decap(alpha) == (keys, b)
+            else:
+                layer = kem_decap(self._group, self._own[i].sk, alpha, self._kappa)
+                assert (layer.keys, layer.b) == (keys, b)
+            self.checked.append(i)
+            alpha = kem_blind(self._group, alpha, b)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_game_decap_oracle_agrees_with_the_handed_chain(n):
+    # What a reduction without sk must reproduce: at every non-challenge
+    # alpha_i the decap oracle answers with the (keys, b) handed for
+    # position i, whichever bit was drawn; after a random b the chain
+    # continues from the random exponent.
+    for j in range(n):
+        for mine in [i for i in range(n) if i != j] or [None]:
+            bits = set()
+            for seed in range(64):
+                adversary = _ChainWalkingAdversary(SeedRng(b"walk-adv"), n, j, mine)
+                rng = SeedRng(b"walk/%d/%d/%s/%d" % (n, j, str(mine).encode(), seed))
+                bits.add(kem_game_run(adversary, PROD_GROUP, KAPPA, rng)["b"])
+                assert adversary.checked == list(range(n))
+                if bits == {0, 1}:
+                    break
+            assert bits == {0, 1}
 
 
 def test_game_rejects_bad_submissions():
@@ -125,6 +188,14 @@ def test_game_rejects_bad_submissions():
 
     with pytest.raises(ValueError):
         kem_game_run(BadJ(SeedRng(b"bj")), PROD_GROUP, KAPPA, SeedRng(b"bjg"))
+
+    class UnsetJ(GuessingKemAdversary):
+        def submit(self):
+            j, pubkeys = super().submit()
+            return None, pubkeys
+
+    with pytest.raises(ValueError):
+        kem_game_run(UnsetJ(SeedRng(b"uj")), PROD_GROUP, KAPPA, SeedRng(b"ujg"))
 
     class BadKey(GuessingKemAdversary):
         def submit(self):

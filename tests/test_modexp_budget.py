@@ -15,7 +15,7 @@ import rsor.packet
 from rsor.crypto import SeedRng
 from rsor.games import GameOracles
 from rsor.group import PROD_GROUP, GroupParams
-from rsor.kem import kem_keygen
+from rsor.kem import GuessingKemAdversary, kem_game_run, kem_keygen
 from rsor.node import (
     RelayState,
     SenderState,
@@ -92,6 +92,22 @@ def test_derive_checks_each_hop_key_once(counts):
 def test_keygen_costs_one_fixed_base_power(counts):
     kem_keygen(PROD_GROUP, SeedRng(b"keygen-budget"))
     assert counts == {"base": 1, "exp": 0, "is_element": 0}
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("bit", [0, 1])
+def test_kem_game_costs_one_chain(counts, n, bit):
+    # Keygen and the adversary's n - 1 keys are one base power each, the
+    # challenge chain one base and one exp power per position, whichever
+    # bit was drawn; each submitted key is tested once.
+    for seed in range(64):
+        counts.update(base=0, exp=0, is_element=0)
+        adversary = GuessingKemAdversary(SeedRng(b"kem-budget"), n=n, j=n // 2)
+        if kem_game_run(adversary, PROD_GROUP, 16, SeedRng(b"kem-budget/%d" % seed))["b"] == bit:
+            break
+    else:
+        pytest.fail("no seed drew bit %d" % bit)
+    assert counts == {"base": 2 * n, "exp": n, "is_element": n - 1}
 
 
 def test_off_group_key_and_empty_seed_raise_under_python_O():

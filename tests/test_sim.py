@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from rsor.games import game_correctness, run_game_batch
 from rsor.sim import (
     Rule,
     Scenario,
@@ -12,6 +13,7 @@ from rsor.sim import (
     baseline_scenario,
     normalize_trace,
     parse_config,
+    parse_seed,
     run_ideal_scenario,
     run_scenario,
     scenario_nymserver_attack,
@@ -227,6 +229,34 @@ def test_parse_config_rejects_names_too_long_for_an_address(config):
         parse_config(config)
     # One byte shorter fits, and the scenario runs.
     run_scenario(parse_config(config.replace(LONG, LONG[:-1])))
+
+
+@pytest.mark.parametrize("item, named", [
+    (WorkItem(b"bob", (b"a", b"b"), b"svc", b"hi"), "'bob'"),
+    (WorkItem(b"alice", (b"a", b"z"), b"svc", b"hi"), "'z'"),
+    (WorkItem(b"alice", (b"a",), b"svc", b"hi", (b"z", b"alice"), b"ho"), "'z'"),
+    (WorkItem(b"alice", (b"a",), b"svc", b"hi", (b"c", b"b"), b"ho"), "'b'"),
+])
+def test_both_worlds_refuse_what_parse_config_refuses(item, named):
+    scenario = Scenario(name="built", relays=(b"a", b"b", b"c"), senders=(b"alice",),
+                        receivers=(b"svc",), workload=(item,))
+    for run in (run_scenario, run_ideal_scenario):
+        with pytest.raises(ValueError, match=named):
+            run(scenario)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_out_of_range_int_seeds_raise_value_error(seed):
+    with pytest.raises(ValueError, match="seed"):
+        run_scenario(baseline_scenario(seed=seed))
+    with pytest.raises(ValueError, match="seed"):
+        game_correctness(1, seed)
+    with pytest.raises(ValueError, match="seed"):
+        run_game_batch("tlu", "guessing", 1, seed)
+    with pytest.raises(ValueError, match="seed"):
+        attack_tagging(1, seed)
+    with pytest.raises(ValueError, match="seed"):
+        parse_seed(str(seed))
 
 
 def test_parse_config_allows_unknown_receiver():
