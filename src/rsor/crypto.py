@@ -1,16 +1,19 @@
 """Symmetric building blocks: hash oracles, stream cipher, MAC, wide-block PRP.
 
-All keyed primitives take kappa-byte keys, where kappa is the format security
-parameter (16 in production).  The four hash oracles are domain-separated
-SHA-256; the stream cipher is AES-128-CTR; the MAC is truncated HMAC-SHA256;
-the wide-block PRP is a four-round LIONESS-style unbalanced Feistel network,
-so flipping any ciphertext bit scrambles the whole plaintext block.
+KAPPA is the security parameter, fixed at 16 bytes as in Sphinx: derived
+keys, stream-cipher keys, MAC tags and the PRP's left part are KAPPA bytes.
+The four hash oracles are domain-separated SHA-256; the stream cipher is
+AES-128-CTR; the MAC is truncated HMAC-SHA256; the wide-block PRP is a
+four-round LIONESS-style unbalanced Feistel network, so flipping any
+ciphertext bit scrambles the whole plaintext block.
 """
 
 import hashlib
 import hmac as hmac_mod
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+
+KAPPA = 16  # the security parameter, in bytes
 
 # Domain separation prefixes for the hash oracles.
 _DOM_BLIND = b"\xb0"
@@ -63,13 +66,6 @@ def _aes_ctr_stream(key16: bytes):
     return Cipher(algorithms.AES(key16), _ZERO_NONCE).encryptor()
 
 
-def _stream_key(key: bytes) -> bytes:
-    """Map a kappa-byte key onto an AES-128 key."""
-    if len(key) == 16:
-        return bytes(key)
-    return hashlib.sha256(_DOM_STREAM + bytes(key)).digest()[:16]
-
-
 def ro_hb(group, alpha: int, s: int) -> int:
     """Blinding-factor oracle h_b: group element pair -> nonzero scalar."""
     material = group.encode(alpha) + group.encode(s)
@@ -82,58 +78,59 @@ def ro_hb(group, alpha: int, s: int) -> int:
         ctr += 1
 
 
-def _key_oracle(domain: bytes, group, s: int, kappa: int) -> bytes:
-    digest = hashlib.sha256(domain + group.encode(s)).digest()
-    assert kappa <= len(digest)
-    return digest[:kappa]
+def _key_oracle(domain: bytes, group, s: int) -> bytes:
+    return hashlib.sha256(domain + group.encode(s)).digest()[:KAPPA]
 
 
 _SYM_DOMAINS = {"rho": _DOM_STREAM, "mu": _DOM_MAC, "pi": _DOM_PRP}
 
 
-def ro_hsym(tag: str, group, s: int, kappa: int) -> bytes:
+def ro_hsym(tag: str, group, s: int) -> bytes:
     """Key-derivation oracles h_rho / h_mu / h_pi, selected by tag."""
-    return _key_oracle(_SYM_DOMAINS[tag], group, s, kappa)
+    return _key_oracle(_SYM_DOMAINS[tag], group, s)
 
 
 def prg(key: bytes, out_len: int) -> bytes:
-    """Pseudorandom stream of out_len bytes under the given key."""
+    """Pseudorandom stream of out_len bytes under a KAPPA-byte key."""
+    # Not an assert, which python -O strips: AES takes 24- and 32-byte keys too.
+    if len(key) != KAPPA:
+        raise ValueError("prg key must be %d bytes" % KAPPA)
     assert out_len >= 0
-    return _aes_ctr_stream(_stream_key(key)).update(bytes(out_len))
+    return _aes_ctr_stream(bytes(key)).update(bytes(out_len))
 
 
-def mac(key: bytes, data: bytes, kappa: int) -> bytes:
-    """HMAC-SHA256 truncated to kappa bytes."""
-    return hmac_mod.new(bytes(key), bytes(data), hashlib.sha256).digest()[:kappa]
+def mac(key: bytes, data: bytes) -> bytes:
+    """HMAC-SHA256 truncated to KAPPA bytes."""
+    return hmac_mod.new(bytes(key), bytes(data), hashlib.sha256).digest()[:KAPPA]
 
 
-def _prp_subkeys(key: bytes, kappa: int):
+def _prp_subkeys(key: bytes):
     base = bytes(key)
     ks = [hashlib.sha256(_DOM_PRP + bytes([i]) + base).digest() for i in range(1, 5)]
-    # Rounds 1 and 3 XOR into the kappa-byte left part; rounds 2 and 4 are
+    # Rounds 1 and 3 XOR into the KAPPA-byte left part; rounds 2 and 4 are
     # HMAC keys for compressing the right part.
-    return ks[0][:kappa], ks[1], ks[2][:kappa], ks[3]
+    return ks[0][:KAPPA], ks[1], ks[2][:KAPPA], ks[3]
 
 
-def prp_enc(key: bytes, block: bytes, kappa: int) -> bytes:
-    """LIONESS encryption of a block wider than kappa bytes."""
-    assert len(block) > kappa, "PRP block must exceed the left-part width"
-    left, right = block[:kappa], block[kappa:]
-    k1, k2, k3, k4 = _prp_subkeys(key, kappa)
+def prp_enc(key: bytes, block: bytes) -> bytes:
+    """LIONESS encryption of a block wider than KAPPA bytes."""
+    assert len(block) > KAPPA, "PRP block must exceed the left-part width"
+    left, right = block[:KAPPA], block[KAPPA:]
+    k1, k2, k3, k4 = _prp_subkeys(key)
     right = xor_bytes(right, prg(xor_bytes(left, k1), len(right)))
-    left = xor_bytes(left, mac(k2, right, kappa))
+    left = xor_bytes(left, mac(k2, right))
     right = xor_bytes(right, prg(xor_bytes(left, k3), len(right)))
-    left = xor_bytes(left, mac(k4, right, kappa))
+    left = xor_bytes(left, mac(k4, right))
     return left + right
 
 
-def prp_dec(key: bytes, block: bytes, kappa: int) -> bytes:
+def prp_dec(key: bytes, block: bytes) -> bytes:
     """Inverse of prp_enc."""
-    assert len(block) > kappa, "PRP block must exceed the left-part width"
-    left, right = block[:kappa], block[kappa:]
-    k1, k2, k3, k4 = _prp_subkeys(key, kappa)
-    left = xor_bytes(left, mac(k4, right, kappa))
+    assert len(block) > KAPPA, "PRP block must exceed the left-part width"
+    left, right = block[:KAPPA], block[KAPPA:]
+    k1, k2, k3, k4 = _prp_subkeys(key)
+    left = xor_bytes(left, mac(k4, right))
     right = xor_bytes(right, prg(xor_bytes(left, k3), len(right)))
-    left = xor_bytes(left, mac(k2, right, kappa))
+    left = xor_bytes(left, mac(k2, right))
     right = xor_bytes(right, prg(xor_bytes(left, k1), len(right)))
     return left + right

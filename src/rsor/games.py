@@ -737,8 +737,7 @@ class PathLengthPaddingAdversary(_BaseAdversary):
             if result.kind != "forward":
                 return self.coin()
             onion = result.next_onion
-        layer = kem_decap(params.group, self.tail_keys[reader].sk, onion.header.alpha,
-                          params.kappa)
+        layer = kem_decap(params.group, self.tail_keys[reader].sk, onion.header.alpha)
         return 1 if zero_run(layer, onion.header, params) >= 4 * params.kappa else 0
 
 

@@ -16,6 +16,7 @@ node.make_event records, as in the real world, appended to adv_events
 import dataclasses
 from dataclasses import dataclass
 
+from .kem import MAX_HOPS
 from .node import make_event
 
 
@@ -48,9 +49,8 @@ class AbstractOnion:
 class RsorIdeal:
     """The ideal functionality's state machine (static corruption)."""
 
-    def __init__(self, bad, rng, max_hops=5):
+    def __init__(self, bad, rng):
         self.bad = set(bad)
-        self.max_hops = max_hops
         self._rng = rng
         self.l_o = {}        # tid -> (AbstractOnion, next honest index)
         self.buffers = {}    # (relay, tid') -> AbstractOnion
@@ -80,7 +80,7 @@ class RsorIdeal:
 
     def process_new_onion(self, sender, receiver, message, path, reply_path):
         """A sender hands in a fresh onion description."""
-        if len(path) > self.max_hops or len(reply_path) > self.max_hops:
+        if len(path) > MAX_HOPS or len(reply_path) > MAX_HOPS:
             return False
         sid = self._fresh("sid")
         onion = AbstractOnion(

@@ -10,15 +10,16 @@ Powers of the fixed generator (public keys, each alpha_i) come from
 decapsulation) from ``GroupParams.exp``; both are one modexp.
 
 The KEM game runs kem_chain_create and kem_decap themselves, so it hands
-an adversary what derive and proc_onion compute.
+an adversary what derive and proc_onion compute.  MAX_HOPS is the format's
+one hop limit: packet widths, validate_shape and the ideal world read it.
 """
 
 import math
 from dataclasses import dataclass
 
-from .crypto import ro_hb, ro_hsym
+from .crypto import KAPPA, ro_hb, ro_hsym
 
-MAX_HOPS = 5  # the longest chain kem_game_run accepts
+MAX_HOPS = 5  # the longest path, forward or reply, an onion may take
 
 
 @dataclass(frozen=True)
@@ -58,22 +59,21 @@ def kem_keygen(group, rng) -> KemKeyPair:
     return KemKeyPair(sk=sk, pk=group.base(sk))
 
 
-def _sym_keys(group, s: int, kappa: int) -> tuple:
+def _sym_keys(group, s: int) -> tuple:
     """(k_rho, k_mu, k_pi): the three key oracles on one shared secret."""
-    return (ro_hsym("rho", group, s, kappa), ro_hsym("mu", group, s, kappa),
-            ro_hsym("pi", group, s, kappa))
+    return ro_hsym("rho", group, s), ro_hsym("mu", group, s), ro_hsym("pi", group, s)
 
 
-def h_star(group, s: int, kappa: int) -> bytes:
+def h_star(group, s: int) -> bytes:
     """Concatenation of the three key oracles on one shared secret."""
-    return b"".join(_sym_keys(group, s, kappa))
+    return b"".join(_sym_keys(group, s))
 
 
-def _layer_from_secret(group, alpha: int, s: int, kappa: int) -> LayerSecrets:
-    return LayerSecrets(alpha, s, ro_hb(group, alpha, s), *_sym_keys(group, s, kappa))
+def _layer_from_secret(group, alpha: int, s: int) -> LayerSecrets:
+    return LayerSecrets(alpha, s, ro_hb(group, alpha, s), *_sym_keys(group, s))
 
 
-def kem_chain_create(group, x: int, pubkeys, kappa: int) -> KemChain:
+def kem_chain_create(group, x: int, pubkeys) -> KemChain:
     """Sender-side chain of LayerSecrets for the given hop public keys.
 
     The keys must already be group elements: ``validate_spec`` checks each
@@ -89,20 +89,20 @@ def kem_chain_create(group, x: int, pubkeys, kappa: int) -> KemChain:
     for pk in pubkeys:
         alpha = group.base(exponent)
         s = group.exp(pk, exponent)
-        layer = _layer_from_secret(group, alpha, s, kappa)
+        layer = _layer_from_secret(group, alpha, s)
         layers.append(layer)
         exponent = (exponent * layer.b) % group.q
     return KemChain(layers=tuple(layers))
 
 
-def kem_decap(group, sk: int, alpha: int, kappa: int) -> LayerSecrets:
+def kem_decap(group, sk: int, alpha: int) -> LayerSecrets:
     """Relay-side decapsulation; agrees with the sender's layer at this hop.
 
     alpha comes off the wire, so the caller checks membership first
     (``proc_onion`` does, at its entry).
     """
     s = group.exp(alpha, sk)
-    return _layer_from_secret(group, alpha, s, kappa)
+    return _layer_from_secret(group, alpha, s)
 
 
 def kem_blind(group, alpha: int, b: int) -> int:
@@ -118,9 +118,8 @@ class KemGameOracles:
     oracles the chain is built from.
     """
 
-    def __init__(self, group, kappa, sk):
+    def __init__(self, group, sk):
         self._group = group
-        self._kappa = kappa
         self._sk = sk
         self.challenge_alpha = None
 
@@ -129,30 +128,31 @@ class KemGameOracles:
         or the challenge alpha."""
         if not self._group.is_element(alpha) or alpha == self.challenge_alpha:
             return None
-        layer = kem_decap(self._group, self._sk, alpha, self._kappa)
+        layer = kem_decap(self._group, self._sk, alpha)
         return layer.keys, layer.b
 
     def h_star(self, s):
-        return h_star(self._group, s, self._kappa)
+        return h_star(self._group, s)
 
     def h_b(self, alpha, s):
         return ro_hb(self._group, alpha, s)
 
 
-def kem_game_run(adversary, group, kappa, rng, reveal_secret=False):
+def kem_game_run(adversary, group, rng, reveal_secret=False):
     """Run the KEM indistinguishability experiment against one adversary.
 
-    The adversary object implements begin/submit/on_challenge/guess.  With
+    The adversary object implements begin(group, pk, oracles), submit,
+    on_challenge and guess.  With
     reveal_secret=True the challenger leaks its chain secret x' to the
     adversary after the challenge (white-box positive control).
     Returns a result dict including a transcript of (label, byte-length)
     pairs, which must be independent of the hidden bit.
     """
     keypair = kem_keygen(group, rng.fork(b"keygen"))
-    oracles = KemGameOracles(group, kappa, keypair.sk)
+    oracles = KemGameOracles(group, keypair.sk)
     transcript = [("pk", group.elem_len)]
 
-    adversary.begin(group, kappa, keypair.pk, oracles)
+    adversary.begin(group, keypair.pk, oracles)
     j, pubkeys = adversary.submit()
 
     n = len(pubkeys)
@@ -175,22 +175,22 @@ def kem_game_run(adversary, group, kappa, rng, reveal_secret=False):
     # Positions 0..j are the honest chain.  The hidden bit picks position
     # j's keys and blinding factor b, and the chain after j continues from
     # x*b_0*...*b_{j-1}*b.
-    layers = kem_chain_create(group, x, ys[:j + 1], kappa).layers
+    layers = kem_chain_create(group, x, ys[:j + 1]).layers
     alpha = oracles.challenge_alpha = layers[j].alpha
     if bit == 0:
         keys, b = layers[j].keys, layers[j].b
     else:
-        keys = rng.fork(b"rkeys").read(3 * kappa)
+        keys = rng.fork(b"rkeys").read(3 * KAPPA)
         b = group.random_scalar(rng.fork(b"rblind"))
     if j + 1 < n:
         exponent = math.prod([x, b] + [layer.b for layer in layers[:j]]) % group.q
-        layers += kem_chain_create(group, exponent, ys[j + 1:], kappa).layers
+        layers += kem_chain_create(group, exponent, ys[j + 1:]).layers
     handed = [(layer.keys, layer.b) for layer in layers]
     pre, post = handed[:j], handed[j + 1:]
 
-    transcript.append(("aux", group.elem_len + sum(3 * kappa for _ in pre) + len(pre)))
-    transcript.append(("challenge", group.elem_len + 3 * kappa + 1))
-    transcript.append(("post", sum(3 * kappa for _ in post) + len(post)))
+    transcript.append(("aux", group.elem_len + sum(3 * KAPPA for _ in pre) + len(pre)))
+    transcript.append(("challenge", group.elem_len + 3 * KAPPA + 1))
+    transcript.append(("post", sum(3 * KAPPA for _ in post) + len(post)))
 
     adversary.on_challenge(layers[0].alpha, pre, (alpha, keys, b), post)
     if reveal_secret:
@@ -213,7 +213,7 @@ class GuessingKemAdversary:
         self._n = n
         self._j = j
 
-    def begin(self, group, kappa, pk, oracles):
+    def begin(self, group, pk, oracles):
         self._group = group
 
     def submit(self):
@@ -232,8 +232,8 @@ class WhiteBoxKemAdversary(GuessingKemAdversary):
     """Positive control: told the challenger secret x', it recomputes s_j
     and compares h_*(s_j) against the challenge keys."""
 
-    def begin(self, group, kappa, pk, oracles):
-        super().begin(group, kappa, pk, oracles)
+    def begin(self, group, pk, oracles):
+        super().begin(group, pk, oracles)
         self._pk = pk
         self._oracles = oracles
 

@@ -12,9 +12,9 @@ import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 
-from .crypto import SeedRng, mac, prg, prp_dec, prp_enc, xor_bytes
+from .crypto import KAPPA, SeedRng, mac, prg, prp_dec, prp_enc, xor_bytes
 from .group import GroupDecodeError, GroupParams
-from .kem import KemChain, kem_blind, kem_chain_create, kem_decap
+from .kem import MAX_HOPS, KemChain, kem_blind, kem_chain_create, kem_decap
 
 # Address type tags (first byte of every addr_len-wide address field).
 ADDR_RELAY = 0x01
@@ -29,25 +29,24 @@ REPLY_OPENING_CAP = 64  # replies one view awaits at a time
 class FormatParams:
     """All width constants of the packet format.
 
-    beta always spans (2*max_hops+1)*kappa bytes regardless of path length;
-    payload_len must leave room for the mandatory payload fields plus a
-    nonempty message.  legacy_zero_filler selects the broken variant whose
-    final-layer header filler is all-zero bytes instead of random ones.
+    kappa (crypto.KAPPA) and max_hops (kem.MAX_HOPS) are format constants,
+    read here but not settable.  beta always spans (2*max_hops+1)*kappa
+    bytes regardless of path length; payload_len must leave room for the
+    mandatory payload fields plus a nonempty message.  legacy_zero_filler
+    selects the broken variant whose final-layer header filler is all-zero
+    bytes instead of random ones.
     """
 
     group: GroupParams
-    kappa: int = 16
-    max_hops: int = 5
     payload_len: int = 355
     legacy_zero_filler: bool = False
 
+    kappa = KAPPA
+    max_hops = MAX_HOPS
+
     def __post_init__(self):
-        # ValueErrors, not asserts: python -O strips asserts, and an
+        # A ValueError, not an assert: python -O strips asserts, and an
         # undersized payload_len would then fail every hop with bad-width.
-        if self.kappa < 8:
-            raise ValueError("kappa must be at least 8 bytes")
-        if self.max_hops < 1:
-            raise ValueError("max_hops must be at least 1")
         if self.payload_len < self.min_payload_len:
             raise ValueError("payload_len must be at least %d" % self.min_payload_len)
 
@@ -259,12 +258,12 @@ def build_header(chain: KemChain, path_addrs, final_contents: bytes, params):
     phi = _padding(streams[: n - 1], params)
 
     beta = xor_bytes(final_contents, streams[n - 1][: len(final_contents)]) + phi
-    gamma = mac(chain.layers[n - 1].k_mu, beta, kappa)
+    gamma = mac(chain.layers[n - 1].k_mu, beta)
     headers = [Header(chain.layers[n - 1].alpha, beta, gamma)]
     for i in range(n - 2, -1, -1):
         inner = path_addrs[i + 1] + gamma + beta[: params.beta_len - 2 * kappa]
         beta = xor_bytes(inner, streams[i][: params.beta_len])
-        gamma = mac(chain.layers[i].k_mu, beta, kappa)
+        gamma = mac(chain.layers[i].k_mu, beta)
         headers.append(Header(chain.layers[i].alpha, beta, gamma))
     headers.reverse()
     return headers
@@ -390,7 +389,7 @@ class Derived:
         # sender peels one PRP layer.
         reply = [build_reply_onion(self.reply_info, self.message, self.params)[0]]
         for header, k_pi in zip(self.reply_headers[1:], self.opening.k_pis):
-            reply.append(Onion(header, prp_dec(k_pi, reply[-1].delta, self.params.kappa)))
+            reply.append(Onion(header, prp_dec(k_pi, reply[-1].delta)))
         return self.fwd_onions + tuple(reply)
 
     def onion(self, i: int) -> Onion:
@@ -419,18 +418,14 @@ def derive(spec: OnionSpec, params: FormatParams) -> Derived:
     nr = len(spec.reply_path)
 
     x_fwd = params.group.random_scalar(rng.fork(b"x-forward"))
-    fwd_chain = kem_chain_create(
-        params.group, x_fwd, [pk for _name, pk in spec.path], kappa
-    )
+    fwd_chain = kem_chain_create(params.group, x_fwd, [pk for _name, pk in spec.path])
 
     rep_headers = ()
     reply_info = None
     opening = None
     if nr:
         x_rep = params.group.random_scalar(rng.fork(b"x-reply"))
-        rep_chain = kem_chain_create(
-            params.group, x_rep, [pk for _name, pk in spec.reply_path], kappa
-        )
+        rep_chain = kem_chain_create(params.group, x_rep, [pk for _name, pk in spec.reply_path])
         ident = rng.fork(b"ident").read(kappa)
         k_tilde = rng.fork(b"k-tilde").read(kappa)
         sender_name = spec.reply_path[-1][0]
@@ -456,7 +451,7 @@ def derive(spec: OnionSpec, params: FormatParams) -> Derived:
     fwd_deltas = [None] * n
     delta = plaintext
     for i in range(n - 1, -1, -1):
-        delta = prp_enc(fwd_chain.layers[i].k_pi, delta, kappa)
+        delta = prp_enc(fwd_chain.layers[i].k_pi, delta)
         fwd_deltas[i] = delta
 
     return Derived(
@@ -570,15 +565,14 @@ def proc_onion(sk: int, onion: Onion, self_name: bytes, params, view) -> ProcRes
     to kind="fail"; the reason field exists for tests only and must never
     influence honest behavior.
     """
-    kappa = params.kappa
     header, delta = onion.header, onion.delta
     if not params.group.is_element(header.alpha):
         return _fail("bad-element")
     if len(header.beta) != params.beta_len or len(delta) != params.payload_len:
         return _fail("bad-width")
 
-    layer = kem_decap(params.group, sk, header.alpha, kappa)
-    if mac(layer.k_mu, header.beta, kappa) != header.gamma:
+    layer = kem_decap(params.group, sk, header.alpha)
+    if mac(layer.k_mu, header.beta) != header.gamma:
         return _fail("mac")
     if not view.check_and_add(serialize_header(header, params)):
         return _fail("replay")
@@ -588,7 +582,7 @@ def proc_onion(sk: int, onion: Onion, self_name: bytes, params, view) -> ProcRes
 
     if tag == ADDR_RELAY:
         alpha_next = kem_blind(params.group, header.alpha, layer.b)
-        delta_next = prp_dec(layer.k_pi, delta, kappa)
+        delta_next = prp_dec(layer.k_pi, delta)
         return ProcResult(
             kind="forward",
             next_hop=name,
@@ -596,7 +590,7 @@ def proc_onion(sk: int, onion: Onion, self_name: bytes, params, view) -> ProcRes
         )
 
     if tag == ADDR_EXIT:
-        opened = _open_payload(prp_dec(layer.k_pi, delta, kappa), params)
+        opened = _open_payload(prp_dec(layer.k_pi, delta), params)
         if opened is None:
             return _fail("integrity")
         receiver, block, message = opened
@@ -623,8 +617,8 @@ def proc_onion(sk: int, onion: Onion, self_name: bytes, params, view) -> ProcRes
         # the relays before us, last first, then strip k_tilde.
         plain = delta
         for k_pi in reversed(opening.k_pis):
-            plain = prp_enc(k_pi, plain, kappa)
-        opened = _open_payload(prp_dec(opening.k_tilde, plain, kappa), params)
+            plain = prp_enc(k_pi, plain)
+        opened = _open_payload(prp_dec(opening.k_tilde, plain), params)
         if opened is None:
             return _fail("integrity")
         return ProcResult(kind="reply", message=opened[2])
@@ -657,7 +651,7 @@ def build_reply_onion(info: ReplyInfo, m_reply: bytes, params):
     """The reply onion for info and the name of the relay it goes to first:
     the reply message sealed under k_tilde behind the stored header.  Raises
     ValueError when the message does not fit the payload frame."""
-    delta = prp_enc(info.k_tilde, build_payload_reply(params, m_reply), params.kappa)
+    delta = prp_enc(info.k_tilde, build_payload_reply(params, m_reply))
     _tag, first_hop = decode_addr(info.first_hop)
     return Onion(info.eta0, delta), first_hop
 

@@ -105,12 +105,9 @@ def parse_seed(text) -> int:
     return seed
 
 
-def default_params(legacy_zero_filler=False, payload_len=355):
-    return FormatParams(
-        group=PROD_GROUP,
-        legacy_zero_filler=legacy_zero_filler,
-        payload_len=payload_len,
-    )
+def default_params(**fields):
+    """FormatParams over PROD_GROUP; fields override FormatParams defaults."""
+    return FormatParams(group=PROD_GROUP, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +224,15 @@ def _observed(event, action):
 
 
 def _check_workload(scenario: Scenario, params):
-    """ValueError unless each onion's sender and relays are declared, its reply
-    path ends at its sender and validate_shape accepts it.  A receiver may be
-    undeclared: its exit drops the delivery."""
+    """ValueError unless no name is both a relay and a sender, each onion's
+    sender and relays are declared, its reply path ends at its sender,
+    validate_shape accepts it and its reply message fits the payload frame.
+    A receiver may be undeclared: its exit drops the delivery."""
+    # The real world hands an onion addressed to such a name to the sender,
+    # which drops it; the ideal world would forward it as a relay.
+    both = set(scenario.relays) & set(scenario.senders)
+    if both:
+        raise ValueError("%r is both a relay and a sender" % min(both).decode())
     for item in scenario.workload:
         if item.sender not in scenario.senders:
             raise ValueError("onion sender %r is not in senders" % item.sender.decode())
@@ -241,6 +244,10 @@ def _check_workload(scenario: Scenario, params):
                              % item.reply_path[-1].decode())
         check_name(item.receiver, params)
         validate_shape(item.path, item.reply_path, item.message, params)
+        # The real exit would drop an over-long reply as unrepliable, where
+        # the ideal world delivers it.
+        if item.reply_message is not None and len(item.reply_message) > params.max_msg_len:
+            raise ValueError("reply message does not fit the payload frame")
 
 
 def run_scenario(scenario: Scenario):
@@ -558,8 +565,8 @@ def scenario_zero_padding_leak(seed, legacy: bool):
     )
     header = form_onion(len(path_names), spec, params).header
     # What the corrupted exit reads off its own, authentic layer.
-    layer = kem_decap(params.group, keys[b"exit"].sk, header.alpha, params.kappa)
-    assert mac(layer.k_mu, header.beta, params.kappa) == header.gamma
+    layer = kem_decap(params.group, keys[b"exit"].sk, header.alpha)
+    assert mac(layer.k_mu, header.beta) == header.gamma
     run = zero_run(layer, header, params)
     guessed_n = 2 if run >= 5 * params.kappa else 5
     return {

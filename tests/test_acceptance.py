@@ -50,7 +50,6 @@ from rsor.sim import (
 )
 
 PARAMS = FormatParams(group=PROD_GROUP)
-KAPPA = 16
 
 
 def _random_spec(rng, n, nr, params=PARAMS):
@@ -227,7 +226,7 @@ def test_criterion_9_kem_white_box():
     runs = 100
     for t in range(runs):
         out = kem_game_run(
-            WhiteBoxKemAdversary(rng.fork(b"a%d" % t)), PROD_GROUP, KAPPA,
+            WhiteBoxKemAdversary(rng.fork(b"a%d" % t)), PROD_GROUP,
             rng.fork(b"g%d" % t), reveal_secret=True,
         )
         wins += out["adversary_won"]
@@ -239,7 +238,7 @@ def test_criterion_9_kem_guessing():
     runs = 1000
     wins = sum(
         kem_game_run(
-            GuessingKemAdversary(rng.fork(b"a%d" % t)), PROD_GROUP, KAPPA,
+            GuessingKemAdversary(rng.fork(b"a%d" % t)), PROD_GROUP,
             rng.fork(b"g%d" % t),
         )["adversary_won"]
         for t in range(runs)
@@ -255,11 +254,11 @@ def test_criterion_9_kem_chain_decap_equivalence():
         keypairs = [kem_keygen(PROD_GROUP, trng.fork(b"k%d" % i)) for i in range(n)]
         chain = kem_chain_create(
             PROD_GROUP, PROD_GROUP.random_scalar(trng.fork(b"x")),
-            [kp.pk for kp in keypairs], KAPPA,
+            [kp.pk for kp in keypairs],
         )
         alpha = chain.layers[0].alpha
         for i, keypair in enumerate(keypairs):
-            layer = kem_decap(PROD_GROUP, keypair.sk, alpha, KAPPA)
+            layer = kem_decap(PROD_GROUP, keypair.sk, alpha)
             assert layer == chain.layers[i]
             alpha = kem_blind(PROD_GROUP, alpha, layer.b)
 

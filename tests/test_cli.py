@@ -47,6 +47,9 @@ def test_run_config_file(tmp_path, capsys):
     ("onion = alice | a, b, a | svc | hi", "acyclic"),
     ("onion = alice | a | svc | hi | a, b, a, alice | ho", "acyclic"),
     ("onion = alice | a | svc | %s" % ("m" * 65), "payload frame"),
+    # Configs whose real and ideal traces would differ.
+    ("onion = alice | a | svc | hi | b, alice | %s" % ("m" * 65), "reply message"),
+    ("relays = a, alice\nonion = alice | a, alice | svc | hi", "'alice' is both"),
     ("seed = -1", "seed -1"),
     pytest.param(MISSING, "scenario.cfg", id="missing-file"),
     pytest.param(DIRECTORY, "scenario.cfg", id="directory"),

@@ -6,6 +6,7 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, settings, strategies as st
 
 from rsor.crypto import (
+    KAPPA,
     SeedRng,
     mac,
     prg,
@@ -16,8 +17,6 @@ from rsor.crypto import (
     xor_bytes,
 )
 from rsor.group import PROD_GROUP, TOY_GROUP
-
-KAPPA = 16
 
 
 def test_xor_bytes():
@@ -76,36 +75,43 @@ def test_prg_keys_independent():
     assert prg(b"a" * KAPPA, 64) != prg(b"b" * KAPPA, 64)
 
 
+@pytest.mark.parametrize("key_len", [KAPPA - 1, 2 * KAPPA])
+def test_prg_refuses_a_key_not_kappa_bytes(key_len):
+    # A 32-byte key would otherwise run AES-256 instead of AES-128.
+    with pytest.raises(ValueError):
+        prg(b"k" * key_len, 16)
+
+
 def test_mac_deterministic_and_sensitive():
     key = b"m" * KAPPA
-    tag = mac(key, b"hello", KAPPA)
+    tag = mac(key, b"hello")
     assert len(tag) == KAPPA
-    assert tag == mac(key, b"hello", KAPPA)
-    assert tag != mac(key, b"hellp", KAPPA)
-    assert tag != mac(b"n" * KAPPA, b"hello", KAPPA)
+    assert tag == mac(key, b"hello")
+    assert tag != mac(key, b"hellp")
+    assert tag != mac(b"n" * KAPPA, b"hello")
 
 
 def test_prp_roundtrip():
     key = b"p" * KAPPA
     block = os.urandom(355)
-    sealed = prp_enc(key, block, KAPPA)
+    sealed = prp_enc(key, block)
     assert len(sealed) == len(block)
     assert sealed != block
-    assert prp_dec(key, sealed, KAPPA) == block
-    assert prp_dec(b"q" * KAPPA, sealed, KAPPA) != block
+    assert prp_dec(key, sealed) == block
+    assert prp_dec(b"q" * KAPPA, sealed) != block
 
 
 def test_prp_small_domain_bijection():
     # Over a tiny domain the permutation must hit every block exactly once.
+    # KAPPA + 1 bytes is the narrowest block the PRP takes.
     key = b"bij" + b"\x00" * 13
-    kappa = 8
     seen = set()
     for value in range(256):
-        block = bytes([value]) + b"\x00" * 8  # width kappa + 1
-        seen.add(prp_enc(key, block, kappa))
+        block = bytes([value]) + bytes(KAPPA)
+        seen.add(prp_enc(key, block))
     assert len(seen) == 256
     for sealed in seen:
-        assert prp_enc(key, prp_dec(key, sealed, kappa), kappa) == sealed
+        assert prp_enc(key, prp_dec(key, sealed)) == sealed
 
 
 def test_prp_tamper_randomizes_whole_block():
@@ -113,10 +119,10 @@ def test_prp_tamper_randomizes_whole_block():
     # is what turns payload tagging into an all-or-nothing integrity signal.
     key = b"t" * KAPPA
     block = b"\x00" * 355
-    sealed = prp_enc(key, block, KAPPA)
+    sealed = prp_enc(key, block)
     flipped = bytearray(sealed)
     flipped[200] ^= 1
-    reopened = prp_dec(key, bytes(flipped), KAPPA)
+    reopened = prp_dec(key, bytes(flipped))
     differing = sum(a != b for a, b in zip(reopened, block))
     assert differing > 300
 
@@ -125,18 +131,18 @@ def test_prp_no_zero_prefix_survives_tamper():
     # Monte Carlo: a tampered payload essentially never keeps its zero head.
     key = b"z" * KAPPA
     block = b"\x00" * 355
-    sealed = prp_enc(key, block, KAPPA)
+    sealed = prp_enc(key, block)
     rng = SeedRng(b"masks")
     for _ in range(200):
         mask = rng.read(355)
-        reopened = prp_dec(key, xor_bytes(sealed, mask), KAPPA)
+        reopened = prp_dec(key, xor_bytes(sealed, mask))
         assert reopened[:KAPPA] != b"\x00" * KAPPA
 
 
 def test_oracles_deterministic():
     s = TOY_GROUP.exp(TOY_GROUP.g, 2)
     assert ro_hb(TOY_GROUP, 3, s) == ro_hb(TOY_GROUP, 3, s)
-    assert ro_hsym("rho", TOY_GROUP, s, KAPPA) == ro_hsym("rho", TOY_GROUP, s, KAPPA)
+    assert ro_hsym("rho", TOY_GROUP, s) == ro_hsym("rho", TOY_GROUP, s)
 
 
 def test_oracle_argument_order_matters():
@@ -146,7 +152,7 @@ def test_oracle_argument_order_matters():
 
 def test_oracle_domain_separation():
     s = PROD_GROUP.exp(PROD_GROUP.g, 7)
-    keys = {tag: ro_hsym(tag, PROD_GROUP, s, KAPPA) for tag in ("rho", "mu", "pi")}
+    keys = {tag: ro_hsym(tag, PROD_GROUP, s) for tag in ("rho", "mu", "pi")}
     assert len(set(keys.values())) == 3
 
 
@@ -163,8 +169,8 @@ def test_crypto_vector_file(tmp_path):
     key = bytes(range(16))
     records = [
         ("prg", [key.hex(), "20"], prg(key, 32).hex()),
-        ("mac", [key.hex(), b"abc".hex()], mac(key, b"abc", KAPPA).hex()),
-        ("prp_enc", [key.hex(), (b"x" * 24).hex()], prp_enc(key, b"x" * 24, KAPPA).hex()),
+        ("mac", [key.hex(), b"abc".hex()], mac(key, b"abc").hex()),
+        ("prp_enc", [key.hex(), (b"x" * 24).hex()], prp_enc(key, b"x" * 24).hex()),
     ]
     path = tmp_path / "crypto_vectors.csv"
     path.write_text("".join("%s,%s,%s\n" % (p, ",".join(i), o) for p, i, o in records))
@@ -174,7 +180,7 @@ def test_crypto_vector_file(tmp_path):
         if primitive == "prg":
             got = prg(bytes.fromhex(inputs[0]), int(inputs[1], 16))
         elif primitive == "mac":
-            got = mac(bytes.fromhex(inputs[0]), bytes.fromhex(inputs[1]), KAPPA)
+            got = mac(bytes.fromhex(inputs[0]), bytes.fromhex(inputs[1]))
         else:
-            got = prp_enc(bytes.fromhex(inputs[0]), bytes.fromhex(inputs[1]), KAPPA)
+            got = prp_enc(bytes.fromhex(inputs[0]), bytes.fromhex(inputs[1]))
         assert got.hex() == expected

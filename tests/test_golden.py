@@ -160,7 +160,7 @@ def kem_game_records():
                     rng = SeedRng(b"golden-kem/%s/%d/%d/%d" % (name.encode(), n, j, seed))
                     digests = []
                     adversary = _recording(cls(rng.fork(b"adv"), n=n, j=j), digests)
-                    out = kem_game_run(adversary, PROD_GROUP, 16, rng.fork(b"game"),
+                    out = kem_game_run(adversary, PROD_GROUP, rng.fork(b"game"),
                                        reveal_secret=reveal)
                     records.append([name, n, j, seed, out["b"], out["guess"],
                                     [list(entry) for entry in out["transcript"]]] + digests)

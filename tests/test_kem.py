@@ -2,7 +2,9 @@ import pytest
 
 from rsor.crypto import SeedRng, ro_hb, ro_hsym
 from rsor.group import PROD_GROUP, TOY_GROUP
+from rsor.ideal import RsorIdeal
 from rsor.kem import (
+    MAX_HOPS,
     GuessingKemAdversary,
     WhiteBoxKemAdversary,
     kem_blind,
@@ -11,8 +13,7 @@ from rsor.kem import (
     kem_game_run,
     kem_keygen,
 )
-
-KAPPA = 16
+from rsor.packet import FormatParams, validate_shape
 
 
 def test_toy_kem_values():
@@ -34,10 +35,10 @@ def test_chain_matches_decap():
         n = 1 + trng.read(1)[0] % 5
         keypairs = [kem_keygen(PROD_GROUP, trng.fork(b"k%d" % i)) for i in range(n)]
         x = PROD_GROUP.random_scalar(trng.fork(b"x"))
-        chain = kem_chain_create(PROD_GROUP, x, [kp.pk for kp in keypairs], KAPPA)
+        chain = kem_chain_create(PROD_GROUP, x, [kp.pk for kp in keypairs])
         alpha = chain.layers[0].alpha
         for i, keypair in enumerate(keypairs):
-            layer = kem_decap(PROD_GROUP, keypair.sk, alpha, KAPPA)
+            layer = kem_decap(PROD_GROUP, keypair.sk, alpha)
             assert layer == chain.layers[i]
             alpha = kem_blind(PROD_GROUP, alpha, layer.b)
 
@@ -47,7 +48,7 @@ def test_chain_keys_distinct_across_hops():
     keypairs = [kem_keygen(PROD_GROUP, rng.fork(b"k%d" % i)) for i in range(5)]
     chain = kem_chain_create(
         PROD_GROUP, PROD_GROUP.random_scalar(rng.fork(b"x")),
-        [kp.pk for kp in keypairs], KAPPA,
+        [kp.pk for kp in keypairs],
     )
     assert len({layer.k_rho for layer in chain.layers}) == 5
     assert len({layer.alpha for layer in chain.layers}) == 5
@@ -55,17 +56,17 @@ def test_chain_keys_distinct_across_hops():
 
 def test_chain_rejects_empty_and_bad_keys():
     with pytest.raises(ValueError):
-        kem_chain_create(PROD_GROUP, 5, [], KAPPA)
+        kem_chain_create(PROD_GROUP, 5, [])
 
 
 def test_layer_keys_from_oracles():
     kp = kem_keygen(PROD_GROUP, SeedRng(b"lk"))
     x = PROD_GROUP.random_scalar(SeedRng(b"lx"))
-    chain = kem_chain_create(PROD_GROUP, x, [kp.pk], KAPPA)
+    chain = kem_chain_create(PROD_GROUP, x, [kp.pk])
     layer = chain.layers[0]
-    assert layer.k_rho == ro_hsym("rho", PROD_GROUP, layer.s, KAPPA)
-    assert layer.k_mu == ro_hsym("mu", PROD_GROUP, layer.s, KAPPA)
-    assert layer.k_pi == ro_hsym("pi", PROD_GROUP, layer.s, KAPPA)
+    assert layer.k_rho == ro_hsym("rho", PROD_GROUP, layer.s)
+    assert layer.k_mu == ro_hsym("mu", PROD_GROUP, layer.s)
+    assert layer.k_pi == ro_hsym("pi", PROD_GROUP, layer.s)
     assert layer.b == ro_hb(PROD_GROUP, layer.alpha, layer.s)
 
 
@@ -74,7 +75,7 @@ def test_game_white_box_always_wins():
     for trial in range(50):
         adversary = WhiteBoxKemAdversary(rng.fork(b"a%d" % trial))
         result = kem_game_run(
-            adversary, PROD_GROUP, KAPPA, rng.fork(b"g%d" % trial),
+            adversary, PROD_GROUP, rng.fork(b"g%d" % trial),
             reveal_secret=True,
         )
         assert result["adversary_won"]
@@ -86,7 +87,7 @@ def test_game_guessing_near_half():
     wins = 0
     for trial in range(games):
         adversary = GuessingKemAdversary(rng.fork(b"a%d" % trial))
-        result = kem_game_run(adversary, PROD_GROUP, KAPPA, rng.fork(b"g%d" % trial))
+        result = kem_game_run(adversary, PROD_GROUP, rng.fork(b"g%d" % trial))
         wins += result["adversary_won"]
     assert abs(wins / games - 0.5) < 0.07
 
@@ -96,7 +97,7 @@ def test_game_transcript_shape_is_bit_independent():
     shapes = set()
     for trial in range(20):
         adversary = GuessingKemAdversary(rng.fork(b"a%d" % trial))
-        result = kem_game_run(adversary, PROD_GROUP, KAPPA, rng.fork(b"g%d" % trial))
+        result = kem_game_run(adversary, PROD_GROUP, rng.fork(b"g%d" % trial))
         shapes.add(tuple(result["transcript"]))
     assert len(shapes) == 1
 
@@ -110,12 +111,12 @@ def test_game_decap_refuses_challenge():
             self.non_members = [self._oracles.decap(v)
                                 for v in (0, PROD_GROUP.p - 1, PROD_GROUP.p)]
 
-        def begin(self, group, kappa, pk, oracles):
-            super().begin(group, kappa, pk, oracles)
+        def begin(self, group, pk, oracles):
+            super().begin(group, pk, oracles)
             self._oracles = oracles
 
     adversary = ProbingAdversary(SeedRng(b"probe"), n=3, j=1)
-    kem_game_run(adversary, PROD_GROUP, KAPPA, SeedRng(b"probe-game"))
+    kem_game_run(adversary, PROD_GROUP, SeedRng(b"probe-game"))
     assert adversary.refused
     assert adversary.answered
     assert adversary.non_members == [None, None, None]
@@ -132,9 +133,9 @@ class _ChainWalkingAdversary(GuessingKemAdversary):
         super().__init__(rng, n=n, j=j)
         self._mine = mine
 
-    def begin(self, group, kappa, pk, oracles):
-        super().begin(group, kappa, pk, oracles)
-        self._kappa, self._pk, self._oracles = kappa, pk, oracles
+    def begin(self, group, pk, oracles):
+        super().begin(group, pk, oracles)
+        self._pk, self._oracles = pk, oracles
 
     def submit(self):
         self._own = [kem_keygen(self._group, self._rng.fork(b"k%d" % i))
@@ -155,7 +156,7 @@ class _ChainWalkingAdversary(GuessingKemAdversary):
             elif i == self._mine:
                 assert self._oracles.decap(alpha) == (keys, b)
             else:
-                layer = kem_decap(self._group, self._own[i].sk, alpha, self._kappa)
+                layer = kem_decap(self._group, self._own[i].sk, alpha)
                 assert (layer.keys, layer.b) == (keys, b)
             self.checked.append(i)
             alpha = kem_blind(self._group, alpha, b)
@@ -173,7 +174,7 @@ def test_game_decap_oracle_agrees_with_the_handed_chain(n):
             for seed in range(64):
                 adversary = _ChainWalkingAdversary(SeedRng(b"walk-adv"), n, j, mine)
                 rng = SeedRng(b"walk/%d/%d/%s/%d" % (n, j, str(mine).encode(), seed))
-                bits.add(kem_game_run(adversary, PROD_GROUP, KAPPA, rng)["b"])
+                bits.add(kem_game_run(adversary, PROD_GROUP, rng)["b"])
                 assert adversary.checked == list(range(n))
                 if bits == {0, 1}:
                     break
@@ -187,7 +188,7 @@ def test_game_rejects_bad_submissions():
             return len(pubkeys), pubkeys  # out of range
 
     with pytest.raises(ValueError):
-        kem_game_run(BadJ(SeedRng(b"bj")), PROD_GROUP, KAPPA, SeedRng(b"bjg"))
+        kem_game_run(BadJ(SeedRng(b"bj")), PROD_GROUP, SeedRng(b"bjg"))
 
     class UnsetJ(GuessingKemAdversary):
         def submit(self):
@@ -195,7 +196,7 @@ def test_game_rejects_bad_submissions():
             return None, pubkeys
 
     with pytest.raises(ValueError):
-        kem_game_run(UnsetJ(SeedRng(b"uj")), PROD_GROUP, KAPPA, SeedRng(b"ujg"))
+        kem_game_run(UnsetJ(SeedRng(b"uj")), PROD_GROUP, SeedRng(b"ujg"))
 
     class BadKey(GuessingKemAdversary):
         def submit(self):
@@ -204,4 +205,25 @@ def test_game_rejects_bad_submissions():
             return j, pubkeys
 
     with pytest.raises(ValueError):
-        kem_game_run(BadKey(SeedRng(b"bk")), PROD_GROUP, KAPPA, SeedRng(b"bkg"))
+        kem_game_run(BadKey(SeedRng(b"bk")), PROD_GROUP, SeedRng(b"bkg"))
+
+
+def _refuses(check, names):
+    """Whether check refuses a path of these names: ValueError or False."""
+    try:
+        return check(names) is False
+    except ValueError:
+        return True
+
+
+@pytest.mark.parametrize("check", [
+    lambda names: validate_shape(names, (), b"hi", FormatParams(group=PROD_GROUP)),
+    lambda names: kem_game_run(GuessingKemAdversary(SeedRng(b"hops"), n=len(names), j=0),
+                               PROD_GROUP, SeedRng(b"hops-game")),
+    lambda names: RsorIdeal(bad=(), rng=SeedRng(b"hops")).process_new_onion(
+        b"alice", b"svc", b"hi", names, ()),
+], ids=["validate_shape", "kem_game_run", "process_new_onion"])
+def test_every_path_check_uses_the_one_hop_limit(check):
+    names = tuple(b"r%d" % i for i in range(MAX_HOPS + 1))
+    assert not _refuses(check, names[:MAX_HOPS])
+    assert _refuses(check, names)

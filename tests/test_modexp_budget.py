@@ -103,7 +103,7 @@ def test_kem_game_costs_one_chain(counts, n, bit):
     for seed in range(64):
         counts.update(base=0, exp=0, is_element=0)
         adversary = GuessingKemAdversary(SeedRng(b"kem-budget"), n=n, j=n // 2)
-        if kem_game_run(adversary, PROD_GROUP, 16, SeedRng(b"kem-budget/%d" % seed))["b"] == bit:
+        if kem_game_run(adversary, PROD_GROUP, SeedRng(b"kem-budget/%d" % seed))["b"] == bit:
             break
     else:
         pytest.fail("no seed drew bit %d" % bit)
@@ -149,11 +149,12 @@ def test_undersized_format_params_raise_under_python_O():
 
         assert False, "asserts must be stripped"
         params = FormatParams(group=PROD_GROUP)
-        for bad in ({"kappa": 7}, {"max_hops": 0},
-                    {"payload_len": params.min_payload_len - 1}):
+        # kappa and max_hops are format constants, not constructor fields.
+        for bad, refusal in (({"kappa": 7}, TypeError), ({"max_hops": 0}, TypeError),
+                             ({"payload_len": params.min_payload_len - 1}, ValueError)):
             try:
                 FormatParams(group=PROD_GROUP, **bad)
-            except ValueError:
+            except refusal:
                 continue
             raise SystemExit("FormatParams accepted %r" % (bad,))
         FormatParams(group=PROD_GROUP, payload_len=params.min_payload_len)

@@ -193,7 +193,7 @@ def test_forged_reply_header_under_a_known_ident_leaves_the_opening():
     reply = d.onion(len(spec.path) + len(spec.reply_path))
     # A one-hop reply header of the adversary's own to the sender carrying
     # the known ident: its MAC verifies, but it is not the expected header.
-    chain = kem_chain_create(PROD_GROUP, 12345, [sender.keypair.pk], PARAMS.kappa)
+    chain = kem_chain_create(PROD_GROUP, 12345, [sender.keypair.pk])
     final = (encode_addr(ADDR_REPLY_RETURN, b"alice", PARAMS) + d.opening.ident
              + bytes((2 * PARAMS.max_hops - 1) * PARAMS.kappa))
     header = build_header(chain, [relay_addr(b"alice", PARAMS)], final, PARAMS)[0]

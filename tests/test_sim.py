@@ -236,9 +236,12 @@ def test_parse_config_rejects_names_too_long_for_an_address(config):
     (WorkItem(b"alice", (b"a", b"z"), b"svc", b"hi"), "'z'"),
     (WorkItem(b"alice", (b"a",), b"svc", b"hi", (b"z", b"alice"), b"ho"), "'z'"),
     (WorkItem(b"alice", (b"a",), b"svc", b"hi", (b"c", b"b"), b"ho"), "'b'"),
+    (WorkItem(b"alice", (b"a",), b"svc", b"hi", (b"c", b"alice"), b"m" * 65), "reply message"),
+    (WorkItem(b"alice", (b"a", b"alice"), b"svc", b"hi"), "'alice' is both"),
 ])
 def test_both_worlds_refuse_what_parse_config_refuses(item, named):
-    scenario = Scenario(name="built", relays=(b"a", b"b", b"c"), senders=(b"alice",),
+    relays = (b"a", b"b", b"c") + ((b"alice",) if b"alice" in item.path else ())
+    scenario = Scenario(name="built", relays=relays, senders=(b"alice",),
                         receivers=(b"svc",), workload=(item,))
     for run in (run_scenario, run_ideal_scenario):
         with pytest.raises(ValueError, match=named):
