@@ -6,12 +6,22 @@ The four hash oracles are domain-separated SHA-256; the stream cipher is
 AES-128-CTR; the MAC is truncated HMAC-SHA256; the wide-block PRP is a
 four-round LIONESS-style unbalanced Feistel network, so flipping any
 ciphertext bit scrambles the whole plaintext block.
+
+Every keystream (``prg`` and ``SeedRng``) comes from one kernel,
+``_keystream``.  It runs in libcrypto through the handle ``group`` resolves:
+one ``EVP_CIPHER_CTX`` set to AES-128-CTR on first use, kept until the
+process ends and re-keyed for each keystream, so it must run on one thread.
+When that handle is None the kernel builds a ``cryptography`` AES-CTR
+cipher per keystream instead, with the same bytes; only then is
+``cryptography`` imported.
 """
 
+import ctypes
+import functools
 import hashlib
-import hmac as hmac_mod
+import hmac
 
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from . import group as _group
 
 KAPPA = 16  # the security parameter, in bytes
 
@@ -35,21 +45,22 @@ class SeedRng:
 
     Used for every random choice an onion former or game challenger makes, so
     that whole runs replay bit-identically from a single seed.  The stream is
-    the AES-128-CTR keystream (zero nonce) under sha256(0xb4 | seed)[:16]; one
-    cipher context is opened on the first read and every later read continues
-    it, so reads split at any sizes concatenate to one long read.
+    the AES-128-CTR keystream (zero nonce) under sha256(0xb4 | seed)[:16]; the
+    rng keeps only its offset into that stream, and each read produces the
+    keystream from the 16-byte block the offset falls in, so reads split at
+    any sizes concatenate to one long read.
     """
 
     def __init__(self, seed: bytes):
         assert isinstance(seed, (bytes, bytearray))
         self._key = hashlib.sha256(_DOM_RNG + bytes(seed)).digest()[:16]
-        self._stream = None
+        self._offset = 0
 
     def read(self, n: int) -> bytes:
         """Return the next n bytes of the stream."""
-        if self._stream is None:
-            self._stream = _aes_ctr_stream(self._key)
-        return self._stream.update(bytes(n))
+        block, skip = divmod(self._offset, 16)
+        self._offset += n
+        return _keystream(self._key, block, skip + n)[skip:]
 
     def fork(self, label: bytes) -> "SeedRng":
         """An independent stream derived from this seed and a label; it does
@@ -57,13 +68,31 @@ class SeedRng:
         return SeedRng(self._key + bytes(label))
 
 
-# Every keystream starts at counter block zero, so all share one mode object.
-_ZERO_NONCE = modes.CTR(bytes(16))
+@functools.cache
+def _cipher_ctx(lib):
+    """The one EVP_CIPHER_CTX of this handle, set to AES-128-CTR.  A pointer
+    into this process, re-keyed by every keystream: one thread only."""
+    ctx = _group._ok(lib.EVP_CIPHER_CTX_new(), "EVP_CIPHER_CTX_new")
+    cipher = _group._ok(lib.EVP_aes_128_ctr(), "EVP_aes_128_ctr")
+    _group._ok(lib.EVP_EncryptInit_ex(ctx, cipher, None, None, None), "EVP_EncryptInit_ex")
+    return ctx
 
 
-def _aes_ctr_stream(key16: bytes):
-    """A fresh AES-128-CTR encryptor at the start of the zero-nonce stream."""
-    return Cipher(algorithms.AES(key16), _ZERO_NONCE).encryptor()
+def _keystream(key16: bytes, block: int, n: int) -> bytes:
+    """n bytes of the AES-128-CTR keystream under key16, starting at counter
+    block `block` (the 16-byte big-endian counter of the zero-nonce stream)."""
+    iv = block.to_bytes(16, "big")
+    lib = _group._LIBCRYPTO
+    if lib is None:
+        from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+
+        return Cipher(algorithms.AES(key16), modes.CTR(iv)).encryptor().update(bytes(n))
+    ctx = _cipher_ctx(lib)
+    _group._ok(lib.EVP_EncryptInit_ex(ctx, None, None, key16, iv), "EVP_EncryptInit_ex")
+    out, written = ctypes.create_string_buffer(n), ctypes.c_int()
+    # Encrypting n zero bytes in place leaves the keystream itself.
+    _group._ok(lib.EVP_EncryptUpdate(ctx, out, written, out, n), "EVP_EncryptUpdate")
+    return out.raw
 
 
 def ro_hb(group, alpha: int, s: int) -> int:
@@ -96,12 +125,12 @@ def prg(key: bytes, out_len: int) -> bytes:
     if len(key) != KAPPA:
         raise ValueError("prg key must be %d bytes" % KAPPA)
     assert out_len >= 0
-    return _aes_ctr_stream(bytes(key)).update(bytes(out_len))
+    return _keystream(bytes(key), 0, out_len)
 
 
 def mac(key: bytes, data: bytes) -> bytes:
     """HMAC-SHA256 truncated to KAPPA bytes."""
-    return hmac_mod.new(bytes(key), bytes(data), hashlib.sha256).digest()[:KAPPA]
+    return hmac.digest(bytes(key), bytes(data), "sha256")[:KAPPA]
 
 
 def _prp_subkeys(key: bytes):

@@ -25,12 +25,17 @@ The kernels run in libcrypto's BIGNUM code, reached through the handle of
 the extension module CPython's ``hashlib`` already loads (``_hashlib``, which
 links libcrypto): ``exp`` and ``base`` are Montgomery modexps
 (``BN_mod_exp_mont``), and ``is_element`` computes the Legendre symbol with
-``BN_kronecker``.  Whether the symbols resolve is decided once, at import;
-if they do not, ``exp`` and ``base`` fall back to ``pow`` and membership to
-Euler's ``pow(v, q, p) == 1``, with the same results.  Each group keeps its
-libcrypto state (a ``BN_CTX``, p with its Montgomery context, scratch
-BIGNUMs and a result buffer) from first use until the process ends; the
-scratch is shared by every call, so the kernels must run on one thread.
+``BN_kronecker``.  The same handle also serves ``crypto``'s keystream kernel
+(AES-128-CTR through ``EVP_EncryptInit_ex`` and ``EVP_EncryptUpdate``).
+Whether every symbol of both kernels resolves is decided once, at import,
+for both together; if any does not, ``_LIBCRYPTO`` is None, ``exp`` and
+``base`` fall back to ``pow``, membership to Euler's
+``pow(v, q, p) == 1`` and the keystream to ``cryptography``'s AES, with
+the same results.  Each group keeps its libcrypto state (a ``BN_CTX``, p
+with its Montgomery context, scratch BIGNUMs and a result buffer), and the
+keystream kernel its one cipher context, from first use until the process
+ends; that state is shared by every call, so both kernels must run on one
+thread.
 """
 
 import ctypes
@@ -39,18 +44,23 @@ from functools import cached_property
 
 
 def _resolve_libcrypto():
-    """The libcrypto handle with every BIGNUM function the kernels call
-    typed, or None when _hashlib or any of the functions is missing."""
-    ptr, num = ctypes.c_void_p, ctypes.c_int
+    """The libcrypto handle with every BIGNUM and EVP cipher function the
+    group and keystream kernels call typed, or None when _hashlib or any of
+    the functions is missing."""
+    ptr, num, buf = ctypes.c_void_p, ctypes.c_int, ctypes.c_char_p
     signatures = {
         "BN_new": (ptr, []),
         "BN_CTX_new": (ptr, []),
         "BN_MONT_CTX_new": (ptr, []),
         "BN_MONT_CTX_set": (num, [ptr, ptr, ptr]),
-        "BN_bin2bn": (ptr, [ctypes.c_char_p, num, ptr]),
-        "BN_bn2binpad": (num, [ptr, ctypes.c_char_p, num]),
+        "BN_bin2bn": (ptr, [buf, num, ptr]),
+        "BN_bn2binpad": (num, [ptr, buf, num]),
         "BN_mod_exp_mont": (num, [ptr, ptr, ptr, ptr, ptr, ptr]),
         "BN_kronecker": (num, [ptr, ptr, ptr]),
+        "EVP_CIPHER_CTX_new": (ptr, []),
+        "EVP_aes_128_ctr": (ptr, []),
+        "EVP_EncryptInit_ex": (num, [ptr, ptr, ptr, buf, buf]),
+        "EVP_EncryptUpdate": (num, [ptr, buf, ctypes.POINTER(num), buf, num]),
     }
     try:
         import _hashlib
