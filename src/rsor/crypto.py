@@ -8,12 +8,10 @@ four-round LIONESS-style unbalanced Feistel network, so flipping any
 ciphertext bit scrambles the whole plaintext block.
 
 Every keystream (``prg`` and ``SeedRng``) comes from one kernel,
-``_keystream``.  It runs in libcrypto through the handle ``group`` resolves:
+``_keystream``.  It runs in libcrypto through the handle ``group`` requires:
 one ``EVP_CIPHER_CTX`` set to AES-128-CTR on first use, kept until the
 process ends and re-keyed for each keystream, so it must run on one thread.
-When that handle is None the kernel builds a ``cryptography`` AES-CTR
-cipher per keystream instead, with the same bytes; only then is
-``cryptography`` imported.
+Nothing outside the standard library is imported.
 """
 
 import ctypes
@@ -83,10 +81,6 @@ def _keystream(key16: bytes, block: int, n: int) -> bytes:
     block `block` (the 16-byte big-endian counter of the zero-nonce stream)."""
     iv = block.to_bytes(16, "big")
     lib = _group._LIBCRYPTO
-    if lib is None:
-        from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
-
-        return Cipher(algorithms.AES(key16), modes.CTR(iv)).encryptor().update(bytes(n))
     ctx = _cipher_ctx(lib)
     _group._ok(lib.EVP_EncryptInit_ex(ctx, None, None, key16, iv), "EVP_EncryptInit_ex")
     out, written = ctypes.create_string_buffer(n), ctypes.c_int()

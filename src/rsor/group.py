@@ -27,15 +27,19 @@ links libcrypto): ``exp`` and ``base`` are Montgomery modexps
 (``BN_mod_exp_mont``), and ``is_element`` computes the Legendre symbol with
 ``BN_kronecker``.  The same handle also serves ``crypto``'s keystream kernel
 (AES-128-CTR through ``EVP_EncryptInit_ex`` and ``EVP_EncryptUpdate``).
-Whether every symbol of both kernels resolves is decided once, at import,
-for both together; if any does not, ``_LIBCRYPTO`` is None, ``exp`` and
-``base`` fall back to ``pow``, membership to Euler's
-``pow(v, q, p) == 1`` and the keystream to ``cryptography``'s AES, with
-the same results.  Each group keeps its libcrypto state (a ``BN_CTX``, p
-with its Montgomery context, scratch BIGNUMs and a result buffer), and the
-keystream kernel its one cipher context, from first use until the process
-ends; that state is shared by every call, so both kernels must run on one
-thread.
+The handle is required: it is resolved once, at import, with every symbol
+of both kernels typed, and if ``_hashlib`` does not import, its library
+does not load or any symbol is missing, ``import rsor`` raises
+``ImportError`` naming the cause.  Each group keeps its libcrypto state (a
+``BN_CTX``, p with its Montgomery context, scratch BIGNUMs and a result
+buffer), and the keystream kernel its one cipher context, from first use
+until the process ends; that state is shared by every call, so both kernels
+must run on one thread.
+
+Code outside this module uses a group only through ``q``, ``elem_len``,
+``base``, ``exp``, ``is_element``, ``is_scalar``, ``encode``, ``decode`` and
+``random_scalar``.  ``p``, ``g`` and the safe-prime check belong to this
+modp class.
 """
 
 import ctypes
@@ -45,8 +49,9 @@ from functools import cached_property
 
 def _resolve_libcrypto():
     """The libcrypto handle with every BIGNUM and EVP cipher function the
-    group and keystream kernels call typed, or None when _hashlib or any of
-    the functions is missing."""
+    group and keystream kernels call typed.  Raises ImportError, naming the
+    cause, when _hashlib does not import, its library does not load, or any
+    of the functions is missing."""
     ptr, num, buf = ctypes.c_void_p, ctypes.c_int, ctypes.c_char_p
     signatures = {
         "BN_new": (ptr, []),
@@ -67,11 +72,15 @@ def _resolve_libcrypto():
 
         # dlsym on this handle also searches the libcrypto _hashlib links.
         lib = ctypes.CDLL(_hashlib.__file__)
-        for name, (restype, argtypes) in signatures.items():
+    except (ImportError, OSError) as exc:
+        raise ImportError("rsor needs libcrypto through CPython's _hashlib: %s" % exc) from exc
+    for name, (restype, argtypes) in signatures.items():
+        try:
             fn = getattr(lib, name)
-            fn.restype, fn.argtypes = restype, argtypes
-    except (ImportError, OSError, AttributeError):
-        return None
+        except AttributeError:
+            raise ImportError("rsor needs libcrypto's %s, which _hashlib does not expose"
+                              % name) from None
+        fn.restype, fn.argtypes = restype, argtypes
     return lib
 
 
@@ -118,11 +127,9 @@ class GroupParams:
         return ctx, mod, mont, r, a, x, ctypes.create_string_buffer(width)
 
     def _power(self, base: int, e: int) -> int:
-        """base**(e mod q) mod p, by BN_mod_exp_mont when libcrypto resolved."""
+        """base**(e mod q) mod p, by BN_mod_exp_mont."""
         e %= self.q
         lib = _LIBCRYPTO
-        if lib is None:
-            return pow(base, e, self.p)
         ctx, mod, mont, r, a, x, out = self._bn
         width = self.elem_len
         _ok(lib.BN_bin2bn((base % self.p).to_bytes(width, "big"), width, a), "BN_bin2bn")
@@ -148,8 +155,6 @@ class GroupParams:
         if not isinstance(v, int) or not 1 <= v < self.p:
             return False
         lib = _LIBCRYPTO
-        if lib is None:
-            return pow(v, self.q, self.p) == 1
         ctx, mod, _mont, _r, a, _x, _out = self._bn
         width = self.elem_len
         _ok(lib.BN_bin2bn(v.to_bytes(width, "big"), width, a), "BN_bin2bn")

@@ -1,16 +1,13 @@
-import ctypes
 import hashlib
 import os
 import subprocess
 import sys
 import textwrap
-from contextlib import contextmanager
 
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, settings, strategies as st
 
-import rsor.crypto as crypto_module
 import rsor.group as group_module
 from rsor.crypto import (
     KAPPA,
@@ -23,22 +20,7 @@ from rsor.crypto import (
     ro_hsym,
     xor_bytes,
 )
-from rsor.group import PROD_GROUP, TOY_GROUP, GroupParams
-
-# The libcrypto keystream only where its functions resolved (CI fails
-# otherwise); "cipher" is the cryptography fallback, forced by hiding the
-# resolved handle.
-BACKENDS = ("libcrypto", "cipher") if group_module._LIBCRYPTO is not None else ("cipher",)
-ON_BACKENDS = pytest.mark.parametrize("backend", BACKENDS)
-
-
-@contextmanager
-def _backend(name):
-    """Run the body on the named keystream kernel."""
-    with pytest.MonkeyPatch.context() as mp:
-        if name == "cipher":
-            mp.setattr(group_module, "_LIBCRYPTO", None)
-        yield
+from rsor.group import PROD_GROUP, TOY_GROUP
 
 
 def _reference_keystream(key, n):
@@ -108,30 +90,26 @@ def test_prg_refuses_a_key_not_kappa_bytes(key_len):
         prg(b"k" * key_len, 16)
 
 
-@ON_BACKENDS
-def test_prg_matches_aes_ctr_at_every_length(backend):
+def test_prg_matches_aes_ctr_at_every_length():
     key = bytes(range(KAPPA))
     reference = _reference_keystream(key, 600)
-    with _backend(backend):
-        for n in range(601):
-            assert prg(key, n) == reference[:n], n
+    for n in range(601):
+        assert prg(key, n) == reference[:n], n
 
 
-@ON_BACKENDS
-def test_seed_rng_reads_inside_blocks_past_two_to_the_sixteen(backend):
+def test_seed_rng_reads_inside_blocks_past_two_to_the_sixteen():
     seed = b"offsets"
     key = hashlib.sha256(b"\xb4" + seed).digest()[:16]
     reference = _reference_keystream(key, 2**17 + 64)
-    with _backend(backend):
-        # Each start skips into a block; each read then ends inside one,
-        # on a boundary, or a few blocks on.
-        for start in (2**16 + 1, 2**16 + 15, 2**17 + 8):
-            rng = SeedRng(seed)
-            assert rng.read(start) == reference[:start]
-            offset = start
-            for n in (1, 6, 9, 17, 0, 3):
-                assert rng.read(n) == reference[offset:offset + n], (start, n)
-                offset += n
+    # Each start skips into a block; each read then ends inside one,
+    # on a boundary, or a few blocks on.
+    for start in (2**16 + 1, 2**16 + 15, 2**17 + 8):
+        rng = SeedRng(seed)
+        assert rng.read(start) == reference[:start]
+        offset = start
+        for n in (1, 6, 9, 17, 0, 3):
+            assert rng.read(n) == reference[offset:offset + n], (start, n)
+            offset += n
 
 
 class _StubLibcrypto:
@@ -156,39 +134,6 @@ def test_libcrypto_cipher_failures_raise(monkeypatch, failing):
         SeedRng(b"stub").read(5)
 
 
-@pytest.mark.skipif(group_module._LIBCRYPTO is None, reason="libcrypto did not resolve")
-@pytest.mark.parametrize("missing", [
-    "EVP_CIPHER_CTX_new", "EVP_aes_128_ctr", "EVP_EncryptInit_ex", "EVP_EncryptUpdate",
-])
-def test_missing_evp_symbol_selects_both_fallbacks(monkeypatch, missing):
-    real_cdll = ctypes.CDLL
-
-    class HidesOneSymbol:
-        def __init__(self, path):
-            self._lib = real_cdll(path)
-
-        def __getattr__(self, name):
-            if name == missing:
-                raise AttributeError(name)
-            return getattr(self._lib, name)
-
-    monkeypatch.setattr(ctypes, "CDLL", HidesOneSymbol)
-    handle = group_module._resolve_libcrypto()
-    assert handle is None
-    monkeypatch.setattr(group_module, "_LIBCRYPTO", handle)
-
-    def no_cipher_ctx(lib):
-        raise AssertionError("the libcrypto keystream ran without its handle")
-
-    monkeypatch.setattr(crypto_module, "_cipher_ctx", no_cipher_ctx)
-    key = bytes(range(KAPPA))
-    assert prg(key, 100) == _reference_keystream(key, 100)
-    group = GroupParams(name="fresh", p=PROD_GROUP.p, q=PROD_GROUP.q, g=PROD_GROUP.g,
-                        elem_len=PROD_GROUP.elem_len)
-    assert group.exp(group.g, 12345) == pow(group.g, 12345, group.p)
-    assert "_bn" not in vars(group)  # no libcrypto state was built
-
-
 _DERIVE_ONE_ONION = """
 from rsor.crypto import SeedRng
 from rsor.group import PROD_GROUP
@@ -208,7 +153,6 @@ def test_keystream_and_derive_work_under_python_O():
     script = textwrap.dedent("""
         import sys
 
-        import rsor.group as group
         from rsor.crypto import SeedRng, prg
 
         assert False, "asserts must be stripped"
@@ -217,8 +161,8 @@ def test_keystream_and_derive_work_under_python_O():
         print((split.read(3) + split.read(37)).hex())
     """) + _DERIVE_ONE_ONION + textwrap.dedent("""
         print(first_onion)
-        if group._LIBCRYPTO is not None and "cryptography" in sys.modules:
-            raise SystemExit("the keystream fell back to cryptography")
+        if "cryptography" in sys.modules:
+            raise SystemExit("rsor imported cryptography")
     """)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -1,15 +1,15 @@
-"""The group kernels against plain Python references: ``exp`` and ``base``
-against ``pow(b, e % q, p)``, and the Legendre-symbol membership test
-against Euler's criterion ``pow(v, q, p) == 1``.  Each check runs on the
-libcrypto kernel and on the ``pow`` fallback, which is forced by hiding the
-module's resolved libcrypto handle; both must give the reference value for
-every input."""
+"""The libcrypto group kernels against plain Python references computed in
+each test: ``exp`` and ``base`` against ``pow(b, e % q, p)``, and the
+Legendre-symbol membership test against Euler's criterion
+``pow(v, q, p) == 1``.  Also how the kernels fail: a libcrypto call that
+reports failure raises, and a handle that cannot be resolved fails
+``import rsor``."""
 
+import ctypes
 import os
 import subprocess
 import sys
 import textwrap
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,18 +19,6 @@ from rsor.crypto import SeedRng
 from rsor.group import PROD_GROUP, TOY_GROUP, GroupParams
 
 GROUPS = pytest.mark.parametrize("group", [TOY_GROUP, PROD_GROUP], ids=["toy", "prod"])
-# The libcrypto path only where its functions resolved (CI fails otherwise).
-BACKENDS = ("libcrypto", "pow") if group_module._LIBCRYPTO is not None else ("pow",)
-ON_BACKENDS = pytest.mark.parametrize("backend", BACKENDS)
-
-
-@contextmanager
-def _backend(name):
-    """Run the body on the named kernel: "pow" hides the libcrypto handle."""
-    with pytest.MonkeyPatch.context() as mp:
-        if name == "pow":
-            mp.setattr(group_module, "_LIBCRYPTO", None)
-        yield
 
 
 def _reference_is_element(group, v):
@@ -42,73 +30,59 @@ def _edge_exponents(group):
     return (0, 1, q - 1, q, q + 1, -1, 2**300)
 
 
-@ON_BACKENDS
-def test_toy_exp_matches_pow_on_every_element_and_exponent(backend):
+def test_toy_exp_matches_pow_on_every_element_and_exponent():
     group = TOY_GROUP
     elements = [v for v in range(1, group.p) if _reference_is_element(group, v)]
     assert elements == [1, 3, 4, 5, 9]
-    with _backend(backend):
-        for b in elements:
-            for e in range(-2 * group.q, 3 * group.q):
-                assert group.exp(b, e) == pow(b, e % group.q, group.p), (b, e)
+    for b in elements:
+        for e in range(-2 * group.q, 3 * group.q):
+            assert group.exp(b, e) == pow(b, e % group.q, group.p), (b, e)
 
 
-@ON_BACKENDS
 @GROUPS
-def test_exp_matches_pow_at_edge_exponents_and_bases(group, backend):
+def test_exp_matches_pow_at_edge_exponents_and_bases(group):
     # 1 is the identity; p - 1 has order 2, outside the subgroup, and the
     # kernel must still agree with pow on it.
-    with _backend(backend):
-        for b in (1, group.p - 1, group.g, group.base(3)):
-            for e in _edge_exponents(group):
-                assert group.exp(b, e) == pow(b, e % group.q, group.p), (b, e)
+    for b in (1, group.p - 1, group.g, group.base(3)):
+        for e in _edge_exponents(group):
+            assert group.exp(b, e) == pow(b, e % group.q, group.p), (b, e)
 
 
-@ON_BACKENDS
 @settings(max_examples=200, deadline=None)
 @given(root=st.integers(min_value=1, max_value=PROD_GROUP.p - 1),
        e=st.integers(min_value=-(2**400), max_value=2**400))
-def test_prod_exp_matches_pow(backend, root, e):
+def test_prod_exp_matches_pow(root, e):
     group = PROD_GROUP
     b = root * root % group.p  # a square, so a subgroup element
-    with _backend(backend):
-        assert group.exp(b, e) == pow(b, e % group.q, group.p)
+    assert group.exp(b, e) == pow(b, e % group.q, group.p)
 
 
 @GROUPS
 def test_base_matches_pow_at_edge_exponents(group):
-    for backend in BACKENDS:
-        with _backend(backend):
-            for e in _edge_exponents(group):
-                assert group.base(e) == pow(group.g, e % group.q, group.p), (backend, e)
+    for e in _edge_exponents(group):
+        assert group.base(e) == pow(group.g, e % group.q, group.p), e
 
 
 @GROUPS
 @settings(max_examples=200, deadline=None)
 @given(e=st.integers(min_value=-(2**400), max_value=2**400))
 def test_base_matches_pow(group, e):
-    for backend in BACKENDS:
-        with _backend(backend):
-            assert group.base(e) == pow(group.g, e % group.q, group.p), backend
+    assert group.base(e) == pow(group.g, e % group.q, group.p)
 
 
 def test_toy_membership_matches_euler_on_every_int():
-    for backend in BACKENDS:
-        with _backend(backend):
-            for v in range(-2, TOY_GROUP.p + 3):
-                assert TOY_GROUP.is_element(v) == _reference_is_element(TOY_GROUP, v), (backend, v)
+    for v in range(-2, TOY_GROUP.p + 3):
+        assert TOY_GROUP.is_element(v) == _reference_is_element(TOY_GROUP, v), v
 
 
 def test_prod_membership_matches_euler_at_edges():
     p = PROD_GROUP.p
-    for backend in BACKENDS:
-        with _backend(backend):
-            # 0 and p are out of range; p - 1 has order 2; g generates the group.
-            for v in (0, 1, p - 1, p, PROD_GROUP.g, -1, p + 1):
-                assert PROD_GROUP.is_element(v) == _reference_is_element(PROD_GROUP, v), (backend, v)
-            assert not PROD_GROUP.is_element(p - 1)
-            assert not PROD_GROUP.is_element(str(PROD_GROUP.g))
-            assert not PROD_GROUP.is_element(float(1))
+    # 0 and p are out of range; p - 1 has order 2; g generates the group.
+    for v in (0, 1, p - 1, p, PROD_GROUP.g, -1, p + 1):
+        assert PROD_GROUP.is_element(v) == _reference_is_element(PROD_GROUP, v), v
+    assert not PROD_GROUP.is_element(p - 1)
+    assert not PROD_GROUP.is_element(str(PROD_GROUP.g))
+    assert not PROD_GROUP.is_element(float(1))
 
 
 def test_prod_membership_matches_euler_on_random_values():
@@ -117,17 +91,13 @@ def test_prod_membership_matches_euler_on_random_values():
     expected = [_reference_is_element(PROD_GROUP, v) for v in values]
     # Half of Z_p^* is in the subgroup, so both answers must occur.
     assert any(expected) and not all(expected)
-    for backend in BACKENDS:
-        with _backend(backend):
-            assert [PROD_GROUP.is_element(v) for v in values] == expected, backend
+    assert [PROD_GROUP.is_element(v) for v in values] == expected
 
 
 @settings(max_examples=200, deadline=None)
 @given(v=st.integers(min_value=-5, max_value=PROD_GROUP.p + 5))
 def test_prod_membership_matches_euler(v):
-    for backend in BACKENDS:
-        with _backend(backend):
-            assert PROD_GROUP.is_element(v) == _reference_is_element(PROD_GROUP, v), backend
+    assert PROD_GROUP.is_element(v) == _reference_is_element(PROD_GROUP, v)
 
 
 class _StubLibcrypto:
@@ -161,13 +131,65 @@ def test_libcrypto_failures_raise(monkeypatch, failing):
         group.is_element(3) if failing == "BN_kronecker" else group.exp(3, 2)
 
 
-def test_unresolved_symbol_selects_the_pow_fallback(monkeypatch):
-    class NoBignum:
-        def __init__(self, path):
-            pass
+# Every function in _resolve_libcrypto's signature table.
+_SYMBOLS = [
+    "BN_new", "BN_CTX_new", "BN_MONT_CTX_new", "BN_MONT_CTX_set", "BN_bin2bn",
+    "BN_bn2binpad", "BN_mod_exp_mont", "BN_kronecker", "EVP_CIPHER_CTX_new",
+    "EVP_aes_128_ctr", "EVP_EncryptInit_ex", "EVP_EncryptUpdate",
+]
 
-    monkeypatch.setattr(group_module.ctypes, "CDLL", NoBignum)
-    assert group_module._resolve_libcrypto() is None
+
+@pytest.mark.parametrize("missing", _SYMBOLS)
+def test_missing_symbol_fails_import(monkeypatch, missing):
+    real_cdll = ctypes.CDLL
+
+    class HidesOneSymbol:
+        def __init__(self, path):
+            self._lib = real_cdll(path)
+
+        def __getattr__(self, name):
+            if name == missing:
+                raise AttributeError(name)
+            return getattr(self._lib, name)
+
+    monkeypatch.setattr(ctypes, "CDLL", HidesOneSymbol)
+    with pytest.raises(ImportError, match=missing):
+        group_module._resolve_libcrypto()
+
+
+def test_unloadable_library_fails_import(monkeypatch):
+    def refuses(path):
+        raise OSError("cannot load %s" % path)
+
+    monkeypatch.setattr(ctypes, "CDLL", refuses)
+    with pytest.raises(ImportError, match="cannot load") as raised:
+        group_module._resolve_libcrypto()
+    assert isinstance(raised.value.__cause__, OSError)
+
+
+def _run_python(args, script):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_import_without_hashlib_fails_with_import_error():
+    script = textwrap.dedent("""
+        import sys
+
+        sys.modules["_hashlib"] = None
+        try:
+            import rsor
+        except ImportError as exc:
+            print(exc)
+        else:
+            raise SystemExit("rsor imported without _hashlib")
+    """)
+    out = _run_python([], script)
+    assert out.returncode == 0, out.stderr
+    assert "_hashlib" in out.stdout
 
 
 def test_non_safe_prime_group_is_refused():
@@ -188,9 +210,5 @@ def test_non_safe_prime_group_is_refused_under_python_O():
         else:
             raise SystemExit("accepted p != 2q + 1")
     """)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, timeout=60)
+    out = _run_python(["-O"], script)
     assert out.returncode == 0 and out.stdout.strip() == "ok", out.stderr
