@@ -27,14 +27,13 @@ links libcrypto): ``exp`` and ``base`` are Montgomery modexps
 (``BN_mod_exp_mont``), and ``is_element`` computes the Legendre symbol with
 ``BN_kronecker``.  The same handle also serves ``crypto``'s keystream kernel
 (AES-128-CTR through ``EVP_EncryptInit_ex`` and ``EVP_EncryptUpdate``).
-The handle is required: it is resolved once, at import, with every symbol
-of both kernels typed, and if ``_hashlib`` does not import, its library
-does not load or any symbol is missing, ``import rsor`` raises
-``ImportError`` naming the cause.  Each group keeps its libcrypto state (a
-``BN_CTX``, p with its Montgomery context, scratch BIGNUMs and a result
-buffer), and the keystream kernel its one cipher context, from first use
-until the process ends; that state is shared by every call, so both kernels
-must run on one thread.
+The handle is required and resolved once, at import: if ``_hashlib`` does
+not import, its library does not load or any symbol is missing, ``import
+rsor`` raises ``ImportError`` naming the cause.  Each group keeps its
+libcrypto state (a ``BN_CTX``, p with its Montgomery context, scratch
+BIGNUMs and a result buffer), and the keystream kernel its one cipher
+context, from first use until the process ends; that state is shared by
+every call, so both kernels must run on one thread.
 
 Code outside this module uses a group only through ``q``, ``elem_len``,
 ``base``, ``exp``, ``is_element``, ``is_scalar``, ``encode``, ``decode`` and
@@ -49,9 +48,8 @@ from functools import cached_property
 
 def _resolve_libcrypto():
     """The libcrypto handle with every BIGNUM and EVP cipher function the
-    group and keystream kernels call typed.  Raises ImportError, naming the
-    cause, when _hashlib does not import, its library does not load, or any
-    of the functions is missing."""
+    group and keystream kernels call typed; ImportError, naming the cause,
+    when it cannot be resolved."""
     ptr, num, buf = ctypes.c_void_p, ctypes.c_int, ctypes.c_char_p
     signatures = {
         "BN_new": (ptr, []),
