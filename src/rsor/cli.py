@@ -28,7 +28,6 @@ def _build_parser():
                      help="built-in scenario name (%s)" % ", ".join(sorted(sim.SCENARIOS)))
     run.add_argument("--config", help="key-value scenario description file")
     run.add_argument("--seed", type=sim.parse_seed, help="default: the scenario's own seed")
-    run.add_argument("--legacy-zero-padding", action="store_true")
     run.add_argument("--out", help="write the trace as JSON lines to this file")
 
     attack = sub.add_parser("attack", help="reproduce a deployed-format attack")
@@ -59,11 +58,8 @@ def _cmd_run(args):
             print("unknown scenario: %s" % args.scenario, file=sys.stderr)
             return 2
         scenario = sim.SCENARIOS[args.scenario]()
-    scenario = dataclasses.replace(
-        scenario,
-        seed=scenario.seed if args.seed is None else args.seed,
-        legacy_zero_padding=args.legacy_zero_padding or scenario.legacy_zero_padding,
-    )
+    if args.seed is not None:
+        scenario = dataclasses.replace(scenario, seed=args.seed)
     trace = sim.run_scenario(scenario)
     if args.out:
         sim.write_trace(args.out, trace)

@@ -36,19 +36,6 @@ from .sim import _seed_bytes, default_params
 # ---------------------------------------------------------------------------
 # Oracle plumbing shared by all games
 
-class _PartyState(InMemoryView):
-    """One honest party's oracle state: the view proc_onion consults (the
-    replay rule and P_S's reply expectations) plus what the Reply oracle
-    needs."""
-
-    def __init__(self):
-        super().__init__()
-        # Onion bytes seen -> the ReplyInfo their one peel returned, None
-        # unless a repliable exit (reply eligibility and the reply itself).
-        self.onions = {}
-        self.replied = set()   # headers already replied to (one-reply rule)
-
-
 def _translate(result):
     if result.kind == "forward":
         return ("forward", result.next_hop, result.next_onion)
@@ -57,6 +44,15 @@ def _translate(result):
     if result.kind == "reply":
         return ("reply", result.message)
     return None
+
+
+def _reply_from(info, params):
+    """The Reply answer an exit holding info gives: a function from the
+    adversary's message to (reply onion, first-hop name), or None when the
+    onion was not repliable."""
+    if info is None:
+        return None
+    return lambda message: build_reply_onion(info, message, params)
 
 
 def _out_len(out, params):
@@ -74,32 +70,28 @@ def _out_len(out, params):
 class GameOracles:
     """Proc/Reply request channels for the honest parties of one game.
 
-    The challenger installs special-case handlers for recognized challenge
-    layers; everything else is processed honestly with the party's key.
-    Each party peels an onion once, in proc; reply answers from what that
-    peel returned.  Every answer's byte length is logged so tests can check
-    that the transcript shape is independent of the hidden bit.
+    challenger(party, onion), installed by the game's world, returns None to
+    leave an onion to honest processing with the party's key, or (out,
+    reply) for a recognized challenge layer: out is the Proc answer, and
+    reply is what a Reply to that exact onion gives (see _reply_from).
+    Each party peels an onion once, in proc; state[party] is the view
+    proc_onion consults, and replies[party] maps the header of each
+    repliable onion the party processed to (payload, reply) until its one
+    Reply.  Every answer's byte length is logged so tests can check that the
+    transcript shape is independent of the hidden bit.
     """
 
     def __init__(self, params, keypairs):
         self.params = params
         self.keys = dict(keypairs)
-        self.state = {name: _PartyState() for name in self.keys}
-        self.special_proc = None   # fn(party, onion, header_bytes) -> (handled, out)
-        self.special_reply = None  # fn(party, onion, m, reply_info) -> (handled, out)
+        self.state = {name: InMemoryView() for name in self.keys}
+        self.replies = {name: {} for name in self.keys}
+        self.challenger = lambda party, onion: None
         self.transcript = []
 
     def _log(self, move, out):
         self.transcript.append((move, _out_len(out, self.params)))
         return out
-
-    def remember(self, party, onion, header_bytes):
-        """Mark a challenge layer the challenger answered itself as seen;
-        any reply to it is the special handler's to give.  header_bytes is
-        the serialized header special_proc was handed."""
-        state = self.state[party]
-        state.check_and_add(header_bytes)
-        state.onions[header_bytes + onion.delta] = None
 
     def proc(self, party, onion):
         state = self.state[party]
@@ -107,42 +99,35 @@ class GameOracles:
             header_bytes = serialize_header(onion.header, self.params)
         except ValueError:
             return self._log("proc", None)
-        # A replay is refused before any special handler, which would
-        # otherwise overwrite a repliable exit's ReplyInfo with None.
+        # A replay is refused before the challenger's handler, which would
+        # otherwise overwrite a repliable exit's reply with its own.
         if state.seen(header_bytes):
             return self._log("proc", None)
-        if self.special_proc is not None:
-            handled, out = self.special_proc(party, onion, header_bytes)
-            if handled:
-                return self._log("proc", out)
-        # proc_onion adds the header to the replay cache once its MAC verifies.
-        result = proc_onion(self.keys[party].sk, onion, party, self.params, state)
-        state.onions[header_bytes + onion.delta] = result.reply_info
-        return self._log("proc", _translate(result))
+        answer = self.challenger(party, onion)
+        if answer is not None:
+            out, reply = answer
+            state.check_and_add(header_bytes)
+        else:
+            # proc_onion adds the header to the replay cache once its MAC verifies.
+            result = proc_onion(self.keys[party].sk, onion, party, self.params, state)
+            out, reply = _translate(result), _reply_from(result.reply_info, self.params)
+        if reply is not None:
+            self.replies[party][header_bytes] = (onion.delta, reply)
+        return self._log("proc", out)
 
     def reply(self, party, onion, message):
-        state = self.state[party]
         try:
             header_bytes = serialize_header(onion.header, self.params)
         except ValueError:
             return self._log("reply", None)
-        onion_bytes = header_bytes + onion.delta
+        entry = self.replies[party].get(header_bytes)
         # A message that cannot fit gets None in both worlds, before any
-        # special handler could answer it differently.
-        if (onion_bytes not in state.onions or header_bytes in state.replied
+        # challenger's reply could answer it differently.
+        if (entry is None or entry[0] != onion.delta
                 or len(message) > self.params.max_msg_len):
             return self._log("reply", None)
-        info = state.onions[onion_bytes]
-        if self.special_reply is not None:
-            handled, out = self.special_reply(party, onion, message, info)
-            if handled:
-                if out is not None:
-                    state.replied.add(header_bytes)
-                return self._log("reply", out)
-        if info is None:
-            return self._log("reply", None)
-        state.replied.add(header_bytes)
-        return self._log("reply", ("reply-onion", *build_reply_onion(info, message, self.params)))
+        del self.replies[party][header_bytes]  # one reply per onion
+        return self._log("reply", ("reply-onion", *entry[1](message)))
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +293,10 @@ def _play(label, honest, positions, world, adversary, seed, params, force_b,
     reply paths, then bar's.  bar is the b = 1 stand-in onion: it carries a
     fresh message to a random receiver unless bar_keeps_message.
     world(oracles, rng, sub, bit, real, bar) derives what the drawn world
-    uses and returns (challenge onion, special_proc, special_reply).
+    uses and returns (challenge onion, handler).  The handler is installed
+    as oracles.challenger: it answers the drawn world's recognized
+    challenge layers with (Proc answer, reply) and leaves every other onion
+    to honest processing by returning None.
     """
     params = params or default_params()
     rng = SeedRng(label + _seed_bytes(seed))
@@ -341,9 +329,7 @@ def _play(label, honest, positions, world, adversary, seed, params, force_b,
         path=bar_path,
         reply_path=bar_reply_path,
     )
-    challenge, oracles.special_proc, oracles.special_reply = world(
-        oracles, rng, sub, bit, real, bar
-    )
+    challenge, oracles.challenger = world(oracles, rng, sub, bit, real, bar)
     adversary.on_challenge(challenge)
     guess = adversary.guess()
     return {"b": bit, "guess": guess, "guess_correct": guess == bit,
@@ -377,37 +363,28 @@ def _tlu_world(oracles, rng, sub, bit, real, bar):
     oracles.state[P_S].expect_reply(d_real.opening)
     tag_rng = rng.fork(b"tagpad")
 
-    def special_proc(party, onion, header_bytes):
+    def challenger(party, onion):
         if bit == 0 or party != P_H or not recognize_onion(j, onion, d_bar):
-            return False, None
+            return None
         # The header is valid for P_H, so a wrong payload width is the only
         # way a forward layer can fail: leave it to the honest failure.
         if len(onion.delta) != params.payload_len:
-            return False, None
+            return None
         intact = onion.delta == d_bar.onion(j).delta
-        if j == n and not intact:
-            return False, None  # a tagged exit layer fails integrity, as at b = 0
-        oracles.remember(P_H, onion, header_bytes)
         if j < n:
             continuation = d_real.onion(j + 1)
-            if intact:
-                return True, ("forward", path[j][0], continuation)
-            tagged = Onion(continuation.header, tag_rng.read(params.payload_len))
-            return True, ("forward", path[j][0], tagged)
-        return True, ("exit", real.message, real.receiver)
-
-    def special_reply(party, onion, message, info):
-        # Only the intact bar exit layer that special_proc answered; a
-        # tagged one failed its honest peel and gets no reply, as at b = 0.
-        if bit == 0 or party != P_H or j != n or onion != d_bar.onion(j):
-            return False, None
+            if not intact:
+                continuation = Onion(continuation.header, tag_rng.read(params.payload_len))
+            return ("forward", path[j][0], continuation), None
+        if not intact:
+            return None  # a tagged exit layer fails integrity, as at b = 0
         # FormReply on the literal bar onion is always None (its backward
         # path is empty); the b-independent answer is layer n+1 of real,
         # which is repliable since TLU requires a reply path, carrying the
         # adversary's message.
-        return True, ("reply-onion", *build_reply_onion(d_real.reply_info, message, params))
+        return ("exit", real.message, real.receiver), _reply_from(d_real.reply_info, params)
 
-    return (d_bar if bit else d_real).onion(1), special_proc, special_reply
+    return (d_bar if bit else d_real).onion(1), challenger
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +408,14 @@ def _slu_positions(sub, oracles):
 
 
 def _slu_world(oracles, rng, sub, bit, real, bar):
+    """The challenge is real's first layer in both worlds; at b = 1 the
+    honest relay hands back bar, the reply path from position j_back on.
+
+    With j_back > 0, P_H's Proc of its reply-path layer forwards bar's first
+    layer.  With j_back = 0, P_H is real's exit: Proc of that exact layer
+    delivers real's message, and its one Reply is bar's first layer.  In
+    both worlds P_S outputs nothing for the layer it absorbs as the sender.
+    """
     params, j_back = oracles.params, sub.j_back
     n, nr = len(real.path), len(real.reply_path)
     d_real = derive(real, params)
@@ -445,36 +430,33 @@ def _slu_world(oracles, rng, sub, bit, real, bar):
             d_bar = derive(bar, params)
         return d_bar
 
-    def special_proc(party, onion, header_bytes):
+    def challenger(party, onion):
         if party == P_S and _absorbed_at_sender(onion):
-            oracles.remember(P_S, onion, header_bytes)
-            return True, None  # the challenger outputs nothing
-        if party != P_H or j_back == 0 or bit == 0:
-            return False, None  # honest processing is exactly the b=0 answer
+            return None, None  # the challenger outputs nothing
+        if party != P_H or bit == 0:
+            return None  # honest processing is exactly the b=0 answer
+        if j_back == 0:
+            # P_H is real's exit: it delivers real's message, and its one
+            # reply is bar's first layer.  Any other payload fails integrity
+            # in honest processing, as at b = 0.
+            if onion != d_real.onion(n):
+                return None
+            return (("exit", real.message, real.receiver),
+                    lambda message: (derived_bar().onion(1), next_name))
         if not recognize_onion(n + j_back, onion, d_real):
-            return False, None
+            return None
         # A valid reply-path header for P_H forwards unless the payload
         # width is wrong: leave that to the honest failure.
         if len(onion.delta) != params.payload_len:
-            return False, None
-        oracles.remember(P_H, onion, header_bytes)
-        return True, ("forward", next_name, derived_bar().onion(1))
+            return None
+        return ("forward", next_name, derived_bar().onion(1)), None
 
     def _absorbed_at_sender(onion):
         if bit == 0:
             return recognize_onion(n + nr, onion, d_real)
         return recognize_onion(nr - j_back, onion, derived_bar())
 
-    def special_reply(party, onion, message, info):
-        if party != P_H or j_back != 0 or bit == 0:
-            return False, None
-        if not recognize_onion(n, onion, d_real):
-            return False, None
-        if info is None:
-            return True, None  # the honest peel found no reply block
-        return True, ("reply-onion", derived_bar().onion(1), next_name)
-
-    return d_real.onion(1), special_proc, special_reply
+    return d_real.onion(1), challenger
 
 
 # ---------------------------------------------------------------------------
@@ -515,13 +497,12 @@ def _sti_world(oracles, rng, sub, bit, real, bar):
     d = derive(bar if bit else real, oracles.params)
     first, absorbed = (1, (n - j) + j_back) if bit else (j + 1, n + j_back)
 
-    def special_proc(party, onion, header_bytes):
-        if party != P_H_BACK or not recognize_onion(absorbed, onion, d):
-            return False, None
-        oracles.remember(P_H_BACK, onion, header_bytes)
-        return True, None  # the challenger outputs nothing
+    def challenger(party, onion):
+        if party == P_H_BACK and recognize_onion(absorbed, onion, d):
+            return None, None  # the challenger outputs nothing
+        return None
 
-    return d.onion(first), special_proc, None
+    return d.onion(first), challenger
 
 
 # ---------------------------------------------------------------------------
@@ -696,30 +677,17 @@ class PathLengthPaddingAdversary(_BaseAdversary):
     """
 
     def submit(self):
-        params = self.params
-        self.tail_keys = {}
-        if len(self.parties) == 3:  # STI: honest hop at j=2, exit corrupted
-            for label in (b"x1", b"x2", b"x3", b"x4"):
-                self.tail_keys[label] = self.keypair(label)
-            self._mode = "sti"
-            return Submission(
-                message=b"pad-probe", receiver=b"svc", j=2, j_back=1,
-                path=((b"x1", self.tail_keys[b"x1"].pk), (P_H, None),
-                      (b"x2", self.tail_keys[b"x2"].pk),
-                      (b"x3", self.tail_keys[b"x3"].pk),
-                      (b"x4", self.tail_keys[b"x4"].pk)),
-                reply_path=((P_H_BACK, None), (P_S, None)),
-            )
-        for label in (b"x1", b"x2", b"x3"):
-            self.tail_keys[label] = self.keypair(label)
-        self._mode = "tlu"
+        labels = (b"x1", b"x2", b"x3", b"x4")
+        self.tail_keys = {label: self.keypair(label) for label in labels}
+        self._mode = "sti" if len(self.parties) == 3 else "tlu"
+        x1, x2, x3, x4 = ((label, self.tail_keys[label].pk) for label in labels)
+        if self._mode == "sti":  # honest hop at j=2, exit corrupted
+            reply_path = ((P_H_BACK, None), (P_S, None))
+        else:
+            reply_path = ((b"x5", self.keypair(b"x5").pk), (P_S, None))
         return Submission(
             message=b"pad-probe", receiver=b"svc", j=2, j_back=1,
-            path=((b"x1", self.tail_keys[b"x1"].pk), (P_H, None),
-                  (b"x2", self.tail_keys[b"x2"].pk),
-                  (b"x3", self.tail_keys[b"x3"].pk),
-                  (b"x4", self.keypair(b"x4").pk)),
-            reply_path=((b"x5", self.keypair(b"x5").pk), (P_S, None)),
+            path=(x1, (P_H, None), x2, x3, x4), reply_path=reply_path,
         )
 
     def guess(self):

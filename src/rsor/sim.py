@@ -84,7 +84,6 @@ class Scenario:
     workload: tuple
     corrupted: tuple = ()
     adversary: tuple = ()
-    legacy_zero_padding: bool = False
     seed: int = 0
 
 
@@ -257,7 +256,7 @@ def run_scenario(scenario: Scenario):
     seeds, and all temporary ids come from one seeded stream.  Raises
     ValueError for a seed or workload parse_config would refuse.
     """
-    params = default_params(legacy_zero_filler=scenario.legacy_zero_padding)
+    params = default_params()
     _check_workload(scenario, params)
     rng = SeedRng(_seed_bytes(scenario.seed))
     net = _Network(scenario, params, rng)

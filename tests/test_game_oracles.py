@@ -8,7 +8,15 @@ import dataclasses
 import pytest
 
 from rsor.crypto import SeedRng
-from rsor.games import P_H, P_S, GameOracles, Submission, _BaseAdversary, game_tlu_forward
+from rsor.games import (
+    P_H,
+    P_S,
+    GameOracles,
+    Submission,
+    _BaseAdversary,
+    game_slu_backward,
+    game_tlu_forward,
+)
 from rsor.group import PROD_GROUP
 from rsor.kem import kem_keygen
 from rsor.packet import (
@@ -70,6 +78,31 @@ def test_tlu_oversized_reply_is_none_in_both_worlds(bit):
         return oracles.reply(P_H, onion, b"x" * (PARAMS.max_msg_len + 1))
 
     assert _run_tlu(proc_then_long_reply, bit) is None
+
+
+class _SluExitProbe(_ExitProbe):
+    """The same probe in SLU with j_back = 0, so the honest relay is real's exit."""
+
+    def submit(self):
+        return dataclasses.replace(super().submit(), j_back=0)
+
+
+@pytest.mark.parametrize("game, probe_cls", [(game_tlu_forward, _ExitProbe),
+                                              (game_slu_backward, _SluExitProbe)])
+@pytest.mark.parametrize("bit", [0, 1])
+def test_reply_answers_only_the_processed_onion_once(game, probe_cls, bit):
+    def replies_around_proc(oracles, onion):
+        tagged = tag_payload(onion, SeedRng(b"mask").read(PARAMS.payload_len))
+        before = oracles.reply(P_H, onion, b"answer")
+        assert oracles.proc(P_H, onion)[0] == "exit"
+        return (before, oracles.reply(P_H, tagged, b"answer"),
+                oracles.reply(P_H, onion, b"answer"), oracles.reply(P_H, onion, b"answer"))
+
+    adversary = probe_cls(SeedRng(b"exit-probe"), replies_around_proc)
+    game(adversary, seed=3, force_b=bit)
+    before, to_tagged, first, second = adversary.answer
+    assert before is None and to_tagged is None and second is None
+    assert first[0] == "reply-onion"
 
 
 def test_wrong_payload_width_is_refused_not_raised():
