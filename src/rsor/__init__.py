@@ -3,7 +3,6 @@
 from .group import GroupParams, PROD_GROUP, TOY_GROUP
 from .crypto import SeedRng, mac, prg, prp_dec, prp_enc, ro_hb, ro_hsym, xor_bytes
 from .kem import (
-    KemChain,
     KemKeyPair,
     LayerSecrets,
     kem_blind,

@@ -9,12 +9,6 @@ from . import sim
 from .games import ADVERSARIES, GAMES, game_correctness, run_game_batch
 
 
-def _positive(text):
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer: %s" % text)
-    return int(text)
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="rsor-sim",
@@ -32,14 +26,14 @@ def _build_parser():
 
     attack = sub.add_parser("attack", help="reproduce a deployed-format attack")
     attack.add_argument("name", choices=("tagging", "nymserver", "padding"))
-    attack.add_argument("--trials", type=_positive, default=50)
+    attack.add_argument("--trials", type=sim.parse_count, default=50)
     attack.add_argument("--seed", type=sim.parse_seed, default=0)
 
     game = sub.add_parser("game", help="run an onion-security game batch")
     game.add_argument("name", choices=sorted(GAMES))
     game.add_argument("--adversary", default="guessing",
                       help="adversary name (%s)" % ", ".join(sorted(ADVERSARIES)))
-    game.add_argument("--games", type=_positive, default=200)
+    game.add_argument("--games", type=sim.parse_count, default=200)
     game.add_argument("--seed", type=sim.parse_seed, default=0)
     game.add_argument("--legacy-zero-padding", action="store_true")
     return parser
@@ -91,15 +85,12 @@ def _cmd_game(args):
         for failure in result["failures"]:
             print("failure: %r" % (failure,))
         return 0 if result["pass"] else 1
-    if args.adversary not in ADVERSARIES:
-        print("unknown adversary: %s" % args.adversary, file=sys.stderr)
+    try:
+        result = run_game_batch(args.name, args.adversary, args.games, args.seed,
+                                params=params)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
-    if args.name not in ADVERSARIES[args.adversary][1]:
-        print("adversary %s is not registered for game %s"
-              % (args.adversary, args.name), file=sys.stderr)
-        return 2
-    result = run_game_batch(args.name, args.adversary, args.games, args.seed,
-                            params=params)
     print("game=%s adversary=%s games=%d wins=%d win-rate=%.4f p-value=%.4f"
           % (result["game"], result["adversary"], result["games"],
              result["wins"], result["win_rate"], result["binomial_pvalue"]))

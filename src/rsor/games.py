@@ -30,7 +30,7 @@ from .packet import (
     validate_spec,
     zero_run,
 )
-from .sim import _seed_bytes, default_params
+from .sim import _seed_bytes, default_params, parse_count
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +184,7 @@ def game_correctness(trials, seed, params=None, corrupt_hop=None):
     corrupt_hop deliberately mismatches that forward hop's public key as a
     negative control; the forward-path clause must then fail.
     """
+    trials = parse_count(trials)
     params = params or default_params()
     rng = SeedRng(b"correctness" + _seed_bytes(seed))
     failures = []
@@ -195,9 +196,10 @@ def game_correctness(trials, seed, params=None, corrupt_hop=None):
     return {"pass": not failures, "trials": trials, "failures": failures}
 
 
-def check_correctness_pair(n, nr, trials, seed, params=None):
+def check_correctness_pair(n, nr, trials, seed):
     """Correctness clauses for one fixed (n, n_back) combination."""
-    params = params or default_params()
+    trials = parse_count(trials)
+    params = default_params()
     rng = SeedRng(b"correct-pair" + _seed_bytes(seed) + b"%d/%d" % (n, nr))
     failures = []
     for trial in range(trials):
@@ -740,7 +742,11 @@ def fair_coin_pvalue(wins, games):
 
 def run_game_batch(game, adversary_name, games, seed, params=None):
     """Run many independent games; returns wins plus a binomial p-value
-    against the fair-coin null hypothesis."""
+    against the fair-coin null hypothesis.  Raises ValueError, before any
+    game runs, for a pairing ADVERSARIES does not list or a count below 1."""
+    if adversary_name not in ADVERSARIES or game not in ADVERSARIES[adversary_name][1]:
+        raise ValueError("adversary %s is not registered for game %s" % (adversary_name, game))
+    games = parse_count(games)
     game_fn = GAMES[game]
     adversary_cls = ADVERSARIES[adversary_name][0]
     master = SeedRng(_seed_bytes(seed) + game.encode() + adversary_name.encode())

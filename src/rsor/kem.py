@@ -30,10 +30,12 @@ class KemKeyPair:
 
 @dataclass(frozen=True)
 class LayerSecrets:
-    """Per-hop KEM output: the element pair plus all derived symmetric keys."""
+    """One hop's KEM output: its alpha, its blinding factor b and the three
+    keys h_*(s) splits into.  The shared secret s itself is not kept: no
+    reader needs it, so a layer can also be built from what the KEM game
+    hands out, LayerSecrets(alpha, b, k_rho, k_mu, k_pi)."""
 
     alpha: int
-    s: int
     b: int
     k_rho: bytes
     k_mu: bytes
@@ -43,13 +45,6 @@ class LayerSecrets:
     def keys(self) -> bytes:
         """h_*(s) = k_rho|k_mu|k_pi, the layer's keys as the KEM game hands them out."""
         return self.k_rho + self.k_mu + self.k_pi
-
-
-@dataclass(frozen=True)
-class KemChain:
-    """Sender-side view of every hop's LayerSecrets for one onion direction."""
-
-    layers: tuple
 
 
 def kem_keygen(group, rng) -> KemKeyPair:
@@ -70,11 +65,12 @@ def h_star(group, s: int) -> bytes:
 
 
 def _layer_from_secret(group, alpha: int, s: int) -> LayerSecrets:
-    return LayerSecrets(alpha, s, ro_hb(group, alpha, s), *_sym_keys(group, s))
+    return LayerSecrets(alpha, ro_hb(group, alpha, s), *_sym_keys(group, s))
 
 
-def kem_chain_create(group, x: int, pubkeys) -> KemChain:
-    """Sender-side chain of LayerSecrets for the given hop public keys.
+def kem_chain_create(group, x: int, pubkeys) -> tuple:
+    """Sender-side chain for the given hop public keys: a tuple of one
+    LayerSecrets per hop, in path order.
 
     The keys must already be group elements: ``validate_spec`` checks each
     one once, before ``derive`` builds a chain, so this does not test again.
@@ -92,7 +88,7 @@ def kem_chain_create(group, x: int, pubkeys) -> KemChain:
         layer = _layer_from_secret(group, alpha, s)
         layers.append(layer)
         exponent = (exponent * layer.b) % group.q
-    return KemChain(layers=tuple(layers))
+    return tuple(layers)
 
 
 def kem_decap(group, sk: int, alpha: int) -> LayerSecrets:
@@ -175,7 +171,7 @@ def kem_game_run(adversary, group, rng, reveal_secret=False):
     # Positions 0..j are the honest chain.  The hidden bit picks position
     # j's keys and blinding factor b, and the chain after j continues from
     # x*b_0*...*b_{j-1}*b.
-    layers = kem_chain_create(group, x, ys[:j + 1]).layers
+    layers = kem_chain_create(group, x, ys[:j + 1])
     alpha = oracles.challenge_alpha = layers[j].alpha
     if bit == 0:
         keys, b = layers[j].keys, layers[j].b
@@ -184,7 +180,7 @@ def kem_game_run(adversary, group, rng, reveal_secret=False):
         b = group.random_scalar(rng.fork(b"rblind"))
     if j + 1 < n:
         exponent = math.prod([x, b] + [layer.b for layer in layers[:j]]) % group.q
-        layers += kem_chain_create(group, exponent, ys[j + 1:]).layers
+        layers += kem_chain_create(group, exponent, ys[j + 1:])
     handed = [(layer.keys, layer.b) for layer in layers]
     pre, post = handed[:j], handed[j + 1:]
 

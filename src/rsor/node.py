@@ -10,8 +10,10 @@ answers too late finds its rid unknown.  Senders derive each onion once and
 keep only its ReplyOpening (ident, reply header and keys) in their view,
 which proc_onion retires when the expected reply header arrives, tampered or
 not, and which holds at most packet.REPLY_OPENING_CAP of them, oldest
-evicted first; they drop anything unsolicited or tampered without reacting.  Receivers
-never parse onions at all -- they only see plaintext messages and rids.
+evicted first; they drop anything unsolicited or tampered without reacting.
+Receivers never parse onions at all -- they only see plaintext messages and
+rids.  A party's state is built from its name (and keypair) alone: its
+view, buffers and inbox start empty and cannot be passed in.
 """
 
 from dataclasses import dataclass, field
@@ -67,23 +69,23 @@ def trace_text(value):
 class RelayState:
     name: bytes
     keypair: KemKeyPair
-    view: InMemoryView = field(default_factory=InMemoryView)
-    outgoing_buffer: dict = field(default_factory=dict)  # tid -> ProcResult
-    reply_buffer: dict = field(default_factory=dict)     # rid -> ReplyInfo, oldest first
+    view: InMemoryView = field(default_factory=InMemoryView, init=False)
+    outgoing_buffer: dict = field(default_factory=dict, init=False)  # tid -> ProcResult
+    reply_buffer: dict = field(default_factory=dict, init=False)     # rid -> ReplyInfo, oldest first
 
 
 @dataclass
 class SenderState:
     name: bytes
     keypair: KemKeyPair
-    view: InMemoryView = field(default_factory=InMemoryView)  # replay cache, ReplyOpenings
-    replies: list = field(default_factory=list)  # received reply messages
+    view: InMemoryView = field(default_factory=InMemoryView, init=False)  # replay cache, ReplyOpenings
+    replies: list = field(default_factory=list, init=False)  # received reply messages
 
 
 @dataclass
 class ReceiverState:
     name: bytes
-    inbox: list = field(default_factory=list)  # (message, rid or None, from-relay)
+    inbox: list = field(default_factory=list, init=False)  # (message, rid or None, from-relay)
 
 
 # ---------------------------------------------------------------------------

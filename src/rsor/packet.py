@@ -14,7 +14,7 @@ from functools import cached_property
 
 from .crypto import KAPPA, SeedRng, mac, prg, prp_dec, prp_enc, xor_bytes
 from .group import GroupDecodeError, GroupParams
-from .kem import MAX_HOPS, KemChain, kem_blind, kem_chain_create, kem_decap
+from .kem import MAX_HOPS, kem_blind, kem_chain_create, kem_decap
 
 # Address type tags (first byte of every addr_len-wide address field).
 ADDR_RELAY = 0x01
@@ -219,15 +219,15 @@ def validate_shape(path_names, reply_names, message: bytes, params: FormatParams
 # ---------------------------------------------------------------------------
 # Header construction (sender side)
 
-def build_padding(chain: KemChain, upto: int, params: FormatParams) -> bytes:
+def build_padding(chain: tuple, upto: int, params: FormatParams) -> bytes:
     """The accumulated filler Phi_upto that pads peeled-off header space.
 
     Phi_0 is empty; each hop extends it by 2*kappa bytes and XORs in the tail
     of that hop's beta keystream, exactly the bytes a peeling relay will
     later shift into view.
     """
-    assert 0 <= upto <= len(chain.layers)
-    streams = [prg(layer.k_rho, params.stream_len) for layer in chain.layers[:upto]]
+    assert 0 <= upto <= len(chain)
+    streams = [prg(layer.k_rho, params.stream_len) for layer in chain[:upto]]
     return _padding(streams, params)
 
 
@@ -240,7 +240,7 @@ def _padding(streams, params) -> bytes:
     return phi
 
 
-def build_header(chain: KemChain, path_addrs, final_contents: bytes, params):
+def build_header(chain: tuple, path_addrs, final_contents: bytes, params):
     """All n header layers for one direction, n <= max_hops (validate_spec).
 
     path_addrs[i] is the address field of hop i+1 (path_addrs[0], the first
@@ -250,21 +250,21 @@ def build_header(chain: KemChain, path_addrs, final_contents: bytes, params):
     (random, or zeros in legacy mode).
     """
     kappa, r = params.kappa, params.max_hops
-    n = len(chain.layers)
+    n = len(chain)
     assert len(path_addrs) == n
     assert len(final_contents) == (2 * (r - n) + 3) * kappa
 
-    streams = [prg(layer.k_rho, params.stream_len) for layer in chain.layers]
+    streams = [prg(layer.k_rho, params.stream_len) for layer in chain]
     phi = _padding(streams[: n - 1], params)
 
     beta = xor_bytes(final_contents, streams[n - 1][: len(final_contents)]) + phi
-    gamma = mac(chain.layers[n - 1].k_mu, beta)
-    headers = [Header(chain.layers[n - 1].alpha, beta, gamma)]
+    gamma = mac(chain[n - 1].k_mu, beta)
+    headers = [Header(chain[n - 1].alpha, beta, gamma)]
     for i in range(n - 2, -1, -1):
         inner = path_addrs[i + 1] + gamma + beta[: params.beta_len - 2 * kappa]
         beta = xor_bytes(inner, streams[i][: params.beta_len])
-        gamma = mac(chain.layers[i].k_mu, beta)
-        headers.append(Header(chain.layers[i].alpha, beta, gamma))
+        gamma = mac(chain[i].k_mu, beta)
+        headers.append(Header(chain[i].alpha, beta, gamma))
     headers.reverse()
     return headers
 
@@ -373,7 +373,7 @@ class Derived:
     """
 
     fwd_onions: tuple
-    fwd_chain: KemChain
+    fwd_chain: tuple
     reply_info: ReplyInfo
     opening: ReplyOpening
     reply_headers: tuple
@@ -438,7 +438,7 @@ def derive(spec: OnionSpec, params: FormatParams) -> Derived:
         rep_headers = build_header(rep_chain, addrs, final, params)
         reply_info = ReplyInfo(first_hop=addrs[0], eta0=rep_headers[0], k_tilde=k_tilde)
         # The sender's own reply hop applies no PRP layer, so its key is not kept.
-        k_pis = tuple(layer.k_pi for layer in rep_chain.layers[:-1])
+        k_pis = tuple(layer.k_pi for layer in rep_chain[:-1])
         opening = ReplyOpening(ident=ident, header=rep_headers[-1], k_pis=k_pis, k_tilde=k_tilde)
 
     final = exit_addr(params) + _filler(
@@ -451,7 +451,7 @@ def derive(spec: OnionSpec, params: FormatParams) -> Derived:
     fwd_deltas = [None] * n
     delta = plaintext
     for i in range(n - 1, -1, -1):
-        delta = prp_enc(fwd_chain.layers[i].k_pi, delta)
+        delta = prp_enc(fwd_chain[i].k_pi, delta)
         fwd_deltas[i] = delta
 
     return Derived(

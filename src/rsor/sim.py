@@ -104,6 +104,14 @@ def parse_seed(text) -> int:
     return seed
 
 
+def parse_count(text) -> int:
+    """A trial or game count from text or an int; ValueError below 1."""
+    count = int(text)
+    if count < 1:
+        raise ValueError("count %d is below 1" % count)
+    return count
+
+
 def default_params(**fields):
     """FormatParams over PROD_GROUP; fields override FormatParams defaults."""
     return FormatParams(group=PROD_GROUP, **fields)
@@ -223,10 +231,13 @@ def _observed(event, action):
 
 
 def _check_workload(scenario: Scenario, params):
-    """ValueError unless no name is both a relay and a sender, each onion's
-    sender and relays are declared, its reply path ends at its sender,
-    validate_shape accepts it and its reply message fits the payload frame.
-    A receiver may be undeclared: its exit drops the delivery."""
+    """ValueError unless every declared name fits an address field, no name
+    is both a relay and a sender, each onion's sender and relays are
+    declared, its reply path ends at its sender, validate_shape accepts it
+    and its reply message fits the payload frame.  A receiver may be
+    undeclared: its exit drops the delivery."""
+    for name in scenario.relays + scenario.senders + scenario.receivers:
+        check_name(name, params)
     # The real world hands an onion addressed to such a name to the sender,
     # which drops it; the ideal world would forward it as a relay.
     both = set(scenario.relays) & set(scenario.senders)
@@ -422,17 +433,20 @@ def scenario_tagging_linkage(seed, tag=True):
     }
 
 
-def _seed_tuple(seed, t):
-    return SeedRng(_seed_bytes(seed) + b"trial:%d" % t).read(16)
+def _attack(name, won, trials, seed, **fields):
+    """One attack's summary over trials seeds derived from seed;
+    won(trial_seed) says whether the attack won that trial, and fields join
+    the summary."""
+    trials = parse_count(trials)
+    seed = _seed_bytes(seed)
+    wins = sum(won(SeedRng(seed + b"trial:%d" % t).read(16)) for t in range(trials))
+    return {"attack": name, **fields, "trials": trials, "wins": wins,
+            "success_rate": wins / trials}
 
 
 def attack_tagging(trials, seed, tag=True):
-    wins = sum(
-        scenario_tagging_linkage(_seed_tuple(seed, t), tag=tag)["linked"]
-        for t in range(trials)
-    )
-    return {"attack": "tagging", "trials": trials, "wins": wins,
-            "success_rate": wins / trials}
+    return _attack("tagging", lambda s: scenario_tagging_linkage(s, tag=tag)["linked"],
+                   trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -533,12 +547,9 @@ def scenario_nymserver_attack(seed, legacy: bool, guess="oracle"):
 
 
 def attack_nymserver(trials, seed, legacy=True, guess="oracle"):
-    wins = sum(
-        scenario_nymserver_attack(_seed_tuple(seed, t), legacy, guess)["attack_succeeds"]
-        for t in range(trials)
-    )
-    return {"attack": "nymserver", "legacy": legacy, "trials": trials,
-            "wins": wins, "success_rate": wins / trials}
+    return _attack("nymserver",
+                   lambda s: scenario_nymserver_attack(s, legacy, guess)["attack_succeeds"],
+                   trials, seed, legacy=legacy)
 
 
 # ---------------------------------------------------------------------------
@@ -577,12 +588,9 @@ def scenario_zero_padding_leak(seed, legacy: bool):
 
 
 def attack_padding(trials, seed, legacy=True):
-    wins = sum(
-        scenario_zero_padding_leak(_seed_tuple(seed, t), legacy)["path_length_recovered"]
-        for t in range(trials)
-    )
-    return {"attack": "padding", "legacy": legacy, "trials": trials,
-            "wins": wins, "success_rate": wins / trials}
+    return _attack("padding",
+                   lambda s: scenario_zero_padding_leak(s, legacy)["path_length_recovered"],
+                   trials, seed, legacy=legacy)
 
 
 # ---------------------------------------------------------------------------
@@ -670,9 +678,6 @@ def parse_config(text: str) -> Scenario:
             values[key] = tuple(p.strip().encode() for p in value.split(",") if p.strip())
         else:
             raise ValueError("unknown config key: %r" % key)
-    params = default_params()
-    for name in values["relays"] + values["senders"] + values["receivers"]:
-        check_name(name, params)
     scenario = Scenario(workload=tuple(workload), **values)
-    _check_workload(scenario, params)
+    _check_workload(scenario, default_params())
     return scenario

@@ -256,10 +256,10 @@ def test_criterion_9_kem_chain_decap_equivalence():
             PROD_GROUP, PROD_GROUP.random_scalar(trng.fork(b"x")),
             [kp.pk for kp in keypairs],
         )
-        alpha = chain.layers[0].alpha
+        alpha = chain[0].alpha
         for i, keypair in enumerate(keypairs):
             layer = kem_decap(PROD_GROUP, keypair.sk, alpha)
-            assert layer == chain.layers[i]
+            assert layer == chain[i]
             alpha = kem_blind(PROD_GROUP, alpha, layer.b)
 
 

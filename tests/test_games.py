@@ -336,3 +336,19 @@ def test_padding_adversary_wins_sti_only_in_legacy_mode():
     assert strong["win_rate"] >= 0.95
     fixed = run_game_batch("sti", "path-length-padding", 60, 1)
     assert 0.35 <= fixed["win_rate"] <= 0.65
+
+
+@pytest.mark.parametrize("game, adversary", [
+    ("correctness", "guessing"),
+    ("tlu", "direction-structure"),
+    ("sti", "tag-consistency"),
+    ("tlu", "no-such-adversary"),
+])
+def test_batch_refuses_unregistered_pairing_before_any_game(game, adversary, monkeypatch):
+    def no_game(*_args, **_kwargs):
+        raise AssertionError("a game ran")
+
+    monkeypatch.setattr("rsor.games.kem_keygen", no_game)
+    with pytest.raises(ValueError, match="adversary %s is not registered for game %s"
+                       % (adversary, game)):
+        run_game_batch(game, adversary, 1, 0)

@@ -36,10 +36,10 @@ def test_chain_matches_decap():
         keypairs = [kem_keygen(PROD_GROUP, trng.fork(b"k%d" % i)) for i in range(n)]
         x = PROD_GROUP.random_scalar(trng.fork(b"x"))
         chain = kem_chain_create(PROD_GROUP, x, [kp.pk for kp in keypairs])
-        alpha = chain.layers[0].alpha
+        alpha = chain[0].alpha
         for i, keypair in enumerate(keypairs):
             layer = kem_decap(PROD_GROUP, keypair.sk, alpha)
-            assert layer == chain.layers[i]
+            assert layer == chain[i]
             alpha = kem_blind(PROD_GROUP, alpha, layer.b)
 
 
@@ -50,8 +50,8 @@ def test_chain_keys_distinct_across_hops():
         PROD_GROUP, PROD_GROUP.random_scalar(rng.fork(b"x")),
         [kp.pk for kp in keypairs],
     )
-    assert len({layer.k_rho for layer in chain.layers}) == 5
-    assert len({layer.alpha for layer in chain.layers}) == 5
+    assert len({layer.k_rho for layer in chain}) == 5
+    assert len({layer.alpha for layer in chain}) == 5
 
 
 def test_chain_rejects_empty_and_bad_keys():
@@ -63,11 +63,12 @@ def test_layer_keys_from_oracles():
     kp = kem_keygen(PROD_GROUP, SeedRng(b"lk"))
     x = PROD_GROUP.random_scalar(SeedRng(b"lx"))
     chain = kem_chain_create(PROD_GROUP, x, [kp.pk])
-    layer = chain.layers[0]
-    assert layer.k_rho == ro_hsym("rho", PROD_GROUP, layer.s)
-    assert layer.k_mu == ro_hsym("mu", PROD_GROUP, layer.s)
-    assert layer.k_pi == ro_hsym("pi", PROD_GROUP, layer.s)
-    assert layer.b == ro_hb(PROD_GROUP, layer.alpha, layer.s)
+    layer = chain[0]
+    s = PROD_GROUP.exp(kp.pk, x)
+    assert layer.k_rho == ro_hsym("rho", PROD_GROUP, s)
+    assert layer.k_mu == ro_hsym("mu", PROD_GROUP, s)
+    assert layer.k_pi == ro_hsym("pi", PROD_GROUP, s)
+    assert layer.b == ro_hb(PROD_GROUP, layer.alpha, s)
 
 
 def test_game_white_box_always_wins():

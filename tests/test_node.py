@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 
+import pytest
+
 from rsor.crypto import SeedRng
 from rsor.group import PROD_GROUP
 from rsor.kem import kem_chain_create, kem_keygen
@@ -22,6 +24,7 @@ from rsor.packet import (
     ADDR_REPLY_RETURN,
     REPLY_OPENING_CAP,
     FormatParams,
+    InMemoryView,
     Onion,
     OnionSpec,
     build_header,
@@ -75,6 +78,19 @@ def _drive(relays, sender, receiver, action, params, ids_rng, reply_message):
         if action3 is None:
             return event3
         current, onion = action3.next_hop, action3.onion
+
+
+@pytest.mark.parametrize("make", [
+    lambda kp: RelayState(name=b"r", keypair=kp, view=InMemoryView()),
+    lambda kp: RelayState(name=b"r", keypair=kp, outgoing_buffer={}),
+    lambda kp: RelayState(name=b"r", keypair=kp, reply_buffer={}),
+    lambda kp: SenderState(name=b"s", keypair=kp, view=InMemoryView()),
+    lambda kp: SenderState(name=b"s", keypair=kp, replies=[]),
+    lambda kp: ReceiverState(name=b"v", inbox=[]),
+])
+def test_party_state_is_built_by_the_party(make):
+    with pytest.raises(TypeError):
+        make(kem_keygen(PROD_GROUP, SeedRng(b"state")))
 
 
 def test_end_to_end_echo_all_lengths():

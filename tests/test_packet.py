@@ -297,7 +297,7 @@ def _final_zero_run(spec, keys, params):
     n = len(spec.path)
     onion = form_onion(n, spec, params)
     d = derive(spec, params)
-    stream = prg(d.fwd_chain.layers[n - 1].k_rho, params.stream_len)
+    stream = prg(d.fwd_chain[n - 1].k_rho, params.stream_len)
     wide = xor_bytes(onion.header.beta + b"\x00" * (2 * params.kappa), stream)
     run = 0
     for byte in wide[params.kappa:]:

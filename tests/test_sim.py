@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from rsor.games import game_correctness, run_game_batch
+from rsor.games import check_correctness_pair, game_correctness, run_game_batch
 from rsor.sim import (
     Rule,
     Scenario,
@@ -13,6 +14,7 @@ from rsor.sim import (
     baseline_scenario,
     normalize_trace,
     parse_config,
+    parse_count,
     parse_seed,
     run_ideal_scenario,
     run_scenario,
@@ -248,6 +250,16 @@ def test_both_worlds_refuse_what_parse_config_refuses(item, named):
             run(scenario)
 
 
+@pytest.mark.parametrize("declared", ["relays", "senders", "receivers"])
+def test_both_worlds_refuse_a_declared_name_too_long_for_an_address(declared):
+    scenario = baseline_scenario(seed=1)
+    names = getattr(scenario, declared) + (LONG.encode(),)
+    scenario = dataclasses.replace(scenario, **{declared: names})
+    for run in (run_scenario, run_ideal_scenario):
+        with pytest.raises(ValueError, match=LONG):
+            run(scenario)
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_out_of_range_int_seeds_raise_value_error(seed):
     with pytest.raises(ValueError, match="seed"):
@@ -260,6 +272,22 @@ def test_out_of_range_int_seeds_raise_value_error(seed):
         attack_tagging(1, seed)
     with pytest.raises(ValueError, match="seed"):
         parse_seed(str(seed))
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_counts_below_one_raise_value_error(count):
+    for attack in (attack_tagging, attack_nymserver, attack_padding):
+        with pytest.raises(ValueError, match="count"):
+            attack(count, 0)
+    with pytest.raises(ValueError, match="count"):
+        run_game_batch("tlu", "guessing", count, 0)
+    with pytest.raises(ValueError, match="count"):
+        game_correctness(count, 0)
+    with pytest.raises(ValueError, match="count"):
+        check_correctness_pair(2, 1, count, 0)
+    with pytest.raises(ValueError, match="count"):
+        parse_count(str(count))
+    assert parse_count("1") == 1
 
 
 def test_parse_config_allows_unknown_receiver():
