@@ -87,7 +87,8 @@ def _drive(relays, sender, receiver, action, params, ids_rng, reply_message):
     lambda kp: SenderState(name=b"s", keypair=kp, view=InMemoryView()),
     lambda kp: SenderState(name=b"s", keypair=kp, replies=[]),
     lambda kp: ReceiverState(name=b"v", inbox=[]),
-])
+], ids=["relay-view", "relay-outgoing", "relay-replies", "sender-view", "sender-replies",
+        "receiver-inbox"])
 def test_party_state_is_built_by_the_party(make):
     with pytest.raises(TypeError):
         make(kem_keygen(PROD_GROUP, SeedRng(b"state")))
