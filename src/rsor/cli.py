@@ -31,8 +31,9 @@ def _build_parser():
 
     game = sub.add_parser("game", help="run an onion-security game batch")
     game.add_argument("name", choices=sorted(GAMES))
-    game.add_argument("--adversary", default="guessing",
-                      help="adversary name (%s)" % ", ".join(sorted(ADVERSARIES)))
+    game.add_argument("--adversary",
+                      help="adversary name (%s; default guessing); correctness takes none"
+                      % ", ".join(sorted(ADVERSARIES)))
     game.add_argument("--games", type=sim.parse_count, default=200)
     game.add_argument("--seed", type=sim.parse_seed, default=0)
     game.add_argument("--legacy-zero-padding", action="store_true")
@@ -80,14 +81,17 @@ def _cmd_attack(args):
 def _cmd_game(args):
     params = sim.default_params(legacy_zero_filler=args.legacy_zero_padding)
     if args.name == "correctness":
+        if args.adversary is not None:
+            print("correctness takes no adversary", file=sys.stderr)
+            return 2
         result = game_correctness(args.games, args.seed, params=params)
         print("correctness trials=%d pass=%s" % (result["trials"], result["pass"]))
         for failure in result["failures"]:
             print("failure: %r" % (failure,))
         return 0 if result["pass"] else 1
     try:
-        result = run_game_batch(args.name, args.adversary, args.games, args.seed,
-                                params=params)
+        result = run_game_batch(args.name, args.adversary or "guessing", args.games,
+                                args.seed, params=params)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2

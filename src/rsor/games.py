@@ -8,7 +8,6 @@ challenge layers), and guess the hidden bit.  These are positive/negative
 controls at desk scale, not proofs.
 """
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -30,7 +29,7 @@ from .packet import (
     validate_spec,
     zero_run,
 )
-from .sim import _seed_bytes, default_params, parse_count
+from .sim import Scenario, WorkItem, _Network, _seed_bytes, default_params, parse_count
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +181,7 @@ def game_correctness(trials, seed, params=None, corrupt_hop=None):
     """Check all four correctness clauses over random specs.
 
     corrupt_hop deliberately mismatches that forward hop's public key as a
-    negative control; the forward-path clause must then fail.
+    negative control; the clause at that hop must then fail with "mac".
     """
     trials = parse_count(trials)
     params = params or default_params()
@@ -210,72 +209,36 @@ def check_correctness_pair(n, nr, trials, seed):
 
 
 def _correctness_once(rng, n, nr, params, corrupt_hop):
-    failures = []
-    names = [b"r%d" % i for i in range(n)] + [b"q%d" % i for i in range(nr - 1)]
-    names += [b"sender"] if nr else []
-    keys = {name: kem_keygen(params.group, rng.fork(name)) for name in names}
-    path = tuple((name, keys[name].pk) for name in names[:n])
-    rpath = tuple((name, keys[name].pk) for name in names[n:])
+    """One round trip through the real-world network: n forward relays, then
+    nr reply hops, the last of which is the sender.  Returns the failed
+    clause, if any, as (clause, n, nr, hop, reason), with hops numbered as
+    sim.Rule numbers them."""
+    path = tuple(b"r%d" % i for i in range(n))
+    reply_path = tuple(b"q%d" % i for i in range(nr - 1)) + ((b"sender",) if nr else ())
     message = rng.fork(b"m").read(1 + rng.read(1)[0] % params.max_msg_len)
-    spec = OnionSpec(
-        seed=rng.fork(b"R").read(32),
-        message=message,
-        receiver=receiver_addr(b"svc", params),
-        path=path,
-        reply_path=rpath,
-    )
+    reply_message = rng.fork(b"mb").read(1 + rng.read(1)[0] % params.max_msg_len) if nr else None
+    item = WorkItem(b"sender", path, b"svc", message, reply_path, reply_message)
+    net = _Network(Scenario(name="correctness", relays=path + reply_path[:-1],
+                            senders=(b"sender",), receivers=(b"svc",), workload=(item,)),
+                   params, rng)
     if corrupt_hop is not None and corrupt_hop <= n:
-        wrong = kem_keygen(params.group, rng.fork(b"wrong"))
-        bad_path = list(path)
-        bad_path[corrupt_hop - 1] = (bad_path[corrupt_hop - 1][0], wrong.pk)
-        spec = dataclasses.replace(spec, path=tuple(bad_path))
+        # The sender forms the onion with a wrong key; the relay keeps its own.
+        net.keys[path[corrupt_hop - 1]] = kem_keygen(params.group, rng.fork(b"wrong"))
+    net.send(0, item, rng.fork(b"R").read(32))
 
-    d = derive(spec, params)
-    view = InMemoryView()
-    onion = d.onion(1)
-    for i in range(1, n + 1):
-        name = path[i - 1][0]
-        result = proc_onion(keys[name].sk, onion, name, params, view)
-        if i < n:
-            if result.kind != "forward" or result.next_hop != path[i][0]:
-                failures.append(("forward-path", n, nr, i, result.reason))
-                return failures
-            onion = result.next_onion
-        else:
-            if result.kind != "exit" or result.message != message:
-                failures.append(("request-reception", n, nr, result.reason))
-                return failures
-            if result.receiver != spec.receiver:
-                failures.append(("request-reception-receiver", n, nr))
-                return failures
-    if not nr:
-        return failures
-    m_back = rng.fork(b"mb").read(1 + rng.read(1)[0] % params.max_msg_len)
-    # The exit answers from the ReplyInfo of its one peel above.
-    if result.reply_info is None:
-        failures.append(("backward-path-reply-block", n, nr))
-        return failures
-    reply_onion, next_hop = build_reply_onion(result.reply_info, m_back, params)
-    for i in range(1, nr):
-        name = rpath[i - 1][0]
-        if next_hop != name:
-            failures.append(("backward-path-hop", n, nr, i))
-            return failures
-        result = proc_onion(keys[name].sk, reply_onion, name, params, view)
-        if result.kind != "forward":
-            failures.append(("backward-path", n, nr, i, result.reason))
-            return failures
-        reply_onion, next_hop = result.next_onion, result.next_hop
-    sender = rpath[-1][0]
-    if next_hop != sender:
-        failures.append(("reply-reception-hop", n, nr))
-        return failures
-    sview = InMemoryView()
-    sview.expect_reply(d.opening)
-    result = proc_onion(keys[sender].sk, reply_onion, sender, params, sview)
-    if result.kind != "reply" or result.message != m_back:
-        failures.append(("reply-reception", n, nr, result.reason))
-    return failures
+    hops = path + reply_path
+    for event in net.events:
+        if event["kind"] == "dropped":
+            hop = hops.index(event["actor"].encode()) + 1
+            clause = ("forward-path" if hop < n else "request-reception" if hop == n
+                      else "backward-path" if hop < n + nr else "reply-reception")
+            return [(clause, n, nr, hop, event["reason"])]
+    inbox = [(m, rid is not None, exit_) for m, rid, exit_ in net.receivers[b"svc"].inbox]
+    if inbox != [(message, nr > 0, path[-1])]:
+        return [("request-reception", n, nr, n, "inbox")]
+    if net.senders[b"sender"].replies != ([reply_message] if nr else []):
+        return [("reply-reception", n, nr, n + nr, "replies")]
+    return []
 
 
 # ---------------------------------------------------------------------------

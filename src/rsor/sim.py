@@ -4,10 +4,10 @@ Runs whole workloads of onions over a relay topology with logical-time
 scheduling, records JSON-lines traces, and can drive the ideal
 functionality with the identical schedule for trace comparison.  One
 real-world network object holds the parties' states and the adversary's
-rules and drives every onion hop by hop, scenarios and the nymserver
-attack alike.  Also houses the three reproduced attacks (payload tagging
-linkage, the legacy nymserver drop attack, and the legacy zero-padding
-path-length leak).
+rules and drives every onion hop by hop, scenarios, the nymserver attack
+and the correctness game alike.  Also houses the three reproduced attacks
+(payload tagging linkage, the legacy nymserver drop attack, and the legacy
+zero-padding path-length leak).
 """
 
 import json
@@ -232,12 +232,16 @@ def _observed(event, action):
 
 def _check_workload(scenario: Scenario, params):
     """ValueError unless every declared name fits an address field, no name
-    is both a relay and a sender, each onion's sender and relays are
-    declared, its reply path ends at its sender, validate_shape accepts it
-    and its reply message fits the payload frame.  A receiver may be
-    undeclared: its exit drops the delivery."""
+    is both a relay and a sender, every corrupted name is a declared relay
+    or sender, each onion's sender and relays are declared, its reply path
+    ends at its sender, validate_shape accepts it and its reply message fits
+    the payload frame.  A receiver may be undeclared: its exit drops the
+    delivery."""
     for name in scenario.relays + scenario.senders + scenario.receivers:
         check_name(name, params)
+    for name in scenario.corrupted:
+        if name not in scenario.relays + scenario.senders:
+            raise ValueError("corrupted %r is not in relays or senders" % name.decode())
     # The real world hands an onion addressed to such a name to the sender,
     # which drops it; the ideal world would forward it as a relay.
     both = set(scenario.relays) & set(scenario.senders)

@@ -117,5 +117,12 @@ def test_game_correctness(capsys):
     assert main(["game", "correctness", "--games", "5", "--seed", "1"]) == 0
 
 
+@pytest.mark.parametrize("adversary", ["guessing", "nope"])
+def test_game_correctness_takes_no_adversary(adversary, capsys):
+    assert main(["game", "correctness", "--adversary", adversary, "--games", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "correctness takes no adversary" in captured.err and captured.out == ""
+
+
 def test_game_rejects_unregistered_pairing(capsys):
     assert main(["game", "sti", "--adversary", "tag-consistency"]) == 2

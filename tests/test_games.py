@@ -29,6 +29,8 @@ def test_correctness_negative_control():
     result = game_correctness(10, seed=0, corrupt_hop=2)
     assert not result["pass"]
     assert any(f[0] == "forward-path" for f in result["failures"])
+    # Each failure names the corrupted hop and why it dropped the onion.
+    assert all(f[3:] == (2, "mac") for f in result["failures"])
 
 
 def _batch(game, adversary, games=120, seed=0):

@@ -7,6 +7,7 @@ import collections
 import pytest
 
 import rsor.games
+import rsor.node
 import rsor.packet
 from rsor.crypto import SeedRng
 from rsor.games import (
@@ -22,8 +23,9 @@ from rsor.packet import form_reply, proc_onion
 def calls(monkeypatch):
     """Counts proc_onion calls per peeling party, and form_reply calls.
 
-    form_reply peels through rsor.packet's own proc_onion, so patching both
-    modules counts that peel too.
+    form_reply peels through rsor.packet's own proc_onion, and relays and
+    senders through rsor.node's, so patching every module counts those
+    peels too.
     """
     counts = collections.Counter()
 
@@ -35,7 +37,7 @@ def calls(monkeypatch):
         counts["form_reply"] += 1
         return form_reply(*args)
 
-    for module in (rsor.packet, rsor.games):
+    for module in (rsor.packet, rsor.node, rsor.games):
         monkeypatch.setattr(module, "proc_onion", counting_proc)
         monkeypatch.setattr(module, "form_reply", counting_form_reply, raising=False)
     return counts

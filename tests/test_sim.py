@@ -260,6 +260,20 @@ def test_both_worlds_refuse_a_declared_name_too_long_for_an_address(declared):
             run(scenario)
 
 
+@pytest.mark.parametrize("corrupted", [b"zz", b"svc"])
+def test_every_entry_point_refuses_an_undeclared_corrupted_name(corrupted):
+    """Only a declared relay or sender can be corrupted: the real world
+    ignores any other corrupted name."""
+    named = "corrupted '%s'" % corrupted.decode()
+    with pytest.raises(ValueError, match=named):
+        parse_config("relays = a, b\nsenders = alice\nreceivers = svc\n"
+                     "corrupted = %s\nonion = alice | a, b | svc | hi" % corrupted.decode())
+    scenario = dataclasses.replace(baseline_scenario(seed=1), corrupted=(b"b", corrupted))
+    for run in (run_scenario, run_ideal_scenario):
+        with pytest.raises(ValueError, match=named):
+            run(scenario)
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_out_of_range_int_seeds_raise_value_error(seed):
     with pytest.raises(ValueError, match="seed"):
