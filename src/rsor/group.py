@@ -19,7 +19,11 @@ holds iff the Legendre symbol (v|p) is 1.  ``GroupParams`` refuses any p
 other than 2q + 1, since the two tests are only equivalent then (that p and
 q are prime is taken on trust).  Membership is checked where bytes or keys
 enter (``decode``, the entry of ``packet.proc_onion``, spec validation), not
-inside ``exp`` or ``encode``.
+inside ``exp`` or ``encode``.  A public key is tested once per process:
+spec validation goes through ``kem.is_public_key``, whose bounded key memo
+``kem_keygen`` also feeds, so a key made as g^sk or tested before costs no
+Legendre test; every alpha is still tested.  The memo keys on the group
+itself, so a group must be hashable, as this frozen dataclass is.
 
 The kernels run in libcrypto's BIGNUM code, reached through the handle of
 the extension module CPython's ``hashlib`` already loads (``_hashlib``, which

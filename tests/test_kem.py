@@ -1,12 +1,19 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import rsor.kem as kem_module
 from rsor.crypto import SeedRng, ro_hb, ro_hsym
-from rsor.group import PROD_GROUP, TOY_GROUP
+from rsor.group import PROD_GROUP, TOY_GROUP, GroupParams
 from rsor.ideal import RsorIdeal
 from rsor.kem import (
+    KNOWN_KEYS_CAP,
     MAX_HOPS,
     GuessingKemAdversary,
     WhiteBoxKemAdversary,
+    is_public_key,
     kem_blind,
     kem_chain_create,
     kem_decap,
@@ -228,3 +235,148 @@ def test_every_path_check_uses_the_one_hop_limit(check):
     names = tuple(b"r%d" % i for i in range(MAX_HOPS + 1))
     assert not _refuses(check, names[:MAX_HOPS])
     assert _refuses(check, names)
+
+
+# ---------------------------------------------------------------------------
+# The public-key membership memo
+
+@pytest.fixture
+def tested(monkeypatch):
+    """An empty key memo for this test; returns the list of (group name,
+    value) pairs is_element is called on."""
+    monkeypatch.setattr(kem_module, "_known_keys", kem_module._KnownKeys())
+    tested = []
+    original = GroupParams.is_element
+
+    def counted(self, v):
+        tested.append((self.name, v))
+        return original(self, v)
+
+    monkeypatch.setattr(GroupParams, "is_element", counted)
+    return tested
+
+
+def _non_residue(group):
+    """The least v > 1 outside the subgroup, by Euler's criterion."""
+    return next(v for v in range(2, group.p) if pow(v, group.q, group.p) != 1)
+
+
+def _foreign_keys(group, count, seed):
+    """count distinct members made outside kem_keygen."""
+    rng = SeedRng(seed)
+    keys = []
+    while len(keys) < count:
+        pk = group.exp(group.g, group.random_scalar(rng))
+        if pk not in keys:
+            keys.append(pk)
+    return keys
+
+
+@pytest.mark.parametrize("group", [PROD_GROUP, TOY_GROUP], ids=["prod", "toy"])
+def test_is_public_key_agrees_with_is_element(tested, group):
+    keygen_pk = kem_keygen(group, SeedRng(b"memo-keygen")).pk
+    candidates = [
+        keygen_pk, group.g, 1, *_foreign_keys(group, 2, b"memo-agrees"),
+        0, group.p - 1, group.p, -1, _non_residue(group),
+        str(group.g), float(group.g), float(keygen_pk), True,
+    ]
+
+    def agrees():
+        return [is_public_key(group, v) == group.is_element(v) for v in candidates]
+
+    # Empty memo, then with every member recorded, then with the memo
+    # filled past its cap by other keys (of PROD_GROUP: TOY_GROUP has 5).
+    assert all(agrees())
+    assert all(agrees())
+    for pk in _foreign_keys(PROD_GROUP, KNOWN_KEYS_CAP + 1, b"memo-filler"):
+        assert is_public_key(PROD_GROUP, pk)
+    assert all(agrees())
+    assert all(agrees())
+
+
+def test_memo_evicts_the_oldest_key_which_is_then_tested_again(tested):
+    keys = _foreign_keys(PROD_GROUP, KNOWN_KEYS_CAP + 1, b"memo-cap")
+    for pk in keys:
+        assert is_public_key(PROD_GROUP, pk)
+    assert len(kem_module._known_keys.pairs) == KNOWN_KEYS_CAP
+    assert len(tested) == KNOWN_KEYS_CAP + 1
+    tested.clear()
+    assert is_public_key(PROD_GROUP, keys[1])
+    assert tested == []
+    assert is_public_key(PROD_GROUP, keys[0])
+    assert tested == [("prod", keys[0])]
+
+
+def test_keygen_fills_the_memo_and_respects_its_cap(tested):
+    rng = SeedRng(b"memo-keygen-cap")
+    pks = [kem_keygen(PROD_GROUP, rng.fork(b"%d" % i)).pk for i in range(KNOWN_KEYS_CAP + 1)]
+    assert len(kem_module._known_keys.pairs) == KNOWN_KEYS_CAP
+    assert all(is_public_key(PROD_GROUP, pk) for pk in pks[1:])
+    assert tested == []
+    assert is_public_key(PROD_GROUP, pks[0])
+    assert tested == [("prod", pks[0])]
+
+
+def test_a_key_recorded_for_one_group_is_tested_for_another(tested):
+    # 5 is in TOY_GROUP's subgroup but not PROD_GROUP's.
+    assert is_public_key(TOY_GROUP, 5)
+    assert tested == [("toy", 5)]
+    assert not is_public_key(PROD_GROUP, 5)
+    assert tested == [("toy", 5), ("prod", 5)]
+    toy_pk = kem_keygen(TOY_GROUP, SeedRng(b"memo-toy")).pk
+    tested.clear()
+    is_public_key(PROD_GROUP, toy_pk)
+    assert tested == [("prod", toy_pk)]
+
+
+# Every entry point that takes hop keys refuses an out-of-range or
+# off-subgroup key, after the memo has seen members.
+_REFUSE_NON_MEMBERS = """
+from rsor.crypto import SeedRng
+from rsor.group import PROD_GROUP
+from rsor.kem import GuessingKemAdversary, kem_game_run, kem_keygen
+from rsor.packet import FormatParams, OnionSpec, derive, receiver_addr, validate_spec
+
+params = FormatParams(group=PROD_GROUP)
+good = kem_keygen(PROD_GROUP, SeedRng(b"refuse-good")).pk
+accepted = []
+for bad in (0, PROD_GROUP.p - 1, PROD_GROUP.p):
+    spec = OnionSpec(seed=b"s", message=b"m", receiver=receiver_addr(b"svc", params),
+                     path=((b"r0", good), (b"r1", bad)))
+    for check in (validate_spec, derive):
+        try:
+            check(spec, params)
+            accepted.append((check.__name__, bad))
+        except ValueError:
+            pass
+
+    class Submits(GuessingKemAdversary):
+        def submit(self, bad=bad):
+            j, pubkeys = super().submit()
+            pubkeys[0] = bad
+            return j, pubkeys
+
+    try:
+        kem_game_run(Submits(SeedRng(b"refuse-adv")), PROD_GROUP, SeedRng(b"refuse-game"))
+        accepted.append(("kem_game_run", bad))
+    except ValueError:
+        pass
+"""
+
+
+def test_non_member_keys_are_refused():
+    namespace = {}
+    exec(_REFUSE_NON_MEMBERS, namespace)
+    assert namespace["accepted"] == []
+
+
+def test_non_member_keys_are_refused_under_python_O():
+    script = 'assert False, "asserts must be stripped"\n' + _REFUSE_NON_MEMBERS
+    script += "print(accepted)"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

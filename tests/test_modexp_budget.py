@@ -12,6 +12,7 @@ import textwrap
 import pytest
 
 import rsor.packet
+from rsor import sim
 from rsor.crypto import SeedRng
 from rsor.games import GameOracles
 from rsor.group import PROD_GROUP, GroupParams
@@ -84,9 +85,20 @@ def test_derive_checks_each_hop_key_once(counts):
     spec, _keys = _spec(5, 0)
     counts.update(base=0, exp=0, is_element=0)
     derive(spec, PARAMS)
-    # validate_spec tests each key once; the chain then costs alpha (base:
-    # g to a power, a Montgomery modexp in libcrypto) and s (exp) per hop.
-    assert counts == {"base": 5, "exp": 5, "is_element": 5}
+    # kem_keygen recorded these keys as members, so validate_spec tests
+    # none of them; the chain then costs alpha (base: g to a power, a
+    # Montgomery modexp in libcrypto) and s (exp) per hop.
+    assert counts == {"base": 5, "exp": 5, "is_element": 0}
+
+    # Keys made outside kem_keygen are tested on the first derive only.
+    rng = SeedRng(b"derive-checks-each-hop-key-once")
+    foreign = tuple((name, PROD_GROUP.exp(PROD_GROUP.g, PROD_GROUP.random_scalar(rng.fork(name))))
+                    for name, _pk in spec.path[2:])
+    spec = dataclasses.replace(spec, path=spec.path[:2] + foreign)
+    for tests in (3, 0):
+        counts.update(base=0, exp=0, is_element=0)
+        derive(spec, PARAMS)
+        assert counts == {"base": 5, "exp": 5, "is_element": tests}
 
 
 def test_keygen_costs_one_fixed_base_power(counts):
@@ -99,7 +111,8 @@ def test_keygen_costs_one_fixed_base_power(counts):
 def test_kem_game_costs_one_chain(counts, n, bit):
     # Keygen and the adversary's n - 1 keys are one base power each, the
     # challenge chain one base and one exp power per position, whichever
-    # bit was drawn; each submitted key is tested once.
+    # bit was drawn; the submitted keys came from kem_keygen, so none is
+    # tested for membership.
     for seed in range(64):
         counts.update(base=0, exp=0, is_element=0)
         adversary = GuessingKemAdversary(SeedRng(b"kem-budget"), n=n, j=n // 2)
@@ -107,7 +120,16 @@ def test_kem_game_costs_one_chain(counts, n, bit):
             break
     else:
         pytest.fail("no seed drew bit %d" % bit)
-    assert counts == {"base": 2 * n, "exp": n, "is_element": n - 1}
+    assert counts == {"base": 2 * n, "exp": n, "is_element": 0}
+
+
+def test_baseline_round_trip_group_budget(counts):
+    # 6 keygens (base) and two 3-hop chains (base and exp per hop).  Each
+    # of the 6 hops tests its alpha and decapsulates, the 4 that forward
+    # also blind, and the exit decodes the embedded reply header.  No hop
+    # key is tested: kem_keygen recorded every one.
+    sim.run_scenario(sim.baseline_scenario(0))
+    assert counts == {"base": 12, "exp": 16, "is_element": 7}
 
 
 def test_off_group_key_and_empty_seed_raise_under_python_O():

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -158,6 +161,44 @@ def test_nymserver_reply_round_trip_when_not_dropped():
     if not result["dropped_registration"]:
         assert result["reply_round_trip"]
         assert not result["attack_succeeds"]
+
+
+# Registers reply blocks one byte short, one byte long and far too short,
+# then the genuine block; only the genuine one may register.
+_WRONG_WIDTH_REGISTRATIONS = """
+from rsor.crypto import SeedRng
+from rsor.kem import kem_keygen
+from rsor.packet import OnionSpec, derive, receiver_addr, serialize_reply_block
+from rsor.sim import Nymserver, default_params
+
+params = default_params(payload_len=700)
+pks = [kem_keygen(params.group, SeedRng(b"nym-k%d" % i)).pk for i in range(2)]
+spec = OnionSpec(seed=b"nym-block", message=b"m", receiver=receiver_addr(b"svc", params),
+                 path=((b"r0", pks[0]),), reply_path=((b"sender", pks[1]),))
+block = serialize_reply_block(derive(spec, params).reply_info, params)
+nymserver = Nymserver(params)
+for registered in (block[:-1], block + b"\\x00", b"short", block):
+    nymserver.register(b"12345678", registered)
+kinds = [event["kind"] for event in nymserver.events]
+"""
+
+
+def test_nymserver_refuses_reply_blocks_of_the_wrong_width():
+    namespace = {}
+    exec(_WRONG_WIDTH_REGISTRATIONS, namespace)
+    assert namespace["kinds"] == ["nym-bad-registration"] * 3 + ["nym-registered"]
+
+
+def test_nymserver_refuses_reply_blocks_of_the_wrong_width_under_python_O():
+    # The width check must not be an assert, which python -O strips.
+    script = 'assert False, "asserts must be stripped"\n' + _WRONG_WIDTH_REGISTRATIONS + "print(kinds)"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == repr(["nym-bad-registration"] * 3 + ["nym-registered"])
 
 
 def test_padding_attack_rates():
