@@ -22,8 +22,7 @@ enter (``decode``, the entry of ``packet.proc_onion``, spec validation), not
 inside ``exp`` or ``encode``.  A public key is tested once per process:
 spec validation goes through ``kem.is_public_key``, whose bounded key memo
 ``kem_keygen`` also feeds, so a key made as g^sk or tested before costs no
-Legendre test; every alpha is still tested.  The memo keys on the group
-itself, so a group must be hashable, as this frozen dataclass is.
+Legendre test; every alpha is still tested.
 
 The kernels run in libcrypto's BIGNUM code, reached through the handle of
 the extension module CPython's ``hashlib`` already loads (``_hashlib``, which

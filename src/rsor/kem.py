@@ -10,8 +10,8 @@ Powers of the fixed generator (public keys, each alpha_i) come from
 decapsulation) from ``GroupParams.exp``; both are one modexp.
 
 A public key is tested for group membership once per process, not once
-per onion: ``is_public_key`` keeps a memo of the (group, pk) pairs known to
-be members.  ``kem_keygen`` records the g^sk it returns, a member by
+per onion: ``is_public_key`` keeps a memo of the keys known to be members,
+each with its group.  ``kem_keygen`` records the g^sk it returns, a member by
 construction, and ``is_public_key`` records a key the first time it passes
 ``group.is_element``.  The memo holds at most KNOWN_KEYS_CAP keys and
 evicts the oldest to make room, so an evicted key is simply tested again.
@@ -59,21 +59,23 @@ class LayerSecrets:
 
 
 class _KnownKeys:
-    """The key memo: (group, pk) -> None for keys known to be members,
-    oldest first, at most KNOWN_KEYS_CAP of them.  An object rather than a
-    module-level dict, so code that snapshots module dicts (the benchmark's
-    tracer) sees one binding that never changes."""
+    """The key memo: pk -> the group it is known to be a member of, oldest
+    first, at most KNOWN_KEYS_CAP keys.  Keyed by pk alone, so an entry
+    holds no tuple and a lookup hashes no group; a pk is remembered for
+    one group at a time, and a hit needs that very group object.  An object
+    rather than a module-level dict, so code that snapshots module dicts
+    (the benchmark's tracer) sees one binding that never changes."""
 
     def __init__(self):
-        self.pairs = {}
+        self.groups = {}
 
-    def __contains__(self, pair):
-        return pair in self.pairs
+    def knows(self, group, pk: int) -> bool:
+        return self.groups.get(pk) is group
 
     def add(self, group, pk: int):
-        if len(self.pairs) >= KNOWN_KEYS_CAP:
-            del self.pairs[next(iter(self.pairs))]
-        self.pairs[group, pk] = None
+        if pk not in self.groups and len(self.groups) >= KNOWN_KEYS_CAP:
+            del self.groups[next(iter(self.groups))]
+        self.groups[pk] = group
 
 
 _known_keys = _KnownKeys()
@@ -88,7 +90,7 @@ def is_public_key(group, pk) -> bool:
     """
     if type(pk) is not int:
         return group.is_element(pk)
-    if (group, pk) in _known_keys:
+    if _known_keys.knows(group, pk):
         return True
     if not group.is_element(pk):
         return False

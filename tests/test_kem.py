@@ -298,7 +298,7 @@ def test_memo_evicts_the_oldest_key_which_is_then_tested_again(tested):
     keys = _foreign_keys(PROD_GROUP, KNOWN_KEYS_CAP + 1, b"memo-cap")
     for pk in keys:
         assert is_public_key(PROD_GROUP, pk)
-    assert len(kem_module._known_keys.pairs) == KNOWN_KEYS_CAP
+    assert len(kem_module._known_keys.groups) == KNOWN_KEYS_CAP
     assert len(tested) == KNOWN_KEYS_CAP + 1
     tested.clear()
     assert is_public_key(PROD_GROUP, keys[1])
@@ -310,7 +310,7 @@ def test_memo_evicts_the_oldest_key_which_is_then_tested_again(tested):
 def test_keygen_fills_the_memo_and_respects_its_cap(tested):
     rng = SeedRng(b"memo-keygen-cap")
     pks = [kem_keygen(PROD_GROUP, rng.fork(b"%d" % i)).pk for i in range(KNOWN_KEYS_CAP + 1)]
-    assert len(kem_module._known_keys.pairs) == KNOWN_KEYS_CAP
+    assert len(kem_module._known_keys.groups) == KNOWN_KEYS_CAP
     assert all(is_public_key(PROD_GROUP, pk) for pk in pks[1:])
     assert tested == []
     assert is_public_key(PROD_GROUP, pks[0])
