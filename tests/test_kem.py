@@ -318,11 +318,13 @@ def test_keygen_fills_the_memo_and_respects_its_cap(tested):
 
 
 def test_a_key_recorded_for_one_group_is_tested_for_another(tested):
-    # 5 is in TOY_GROUP's subgroup but not PROD_GROUP's.
+    # 5 is in TOY_GROUP's subgroup but not PROD_GROUP's; 4 is in both, and
+    # the memo remembers a key for the group it last passed in.
     assert is_public_key(TOY_GROUP, 5)
-    assert tested == [("toy", 5)]
     assert not is_public_key(PROD_GROUP, 5)
-    assert tested == [("toy", 5), ("prod", 5)]
+    assert is_public_key(TOY_GROUP, 4) and is_public_key(PROD_GROUP, 4)
+    assert is_public_key(TOY_GROUP, 4)
+    assert tested == [("toy", 5), ("prod", 5), ("toy", 4), ("prod", 4), ("toy", 4)]
     toy_pk = kem_keygen(TOY_GROUP, SeedRng(b"memo-toy")).pk
     tested.clear()
     is_public_key(PROD_GROUP, toy_pk)
