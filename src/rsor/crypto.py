@@ -7,11 +7,21 @@ AES-128-CTR; the MAC is truncated HMAC-SHA256; the wide-block PRP is a
 four-round LIONESS-style unbalanced Feistel network, so flipping any
 ciphertext bit scrambles the whole plaintext block.
 
-Every keystream (``prg`` and ``SeedRng``) comes from one kernel,
-``_keystream``.  It runs in libcrypto through the handle ``group`` requires:
-one ``EVP_CIPHER_CTX`` set to AES-128-CTR on first use, kept until the
-process ends and re-keyed for each keystream, so it must run on one thread.
-Nothing outside the standard library is imported.
+Every stream cipher use comes from one kernel, ``_aes_ctr``, which runs
+AES-128-CTR over the caller's bytes: one ``EVP_EncryptUpdate`` reads the data
+and writes data XOR keystream, so no zero buffer is encrypted and no wide
+XOR runs in Python.  LIONESS's stream rounds and the relay's header peel
+(``prg_xor``) run it over the data itself; ``prg`` and ``SeedRng`` run it over
+zeros, for the callers that need the raw keystream.  It runs in libcrypto
+through the handle ``group`` requires: one ``EVP_CIPHER_CTX`` set to
+AES-128-CTR on first use, kept until the process ends and re-keyed for each
+call, so it must run on one thread.  Nothing outside the standard library
+is imported.
+
+Input checks raise ``ValueError`` rather than assert, so they hold under
+``python -O`` too: ``xor_bytes`` refuses operands of unequal length,
+``prg`` and ``prg_xor`` a key that is not KAPPA bytes and ``prg`` a negative
+length, and ``prp_enc``/``prp_dec`` a block not wider than KAPPA bytes.
 """
 
 import ctypes
@@ -30,10 +40,14 @@ _DOM_MAC = b"\xb2"
 _DOM_PRP = b"\xb3"
 _DOM_RNG = b"\xb4"
 
+# The hash prefixes of LIONESS's four round keys.
+_PRP_PREFIXES = tuple(_DOM_PRP + bytes([i]) for i in range(1, 5))
+
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
     """XOR two equal-length byte strings."""
-    assert len(a) == len(b), "xor operands must have equal length"
+    if len(a) != len(b):
+        raise ValueError("xor operands must have equal length")
     n = len(a)
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(n, "big")
 
@@ -58,7 +72,7 @@ class SeedRng:
         """Return the next n bytes of the stream."""
         block, skip = divmod(self._offset, 16)
         self._offset += n
-        return _keystream(self._key, block, skip + n)[skip:]
+        return _aes_ctr(self._key, block, bytes(skip + n))[skip:]
 
     def fork(self, label: bytes) -> "SeedRng":
         """An independent stream derived from this seed and a label; it does
@@ -69,23 +83,25 @@ class SeedRng:
 @functools.cache
 def _cipher_ctx(lib):
     """The one EVP_CIPHER_CTX of this handle, set to AES-128-CTR.  A pointer
-    into this process, re-keyed by every keystream: one thread only."""
+    into this process, re-keyed by every call: one thread only."""
     ctx = _group._ok(lib.EVP_CIPHER_CTX_new(), "EVP_CIPHER_CTX_new")
     cipher = _group._ok(lib.EVP_aes_128_ctr(), "EVP_aes_128_ctr")
     _group._ok(lib.EVP_EncryptInit_ex(ctx, cipher, None, None, None), "EVP_EncryptInit_ex")
     return ctx
 
 
-def _keystream(key16: bytes, block: int, n: int) -> bytes:
-    """n bytes of the AES-128-CTR keystream under key16, starting at counter
-    block `block` (the 16-byte big-endian counter of the zero-nonce stream)."""
+def _aes_ctr(key16: bytes, block: int, data: bytes) -> bytes:
+    """data XOR the AES-128-CTR keystream under key16, starting at counter
+    block `block` (the 16-byte big-endian counter of the zero-nonce stream).
+    libcrypto reads data itself, so zeros in give the keystream out."""
+    data = bytes(data)
+    n = len(data)
     iv = block.to_bytes(16, "big")
     lib = _group._LIBCRYPTO
     ctx = _cipher_ctx(lib)
     _group._ok(lib.EVP_EncryptInit_ex(ctx, None, None, key16, iv), "EVP_EncryptInit_ex")
     out, written = ctypes.create_string_buffer(n), ctypes.c_int()
-    # Encrypting n zero bytes in place leaves the keystream itself.
-    _group._ok(lib.EVP_EncryptUpdate(ctx, out, written, out, n), "EVP_EncryptUpdate")
+    _group._ok(lib.EVP_EncryptUpdate(ctx, out, written, data, n), "EVP_EncryptUpdate")
     return out.raw
 
 
@@ -113,13 +129,19 @@ def ro_hsym(tag: str, group, s: int) -> bytes:
     return _key_oracle(_SYM_DOMAINS[tag], group, s)
 
 
-def prg(key: bytes, out_len: int) -> bytes:
-    """Pseudorandom stream of out_len bytes under a KAPPA-byte key."""
+def prg_xor(key: bytes, data: bytes) -> bytes:
+    """data XOR prg(key, len(data)), in one pass over data."""
     # Not an assert, which python -O strips: AES takes 24- and 32-byte keys too.
     if len(key) != KAPPA:
         raise ValueError("prg key must be %d bytes" % KAPPA)
-    assert out_len >= 0
-    return _keystream(bytes(key), 0, out_len)
+    return _aes_ctr(bytes(key), 0, data)
+
+
+def prg(key: bytes, out_len: int) -> bytes:
+    """Pseudorandom stream of out_len bytes under a KAPPA-byte key."""
+    if out_len < 0:
+        raise ValueError("prg length must not be negative")
+    return prg_xor(key, bytes(out_len))
 
 
 def mac(key: bytes, data: bytes) -> bytes:
@@ -129,31 +151,35 @@ def mac(key: bytes, data: bytes) -> bytes:
 
 def _prp_subkeys(key: bytes):
     base = bytes(key)
-    ks = [hashlib.sha256(_DOM_PRP + bytes([i]) + base).digest() for i in range(1, 5)]
+    ks = [hashlib.sha256(prefix + base).digest() for prefix in _PRP_PREFIXES]
     # Rounds 1 and 3 XOR into the KAPPA-byte left part; rounds 2 and 4 are
     # HMAC keys for compressing the right part.
     return ks[0][:KAPPA], ks[1], ks[2][:KAPPA], ks[3]
 
 
+def _split_block(block: bytes):
+    if len(block) <= KAPPA:
+        raise ValueError("PRP block must exceed the left-part width")
+    return block[:KAPPA], block[KAPPA:]
+
+
 def prp_enc(key: bytes, block: bytes) -> bytes:
     """LIONESS encryption of a block wider than KAPPA bytes."""
-    assert len(block) > KAPPA, "PRP block must exceed the left-part width"
-    left, right = block[:KAPPA], block[KAPPA:]
+    left, right = _split_block(block)
     k1, k2, k3, k4 = _prp_subkeys(key)
-    right = xor_bytes(right, prg(xor_bytes(left, k1), len(right)))
+    right = _aes_ctr(xor_bytes(left, k1), 0, right)
     left = xor_bytes(left, mac(k2, right))
-    right = xor_bytes(right, prg(xor_bytes(left, k3), len(right)))
+    right = _aes_ctr(xor_bytes(left, k3), 0, right)
     left = xor_bytes(left, mac(k4, right))
     return left + right
 
 
 def prp_dec(key: bytes, block: bytes) -> bytes:
     """Inverse of prp_enc."""
-    assert len(block) > KAPPA, "PRP block must exceed the left-part width"
-    left, right = block[:KAPPA], block[KAPPA:]
+    left, right = _split_block(block)
     k1, k2, k3, k4 = _prp_subkeys(key)
     left = xor_bytes(left, mac(k4, right))
-    right = xor_bytes(right, prg(xor_bytes(left, k3), len(right)))
+    right = _aes_ctr(xor_bytes(left, k3), 0, right)
     left = xor_bytes(left, mac(k2, right))
-    right = xor_bytes(right, prg(xor_bytes(left, k1), len(right)))
+    right = _aes_ctr(xor_bytes(left, k1), 0, right)
     return left + right

@@ -1,4 +1,5 @@
 import hashlib
+import hmac
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from rsor.crypto import (
     SeedRng,
     mac,
     prg,
+    prg_xor,
     prp_dec,
     prp_enc,
     ro_hb,
@@ -28,9 +30,36 @@ def _reference_keystream(key, n):
     return Cipher(algorithms.AES(key), modes.CTR(bytes(16))).encryptor().update(bytes(n))
 
 
+def _xor(a, b):
+    assert len(a) == len(b)
+    return bytes(x ^ y for x, y in zip(a, b))
+
+
+def _reference_lioness(key, block, inverse=False):
+    """LIONESS from cryptography's AES-CTR, hmac and hashlib alone: round
+    keys sha256(0xb3 | i | key); rounds 1 and 3 XOR the AES-128-CTR stream
+    under left XOR k[:16] onto the right part, rounds 2 and 4 XOR the
+    truncated HMAC-SHA256 of the right part under k onto the left part."""
+    k1, k2, k3, k4 = (hashlib.sha256(b"\xb3" + bytes([i]) + key).digest() for i in range(1, 5))
+    left, right = block[:KAPPA], block[KAPPA:]
+
+    def stream_round(k):
+        nonlocal right
+        right = _xor(right, _reference_keystream(_xor(left, k[:KAPPA]), len(right)))
+
+    def hash_round(k):
+        nonlocal left
+        left = _xor(left, hmac.new(k, right, "sha256").digest()[:KAPPA])
+
+    rounds = [(stream_round, k1), (hash_round, k2), (stream_round, k3), (hash_round, k4)]
+    for apply, k in reversed(rounds) if inverse else rounds:
+        apply(k)
+    return left + right
+
+
 def test_xor_bytes():
     assert xor_bytes(b"\x0f\xf0", b"\xff\xff") == b"\xf0\x0f"
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         xor_bytes(b"\x00", b"\x00\x00")
 
 
@@ -95,6 +124,25 @@ def test_prg_matches_aes_ctr_at_every_length():
     reference = _reference_keystream(key, 600)
     for n in range(601):
         assert prg(key, n) == reference[:n], n
+
+
+def test_prg_refuses_a_negative_length():
+    with pytest.raises(ValueError):
+        prg(bytes(KAPPA), -1)
+
+
+def test_prg_xor_is_data_xor_prg_at_every_length():
+    key = bytes(range(KAPPA))
+    data = SeedRng(b"prg-xor-data").read(600)
+    for n in range(601):
+        assert prg_xor(key, data[:n]) == xor_bytes(data[:n], prg(key, n)), n
+    assert prg_xor(key, bytearray(data)) == xor_bytes(data, prg(key, 600))
+
+
+@pytest.mark.parametrize("key_len", [KAPPA - 1, KAPPA + 1])
+def test_prg_xor_refuses_a_key_not_kappa_bytes(key_len):
+    with pytest.raises(ValueError):
+        prg_xor(b"k" * key_len, bytes(16))
 
 
 def test_seed_rng_reads_inside_blocks_past_two_to_the_sixteen():
@@ -180,6 +228,37 @@ def test_keystream_and_derive_work_under_python_O():
     ]
 
 
+def test_input_checks_raise_under_python_O():
+    # python -O strips asserts: each check must raise ValueError regardless.
+    script = textwrap.dedent("""
+        from rsor.crypto import KAPPA, prg, prg_xor, prp_dec, prp_enc, xor_bytes
+
+        assert False, "asserts must be stripped"
+        calls = [
+            lambda: xor_bytes(b"\\x01", b"\\x00\\x02"),
+            lambda: prg(bytes(KAPPA), -1),
+            lambda: prg(bytes(KAPPA - 1), 8),
+            lambda: prg_xor(bytes(KAPPA + 1), b"data"),
+            lambda: prp_enc(bytes(KAPPA), b"abc"),
+            lambda: prp_enc(bytes(KAPPA), bytes(KAPPA)),
+            lambda: prp_dec(bytes(KAPPA), bytes(KAPPA)),
+        ]
+        for i, call in enumerate(calls):
+            try:
+                call()
+            except ValueError:
+                continue
+            raise SystemExit("call %d was not refused" % i)
+        print("ok")
+    """)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0 and out.stdout.strip() == "ok", out.stdout + out.stderr
+
+
 def test_mac_deterministic_and_sensitive():
     key = b"m" * KAPPA
     tag = mac(key, b"hello")
@@ -197,6 +276,18 @@ def test_prp_roundtrip():
     assert sealed != block
     assert prp_dec(key, sealed) == block
     assert prp_dec(b"q" * KAPPA, sealed) != block
+
+
+@pytest.mark.parametrize("width", [KAPPA + 1, 24, 355, 1024])
+def test_prp_matches_a_reference_lioness(width):
+    rng = SeedRng(b"lioness-kat:%d" % width)
+    for _ in range(4):
+        key, block = rng.read(KAPPA), rng.read(width)
+        sealed = _reference_lioness(key, block)
+        assert prp_enc(key, block) == sealed
+        assert _reference_lioness(key, sealed, inverse=True) == block
+        assert prp_dec(key, sealed) == block
+        assert prp_dec(key, block) == _reference_lioness(key, block, inverse=True)
 
 
 def test_prp_small_domain_bijection():

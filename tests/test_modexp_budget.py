@@ -11,6 +11,7 @@ import textwrap
 
 import pytest
 
+import rsor.crypto
 import rsor.packet
 from rsor import sim
 from rsor.crypto import SeedRng
@@ -79,6 +80,25 @@ def test_forward_hop_costs_three_modexps(counts):
     assert result.kind == "forward"
     # alpha in G, then alpha^sk (decap) and alpha^b (blind).
     assert counts == {"base": 0, "exp": 2, "is_element": 1}
+
+
+def test_forward_hop_runs_one_cipher_pass_per_stream(monkeypatch):
+    spec, keys = _spec(3, 0)
+    onion = form_onion(2, spec, PARAMS)
+    tally = {"prg": 0, "_aes_ctr": 0}
+    for module, name in ((rsor.crypto, "prg"), (rsor.packet, "prg"), (rsor.crypto, "_aes_ctr")):
+
+        def counted(*args, _original=getattr(module, name), _name=name):
+            tally[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    result = proc_onion(keys[b"r1"].sk, onion, b"r1", PARAMS, InMemoryView())
+    # The header peel and LIONESS's two stream rounds each run CTR over the
+    # data: no keystream of zeros is made.
+    assert tally == {"prg": 0, "_aes_ctr": 3}
+    monkeypatch.undo()
+    assert result.next_onion == form_onion(3, spec, PARAMS)
 
 
 def test_derive_checks_each_hop_key_once(counts):
