@@ -28,13 +28,13 @@ The kernels run in libcrypto's BIGNUM code, reached through the handle of
 the extension module CPython's ``hashlib`` already loads (``_hashlib``, which
 links libcrypto): ``exp`` and ``base`` are Montgomery modexps
 (``BN_mod_exp_mont``), and ``is_element`` computes the Legendre symbol with
-``BN_kronecker``.  The same handle also serves ``crypto``'s keystream kernel
-(AES-128-CTR through ``EVP_EncryptInit_ex`` and ``EVP_EncryptUpdate``).
+``BN_kronecker``.  The same handle also serves ``crypto``'s AES-CTR kernel
+(through ``EVP_EncryptInit_ex`` and ``EVP_EncryptUpdate``).
 The handle is required and resolved once, at import: if ``_hashlib`` does
 not import, its library does not load or any symbol is missing, ``import
 rsor`` raises ``ImportError`` naming the cause.  Each group keeps its
 libcrypto state (a ``BN_CTX``, p with its Montgomery context, scratch
-BIGNUMs and a result buffer), and the keystream kernel its one cipher
+BIGNUMs and a result buffer), and the AES-CTR kernel its one cipher
 context, from first use until the process ends; that state is shared by
 every call, so both kernels must run on one thread.
 
@@ -51,7 +51,7 @@ from functools import cached_property
 
 def _resolve_libcrypto():
     """The libcrypto handle with every BIGNUM and EVP cipher function the
-    group and keystream kernels call typed; ImportError, naming the cause,
+    group and AES-CTR kernels call typed; ImportError, naming the cause,
     when it cannot be resolved."""
     ptr, num, buf = ctypes.c_void_p, ctypes.c_int, ctypes.c_char_p
     signatures = {

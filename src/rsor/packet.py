@@ -513,8 +513,8 @@ class InMemoryView:
     long-lived relay accepts.  It keeps every digest, as the keys of an
     insertion-ordered dict rather than a set: a set's table quadruples when
     it grows (128 to 512 KB at 4,915 entries), a dict's index doubles (144 to
-    288 KB at 5,462, 576 KB at 10,923), so the cache costs less memory at
-    every size past a few thousand, and the oldest digest comes first.  An
+    288 KB at 5,462, 576 KB at 10,923), so the cache's memory doubles in a
+    step instead of quadrupling, and the oldest digest comes first.  An
     expectation is a ReplyOpening filed under
     its ident until proc_onion opens the reply it expects; a view keeps at
     most REPLY_OPENING_CAP of them and evicts the oldest to make room, so a

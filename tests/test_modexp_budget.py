@@ -1,7 +1,7 @@
 """Group membership is checked once, where untrusted values enter, and each
 party processes an onion once.  These tests pin the modexp cost of that, the
-LIONESS cost of a round trip, and the behaviour that must survive them:
-range errors, replay refusal, rid use."""
+LIONESS cost of a round trip, the cipher passes of a forward hop, and the
+behaviour that must survive them: range errors, replay refusal, rid use."""
 
 import dataclasses
 import os
