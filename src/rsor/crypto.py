@@ -64,7 +64,10 @@ class SeedRng:
     """
 
     def __init__(self, seed: bytes):
-        assert isinstance(seed, (bytes, bytearray))
+        # Not an assert, which python -O strips: bytes(5) would then seed
+        # five zero bytes, and True one.
+        if not isinstance(seed, (bytes, bytearray)):
+            raise TypeError("SeedRng needs a bytes seed, not %s" % type(seed).__name__)
         self._key = hashlib.sha256(_DOM_RNG + bytes(seed)).digest()[:16]
         self._offset = 0
 
@@ -90,18 +93,25 @@ def _cipher_ctx(lib):
     return ctx
 
 
+# EVP_EncryptUpdate's output count, which CTR mode always sets to the input
+# length; written by every call and never read, so one serves them all.
+_WRITTEN = ctypes.c_int()
+
+
 def _aes_ctr(key16: bytes, block: int, data: bytes) -> bytes:
     """data XOR the AES-128-CTR keystream under key16, starting at counter
     block `block` (the 16-byte big-endian counter of the zero-nonce stream).
     libcrypto reads data itself, so zeros in give the keystream out."""
-    data = bytes(data)
+    if not isinstance(data, bytes):
+        data = bytes(data)
     n = len(data)
-    iv = block.to_bytes(16, "big")
     lib = _group._LIBCRYPTO
     ctx = _cipher_ctx(lib)
-    _group._ok(lib.EVP_EncryptInit_ex(ctx, None, None, key16, iv), "EVP_EncryptInit_ex")
-    out, written = ctypes.create_string_buffer(n), ctypes.c_int()
-    _group._ok(lib.EVP_EncryptUpdate(ctx, out, written, data, n), "EVP_EncryptUpdate")
+    if not lib.EVP_EncryptInit_ex(ctx, None, None, key16, block.to_bytes(16, "big")):
+        raise RuntimeError("libcrypto EVP_EncryptInit_ex failed")
+    out = ctypes.create_string_buffer(n)
+    if not lib.EVP_EncryptUpdate(ctx, out, _WRITTEN, data, n):
+        raise RuntimeError("libcrypto EVP_EncryptUpdate failed")
     return out.raw
 
 

@@ -24,12 +24,23 @@ spec validation goes through ``kem.is_public_key``, whose bounded key memo
 ``kem_keygen`` also feeds, so a key made as g^sk or tested before costs no
 Legendre test; every alpha is still tested.
 
-The kernels run in libcrypto's BIGNUM code, reached through the handle of
-the extension module CPython's ``hashlib`` already loads (``_hashlib``, which
-links libcrypto): ``exp`` and ``base`` are Montgomery modexps
+``base`` raises the one fixed generator to a power from a fixed-base table
+(Brickell, Gordon, McCurley and Wilson, EUROCRYPT 1992): row i holds
+g^(d * 256^i) for every byte value d, one row per byte of q, so g^e is the
+product of one entry per nonzero byte of e mod q, at most 33 Python modular
+multiplications for ``PROD_GROUP``.  Each group builds its table on first
+use and keeps it until the process ends: for ``PROD_GROUP``, 33 rows of 256
+ints, about 0.57 MB, built in 6.5-7 ms (Python 3.11 on a 2-core Xeon).
+
+The other kernels run in libcrypto's BIGNUM code, reached through the
+handle of the extension module CPython's ``hashlib`` already loads
+(``_hashlib``, which links libcrypto): ``exp`` is a Montgomery modexp
 (``BN_mod_exp_mont``), and ``is_element`` computes the Legendre symbol with
-``BN_kronecker``.  The same handle also serves ``crypto``'s AES-CTR kernel
-(through ``EVP_EncryptInit_ex`` and ``EVP_EncryptUpdate``).
+``BN_kronecker``.  Neither ``base`` nor ``exp`` is constant-time: the table
+entries read and the zero bytes skipped depend on the exponent, and
+``BN_mod_exp_mont`` is called without ``BN_FLG_CONSTTIME``.  The same
+handle also serves ``crypto``'s AES-CTR kernel (through
+``EVP_EncryptInit_ex`` and ``EVP_EncryptUpdate``).
 The handle is required and resolved once, at import: if ``_hashlib`` does
 not import, its library does not load or any symbol is missing, ``import
 rsor`` raises ``ImportError`` naming the cause.  Each group keeps its
@@ -145,10 +156,27 @@ class GroupParams:
         an element."""
         return self._power(base, e)
 
+    @cached_property
+    def _g_table(self):
+        """The fixed-base table: row i holds g**(d * 256**i) mod p at index
+        d, for d in [0, 256), one row per byte of q."""
+        p, h, rows = self.p, self.g, []
+        for _ in range((self.q.bit_length() + 7) // 8):
+            row = [1]
+            for _ in range(255):
+                row.append(row[-1] * h % p)
+            rows.append(tuple(row))
+            h = row[-1] * h % p  # g**(256**(i + 1))
+        return tuple(rows)
+
     def base(self, e: int) -> int:
-        """g**(e mod q), the same value as exp(g, e).  It calls the kernel
-        itself rather than exp, so callers can count the two apart."""
-        return self._power(self.g, e)
+        """g**(e mod q), the same value as exp(g, e): one table entry per
+        nonzero byte of e mod q, multiplied mod p."""
+        table, p, r = self._g_table, self.p, 1
+        for row, d in zip(table, (e % self.q).to_bytes(len(table), "little")):
+            if d:
+                r = r * row[d] % p
+        return r
 
     def is_element(self, v) -> bool:
         """True if v is a member of the order-q subgroup (including identity):

@@ -6,8 +6,9 @@ b_i = h_b(alpha_i, s_i).  Relays recover the same secrets from (alpha, sk)
 alone, so the chain can be computed hop by hop without the sender's state.
 
 Powers of the fixed generator (public keys, each alpha_i) come from
-``GroupParams.base`` and powers of other elements (s_i, blinding,
-decapsulation) from ``GroupParams.exp``; both are one modexp.
+``GroupParams.base``, at most 33 multiplications from the group's fixed-base
+table, and powers of other elements (s_i, blinding, decapsulation) from
+``GroupParams.exp``, one libcrypto modexp.
 
 A public key is tested for group membership once per process, not once
 per onion: ``is_public_key`` keeps a memo of the keys known to be members,
@@ -135,7 +136,10 @@ def kem_chain_create(group, x: int, pubkeys) -> tuple:
     """
     if not pubkeys:
         raise ValueError("a KEM chain needs at least one hop public key")
-    assert group.is_scalar(x)
+    # Not an assert, which python -O strips: x = 0 would put g^0, the
+    # identity, on the wire.
+    if not group.is_scalar(x):
+        raise ValueError("the chain secret x must be a scalar in [1, q)")
     layers = []
     exponent = x
     for pk in pubkeys:

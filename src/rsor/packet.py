@@ -508,28 +508,36 @@ class InMemoryView:
     store proc_onion reads and writes, for relays, senders and the game
     oracles' honest parties alike.
 
-    The replay cache keeps a 32-byte SHA-256 digest per processed header
-    rather than the header itself, since it grows with every onion a
-    long-lived relay accepts.  It keeps every digest, as the keys of an
+    The replay cache keeps a tag per processed header rather than the
+    header itself, since it grows with every onion a long-lived relay
+    accepts.  The tag is the first KAPPA bytes of the header's SHA-256
+    digest, as an int: 128 bits, the format's MAC width, in a 44-byte int
+    where the whole digest took a 65-byte bytes object (ten views of 4,500
+    headers each hold 3.29 MiB instead of 4.20, of 5,800 each 5.25 instead
+    of 6.41, by tracemalloc).  It keeps every tag, as the keys of an
     insertion-ordered dict rather than a set: a set's table quadruples when
     it grows (128 to 512 KB at 4,915 entries), a dict's index doubles (144 to
     288 KB at 5,462, 576 KB at 10,923), so the cache's memory doubles in a
-    step instead of quadrupling, and the oldest digest comes first.  An
-    expectation is a ReplyOpening filed under
-    its ident until proc_onion opens the reply it expects; a view keeps at
-    most REPLY_OPENING_CAP of them and evicts the oldest to make room, so a
-    reply that comes back too late drops as unsolicited.
+    step instead of quadrupling, and the oldest tag comes first.  An
+    expectation is a ReplyOpening filed under its ident until proc_onion
+    opens the reply it expects; a view keeps at most REPLY_OPENING_CAP of
+    them and evicts the oldest to make room, so a reply that comes back too
+    late drops as unsolicited.
     """
 
     def __init__(self):
         self._seen = {}
         self._expectations = {}
 
+    @staticmethod
+    def _tag(header_bytes: bytes) -> int:
+        return int.from_bytes(hashlib.sha256(header_bytes).digest()[:KAPPA], "big")
+
     def seen(self, header_bytes: bytes) -> bool:
-        return hashlib.sha256(header_bytes).digest() in self._seen
+        return self._tag(header_bytes) in self._seen
 
     def check_and_add(self, header_bytes: bytes) -> bool:
-        key = hashlib.sha256(header_bytes).digest()
+        key = self._tag(header_bytes)
         if key in self._seen:
             return False
         self._seen[key] = None

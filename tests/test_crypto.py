@@ -229,24 +229,32 @@ def test_keystream_and_derive_work_under_python_O():
 
 
 def test_input_checks_raise_under_python_O():
-    # python -O strips asserts: each check must raise ValueError regardless.
+    # python -O strips asserts: each check must raise regardless.
     script = textwrap.dedent("""
-        from rsor.crypto import KAPPA, prg, prg_xor, prp_dec, prp_enc, xor_bytes
+        from rsor.crypto import KAPPA, SeedRng, prg, prg_xor, prp_dec, prp_enc, xor_bytes
+        from rsor.group import PROD_GROUP
+        from rsor.kem import kem_chain_create
 
         assert False, "asserts must be stripped"
         calls = [
-            lambda: xor_bytes(b"\\x01", b"\\x00\\x02"),
-            lambda: prg(bytes(KAPPA), -1),
-            lambda: prg(bytes(KAPPA - 1), 8),
-            lambda: prg_xor(bytes(KAPPA + 1), b"data"),
-            lambda: prp_enc(bytes(KAPPA), b"abc"),
-            lambda: prp_enc(bytes(KAPPA), bytes(KAPPA)),
-            lambda: prp_dec(bytes(KAPPA), bytes(KAPPA)),
+            (ValueError, lambda: xor_bytes(b"\\x01", b"\\x00\\x02")),
+            (ValueError, lambda: prg(bytes(KAPPA), -1)),
+            (ValueError, lambda: prg(bytes(KAPPA - 1), 8)),
+            (ValueError, lambda: prg_xor(bytes(KAPPA + 1), b"data")),
+            (ValueError, lambda: prp_enc(bytes(KAPPA), b"abc")),
+            (ValueError, lambda: prp_enc(bytes(KAPPA), bytes(KAPPA))),
+            (ValueError, lambda: prp_dec(bytes(KAPPA), bytes(KAPPA))),
+            # Unrefused, these seeded the streams of bytes(5) and b"\\x00".
+            (TypeError, lambda: SeedRng(5)),
+            (TypeError, lambda: SeedRng(True)),
+            # Unrefused, x = 0 put g^0, the identity, on the wire as alpha_0.
+            (ValueError, lambda: kem_chain_create(PROD_GROUP, 0, [PROD_GROUP.g])),
+            (ValueError, lambda: kem_chain_create(PROD_GROUP, PROD_GROUP.q, [PROD_GROUP.g])),
         ]
-        for i, call in enumerate(calls):
+        for i, (refusal, call) in enumerate(calls):
             try:
                 call()
-            except ValueError:
+            except refusal:
                 continue
             raise SystemExit("call %d was not refused" % i)
         print("ok")

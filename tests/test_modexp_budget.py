@@ -106,8 +106,8 @@ def test_derive_checks_each_hop_key_once(counts):
     counts.update(base=0, exp=0, is_element=0)
     derive(spec, PARAMS)
     # kem_keygen recorded these keys as members, so validate_spec tests
-    # none of them; the chain then costs alpha (base: g to a power, a
-    # Montgomery modexp in libcrypto) and s (exp) per hop.
+    # none of them; the chain then costs alpha (base: g to a power, from
+    # the fixed-base table) and s (exp, a modexp in libcrypto) per hop.
     assert counts == {"base": 5, "exp": 5, "is_element": 0}
 
     # Keys made outside kem_keygen are tested on the first derive only.
@@ -150,6 +150,20 @@ def test_baseline_round_trip_group_budget(counts):
     # key is tested: kem_keygen recorded every one.
     sim.run_scenario(sim.baseline_scenario(0))
     assert counts == {"base": 12, "exp": 16, "is_element": 7}
+
+
+def test_base_makes_no_libcrypto_call(monkeypatch):
+    calls = []
+
+    def counted(self, *args, _original=GroupParams._power):
+        calls.append(args)
+        return _original(self, *args)
+
+    monkeypatch.setattr(GroupParams, "_power", counted)
+    sim.run_scenario(sim.baseline_scenario(0))
+    # The 16 exp powers of the budget above; its 12 base powers read the
+    # fixed-base table.
+    assert len(calls) == 16
 
 
 def test_off_group_key_and_empty_seed_raise_under_python_O():
