@@ -166,7 +166,7 @@ class GroupParams:
             for _ in range(255):
                 row.append(row[-1] * h % p)
             rows.append(tuple(row))
-            h = row[-1] * h % p  # g**(256**(i + 1))
+            h = row[-1] * h % p  # h**256, the next row's step
         return tuple(rows)
 
     def base(self, e: int) -> int:
