@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .crypto import SeedRng
 from .kem import kem_decap, kem_keygen
 from .packet import (
+    Header,
     InMemoryView,
     Onion,
     OnionSpec,
@@ -66,18 +67,38 @@ def _out_len(out, params):
     return total
 
 
+def _well_formed(onion, params):
+    """True if onion is exactly an Onion whose header is exactly a Header of
+    an int and bytes, with every field at the format's width.  Exact types,
+    so no adversary subclass can answer a comparison its own way."""
+    if type(onion) is not Onion or type(onion.header) is not Header:
+        return False
+    header = onion.header
+    fields = ((header.beta, params.beta_len), (header.gamma, params.kappa),
+              (onion.delta, params.payload_len))
+    return type(header.alpha) is int and all(
+        type(value) is bytes and len(value) == width for value, width in fields)
+
+
 class GameOracles:
     """Proc/Reply request channels for the honest parties of one game.
+
+    Each call first checks the adversary's input, exactly and before
+    either world looks at it: the party must be one of the game's honest
+    parties, the onion well formed (_well_formed), and a Reply's message
+    bytes that fit the frame.  Any other input gets None in both worlds.
 
     challenger(party, onion), installed by the game's world, returns None to
     leave an onion to honest processing with the party's key, or (out,
     reply) for a recognized challenge layer: out is the Proc answer, and
     reply is what a Reply to that exact onion gives (see _reply_from).
-    Each party peels an onion once, in proc; state[party] is the view
-    proc_onion consults, and replies[party] maps the header of each
-    repliable onion the party processed to (payload, reply) until its one
-    Reply.  Every answer's byte length is logged so tests can check that the
-    transcript shape is independent of the hidden bit.
+    The handler is consulted before the replay test.  Each party peels an
+    onion once, in proc_onion, which makes its own replay test against
+    state[party]; a handler's answer makes the same test once, and the
+    answer to a replayed header is discarded for None.  replies[party]
+    maps each repliable onion the party processed to its reply until its
+    one Reply.  Every answer's byte length is logged so tests can check
+    that the transcript shape is independent of the hidden bit.
     """
 
     def __init__(self, params, keypairs):
@@ -92,41 +113,32 @@ class GameOracles:
         self.transcript.append((move, _out_len(out, self.params)))
         return out
 
+    def _admits(self, party, onion):
+        return (type(party) is bytes and party in self.keys
+                and _well_formed(onion, self.params))
+
     def proc(self, party, onion):
+        if not self._admits(party, onion):
+            return self._log("proc", None)
         state = self.state[party]
-        try:
-            header_bytes = serialize_header(onion.header, self.params)
-        except ValueError:
-            return self._log("proc", None)
-        # A replay is refused before the challenger's handler, which would
-        # otherwise overwrite a repliable exit's reply with its own.
-        if state.seen(header_bytes):
-            return self._log("proc", None)
         answer = self.challenger(party, onion)
-        if answer is not None:
-            out, reply = answer
-            state.check_and_add(header_bytes)
-        else:
-            # proc_onion adds the header to the replay cache once its MAC verifies.
+        if answer is None:
             result = proc_onion(self.keys[party].sk, onion, party, self.params, state)
             out, reply = _translate(result), _reply_from(result.reply_info, self.params)
+        elif state.check_and_add(serialize_header(onion.header, self.params)):
+            out, reply = answer
+        else:
+            return self._log("proc", None)
         if reply is not None:
-            self.replies[party][header_bytes] = (onion.delta, reply)
+            self.replies[party][onion] = reply
         return self._log("proc", out)
 
     def reply(self, party, onion, message):
-        try:
-            header_bytes = serialize_header(onion.header, self.params)
-        except ValueError:
-            return self._log("reply", None)
-        entry = self.replies[party].get(header_bytes)
-        # A message that cannot fit gets None in both worlds, before any
-        # challenger's reply could answer it differently.
-        if (entry is None or entry[0] != onion.delta
+        if (not self._admits(party, onion) or type(message) is not bytes
                 or len(message) > self.params.max_msg_len):
             return self._log("reply", None)
-        del self.replies[party][header_bytes]  # one reply per onion
-        return self._log("reply", ("reply-onion", *entry[1](message)))
+        reply = self.replies[party].pop(onion, None)  # one reply per onion
+        return self._log("reply", None if reply is None else ("reply-onion", *reply(message)))
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +168,9 @@ def _checked_paths(sub, oracles, honest_slots):
     key_of = {}
     for which in (0, 1):
         for idx, (name, pk) in enumerate(paths[which]):
+            # Exact types, so a name or key cannot compare equal its own way.
+            if type(name) is not bytes or not (pk is None or type(pk) is int):
+                raise ValueError("a name must be bytes and a key an int or None")
             if honest_slots.get((which, idx), name) != name:
                 raise ValueError("honest relay expected at this position")
             if name in oracles.keys:
@@ -312,7 +327,7 @@ def game_tlu_forward(adversary, seed, params=None, force_b=None):
 
 def _tlu_positions(sub, oracles):
     n, j = len(sub.path), sub.j
-    if not isinstance(j, int) or not 1 <= j <= n:
+    if type(j) is not int or not 1 <= j <= n:
         raise ValueError("position j out of range")
     if not sub.reply_path:
         raise ValueError("the game needs a reply path")
@@ -330,10 +345,6 @@ def _tlu_world(oracles, rng, sub, bit, real, bar):
 
     def challenger(party, onion):
         if bit == 0 or party != P_H or not recognize_onion(j, onion, d_bar):
-            return None
-        # The header is valid for P_H, so a wrong payload width is the only
-        # way a forward layer can fail: leave it to the honest failure.
-        if len(onion.delta) != params.payload_len:
             return None
         intact = onion.delta == d_bar.onion(j).delta
         if j < n:
@@ -364,7 +375,7 @@ def game_slu_backward(adversary, seed, params=None, force_b=None):
 def _slu_positions(sub, oracles):
     n, nr, j_back = len(sub.path), len(sub.reply_path), sub.j_back
     # j_back = nr would put P_H in the sender's slot (P_S's, at nr - 1).
-    if not isinstance(j_back, int) or not 0 <= j_back < nr:
+    if type(j_back) is not int or not 0 <= j_back < nr:
         raise ValueError("position out of range")
     honest_slots = {(1, nr - 1): P_S}
     honest_slots[(0, n - 1) if j_back == 0 else (1, j_back - 1)] = P_H
@@ -379,12 +390,12 @@ def _slu_world(oracles, rng, sub, bit, real, bar):
     With j_back > 0, P_H's Proc of its reply-path layer forwards bar's first
     layer.  With j_back = 0, P_H is real's exit: Proc of that exact layer
     delivers real's message, and its one Reply is bar's first layer.  In
-    both worlds P_S outputs nothing for the layer it absorbs as the sender.
+    both worlds P_S outputs nothing for the layer it absorbs as the sender,
+    so it files no reply expectation.
     """
     params, j_back = oracles.params, sub.j_back
     n, nr = len(real.path), len(real.reply_path)
     d_real = derive(real, params)
-    oracles.state[P_S].expect_reply(d_real.opening)
     next_name = real.reply_path[j_back][0]
     d_bar = None
 
@@ -410,10 +421,6 @@ def _slu_world(oracles, rng, sub, bit, real, bar):
                     lambda message: (derived_bar().onion(1), next_name))
         if not recognize_onion(n + j_back, onion, d_real):
             return None
-        # A valid reply-path header for P_H forwards unless the payload
-        # width is wrong: leave that to the honest failure.
-        if len(onion.delta) != params.payload_len:
-            return None
         return ("forward", next_name, derived_bar().onion(1)), None
 
     def _absorbed_at_sender(onion):
@@ -438,10 +445,10 @@ def game_sti_tail(adversary, seed, params=None, force_b=None):
 def _sti_positions(sub, oracles):
     n, nr = len(sub.path), len(sub.reply_path)
     j, j_back = sub.j, sub.j_back
-    if not isinstance(j, int) or not 0 <= j < n:
+    if type(j) is not int or not 0 <= j < n:
         raise ValueError("position j out of range (j = n is rejected)")
     # j_back = nr would put P_H_BACK in the sender's slot (P_S's, at nr - 1).
-    if not isinstance(j_back, int) or not 1 <= j_back < nr:
+    if type(j_back) is not int or not 1 <= j_back < nr:
         raise ValueError("backward position out of range")
     honest_slots = {(1, j_back - 1): P_H_BACK, (1, nr - 1): P_S}
     if j > 0:

@@ -138,8 +138,9 @@ class GroupParams:
         r, a, x = (_ok(lib.BN_new(), "BN_new") for _ in range(3))
         return ctx, mod, mont, r, a, x, ctypes.create_string_buffer(width)
 
-    def _power(self, base: int, e: int) -> int:
-        """base**(e mod q) mod p, by BN_mod_exp_mont."""
+    def exp(self, base: int, e: int) -> int:
+        """Modular exponentiation base**(e mod q) mod p, by BN_mod_exp_mont;
+        base is trusted to be an element."""
         e %= self.q
         lib = _LIBCRYPTO
         ctx, mod, mont, r, a, x, out = self._bn
@@ -150,11 +151,6 @@ class GroupParams:
         if lib.BN_bn2binpad(r, out, width) != width:
             raise RuntimeError("libcrypto BN_bn2binpad failed")
         return int.from_bytes(out.raw, "big")
-
-    def exp(self, base: int, e: int) -> int:
-        """Modular exponentiation base**(e mod q) mod p; base is trusted to be
-        an element."""
-        return self._power(base, e)
 
     @cached_property
     def _g_table(self):

@@ -169,9 +169,9 @@ def kem_blind(group, alpha: int, b: int) -> int:
 class KemGameOracles:
     """Oracle front end handed to KEM-game adversaries.
 
-    decap answers as the honest relay would, from kem_decap, but refuses a
-    non-member and the challenge element; h_star and h_b are the random
-    oracles the chain is built from.
+    decap answers as the honest relay would, from kem_decap, but refuses
+    anything but an exact int, a non-member and the challenge element;
+    h_star and h_b are the random oracles the chain is built from.
     """
 
     def __init__(self, group, sk):
@@ -181,8 +181,10 @@ class KemGameOracles:
 
     def decap(self, alpha):
         """(h_*(alpha^sk), h_b(alpha, alpha^sk)), or None for a non-member
-        or the challenge alpha."""
-        if not self._group.is_element(alpha) or alpha == self.challenge_alpha:
+        or the challenge alpha.  An exact int, so an int subclass cannot
+        answer the challenge comparison its own way."""
+        if (type(alpha) is not int or not self._group.is_element(alpha)
+                or alpha == self.challenge_alpha):
             return None
         layer = kem_decap(self._group, self._sk, alpha)
         return layer.keys, layer.b
@@ -212,7 +214,7 @@ def kem_game_run(adversary, group, rng, reveal_secret=False):
     j, pubkeys = adversary.submit()
 
     n = len(pubkeys)
-    if not isinstance(j, int) or not 0 <= j < n <= MAX_HOPS:
+    if type(j) is not int or not 0 <= j < n <= MAX_HOPS:
         raise ValueError("challenge position out of range")
     submitted = [pk for i, pk in enumerate(pubkeys) if i != j]
     if len(submitted) != n - 1 or any(pk is None for pk in submitted):

@@ -510,18 +510,12 @@ class InMemoryView:
 
     The replay cache keeps a tag per processed header rather than the
     header itself, since it grows with every onion a long-lived relay
-    accepts.  The tag is the first KAPPA bytes of the header's SHA-256
-    digest, as an int: 128 bits, the format's MAC width, in a 44-byte int
-    where the whole digest took a 65-byte bytes object (ten views of 4,500
-    headers each hold 3.29 MiB instead of 4.20, of 5,800 each 5.25 instead
-    of 6.41, by tracemalloc).  It keeps every tag, as the keys of an
-    insertion-ordered dict rather than a set: a set's table quadruples when
-    it grows (128 to 512 KB at 4,915 entries), a dict's index doubles (144 to
-    288 KB at 5,462, 576 KB at 10,923), so the cache's memory doubles in a
-    step instead of quadrupling, and the oldest tag comes first.  An
-    expectation is a ReplyOpening filed under its ident until proc_onion
-    opens the reply it expects; a view keeps at most REPLY_OPENING_CAP of
-    them and evicts the oldest to make room, so a reply that comes back too
+    accepts: the first KAPPA bytes of the header's SHA-256 digest (128
+    bits, the format's MAC width) as an int, kept as the keys of an
+    insertion-ordered dict, oldest first.  An expectation is a
+    ReplyOpening filed under its ident until proc_onion opens the reply it
+    expects; a view keeps at most REPLY_OPENING_CAP of them and evicts the
+    oldest to make room for a new ident, so a reply that comes back too
     late drops as unsolicited.
     """
 
@@ -533,9 +527,6 @@ class InMemoryView:
     def _tag(header_bytes: bytes) -> int:
         return int.from_bytes(hashlib.sha256(header_bytes).digest()[:KAPPA], "big")
 
-    def seen(self, header_bytes: bytes) -> bool:
-        return self._tag(header_bytes) in self._seen
-
     def check_and_add(self, header_bytes: bytes) -> bool:
         key = self._tag(header_bytes)
         if key in self._seen:
@@ -544,7 +535,8 @@ class InMemoryView:
         return True
 
     def expect_reply(self, opening: ReplyOpening):
-        if len(self._expectations) >= REPLY_OPENING_CAP:
+        if (opening.ident not in self._expectations
+                and len(self._expectations) >= REPLY_OPENING_CAP):
             del self._expectations[next(iter(self._expectations))]
         self._expectations[opening.ident] = opening
 

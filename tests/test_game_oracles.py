@@ -1,7 +1,8 @@
 """The game oracles answer the same way in both worlds: each party peels an
 onion once in Proc, and Reply answers from that peel.  These cases pin the
-answers the TLU challenger once gave only when b = 1, and the oracles'
-handling of a payload of the wrong width."""
+answers the TLU challenger once gave only when b = 1, the oracles'
+handling of a payload of the wrong width, and the one exact check of
+adversary input each oracle makes before either world looks at it."""
 
 import dataclasses
 
@@ -12,6 +13,7 @@ from rsor.games import (
     P_H,
     P_S,
     GameOracles,
+    GuessingAdversary,
     Submission,
     _BaseAdversary,
     game_slu_backward,
@@ -21,7 +23,9 @@ from rsor.group import PROD_GROUP
 from rsor.kem import kem_keygen
 from rsor.packet import (
     FormatParams,
+    Header,
     InMemoryView,
+    Onion,
     OnionSpec,
     derive,
     form_onion,
@@ -127,3 +131,112 @@ def test_game_sender_retires_the_opening_its_proc_opens():
     assert oracles.proc(P_S, d.onion(3)) == ("reply", b"m")
     assert oracles.state[P_S].lookup_reply(d.opening.ident) is None
     assert oracles.proc(P_S, d.onion(3)) is None
+
+
+class _MidProbe(_ExitProbe):
+    """The same probe with a corrupted relay after the honest one (j = 2 < n = 3)."""
+
+    def submit(self):
+        sub = super().submit()
+        return dataclasses.replace(sub, path=sub.path + ((b"x2", self.keypair(b"k2").pk),))
+
+
+def _both_worlds(game, probe_cls, probe, seed):
+    """The probe's answers at b = 0 and at b = 1."""
+    answers = []
+    for bit in (0, 1):
+        adversary = probe_cls(SeedRng(b"probe/%d" % seed), probe)
+        game(adversary, seed=seed, force_b=bit)
+        answers.append(adversary.answer)
+    return answers
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_slu_reply_with_a_str_message_is_none_in_both_worlds(seed):
+    def proc_then_str_reply(oracles, onion):
+        return oracles.proc(P_H, onion), oracles.reply(P_H, onion, "str")
+
+    at_0, at_1 = _both_worlds(game_slu_backward, _SluExitProbe, proc_then_str_reply, seed)
+    assert at_0 == at_1 and at_0[0][0] == "exit" and at_0[1] is None
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_tlu_str_payload_is_none_in_both_worlds(seed):
+    def proc_str_payload(oracles, onion):
+        return oracles.proc(P_H, Onion(onion.header, "x" * PARAMS.payload_len))
+
+    assert _both_worlds(game_tlu_forward, _MidProbe, proc_str_payload, seed) == [None, None]
+
+
+class _EqualsAnything(Header):
+    def __eq__(self, other):
+        return True
+
+    __hash__ = Header.__hash__
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_tlu_header_subclass_is_none_in_both_worlds(seed):
+    def proc_forged_header(oracles, onion):
+        forged = _EqualsAnything(PROD_GROUP.g, bytes(PARAMS.beta_len), bytes(PARAMS.kappa))
+        return oracles.proc(P_H, Onion(forged, onion.delta))
+
+    assert _both_worlds(game_tlu_forward, _MidProbe, proc_forged_header, seed) == [None, None]
+
+
+class _NeverUnequal(bytes):
+    def __ne__(self, other):
+        return False
+
+    __hash__ = bytes.__hash__
+
+
+class _NeverEqual(int):
+    def __eq__(self, other):
+        return False
+
+    __hash__ = int.__hash__
+
+
+class _InexactEntry(GuessingAdversary):
+    """The guessing submission with one forward-path entry replaced:
+    entry(path, own_key) gives its index and its new (name, key)."""
+
+    def __init__(self, rng, entry):
+        super().__init__(rng)
+        self.entry = entry
+
+    def submit(self):
+        sub = super().submit()
+        path = list(sub.path)
+        idx, path_entry = self.entry(path, self.keypair(b"own").pk)
+        path[idx] = path_entry
+        return dataclasses.replace(sub, path=tuple(path))
+
+
+@pytest.mark.parametrize("entry", [
+    # A name that never compares unequal would pass as P_H in P_H's slot
+    # (index 1) with the adversary's own key.
+    lambda path, own: (1, (_NeverUnequal(b"impostor"), own)),
+    lambda path, own: (0, (path[0][0], _NeverEqual(path[0][1]))),
+], ids=["name", "key"])
+def test_tlu_submission_refuses_inexact_names_and_keys(entry):
+    with pytest.raises(ValueError, match="must be bytes"):
+        game_tlu_forward(_InexactEntry(SeedRng(b"inexact"), entry), seed=3)
+
+
+def test_honest_proc_tags_its_header_once(monkeypatch):
+    tagged = []
+    original = InMemoryView._tag
+
+    def counted(header_bytes):
+        tagged.append(header_bytes)
+        return original(header_bytes)
+
+    monkeypatch.setattr(InMemoryView, "_tag", staticmethod(counted))
+    keys = {b"r0": kem_keygen(PROD_GROUP, SeedRng(b"r0"))}
+    spec = OnionSpec(seed=b"tag-once", message=b"m", receiver=receiver_addr(b"svc", PARAMS),
+                     path=((b"r0", keys[b"r0"].pk),))
+    oracles = GameOracles(PARAMS, keys)
+    assert oracles.proc(b"r0", form_onion(1, spec, PARAMS))[0] == "exit"
+    assert len(tagged) == 1

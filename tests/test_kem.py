@@ -111,9 +111,17 @@ def test_game_transcript_shape_is_bit_independent():
 
 
 def test_game_decap_refuses_challenge():
+    class NeverEqual(int):
+        def __eq__(self, other):
+            return False
+
+        __hash__ = int.__hash__
+
     class ProbingAdversary(GuessingKemAdversary):
         def on_challenge(self, alpha0, pre, challenge, post):
-            self.refused = self._oracles.decap(challenge[0]) is None
+            # An int subclass that never compares equal is the challenge too.
+            self.refused = [self._oracles.decap(v) for v in
+                            (challenge[0], NeverEqual(challenge[0]))] == [None, None]
             self.answered = self._oracles.decap(alpha0) is not None
             # 0 and p are out of range; p - 1 has order 2.
             self.non_members = [self._oracles.decap(v)

@@ -12,6 +12,7 @@ import textwrap
 import pytest
 
 import rsor.crypto
+import rsor.group as group_module
 import rsor.packet
 from rsor import sim
 from rsor.crypto import SeedRng
@@ -155,11 +156,18 @@ def test_baseline_round_trip_group_budget(counts):
 def test_base_makes_no_libcrypto_call(monkeypatch):
     calls = []
 
-    def counted(self, *args, _original=GroupParams._power):
-        calls.append(args)
-        return _original(self, *args)
+    class CountsModexps:
+        def __getattr__(self, name, _lib=group_module._LIBCRYPTO):
+            if name != "BN_mod_exp_mont":
+                return getattr(_lib, name)
 
-    monkeypatch.setattr(GroupParams, "_power", counted)
+            def counted(*args):
+                calls.append(args)
+                return _lib.BN_mod_exp_mont(*args)
+
+            return counted
+
+    monkeypatch.setattr(group_module, "_LIBCRYPTO", CountsModexps())
     sim.run_scenario(sim.baseline_scenario(0))
     # The 16 exp powers of the budget above; its 12 base powers read the
     # fixed-base table.

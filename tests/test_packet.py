@@ -7,10 +7,12 @@ from rsor.group import PROD_GROUP
 from rsor.kem import kem_keygen
 from rsor.packet import (
     ADDR_RECEIVER,
+    REPLY_OPENING_CAP,
     FormatParams,
     InMemoryView,
     Onion,
     OnionSpec,
+    ReplyOpening,
     build_padding,
     decode_addr,
     derive,
@@ -352,3 +354,12 @@ def test_proc_rejects_bad_widths_and_elements():
     )
     result = proc_onion(keys[b"r0"].sk, bad_alpha, b"r0", PARAMS, InMemoryView())
     assert result.kind == "fail" and result.reason == "bad-element"
+
+
+def test_refiling_an_expectation_at_the_cap_evicts_nothing():
+    view = InMemoryView()
+    openings = [ReplyOpening(ident=b"%d" % i, header=None, k_pis=(), k_tilde=b"")
+                for i in range(REPLY_OPENING_CAP)]
+    for opening in openings + openings[-1:]:
+        view.expect_reply(opening)
+    assert [view.lookup_reply(o.ident) for o in openings] == openings
