@@ -18,6 +18,13 @@ AES-128-CTR on first use, kept until the process ends and re-keyed for each
 call, so it must run on one thread.  Nothing outside the standard library
 is imported.
 
+Each hash oracle has one definition, over encoded group elements.
+``ro_hb`` and ``ro_hsym`` take elements and encode them; ``ro_layer``
+evaluates all four oracles a KEM layer needs from one encoding of alpha
+and one of s.  The MAC and LIONESS's compression rounds call CPython's
+``_hashlib.hmac_digest`` directly, and LIONESS keeps its KAPPA-byte left
+part and its round keys 1 and 3 as ints, so a round's XOR is one int XOR.
+
 Input checks raise ``ValueError`` rather than assert, so they hold under
 ``python -O`` too: ``xor_bytes`` refuses operands of unequal length,
 ``prg`` and ``prg_xor`` a key that is not KAPPA bytes and ``prg`` a negative
@@ -27,7 +34,8 @@ length, and ``prp_enc``/``prp_dec`` a block not wider than KAPPA bytes.
 import ctypes
 import functools
 import hashlib
-import hmac
+
+from _hashlib import hmac_digest as _hmac_digest
 
 from . import group as _group
 
@@ -109,26 +117,33 @@ def _aes_ctr(key16: bytes, block: int, data: bytes) -> bytes:
     ctx = _cipher_ctx(lib)
     if not lib.EVP_EncryptInit_ex(ctx, None, None, key16, block.to_bytes(16, "big")):
         raise RuntimeError("libcrypto EVP_EncryptInit_ex failed")
+    # A fresh buffer per call: one kept across calls and copied out with
+    # ctypes.string_at made a round trip no faster.
     out = ctypes.create_string_buffer(n)
     if not lib.EVP_EncryptUpdate(ctx, out, _WRITTEN, data, n):
         raise RuntimeError("libcrypto EVP_EncryptUpdate failed")
     return out.raw
 
 
-def ro_hb(group, alpha: int, s: int) -> int:
-    """Blinding-factor oracle h_b: group element pair -> nonzero scalar."""
-    material = group.encode(alpha) + group.encode(s)
+def _h_b(q: int, material: bytes) -> int:
+    """h_b on the encodings of (alpha, s), concatenated."""
     ctr = 0
     while True:
         digest = hashlib.sha256(_DOM_BLIND + bytes([ctr]) + material).digest()
-        b = int.from_bytes(digest, "big") % group.q
+        b = int.from_bytes(digest, "big") % q
         if b != 0:
             return b
         ctr += 1
 
 
-def _key_oracle(domain: bytes, group, s: int) -> bytes:
-    return hashlib.sha256(domain + group.encode(s)).digest()[:KAPPA]
+def _h_sym(domain: bytes, s_encoded: bytes) -> bytes:
+    """h_rho, h_mu or h_pi, selected by domain, on the encoding of s."""
+    return hashlib.sha256(domain + s_encoded).digest()[:KAPPA]
+
+
+def ro_hb(group, alpha: int, s: int) -> int:
+    """Blinding-factor oracle h_b: group element pair -> nonzero scalar."""
+    return _h_b(group.q, group.encode(alpha) + group.encode(s))
 
 
 _SYM_DOMAINS = {"rho": _DOM_STREAM, "mu": _DOM_MAC, "pi": _DOM_PRP}
@@ -136,7 +151,15 @@ _SYM_DOMAINS = {"rho": _DOM_STREAM, "mu": _DOM_MAC, "pi": _DOM_PRP}
 
 def ro_hsym(tag: str, group, s: int) -> bytes:
     """Key-derivation oracles h_rho / h_mu / h_pi, selected by tag."""
-    return _key_oracle(_SYM_DOMAINS[tag], group, s)
+    return _h_sym(_SYM_DOMAINS[tag], group.encode(s))
+
+
+def ro_layer(group, alpha: int, s: int) -> tuple:
+    """(h_b(alpha, s), h_rho(s), h_mu(s), h_pi(s)): the oracles of one KEM
+    layer, with alpha and s encoded once each."""
+    s_encoded = group.encode(s)
+    return (_h_b(group.q, group.encode(alpha) + s_encoded), _h_sym(_DOM_STREAM, s_encoded),
+            _h_sym(_DOM_MAC, s_encoded), _h_sym(_DOM_PRP, s_encoded))
 
 
 def prg_xor(key: bytes, data: bytes) -> bytes:
@@ -156,40 +179,44 @@ def prg(key: bytes, out_len: int) -> bytes:
 
 def mac(key: bytes, data: bytes) -> bytes:
     """HMAC-SHA256 truncated to KAPPA bytes."""
-    return hmac.digest(bytes(key), bytes(data), "sha256")[:KAPPA]
+    return _hmac_digest(key, data, "sha256")[:KAPPA]
 
 
 def _prp_subkeys(key: bytes):
-    base = bytes(key)
-    ks = [hashlib.sha256(prefix + base).digest() for prefix in _PRP_PREFIXES]
-    # Rounds 1 and 3 XOR into the KAPPA-byte left part; rounds 2 and 4 are
-    # HMAC keys for compressing the right part.
-    return ks[0][:KAPPA], ks[1], ks[2][:KAPPA], ks[3]
+    k1, k2, k3, k4 = (hashlib.sha256(prefix + key).digest() for prefix in _PRP_PREFIXES)
+    # Rounds 1 and 3 XOR into the KAPPA-byte left part, kept as an int;
+    # rounds 2 and 4 are HMAC keys for compressing the right part.
+    return int.from_bytes(k1[:KAPPA], "big"), k2, int.from_bytes(k3[:KAPPA], "big"), k4
 
 
-def _split_block(block: bytes):
+def _left(block: bytes) -> int:
     if len(block) <= KAPPA:
         raise ValueError("PRP block must exceed the left-part width")
-    return block[:KAPPA], block[KAPPA:]
+    return int.from_bytes(block[:KAPPA], "big")
+
+
+def _compress(key: bytes, right: bytes) -> int:
+    return int.from_bytes(_hmac_digest(key, right, "sha256")[:KAPPA], "big")
 
 
 def prp_enc(key: bytes, block: bytes) -> bytes:
     """LIONESS encryption of a block wider than KAPPA bytes."""
-    left, right = _split_block(block)
+    left = _left(block)
     k1, k2, k3, k4 = _prp_subkeys(key)
-    right = _aes_ctr(xor_bytes(left, k1), 0, right)
-    left = xor_bytes(left, mac(k2, right))
-    right = _aes_ctr(xor_bytes(left, k3), 0, right)
-    left = xor_bytes(left, mac(k4, right))
-    return left + right
+    right = _aes_ctr((left ^ k1).to_bytes(KAPPA, "big"), 0, block[KAPPA:])
+    left ^= _compress(k2, right)
+    right = _aes_ctr((left ^ k3).to_bytes(KAPPA, "big"), 0, right)
+    left ^= _compress(k4, right)
+    return left.to_bytes(KAPPA, "big") + right
 
 
 def prp_dec(key: bytes, block: bytes) -> bytes:
     """Inverse of prp_enc."""
-    left, right = _split_block(block)
+    left = _left(block)
     k1, k2, k3, k4 = _prp_subkeys(key)
-    left = xor_bytes(left, mac(k4, right))
-    right = _aes_ctr(xor_bytes(left, k3), 0, right)
-    left = xor_bytes(left, mac(k2, right))
-    right = _aes_ctr(xor_bytes(left, k1), 0, right)
-    return left + right
+    right = block[KAPPA:]
+    left ^= _compress(k4, right)
+    right = _aes_ctr((left ^ k3).to_bytes(KAPPA, "big"), 0, right)
+    left ^= _compress(k2, right)
+    right = _aes_ctr((left ^ k1).to_bytes(KAPPA, "big"), 0, right)
+    return left.to_bytes(KAPPA, "big") + right

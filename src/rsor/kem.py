@@ -8,7 +8,9 @@ alone, so the chain can be computed hop by hop without the sender's state.
 Powers of the fixed generator (public keys, each alpha_i) come from
 ``GroupParams.base``, at most 33 multiplications from the group's fixed-base
 table, and powers of other elements (s_i, blinding, decapsulation) from
-``GroupParams.exp``, one libcrypto modexp.
+``GroupParams.exp``, one libcrypto modexp.  Each layer's blinding factor
+and keys come from one ``crypto.ro_layer`` call, which encodes alpha and
+s_i once each.
 
 A public key is tested for group membership once per process, not once
 per onion: ``is_public_key`` keeps a memo of the keys known to be members,
@@ -28,7 +30,7 @@ one hop limit: packet widths, validate_shape and the ideal world read it.
 import math
 from dataclasses import dataclass
 
-from .crypto import KAPPA, ro_hb, ro_hsym
+from .crypto import KAPPA, ro_hb, ro_hsym, ro_layer
 
 MAX_HOPS = 5  # the longest path, forward or reply, an onion may take
 KNOWN_KEYS_CAP = 1024  # public keys the membership memo holds, over all groups
@@ -110,18 +112,13 @@ def kem_keygen(group, rng) -> KemKeyPair:
     return KemKeyPair(sk=sk, pk=pk)
 
 
-def _sym_keys(group, s: int) -> tuple:
-    """(k_rho, k_mu, k_pi): the three key oracles on one shared secret."""
-    return ro_hsym("rho", group, s), ro_hsym("mu", group, s), ro_hsym("pi", group, s)
-
-
 def h_star(group, s: int) -> bytes:
     """Concatenation of the three key oracles on one shared secret."""
-    return b"".join(_sym_keys(group, s))
+    return b"".join(ro_hsym(tag, group, s) for tag in ("rho", "mu", "pi"))
 
 
 def _layer_from_secret(group, alpha: int, s: int) -> LayerSecrets:
-    return LayerSecrets(alpha, ro_hb(group, alpha, s), *_sym_keys(group, s))
+    return LayerSecrets(alpha, *ro_layer(group, alpha, s))
 
 
 def kem_chain_create(group, x: int, pubkeys) -> tuple:
@@ -200,7 +197,9 @@ def kem_game_run(adversary, group, rng, reveal_secret=False):
     """Run the KEM indistinguishability experiment against one adversary.
 
     The adversary object implements begin(group, pk, oracles), submit,
-    on_challenge and guess.  With
+    on_challenge and guess.  Its n - 1 submitted keys must be exact ints,
+    distinct and group elements, or it is refused with ValueError before
+    the bit is drawn.  With
     reveal_secret=True the challenger leaks its chain secret x' to the
     adversary after the challenge (white-box positive control).
     Returns a result dict including a transcript of (label, byte-length)
@@ -217,8 +216,9 @@ def kem_game_run(adversary, group, rng, reveal_secret=False):
     if type(j) is not int or not 0 <= j < n <= MAX_HOPS:
         raise ValueError("challenge position out of range")
     submitted = [pk for i, pk in enumerate(pubkeys) if i != j]
-    if len(submitted) != n - 1 or any(pk is None for pk in submitted):
-        raise ValueError("expected n-1 public keys around position j")
+    # Exact ints, so no key can answer the distinctness test its own way.
+    if len(submitted) != n - 1 or any(type(pk) is not int for pk in submitted):
+        raise ValueError("expected n-1 public keys, each an int, around position j")
     if len(set(submitted)) != len(submitted) or any(
         not is_public_key(group, pk) for pk in submitted
     ):

@@ -8,9 +8,10 @@ straight to relay_on_receiver_reply with that rid.  Each relay keeps at most
 REPLY_BUFFER_CAP rids and evicts the oldest to make room, so a receiver that
 answers too late finds its rid unknown.  Senders derive each onion once and
 keep only its ReplyOpening (ident, reply header and keys) in their view,
-which proc_onion retires when the expected reply header arrives, tampered or
-not, and which holds at most packet.REPLY_OPENING_CAP of them, oldest
-evicted first; they drop anything unsolicited or tampered without reacting.
+filed under the reply header; proc_onion recognizes that header before any
+group operation and retires the opening when it arrives, tampered or not.
+A view holds at most packet.REPLY_OPENING_CAP openings, oldest evicted
+first; senders drop anything unsolicited or tampered without reacting.
 Receivers never parse onions at all -- they only see plaintext messages and
 rids.  A party's state is built from its name (and keypair) alone: its
 view, buffers and inbox start empty and cannot be passed in.
@@ -165,8 +166,11 @@ def sender_send(state: SenderState, spec: OnionSpec, params):
 def sender_on_onion(state: SenderState, onion: Onion, params):
     """Handle a packet arriving back at the sender.
 
-    Recognized, intact replies surface as got-reply; everything else is
-    dropped with no behavioral difference beyond the (test-only) drop record.
+    An expected reply is recognized by its header alone, with no
+    membership test, decapsulation, MAC or peel (see proc_onion); intact,
+    it surfaces as got-reply.  Everything else is processed as any onion
+    and dropped, with no behavioral difference beyond the (test-only) drop
+    record.
     """
     result = proc_onion(state.keypair.sk, onion, state.name, params, state.view)
     if result.kind == "reply":

@@ -207,11 +207,15 @@ def validate_spec(spec: OnionSpec, params: FormatParams):
 
 def validate_shape(path_names, reply_names, message: bytes, params: FormatParams):
     """The key-free rules of validate_spec, for callers with names but no
-    keys: path lengths, acyclic paths, name widths and the message width."""
+    keys: path lengths, acyclic paths, name widths, and a message that is
+    exactly bytes and fits the payload frame.  Exact bytes, so a str that
+    passes the width test cannot fail later, inside derive."""
     if not 1 <= len(path_names) <= params.max_hops:
         raise ValueError("forward path length out of range")
     if len(reply_names) > params.max_hops:
         raise ValueError("reply path length out of range")
+    if type(message) is not bytes:
+        raise ValueError("message must be bytes")
     if len(message) > params.max_msg_len:
         raise ValueError("message does not fit the payload frame")
     for names in (path_names, reply_names):
@@ -356,10 +360,11 @@ def _open_payload(plain: bytes, params):
 @dataclass(frozen=True)
 class ReplyOpening:
     """What the creator of a repliable onion keeps to open the reply: the
-    reply identifier it is filed under, the header the reply arrives with,
-    the PRP keys of the reply relays before the sender in hop order, and
-    k_tilde, under which the exit sealed the reply payload.  It holds no
-    seed, so it regenerates nothing else of the onion."""
+    reply identifier its last reply layer carries, the header the reply
+    arrives with, which the sender's view files it under, the PRP keys of
+    the reply relays before the sender in hop order, and k_tilde, under
+    which the exit sealed the reply payload.  It holds no seed, so it
+    regenerates nothing else of the onion."""
 
     ident: bytes
     header: Header
@@ -513,10 +518,12 @@ class InMemoryView:
     accepts: the first KAPPA bytes of the header's SHA-256 digest (128
     bits, the format's MAC width) as an int, kept as the keys of an
     insertion-ordered dict, oldest first.  An expectation is a
-    ReplyOpening filed under its ident until proc_onion opens the reply it
-    expects; a view keeps at most REPLY_OPENING_CAP of them and evicts the
-    oldest to make room for a new ident, so a reply that comes back too
-    late drops as unsolicited.
+    ReplyOpening filed under the header its reply arrives with, until
+    proc_onion opens that reply; a view keeps at most REPLY_OPENING_CAP of
+    them and evicts the oldest to make room for a new header, so a reply
+    that comes back too late drops as unsolicited.  lookup_reply hashes
+    the header only while the view holds an expectation, so a relay's view
+    costs proc_onion no lookup.
     """
 
     def __init__(self):
@@ -535,16 +542,17 @@ class InMemoryView:
         return True
 
     def expect_reply(self, opening: ReplyOpening):
-        if (opening.ident not in self._expectations
+        if (opening.header not in self._expectations
                 and len(self._expectations) >= REPLY_OPENING_CAP):
             del self._expectations[next(iter(self._expectations))]
-        self._expectations[opening.ident] = opening
+        self._expectations[opening.header] = opening
 
-    def lookup_reply(self, ident: bytes):
-        return self._expectations.get(ident)
+    def lookup_reply(self, header: Header):
+        """The opening filed under this expected reply header, or None."""
+        return self._expectations.get(header) if self._expectations else None
 
-    def forget_reply(self, ident: bytes):
-        self._expectations.pop(ident, None)
+    def forget_reply(self, header: Header):
+        self._expectations.pop(header, None)
 
 
 def _peel_beta(layer, header: Header, params):
@@ -568,15 +576,40 @@ def zero_run(layer, header: Header, params) -> int:
 def proc_onion(sk: int, onion: Onion, self_name: bytes, params, view) -> ProcResult:
     """Process one onion with this relay's private key.
 
-    A forwarding or exit relay peels one PRP layer off the payload; the
-    sender receiving its reply peels none, since the reply path's last PRP
-    key was never applied, opens the arriving payload with its ReplyOpening,
-    and retires that opening from the view once the expected reply header
-    arrives, whether or not the payload then opens.  Every failure collapses
-    to kind="fail"; the reason field exists for tests only and must never
-    influence honest behavior.
+    A forwarding or exit relay peels one PRP layer off the payload.  A
+    sender recognizes the reply it awaits by its header alone, before any
+    group operation: it built that header itself, so the membership test,
+    decapsulation, MAC and beta peel of that layer could only confirm what
+    it already holds.  It checks the payload width, makes the replay test,
+    retires the ReplyOpening filed under the header (whether or not the
+    payload then opens), and opens the payload with it.  It peels no PRP
+    layer, since the reply path's last PRP key was never applied.  Any
+    other header takes the relay path, on which a reply-return address
+    only fails: an expected reply took the path above.  Every failure
+    collapses to kind="fail"; the reason field exists for tests only and
+    must never influence honest behavior.
     """
     header, delta = onion.header, onion.delta
+    opening = view.lookup_reply(header)
+    if opening is not None:
+        if len(delta) != params.payload_len:
+            return _fail("bad-width")
+        if not view.check_and_add(serialize_header(header, params)):
+            return _fail("replay")
+        # The expected header is in the replay cache now, so no later copy
+        # can open this reply: retire the opening whether or not the payload
+        # opens.
+        view.forget_reply(header)
+        # Invert the reply-path PRP composition: re-encrypt under the keys of
+        # the relays before the sender, last first, then strip k_tilde.
+        plain = delta
+        for k_pi in reversed(opening.k_pis):
+            plain = prp_enc(k_pi, plain)
+        opened = _open_payload(prp_dec(opening.k_tilde, plain), params)
+        if opened is None:
+            return _fail("integrity")
+        return ProcResult(kind="reply", message=opened[2])
+
     if not params.group.is_element(header.alpha):
         return _fail("bad-element")
     if len(header.beta) != params.beta_len or len(delta) != params.payload_len:
@@ -613,26 +646,9 @@ def proc_onion(sk: int, onion: Onion, self_name: bytes, params, view) -> ProcRes
         )
 
     if tag == ADDR_REPLY_RETURN:
-        if name != self_name:
-            return _fail("misdirected")
-        ident = gamma_next  # the reply final layer carries P_s | I
-        opening = view.lookup_reply(ident)
-        if opening is None or header != opening.header:
-            return _fail("unsolicited")
-        # The expected header is in the replay cache now, so no later copy
-        # can open this reply: retire the opening whether or not the payload
-        # opens.  A forged header under a known ident failed above and leaves
-        # the opening in place.
-        view.forget_reply(ident)
-        # Invert the reply-path PRP composition: re-encrypt under the keys of
-        # the relays before us, last first, then strip k_tilde.
-        plain = delta
-        for k_pi in reversed(opening.k_pis):
-            plain = prp_enc(k_pi, plain)
-        opened = _open_payload(prp_dec(opening.k_tilde, plain), params)
-        if opened is None:
-            return _fail("integrity")
-        return ProcResult(kind="reply", message=opened[2])
+        # Not a header this view awaits: a forged header carrying a known
+        # ident fails here and leaves that ident's opening in place.
+        return _fail("misdirected" if name != self_name else "unsolicited")
 
     return _fail("bad-address")
 

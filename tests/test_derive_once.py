@@ -82,7 +82,7 @@ def test_reply_is_opened_without_deriving_again(monkeypatch):
 def test_sender_keeps_a_reply_opening_and_no_spec():
     _relays, sender, spec, _action, _ids = _send()
     d = derive(spec, PARAMS)
-    opening = sender.view.lookup_reply(d.opening.ident)
+    opening = sender.view.lookup_reply(d.opening.header)
     assert isinstance(opening, ReplyOpening)
     assert opening == d.opening
     assert [f.name for f in dataclasses.fields(opening)] == ["ident", "header", "k_pis", "k_tilde"]

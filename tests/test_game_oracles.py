@@ -129,7 +129,7 @@ def test_game_sender_retires_the_opening_its_proc_opens():
     oracles = GameOracles(PARAMS, {P_S: keys[P_S]})
     oracles.state[P_S].expect_reply(d.opening)
     assert oracles.proc(P_S, d.onion(3)) == ("reply", b"m")
-    assert oracles.state[P_S].lookup_reply(d.opening.ident) is None
+    assert oracles.state[P_S].lookup_reply(d.opening.header) is None
     assert oracles.proc(P_S, d.onion(3)) is None
 
 

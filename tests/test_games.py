@@ -192,6 +192,26 @@ def test_unset_position_refused_in_both_worlds(game, field, bit):
         game(_UnsetPosition(SeedRng(b"unset"), field), b"seed", force_b=bit)
 
 
+class _MessageOfType(GuessingAdversary):
+    """A guessing adversary whose challenge message is the given object."""
+
+    def __init__(self, rng, message):
+        super().__init__(rng)
+        self.message = message
+
+    def submit(self):
+        return dataclasses.replace(super().submit(), message=self.message)
+
+
+@pytest.mark.parametrize("game", [game_tlu_forward, game_sti_tail])
+@pytest.mark.parametrize("bit", [0, 1])
+@pytest.mark.parametrize("message", ["probe", bytearray(b"probe")], ids=["str", "bytearray"])
+def test_message_not_exactly_bytes_refused_in_both_worlds(game, bit, message):
+    game(_MessageOfType(SeedRng(b"msg-type"), b"probe"), b"seed", force_b=bit)
+    with pytest.raises(ValueError, match="message must be bytes"):
+        game(_MessageOfType(SeedRng(b"msg-type"), message), b"seed", force_b=bit)
+
+
 class _ReplayProbe(_BaseAdversary):
     """Drives the TLU challenge to the honest exit and probes the oracle's
     replay and one-reply rules."""

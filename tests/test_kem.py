@@ -78,6 +78,21 @@ def test_layer_keys_from_oracles():
     assert layer.b == ro_hb(PROD_GROUP, layer.alpha, s)
 
 
+@pytest.mark.parametrize("group", [TOY_GROUP, PROD_GROUP], ids=lambda g: g.name)
+def test_layer_oracles_match_the_element_oracles(group):
+    # A layer encodes alpha and s once each; its blinding factor and keys
+    # are still exactly h_b(alpha, s) and h_rho, h_mu, h_pi of s.
+    rng = SeedRng(b"layer-oracles/" + group.name.encode())
+    for _ in range(25):
+        alpha = group.base(group.random_scalar(rng))
+        sk = group.random_scalar(rng)
+        layer = kem_decap(group, sk, alpha)
+        s = group.exp(alpha, sk)
+        assert (layer.b, layer.k_rho, layer.k_mu, layer.k_pi) == (
+            ro_hb(group, alpha, s), ro_hsym("rho", group, s),
+            ro_hsym("mu", group, s), ro_hsym("pi", group, s))
+
+
 def test_game_white_box_always_wins():
     rng = SeedRng(b"wb")
     for trial in range(50):
@@ -195,6 +210,22 @@ def test_game_decap_oracle_agrees_with_the_handed_chain(n):
                 if bits == {0, 1}:
                     break
             assert bits == {0, 1}
+
+
+def test_game_refuses_a_repeated_key_that_never_compares_equal():
+    class NeverEqual(int):
+        def __eq__(self, other):
+            return False
+
+        __hash__ = int.__hash__
+
+    class Repeats(GuessingKemAdversary):
+        def submit(self):
+            pk = kem_keygen(self._group, self._rng).pk
+            return 1, [NeverEqual(pk), None, NeverEqual(pk)]
+
+    with pytest.raises(ValueError, match="each an int"):
+        kem_game_run(Repeats(SeedRng(b"rep")), PROD_GROUP, SeedRng(b"repg"))
 
 
 def test_game_rejects_bad_submissions():

@@ -146,11 +146,30 @@ def test_kem_game_costs_one_chain(counts, n, bit):
 
 def test_baseline_round_trip_group_budget(counts):
     # 6 keygens (base) and two 3-hop chains (base and exp per hop).  Each
-    # of the 6 hops tests its alpha and decapsulates, the 4 that forward
-    # also blind, and the exit decodes the embedded reply header.  No hop
-    # key is tested: kem_keygen recorded every one.
+    # of the 5 relay hops tests its alpha and decapsulates, the 4 that
+    # forward also blind, and the exit decodes the embedded reply header.
+    # The sender's own reply hop matches the header it expects and makes no
+    # group operation.  No hop key is tested: kem_keygen recorded every one.
     sim.run_scenario(sim.baseline_scenario(0))
-    assert counts == {"base": 12, "exp": 16, "is_element": 7}
+    assert counts == {"base": 12, "exp": 15, "is_element": 6}
+
+
+def test_sender_opens_its_expected_reply_with_no_group_operation(counts):
+    n, nr = 2, 3
+    spec, keys = _spec(n, nr)
+    d = derive(spec, PARAMS)
+    sender = SenderState(name=b"sender", keypair=keys[b"sender"])
+    sender.view.expect_reply(d.opening)
+    reply = d.onion(n + nr)
+    counts.update(base=0, exp=0, is_element=0)
+    event = sender_on_onion(sender, reply, PARAMS)
+    assert event["kind"] == "got-reply" and sender.replies == [spec.message]
+    # The sender built this header: no membership test and no decap.
+    assert counts == {"base": 0, "exp": 0, "is_element": 0}
+    # A copy is no longer expected, so it is processed like any onion.
+    again = sender_on_onion(sender, reply, PARAMS)
+    assert again["kind"] == "dropped" and again["reason"] == "replay"
+    assert counts == {"base": 0, "exp": 1, "is_element": 1}
 
 
 def test_base_makes_no_libcrypto_call(monkeypatch):
@@ -169,9 +188,9 @@ def test_base_makes_no_libcrypto_call(monkeypatch):
 
     monkeypatch.setattr(group_module, "_LIBCRYPTO", CountsModexps())
     sim.run_scenario(sim.baseline_scenario(0))
-    # The 16 exp powers of the budget above; its 12 base powers read the
+    # The 15 exp powers of the budget above; its 12 base powers read the
     # fixed-base table.
-    assert len(calls) == 16
+    assert len(calls) == 15
 
 
 def test_off_group_key_and_empty_seed_raise_under_python_O():

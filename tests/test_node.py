@@ -164,7 +164,7 @@ def test_sender_drops_tampered_reply_silently():
     assert sender.replies == []
     # The expected header is in the replay cache now, so the opening is
     # retired with it, and the intact copy can only drop as a replay.
-    assert sender.view.lookup_reply(derive(spec, PARAMS).opening.ident) is None
+    assert sender.view.lookup_reply(derive(spec, PARAMS).opening.header) is None
     intact = sender_on_onion(sender, send.onion, PARAMS)
     assert intact["kind"] == "dropped" and intact["reason"] == "replay"
     assert sender.replies == []
@@ -195,9 +195,9 @@ def test_sender_retires_its_opening_when_the_reply_opens():
     sender_send(sender, spec, PARAMS)
     d = derive(spec, PARAMS)
     reply = d.onion(len(spec.path) + len(spec.reply_path))
-    assert sender.view.lookup_reply(d.opening.ident) == d.opening
+    assert sender.view.lookup_reply(d.opening.header) == d.opening
     assert sender_on_onion(sender, reply, PARAMS)["kind"] == "got-reply"
-    assert sender.view.lookup_reply(d.opening.ident) is None
+    assert sender.view.lookup_reply(d.opening.header) is None
     again = sender_on_onion(sender, reply, PARAMS)
     assert again["kind"] == "dropped" and again["reason"] == "replay"
     assert sender.replies == [spec.message]
@@ -217,7 +217,7 @@ def test_forged_reply_header_under_a_known_ident_leaves_the_opening():
     assert header != reply.header
     event = sender_on_onion(sender, Onion(header, reply.delta), PARAMS)
     assert event["kind"] == "dropped" and event["reason"] == "unsolicited"
-    assert sender.view.lookup_reply(d.opening.ident) == d.opening
+    assert sender.view.lookup_reply(d.opening.header) == d.opening
     assert sender_on_onion(sender, reply, PARAMS)["kind"] == "got-reply"
 
 

@@ -9,6 +9,7 @@ from rsor.packet import (
     ADDR_RECEIVER,
     REPLY_OPENING_CAP,
     FormatParams,
+    Header,
     InMemoryView,
     Onion,
     OnionSpec,
@@ -358,8 +359,9 @@ def test_proc_rejects_bad_widths_and_elements():
 
 def test_refiling_an_expectation_at_the_cap_evicts_nothing():
     view = InMemoryView()
-    openings = [ReplyOpening(ident=b"%d" % i, header=None, k_pis=(), k_tilde=b"")
+    openings = [ReplyOpening(ident=b"%d" % i, header=Header(alpha=i + 1, beta=b"", gamma=b""),
+                             k_pis=(), k_tilde=b"")
                 for i in range(REPLY_OPENING_CAP)]
     for opening in openings + openings[-1:]:
         view.expect_reply(opening)
-    assert [view.lookup_reply(o.ident) for o in openings] == openings
+    assert [view.lookup_reply(o.header) for o in openings] == openings
