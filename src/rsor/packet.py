@@ -576,18 +576,15 @@ def zero_run(layer, header: Header, params) -> int:
 def proc_onion(sk: int, onion: Onion, self_name: bytes, params, view) -> ProcResult:
     """Process one onion with this relay's private key.
 
-    A forwarding or exit relay peels one PRP layer off the payload.  A
-    sender recognizes the reply it awaits by its header alone, before any
-    group operation: it built that header itself, so the membership test,
-    decapsulation, MAC and beta peel of that layer could only confirm what
-    it already holds.  It checks the payload width, makes the replay test,
-    retires the ReplyOpening filed under the header (whether or not the
-    payload then opens), and opens the payload with it.  It peels no PRP
-    layer, since the reply path's last PRP key was never applied.  Any
-    other header takes the relay path, on which a reply-return address
-    only fails: an expected reply took the path above.  Every failure
-    collapses to kind="fail"; the reason field exists for tests only and
-    must never influence honest behavior.
+    A sender recognizes the reply it awaits by its header alone, before any
+    group operation, since it built that header itself: it checks the
+    payload width, makes the replay test, retires the ReplyOpening filed
+    under the header (whether or not the payload then opens) and opens the
+    payload, peeling no PRP layer, since the reply path's last PRP key was
+    never applied.  Any other onion is peeled as a relay peels it; a
+    forwarding or exit relay peels one PRP layer off the payload.  Every
+    failure collapses to kind="fail"; the reason field exists for tests
+    only and must never influence honest behavior.
     """
     header, delta = onion.header, onion.delta
     opening = view.lookup_reply(header)
