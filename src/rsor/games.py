@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .crypto import SeedRng
-from .kem import kem_decap, kem_keygen
+from .kem import kem_keygen
 from .packet import (
     Header,
     InMemoryView,
@@ -677,8 +677,8 @@ class PathLengthPaddingAdversary(_BaseAdversary):
             if result.kind != "forward":
                 return self.coin()
             onion = result.next_onion
-        layer = kem_decap(params.group, self.tail_keys[reader].sk, onion.header.alpha)
-        return 1 if zero_run(layer, onion.header, params) >= 4 * params.kappa else 0
+        run = zero_run(self.tail_keys[reader].sk, onion.header, params)
+        return 1 if run >= 4 * params.kappa else 0
 
 
 # ---------------------------------------------------------------------------

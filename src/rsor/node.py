@@ -7,7 +7,7 @@ later without the onion being processed again; a receiver's answer goes
 straight to relay_on_receiver_reply with that rid.  Each relay keeps at most
 REPLY_BUFFER_CAP rids and evicts the oldest to make room, so a receiver that
 answers too late finds its rid unknown.  Senders derive each onion once and
-keep only its ReplyOpening (ident, reply header and keys) in their view,
+keep only its ReplyOpening (reply header and keys) in their view,
 filed under the reply header; proc_onion recognizes that header before any
 group operation and retires the opening when it arrives, tampered or not.
 A view holds at most packet.REPLY_OPENING_CAP openings, oldest evicted

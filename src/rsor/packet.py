@@ -173,10 +173,6 @@ def relay_addr(name, params):
     return encode_addr(ADDR_RELAY, name, params)
 
 
-def exit_addr(params):
-    return encode_addr(ADDR_EXIT, b"", params)
-
-
 def receiver_addr(name, params):
     return encode_addr(ADDR_RECEIVER, name, params)
 
@@ -323,6 +319,7 @@ def build_payload_forward(params, receiver: bytes, reply, message: bytes) -> byt
 
     A missing reply (None) is encoded as an all-zero block of the same width,
     so repliable and non-repliable payloads are indistinguishable by length.
+    A reply plaintext is this layout with an all-zero receiver and no reply.
     """
     block = (
         serialize_reply_block(reply, params)
@@ -332,12 +329,6 @@ def build_payload_forward(params, receiver: bytes, reply, message: bytes) -> byt
     out = b"\x00" * params.kappa + receiver + block + _frame(message, params)
     assert len(out) == params.payload_len
     return out
-
-
-def build_payload_reply(params, message: bytes) -> bytes:
-    """Innermost reply plaintext: the forward layout with an all-zero
-    receiver and reply block."""
-    return build_payload_forward(params, b"\x00" * params.addr_len, None, message)
 
 
 def _open_payload(plain: bytes, params):
@@ -360,13 +351,12 @@ def _open_payload(plain: bytes, params):
 @dataclass(frozen=True)
 class ReplyOpening:
     """What the creator of a repliable onion keeps to open the reply: the
-    reply identifier its last reply layer carries, the header the reply
-    arrives with, which the sender's view files it under, the PRP keys of
-    the reply relays before the sender in hop order, and k_tilde, under
-    which the exit sealed the reply payload.  It holds no seed, so it
-    regenerates nothing else of the onion."""
+    header the reply arrives with, which the sender's view files it under
+    and recognizes the reply by, the PRP keys of the reply relays before
+    the sender in hop order, and k_tilde, under which the exit sealed the
+    reply payload.  It holds no seed, so it regenerates nothing else of the
+    onion."""
 
-    ident: bytes
     header: Header
     k_pis: tuple
     k_tilde: bytes
@@ -404,60 +394,63 @@ class Derived:
             reply.append(Onion(header, prp_dec(k_pi, reply[-1].delta)))
         return self.fwd_onions + tuple(reply)
 
-    def onion(self, i: int) -> Onion:
-        """The onion exactly as it arrives at hop i of its combined path."""
+    def header(self, i: int) -> Header:
+        """The header of layer i of the combined path; it seals no payload."""
         n = len(self.fwd_onions)
         if not 1 <= i <= n + len(self.reply_headers):
             raise ValueError("layer index out of range")
-        return self.fwd_onions[i - 1] if i <= n else self.onions[i - 1]
+        return self.fwd_onions[i - 1].header if i <= n else self.reply_headers[i - n - 1]
+
+    def onion(self, i: int) -> Onion:
+        """The onion exactly as it arrives at hop i of its combined path."""
+        self.header(i)  # the range check
+        return self.fwd_onions[i - 1] if i <= len(self.fwd_onions) else self.onions[i - 1]
 
 
-def _filler(rng: SeedRng, n_bytes: int, params) -> bytes:
-    if params.legacy_zero_filler:
-        return b"\x00" * n_bytes
-    return rng.read(n_bytes)
+def _trip(rng: SeedRng, label: bytes, path, prefix: bytes, params):
+    """(chain, headers) of one trip over path, ((name, pubkey), ...).
+
+    The chain's secret comes from the fork b"x-" + label.  The last layer's
+    routing slot holds prefix, then filler from the fork label + b"-filler"
+    (all zeros in legacy mode) up to (2*(max_hops - len(path)) + 3)*kappa.
+    """
+    x = params.group.random_scalar(rng.fork(b"x-" + label))
+    chain = kem_chain_create(params.group, x, [pk for _name, pk in path])
+    n_filler = (2 * (params.max_hops - len(path)) + 3) * params.kappa - len(prefix)
+    filler = (bytes(n_filler) if params.legacy_zero_filler
+              else rng.fork(label + b"-filler").read(n_filler))
+    addrs = [relay_addr(name, params) for name, _pk in path]
+    return chain, build_header(chain, addrs, prefix + filler, params)
 
 
 def derive(spec: OnionSpec, params: FormatParams) -> Derived:
-    """Expand a spec's seed into both KEM chains, every header layer, and
-    the forward payload layers; the reply payload layers are sealed on
-    request (see Derived).  Nothing is cached across calls: a caller that
-    needs several layers of one onion keeps the result."""
+    """Expand a spec's seed into both trips (one _trip each) and the forward
+    payload layers; the reply payload layers are sealed on request (see
+    Derived).  The reply trip's last routing slot carries an ident from the
+    fork b"ident", which the opening does not keep.  Nothing is cached
+    across calls: a caller that needs several layers of one onion keeps the
+    result."""
     validate_spec(spec, params)
-    kappa, r = params.kappa, params.max_hops
     rng = SeedRng(spec.seed)
     n = len(spec.path)
-    nr = len(spec.reply_path)
-
-    x_fwd = params.group.random_scalar(rng.fork(b"x-forward"))
-    fwd_chain = kem_chain_create(params.group, x_fwd, [pk for _name, pk in spec.path])
+    fwd_chain, fwd_headers = _trip(
+        rng, b"forward", spec.path, encode_addr(ADDR_EXIT, b"", params), params
+    )
 
     rep_headers = ()
     reply_info = None
     opening = None
-    if nr:
-        x_rep = params.group.random_scalar(rng.fork(b"x-reply"))
-        rep_chain = kem_chain_create(params.group, x_rep, [pk for _name, pk in spec.reply_path])
-        ident = rng.fork(b"ident").read(kappa)
-        k_tilde = rng.fork(b"k-tilde").read(kappa)
+    if spec.reply_path:
         sender_name = spec.reply_path[-1][0]
-        final = (
-            encode_addr(ADDR_REPLY_RETURN, sender_name, params)
-            + ident
-            + _filler(rng.fork(b"reply-filler"), (2 * (r - nr) + 1) * kappa, params)
-        )
-        addrs = [relay_addr(name, params) for name, _pk in spec.reply_path]
-        rep_headers = build_header(rep_chain, addrs, final, params)
-        reply_info = ReplyInfo(first_hop=addrs[0], eta0=rep_headers[0], k_tilde=k_tilde)
+        prefix = (encode_addr(ADDR_REPLY_RETURN, sender_name, params)
+                  + rng.fork(b"ident").read(params.kappa))
+        rep_chain, rep_headers = _trip(rng, b"reply", spec.reply_path, prefix, params)
+        k_tilde = rng.fork(b"k-tilde").read(params.kappa)
+        reply_info = ReplyInfo(first_hop=relay_addr(spec.reply_path[0][0], params),
+                               eta0=rep_headers[0], k_tilde=k_tilde)
         # The sender's own reply hop applies no PRP layer, so its key is not kept.
         k_pis = tuple(layer.k_pi for layer in rep_chain[:-1])
-        opening = ReplyOpening(ident=ident, header=rep_headers[-1], k_pis=k_pis, k_tilde=k_tilde)
-
-    final = exit_addr(params) + _filler(
-        rng.fork(b"forward-filler"), (2 * (r - n) + 2) * kappa, params
-    )
-    addrs = [relay_addr(name, params) for name, _pk in spec.path]
-    fwd_headers = build_header(fwd_chain, addrs, final, params)
+        opening = ReplyOpening(header=rep_headers[-1], k_pis=k_pis, k_tilde=k_tilde)
 
     plaintext = build_payload_forward(params, spec.receiver, reply_info, spec.message)
     fwd_deltas = [None] * n
@@ -489,11 +482,10 @@ def recognize_onion(i: int, onion: Onion, derived: Derived) -> bool:
     reply layer's payload is never sealed for it.
 
     Compares the header fields, so a malformed header (alpha out of range,
-    wrong widths) is simply unequal rather than an encoding error.
+    wrong widths) is simply unequal rather than an encoding error.  Raises
+    ValueError for an i outside 1..n+nr, as Derived.onion does.
     """
-    n = len(derived.fwd_onions)
-    header = derived.onion(i).header if i <= n else derived.reply_headers[i - n - 1]
-    return onion.header == header
+    return onion.header == derived.header(i)
 
 
 def tag_payload(onion: Onion, mask: bytes) -> Onion:
@@ -564,10 +556,12 @@ def _peel_beta(layer, header: Header, params):
     )
 
 
-def zero_run(layer, header: Header, params) -> int:
+def zero_run(sk: int, header: Header, params) -> int:
     """The number of zero bytes right after the routing field of a header
-    peeled with this layer's keys: what a relay can read off the filler of
-    its own layer (the legacy zero filler leaks the path length there)."""
+    that the holder of sk peels: what a relay can read off the filler of
+    its own layer (the legacy zero filler leaks the path length there).
+    It checks no MAC: pass a header that reached this relay intact."""
+    layer = kem_decap(params.group, sk, header.alpha)
     _addr, gamma_next, beta_next = _peel_beta(layer, header, params)
     tail = gamma_next + beta_next
     return len(tail) - len(tail.lstrip(b"\x00"))
@@ -675,7 +669,8 @@ def build_reply_onion(info: ReplyInfo, m_reply: bytes, params):
     """The reply onion for info and the name of the relay it goes to first:
     the reply message sealed under k_tilde behind the stored header.  Raises
     ValueError when the message does not fit the payload frame."""
-    delta = prp_enc(info.k_tilde, build_payload_reply(params, m_reply))
+    plain = build_payload_forward(params, bytes(params.addr_len), None, m_reply)
+    delta = prp_enc(info.k_tilde, plain)
     _tag, first_hop = decode_addr(info.first_hop)
     return Onion(info.eta0, delta), first_hop
 

@@ -85,12 +85,11 @@ def test_sender_keeps_a_reply_opening_and_no_spec():
     opening = sender.view.lookup_reply(d.opening.header)
     assert isinstance(opening, ReplyOpening)
     assert opening == d.opening
-    assert [f.name for f in dataclasses.fields(opening)] == ["ident", "header", "k_pis", "k_tilde"]
+    assert [f.name for f in dataclasses.fields(opening)] == ["header", "k_pis", "k_tilde"]
     # The sender's own reply hop applies no PRP layer, so only the relays'
     # keys before it are kept.
     assert len(opening.k_pis) == len(spec.reply_path) - 1
-    held = [opening.ident, opening.header.beta, opening.header.gamma, opening.k_tilde,
-            *opening.k_pis]
+    held = [opening.header.beta, opening.header.gamma, opening.k_tilde, *opening.k_pis]
     assert all(isinstance(value, bytes) and spec.seed not in value for value in held)
 
 

@@ -3,9 +3,11 @@ import subprocess
 import sys
 
 import pytest
+from scipy.stats import binomtest
 
 import rsor.kem as kem_module
 from rsor.crypto import SeedRng, ro_hb, ro_hsym
+from rsor.games import fair_coin_pvalue
 from rsor.group import PROD_GROUP, TOY_GROUP, GroupParams
 from rsor.ideal import RsorIdeal
 from rsor.kem import (
@@ -421,3 +423,49 @@ def test_non_member_keys_are_refused_under_python_O():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+# Why decap tests membership, not only the range: -alpha* is outside the
+# order-q subgroup (p = 2q + 1 = 3 mod 4, so -1 is a non-residue), and
+# (-alpha*)^sk = (-1)^sk * s*, which is s* itself when sk is even.
+
+class NegatedAlphaKemAdversary(GuessingKemAdversary):
+    """Asks decap(p - alpha*) and guesses 0 exactly when the keys it gets
+    back equal the challenge keys."""
+
+    def begin(self, group, pk, oracles):
+        super().begin(group, pk, oracles)
+        self._oracles = oracles
+
+    def on_challenge(self, alpha0, pre, challenge, post):
+        alpha, keys, _b = challenge
+        answer = self._oracles.decap(self._group.p - alpha)
+        self._answer = 0 if answer is not None and answer[0] == keys else 1
+
+    def guess(self):
+        return self._answer
+
+
+def _negated_alpha_wins(games=400):
+    rng = SeedRng(b"negated-alpha")
+    return sum(
+        kem_game_run(NegatedAlphaKemAdversary(rng.fork(b"a%d" % trial)), PROD_GROUP,
+                     rng.fork(b"g%d" % trial))["adversary_won"]
+        for trial in range(games)
+    )
+
+
+def test_negated_alpha_is_refused_by_the_membership_check():
+    wins = _negated_alpha_wins()
+    assert fair_coin_pvalue(wins, 400) >= 0.01
+
+
+def test_negated_alpha_wins_three_in_four_against_a_range_check(monkeypatch):
+    # A fresh key memo, so nothing checked under the weakened test outlives it.
+    monkeypatch.setattr(kem_module, "_known_keys", kem_module._KnownKeys())
+    monkeypatch.setattr(GroupParams, "is_element",
+                        lambda self, v: isinstance(v, int) and 1 <= v < self.p)
+    wins = _negated_alpha_wins()
+    # Bit 1 is always guessed right, bit 0 whenever sk is even: 3/4.
+    assert fair_coin_pvalue(wins, 400) < 1e-9
+    assert binomtest(wins, 400, 0.75).pvalue >= 0.01

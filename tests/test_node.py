@@ -3,7 +3,7 @@ import hashlib
 
 import pytest
 
-from rsor.crypto import SeedRng
+from rsor.crypto import KAPPA, SeedRng
 from rsor.group import PROD_GROUP
 from rsor.kem import kem_chain_create, kem_keygen
 from rsor.node import (
@@ -210,8 +210,10 @@ def test_forged_reply_header_under_a_known_ident_leaves_the_opening():
     reply = d.onion(len(spec.path) + len(spec.reply_path))
     # A one-hop reply header of the adversary's own to the sender carrying
     # the known ident: its MAC verifies, but it is not the expected header.
+    # The ident is drawn as derive draws it; the opening keeps no copy.
+    ident = SeedRng(spec.seed).fork(b"ident").read(KAPPA)
     chain = kem_chain_create(PROD_GROUP, 12345, [sender.keypair.pk])
-    final = (encode_addr(ADDR_REPLY_RETURN, b"alice", PARAMS) + d.opening.ident
+    final = (encode_addr(ADDR_REPLY_RETURN, b"alice", PARAMS) + ident
              + bytes((2 * PARAMS.max_hops - 1) * PARAMS.kappa))
     header = build_header(chain, [relay_addr(b"alice", PARAMS)], final, PARAMS)[0]
     assert header != reply.header

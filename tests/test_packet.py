@@ -171,6 +171,19 @@ def test_recognize_onion():
     assert recognize_onion(1, tagged, d)
 
 
+def test_recognize_onion_refuses_a_layer_past_either_end():
+    spec, _ = _spec(1, 2, seed=b"range")
+    d = derive(spec, PARAMS)
+    onion = d.onion(1)
+    assert recognize_onion(3, d.onion(3), d)
+    # Both ends raise the same ValueError as Derived.onion.
+    for i in (0, 4, 5):
+        with pytest.raises(ValueError):
+            recognize_onion(i, onion, d)
+        with pytest.raises(ValueError):
+            d.onion(i)
+
+
 def test_tagging_absorbed_until_exit():
     rng = SeedRng(b"tag-masks")
     spec, keys = _spec(3, 0, seed=b"tag-spec")
@@ -218,6 +231,29 @@ def test_replay_rejected():
     assert proc_onion(keys[b"r0"].sk, onion, b"r0", PARAMS, view).kind == "forward"
     again = proc_onion(keys[b"r0"].sk, onion, b"r0", PARAMS, view)
     assert again.kind == "fail" and again.reason == "replay"
+
+
+def test_expected_reply_with_a_bad_width_or_a_replay_keeps_its_opening():
+    spec, keys = _spec(1, 2, seed=b"expected")
+    d = derive(spec, PARAMS)
+    reply = d.onion(3)
+    view = InMemoryView()
+    view.expect_reply(d.opening)
+    sk = keys[b"sender"].sk
+
+    short = Onion(reply.header, reply.delta[:-1])
+    result = proc_onion(sk, short, b"sender", PARAMS, view)
+    assert result.kind == "fail" and result.reason == "bad-width"
+    assert view.lookup_reply(reply.header) == d.opening
+
+    result = proc_onion(sk, reply, b"sender", PARAMS, view)
+    assert result.kind == "reply" and result.message == spec.message
+    assert view.lookup_reply(reply.header) is None
+    # Re-filed, the opening meets a header already in the replay cache.
+    view.expect_reply(d.opening)
+    result = proc_onion(sk, reply, b"sender", PARAMS, view)
+    assert result.kind == "fail" and result.reason == "replay"
+    assert view.lookup_reply(reply.header) == d.opening
 
 
 def test_reply_requires_expectation():
@@ -359,8 +395,7 @@ def test_proc_rejects_bad_widths_and_elements():
 
 def test_refiling_an_expectation_at_the_cap_evicts_nothing():
     view = InMemoryView()
-    openings = [ReplyOpening(ident=b"%d" % i, header=Header(alpha=i + 1, beta=b"", gamma=b""),
-                             k_pis=(), k_tilde=b"")
+    openings = [ReplyOpening(header=Header(alpha=i + 1, beta=b"", gamma=b""), k_pis=(), k_tilde=b"")
                 for i in range(REPLY_OPENING_CAP)]
     for opening in openings + openings[-1:]:
         view.expect_reply(opening)

@@ -102,6 +102,21 @@ def test_real_ideal_correspondence_two_senders():
         assert traces_equivalent(run_scenario(scenario), env)
 
 
+def _with_rules(scenario, *rules):
+    return dataclasses.replace(scenario, adversary=rules)
+
+
+@pytest.mark.parametrize("scenario", [
+    *(_with_rules(baseline_scenario(seed=3), Rule(action, 0, hop))
+      for action in ("drop", "tag") for hop in range(1, 8)),
+    _with_rules(two_senders_scenario(seed=1), Rule("drop", 1, 2), Rule("tag", 0, 3)),
+], ids=lambda s: "%s-%s" % (s.name, "-".join("%s%d.%d" % (r.action, r.item, r.hop)
+                                              for r in s.adversary)))
+def test_real_ideal_correspondence_under_drop_and_tag_rules(scenario):
+    env, _adv = run_ideal_scenario(scenario)
+    assert traces_equivalent(run_scenario(scenario), env)
+
+
 def test_real_ideal_correspondence_unknown_receiver():
     scenario = Scenario(
         name="ghost", relays=(b"a", b"b", b"c"), senders=(b"alice",), receivers=(b"svc",),
