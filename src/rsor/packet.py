@@ -23,6 +23,7 @@ ADDR_REPLY_RETURN = 0x03  # final hop of a reply path: the original sender
 ADDR_RECEIVER = 0x04
 
 REPLY_OPENING_CAP = 64  # replies one view awaits at a time
+REPLAY_SHARDS = 256  # dicts one replay cache splits its tags over
 
 
 @dataclass(frozen=True)
@@ -508,14 +509,15 @@ class InMemoryView:
     The replay cache keeps a tag per processed header rather than the
     header itself, since it grows with every onion a long-lived relay
     accepts: the first KAPPA bytes of the header's SHA-256 digest (128
-    bits, the format's MAC width) as an int, kept as the keys of an
-    insertion-ordered dict, oldest first.  An expectation is a
-    ReplyOpening filed under the header its reply arrives with, until
-    proc_onion opens that reply; a view keeps at most REPLY_OPENING_CAP of
-    them and evicts the oldest to make room for a new header, so a reply
-    that comes back too late drops as unsolicited.  lookup_reply hashes
-    the header only while the view holds an expectation, so a relay's view
-    costs proc_onion no lookup.
+    bits, the format's MAC width) as an int, in one of REPLAY_SHARDS dicts
+    by its low byte: many small tables that resize at scattered times, not
+    one that doubles all at once, and at once in every evenly loaded relay.
+    An expectation is a ReplyOpening filed under the header its reply
+    arrives with, until proc_onion opens that reply; a view keeps at most
+    REPLY_OPENING_CAP of them and evicts the oldest to make room for a new
+    header, so a reply that comes back too late drops as unsolicited.
+    lookup_reply hashes the header only while the view holds an
+    expectation, so a relay's view costs proc_onion no lookup.
     """
 
     def __init__(self):
@@ -528,9 +530,10 @@ class InMemoryView:
 
     def check_and_add(self, header_bytes: bytes) -> bool:
         key = self._tag(header_bytes)
-        if key in self._seen:
+        shard = self._seen.setdefault(key % REPLAY_SHARDS, {})
+        if key in shard:
             return False
-        self._seen[key] = None
+        shard[key] = None
         return True
 
     def expect_reply(self, opening: ReplyOpening):

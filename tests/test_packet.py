@@ -7,6 +7,7 @@ from rsor.group import PROD_GROUP
 from rsor.kem import kem_keygen
 from rsor.packet import (
     ADDR_RECEIVER,
+    REPLAY_SHARDS,
     REPLY_OPENING_CAP,
     FormatParams,
     Header,
@@ -231,6 +232,15 @@ def test_replay_rejected():
     assert proc_onion(keys[b"r0"].sk, onion, b"r0", PARAMS, view).kind == "forward"
     again = proc_onion(keys[b"r0"].sk, onion, b"r0", PARAMS, view)
     assert again.kind == "fail" and again.reason == "replay"
+
+
+def test_replay_cache_remembers_every_tag_across_its_shards():
+    # More headers than shards, so shards are shared and some hold several.
+    headers = [b"header-%d" % i for i in range(4 * REPLAY_SHARDS)]
+    view = InMemoryView()
+    assert all(view.check_and_add(h) for h in headers)
+    assert not any(view.check_and_add(h) for h in headers)
+    assert view.check_and_add(b"header-new")
 
 
 def test_expected_reply_with_a_bad_width_or_a_replay_keeps_its_opening():
