@@ -1,6 +1,6 @@
 """Repliable service onion routing: packet format, runtime, games, simulator."""
 
-from .group import GroupParams, PROD_GROUP, TOY_GROUP
+from .group import GroupParams, PROD_GROUP, SQR_GROUP, TOY_GROUP
 from .crypto import SeedRng, mac, prg, prg_xor, prp_dec, prp_enc, ro_hb, ro_hsym, xor_bytes
 from .kem import (
     KemKeyPair,

@@ -1,6 +1,6 @@
 """Prime-order cyclic groups used by the KEM layer.
 
-Two instantiations are provided:
+Three instantiations are provided:
 
 * ``TOY_GROUP``: the order-5 subgroup of Z_11^*, small enough that tests can
   enumerate every element and exponent by hand.
@@ -9,34 +9,49 @@ Two instantiations are provided:
   reproduction backend, not a secure one: index-calculus (number field
   sieve) discrete logarithms in a 258-bit prime field are far cheaper than
   2^128 work, so the group gives nowhere near 128-bit security.
+* ``SQR_GROUP``, the default of ``sim.default_params``: the signed quadratic
+  residues on ``PROD_GROUP``'s own p (Hofheinz and Kiltz, CRYPTO 2009).  An
+  element is |x| = min(x, p - x) for a residue x, so the members are
+  exactly the ints in [1, q].  x -> |x| is an isomorphism from the
+  quadratic residues, computable both ways, so GDH here is GDH in
+  ``PROD_GROUP``: the same 258-bit field and the same security, far below
+  128 bits.
 
-Group elements are plain ints in [1, p); scalars are ints in [1, q).
-Elements travel on the wire as fixed-width big-endian byte strings.
+Scalars are ints in [1, q).  Elements are plain ints in [1, p) for a
+Legendre-tested group and in [1, q] for the signed one.  Elements travel on
+the wire as fixed-width big-endian byte strings, of the same width in
+``PROD_GROUP`` and ``SQR_GROUP``.
 
-Both groups use a safe prime p = 2q + 1, so the order-q subgroup is exactly
+Every group uses a safe prime p = 2q + 1, so the order-q subgroup is exactly
 the quadratic residues mod p, and by Euler's criterion v**q == 1 (mod p)
-holds iff the Legendre symbol (v|p) is 1.  ``GroupParams`` refuses any p
-other than 2q + 1, since the two tests are only equivalent then (that p and
-q are prime is taken on trust).  Membership is checked where bytes or keys
-enter (``decode``, the entry of ``packet.proc_onion``, spec validation), not
-inside ``exp`` or ``encode``.  A public key is tested once per process:
-spec validation goes through ``kem.is_public_key``, whose bounded key memo
-``kem_keygen`` also feeds, so a key made as g^sk or tested before costs no
-Legendre test; every alpha is still tested.
+holds iff the Legendre symbol (v|p) is 1; the signed quotient by +-1 has
+order q only then.  ``GroupParams`` refuses any p other than 2q + 1 (that p
+and q are prime is taken on trust).  With ``signed`` unset, membership is
+that Legendre test; with ``signed`` set, ``exp`` and ``base`` return the
+representative min(v, p - v), and membership is the range test 1 <= v <= q,
+so p - v, the other name of a member's class, is not an element.
+Membership is checked where bytes or keys enter (``decode``, the entry of
+``packet.proc_onion``, spec validation), not inside ``exp`` or ``encode``.
+A public key is tested once per process: spec validation goes through
+``kem.is_public_key``, whose bounded key memo ``kem_keygen`` also feeds, so
+a key made as g^sk or tested before costs no membership test; every alpha
+is still tested.
 
 ``base`` raises the one fixed generator to a power from a fixed-base table
 (Brickell, Gordon, McCurley and Wilson, EUROCRYPT 1992): row i holds
 g^(d * 256^i) for every byte value d, one row per byte of q, so g^e is the
 product of one entry per nonzero byte of e mod q, at most 33 Python modular
-multiplications for ``PROD_GROUP``.  Each group builds its table on first
-use and keeps it until the process ends: for ``PROD_GROUP``, 33 rows of 256
-ints, about 0.57 MB, built in 6.5-7 ms (Python 3.11 on a 2-core Xeon).
+multiplications for ``PROD_GROUP`` and ``SQR_GROUP`` (the signed group
+takes min(r, p - r) once, after the product).  Each group builds its table
+on first use and keeps it until the process ends: for a 258-bit group, 33
+rows of 256 ints, about 0.57 MB, built in 6.5-7 ms (Python 3.11 on a 2-core
+Xeon).
 
 The other kernels run in libcrypto's BIGNUM code, reached through the
 handle of the extension module CPython's ``hashlib`` already loads
 (``_hashlib``, which links libcrypto): ``exp`` is a Montgomery modexp
-(``BN_mod_exp_mont``), and ``is_element`` computes the Legendre symbol with
-``BN_kronecker``.  Neither ``base`` nor ``exp`` is constant-time: the table
+(``BN_mod_exp_mont``), and ``is_element`` of a Legendre-tested group
+computes the Legendre symbol with ``BN_kronecker``.  Neither ``base`` nor ``exp`` is constant-time: the table
 entries read and the zero bytes skipped depend on the exponent, and
 ``BN_mod_exp_mont`` is called without ``BN_FLG_CONSTTIME``.  The same
 handle also serves ``crypto``'s AES-CTR kernel (through
@@ -51,8 +66,8 @@ every call, so both kernels must run on one thread.
 
 Code outside this module uses a group only through ``q``, ``elem_len``,
 ``base``, ``exp``, ``is_element``, ``is_scalar``, ``encode``, ``decode`` and
-``random_scalar``.  ``p``, ``g`` and the safe-prime check belong to this
-modp class.
+``random_scalar``.  ``p``, ``g``, ``signed`` and the safe-prime check
+belong to this modp class.
 """
 
 import ctypes
@@ -112,13 +127,15 @@ class GroupDecodeError(ValueError):
 
 @dataclass(frozen=True)
 class GroupParams:
-    """A prime-order subgroup of Z_p^* with generator g and fixed encoding width."""
+    """A prime-order subgroup of Z_p^* with generator g and fixed encoding
+    width; with signed set, its image under v -> min(v, p - v)."""
 
     name: str
     p: int          # modulus of the ambient field
     q: int          # prime order of the subgroup
     g: int          # generator of the order-q subgroup
     elem_len: int   # wire width of an encoded element, in bytes
+    signed: bool = False  # elements are the signed residues [1, q]
 
     def __post_init__(self):
         if self.p != 2 * self.q + 1:
@@ -139,8 +156,8 @@ class GroupParams:
         return ctx, mod, mont, r, a, x, ctypes.create_string_buffer(width)
 
     def exp(self, base: int, e: int) -> int:
-        """Modular exponentiation base**(e mod q) mod p, by BN_mod_exp_mont;
-        base is trusted to be an element."""
+        """Modular exponentiation base**(e mod q) mod p, by BN_mod_exp_mont,
+        signed when the group is; base is trusted to be an element."""
         e %= self.q
         lib = _LIBCRYPTO
         ctx, mod, mont, r, a, x, out = self._bn
@@ -150,7 +167,8 @@ class GroupParams:
         _ok(lib.BN_mod_exp_mont(r, a, x, mod, ctx, mont), "BN_mod_exp_mont")
         if lib.BN_bn2binpad(r, out, width) != width:
             raise RuntimeError("libcrypto BN_bn2binpad failed")
-        return int.from_bytes(out.raw, "big")
+        r = int.from_bytes(out.raw, "big")
+        return min(r, self.p - r) if self.signed else r
 
     @cached_property
     def _g_table(self):
@@ -167,16 +185,20 @@ class GroupParams:
 
     def base(self, e: int) -> int:
         """g**(e mod q), the same value as exp(g, e): one table entry per
-        nonzero byte of e mod q, multiplied mod p."""
+        nonzero byte of e mod q, multiplied mod p, then signed when the
+        group is."""
         table, p, r = self._g_table, self.p, 1
         for row, d in zip(table, (e % self.q).to_bytes(len(table), "little")):
             if d:
                 r = r * row[d] % p
-        return r
+        return min(r, p - r) if self.signed else r
 
     def is_element(self, v) -> bool:
-        """True if v is a member of the order-q subgroup (including identity):
-        for p = 2q + 1, the Legendre symbol (v|p) is 1."""
+        """True if v is a member of the order-q group (including identity):
+        an int in [1, q] for the signed group, else one whose Legendre
+        symbol (v|p) is 1, which for p = 2q + 1 is the same."""
+        if self.signed:
+            return isinstance(v, int) and 1 <= v <= self.q
         if not isinstance(v, int) or not 1 <= v < self.p:
             return False
         lib = _LIBCRYPTO
@@ -230,3 +252,7 @@ TOY_GROUP = GroupParams(name="toy", p=11, q=5, g=3, elem_len=1)
 _PROD_Q = 0x1000000000000000000000000000000000000000000000000000000000000482B
 _PROD_P = 0x20000000000000000000000000000000000000000000000000000000000009057
 PROD_GROUP = GroupParams(name="prod", p=_PROD_P, q=_PROD_Q, g=4, elem_len=33)
+
+# The signed quadratic residues on the same p: members are the ints in
+# [1, q], so membership is a range test.  The default group.
+SQR_GROUP = GroupParams(name="sqr", p=_PROD_P, q=_PROD_Q, g=4, elem_len=33, signed=True)

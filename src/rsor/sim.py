@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 
 from .crypto import SeedRng
-from .group import PROD_GROUP
+from .group import SQR_GROUP
 from .ideal import RsorIdeal
 from .kem import kem_keygen
 from .node import (
@@ -113,8 +113,15 @@ def parse_count(text) -> int:
 
 
 def default_params(**fields):
-    """FormatParams over PROD_GROUP; fields override FormatParams defaults."""
-    return FormatParams(group=PROD_GROUP, **fields)
+    """FormatParams over SQR_GROUP; fields override FormatParams defaults.
+
+    Of the three groups in ``group``, the signed quadratic residues are the
+    default: membership there is a range test, not a Legendre test, and
+    security is exactly ``PROD_GROUP``'s (the same 258-bit field, far below
+    128-bit security).  ``PROD_GROUP`` and ``TOY_GROUP`` stay the
+    Legendre-tested groups.
+    """
+    return FormatParams(group=SQR_GROUP, **fields)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import dataclasses
 
 import pytest
+from scipy.stats import binomtest
 
+import rsor.kem as kem_module
 from rsor.crypto import SeedRng
 from rsor.games import (
     ADVERSARIES,
@@ -16,8 +18,9 @@ from rsor.games import (
     game_tlu_forward,
     run_game_batch,
 )
-from rsor.games import _BaseAdversary
-from rsor.packet import InMemoryView, proc_onion
+from rsor.games import _BaseAdversary, fair_coin_pvalue
+from rsor.group import PROD_GROUP, SQR_GROUP, GroupParams
+from rsor.packet import FormatParams, InMemoryView, Onion, proc_onion
 
 
 def test_correctness_game_passes():
@@ -374,3 +377,67 @@ def test_batch_refuses_unregistered_pairing_before_any_game(game, adversary, mon
     with pytest.raises(ValueError, match="adversary %s is not registered for game %s"
                        % (adversary, game)):
         run_game_batch(game, adversary, 1, 0)
+
+
+# ---------------------------------------------------------------------------
+# Why proc_onion tests each alpha for membership, not only its range: the
+# TLU leg of the negated-alpha attack.  In PROD_GROUP p - alpha is a
+# non-member (p = 3 mod 4), and (p - alpha)^sk = (-1)^sk * alpha^sk names
+# the same layer keys whenever sk is even.
+
+class NegatedAlphaAdversary(GuessingAdversary):
+    """Peels x1 itself, negates alpha at P_H and asks Proc there with beta,
+    gamma and the payload unchanged.  Real's layer at P_H (b = 0) peels to
+    a forward, bar's (b = 1) to its exit; a refusal leaves a coin."""
+
+    def guess(self):
+        params = self.params
+        peeled = proc_onion(self.keypair(b"a").sk, self.challenge, b"x1", params,
+                            InMemoryView())
+        if peeled.kind != "forward":
+            return self.coin()
+        header = peeled.next_onion.header
+        negated = dataclasses.replace(header, alpha=params.group.p - header.alpha)
+        out = self.oracles.proc(P_H, Onion(negated, peeled.next_onion.delta))
+        if out is None:
+            return self.coin()
+        return 0 if out[0] == "forward" else 1
+
+
+def _negated_alpha_tlu_wins(group, games=300):
+    params = FormatParams(group=group)
+    rng = SeedRng(b"negated-alpha-tlu")
+    wins = 0
+    for i in range(games):
+        grng = rng.fork(b"g%d" % i)
+        outcome = game_tlu_forward(NegatedAlphaAdversary(grng.fork(b"adv")),
+                                   grng.fork(b"chal").read(16), params=params)
+        wins += outcome["guess_correct"]
+    return wins
+
+
+@pytest.fixture
+def range_membership(monkeypatch):
+    """GroupParams.is_element widened to the range [1, p) for this test,
+    with a fresh key memo, so nothing checked under it outlives the test."""
+    monkeypatch.setattr(kem_module, "_known_keys", kem_module._KnownKeys())
+    monkeypatch.setattr(GroupParams, "is_element",
+                        lambda self, v: isinstance(v, int) and 1 <= v < self.p)
+
+
+@pytest.mark.parametrize("group", [PROD_GROUP, SQR_GROUP], ids=["prod", "sqr"])
+def test_negated_alpha_tlu_is_refused_at_the_boundary(group):
+    wins = _negated_alpha_tlu_wins(group)
+    assert fair_coin_pvalue(wins, 300) >= 0.01
+
+
+def test_negated_alpha_tlu_wins_three_in_four_against_a_range_check(range_membership):
+    wins = _negated_alpha_tlu_wins(PROD_GROUP)
+    # Every even-key game is won, and half of the odd-key ones: 3/4.
+    assert fair_coin_pvalue(wins, 300) < 1e-9
+    assert binomtest(wins, 300, 0.75).pvalue >= 0.01
+
+
+def test_negated_alpha_tlu_wins_in_the_signed_group_widened_to_p(range_membership):
+    # |(p - alpha)^sk| = |alpha^sk| for every sk, so every game is won.
+    assert _negated_alpha_tlu_wins(SQR_GROUP) >= 0.95 * 300

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from rsor.crypto import SeedRng
 from rsor.games import ADVERSARIES, GAMES, P_H, P_S, Submission, _BaseAdversary
-from rsor.group import PROD_GROUP
+from rsor.group import PROD_GROUP, SQR_GROUP
 from rsor.kem import GuessingKemAdversary, WhiteBoxKemAdversary, kem_game_run, kem_keygen
 from rsor.packet import (
     FormatParams,
@@ -45,13 +45,13 @@ FILLERS = {"random": False, "zero": True}
 GAME_SEEDS = range(10)
 
 
-def _params(filler):
-    return FormatParams(group=PROD_GROUP, legacy_zero_filler=FILLERS[filler])
+def _params(filler, group=PROD_GROUP):
+    return FormatParams(group=group, legacy_zero_filler=FILLERS[filler])
 
 
-def vector_lines(filler):
+def vector_lines(filler, group=PROD_GROUP):
     """Test vectors of one repliable spec with n = 3 and n_back = 2."""
-    params = _params(filler)
+    params = _params(filler, group)
     rng = SeedRng(b"golden-vectors")
     names = (b"r0", b"r1", b"r2", b"q0", b"sender")
     keys = {name: kem_keygen(params.group, rng.fork(name)).pk for name in names}
@@ -268,6 +268,11 @@ def test_onion_vectors_match_golden():
         assert vector_lines(filler) == _read_lines("vectors_%s_filler.txt" % filler)
 
 
+def test_signed_group_onion_vectors_match_golden():
+    for filler in FILLERS:
+        assert vector_lines(filler, SQR_GROUP) == _read_lines("vectors_sqr_%s_filler.txt" % filler)
+
+
 def test_baseline_trace_matches_golden(tmp_path):
     assert trace_lines(tmp_path / "trace.jsonl") == _read_lines("baseline_trace_seed5.jsonl")
 
@@ -305,6 +310,8 @@ def _write_all():
     for filler in FILLERS:
         (DATA / ("vectors_%s_filler.txt" % filler)).write_text(
             "\n".join(vector_lines(filler)) + "\n", encoding="ascii")
+        (DATA / ("vectors_sqr_%s_filler.txt" % filler)).write_text(
+            "\n".join(vector_lines(filler, SQR_GROUP)) + "\n", encoding="ascii")
         (DATA / ("games_%s_filler.jsonl" % filler)).write_text(
             "".join(json.dumps(r) + "\n" for r in game_records(filler)), encoding="ascii")
         (DATA / ("walks_%s_filler.jsonl" % filler)).write_text(

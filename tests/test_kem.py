@@ -8,7 +8,7 @@ from scipy.stats import binomtest
 import rsor.kem as kem_module
 from rsor.crypto import SeedRng, ro_hb, ro_hsym
 from rsor.games import fair_coin_pvalue
-from rsor.group import PROD_GROUP, TOY_GROUP, GroupParams
+from rsor.group import PROD_GROUP, SQR_GROUP, TOY_GROUP, GroupParams
 from rsor.ideal import RsorIdeal
 from rsor.kem import (
     KNOWN_KEYS_CAP,
@@ -446,10 +446,10 @@ class NegatedAlphaKemAdversary(GuessingKemAdversary):
         return self._answer
 
 
-def _negated_alpha_wins(games=400):
+def _negated_alpha_wins(games=400, group=PROD_GROUP):
     rng = SeedRng(b"negated-alpha")
     return sum(
-        kem_game_run(NegatedAlphaKemAdversary(rng.fork(b"a%d" % trial)), PROD_GROUP,
+        kem_game_run(NegatedAlphaKemAdversary(rng.fork(b"a%d" % trial)), group,
                      rng.fork(b"g%d" % trial))["adversary_won"]
         for trial in range(games)
     )
@@ -469,3 +469,21 @@ def test_negated_alpha_wins_three_in_four_against_a_range_check(monkeypatch):
     # Bit 1 is always guessed right, bit 0 whenever sk is even: 3/4.
     assert fair_coin_pvalue(wins, 400) < 1e-9
     assert binomtest(wins, 400, 0.75).pvalue >= 0.01
+
+
+# In the signed group p - alpha* names alpha*'s own class, so the attack
+# cannot be expressed: it lies outside [1, q] and decap refuses it.
+
+def test_negated_alpha_is_out_of_range_in_the_signed_group():
+    wins = _negated_alpha_wins(group=SQR_GROUP)
+    assert fair_coin_pvalue(wins, 400) >= 0.01
+
+
+def test_negated_alpha_wins_once_the_signed_range_is_widened(monkeypatch):
+    # A fresh key memo, so nothing checked under the widened range outlives it.
+    monkeypatch.setattr(kem_module, "_known_keys", kem_module._KnownKeys())
+    monkeypatch.setattr(GroupParams, "is_element",
+                        lambda self, v: isinstance(v, int) and 1 <= v < self.p)
+    wins = _negated_alpha_wins(group=SQR_GROUP)
+    # |(p - alpha*)^sk| = |alpha*^sk| for every sk, not only the even ones.
+    assert wins >= 0.95 * 400
