@@ -51,9 +51,10 @@ The other kernels run in libcrypto's BIGNUM code, reached through the
 handle of the extension module CPython's ``hashlib`` already loads
 (``_hashlib``, which links libcrypto): ``exp`` is a Montgomery modexp
 (``BN_mod_exp_mont``), and ``is_element`` of a Legendre-tested group
-computes the Legendre symbol with ``BN_kronecker``.  Neither ``base`` nor ``exp`` is constant-time: the table
-entries read and the zero bytes skipped depend on the exponent, and
-``BN_mod_exp_mont`` is called without ``BN_FLG_CONSTTIME``.  The same
+computes the Legendre symbol with ``BN_kronecker``.  Neither ``base`` nor
+``exp`` is constant-time: the table entries read and the zero bytes skipped
+depend on the exponent, and ``BN_mod_exp_mont`` is called without
+``BN_FLG_CONSTTIME``.  The same
 handle also serves ``crypto``'s AES-CTR kernel (through
 ``EVP_EncryptInit_ex`` and ``EVP_EncryptUpdate``).
 The handle is required and resolved once, at import: if ``_hashlib`` does
@@ -167,8 +168,8 @@ class GroupParams:
         _ok(lib.BN_mod_exp_mont(r, a, x, mod, ctx, mont), "BN_mod_exp_mont")
         if lib.BN_bn2binpad(r, out, width) != width:
             raise RuntimeError("libcrypto BN_bn2binpad failed")
-        r = int.from_bytes(out.raw, "big")
-        return min(r, self.p - r) if self.signed else r
+        v = int.from_bytes(out.raw, "big")
+        return min(v, self.p - v) if self.signed else v
 
     @cached_property
     def _g_table(self):
@@ -195,8 +196,8 @@ class GroupParams:
 
     def is_element(self, v) -> bool:
         """True if v is a member of the order-q group (including identity):
-        an int in [1, q] for the signed group, else one whose Legendre
-        symbol (v|p) is 1, which for p = 2q + 1 is the same."""
+        in the signed group an int in [1, q]; otherwise an int in [1, p)
+        whose Legendre symbol (v|p) is 1, a residue since p = 2q + 1."""
         if self.signed:
             return isinstance(v, int) and 1 <= v <= self.q
         if not isinstance(v, int) or not 1 <= v < self.p:
