@@ -21,21 +21,24 @@ is imported.
 Each hash oracle has one definition, over encoded group elements.
 ``ro_hb`` and ``ro_hsym`` take elements and encode them; ``ro_layer``
 evaluates all four oracles a KEM layer needs from one encoding of alpha
-and one of s.  The MAC and LIONESS's compression rounds call CPython's
-``_hashlib.hmac_digest`` directly, and LIONESS keeps its KAPPA-byte left
-part and its round keys 1 and 3 as ints, so a round's XOR is one int XOR.
+and one of s.  The MAC and LIONESS's compression rounds share one HMAC-SHA256,
+``_hmac_sha256``, built as RFC 2104 defines it from two ``hashlib.sha256``
+calls: H(K xor opad | H(K xor ipad | m)), with the pads made by
+``bytes.translate`` and a key over 64 bytes hashed first.  That is cheaper
+per call than CPython's ``_hashlib.hmac_digest`` at these short inputs.
+LIONESS keeps its KAPPA-byte left part and its round keys 1 and 3 as ints,
+so a round's XOR is one int XOR.
 
 Input checks raise ``ValueError`` rather than assert, so they hold under
 ``python -O`` too: ``xor_bytes`` refuses operands of unequal length,
-``prg`` and ``prg_xor`` a key that is not KAPPA bytes and ``prg`` a negative
-length, and ``prp_enc``/``prp_dec`` a block not wider than KAPPA bytes.
+``prg`` and ``prg_xor`` a key that is not KAPPA bytes, ``prg`` and
+``SeedRng.read`` a negative length, and ``prp_enc``/``prp_dec`` a block not
+wider than KAPPA bytes.
 """
 
 import ctypes
 import functools
 import hashlib
-
-from _hashlib import hmac_digest as _hmac_digest
 
 from . import group as _group
 
@@ -51,6 +54,15 @@ _DOM_RNG = b"\xb4"
 # The hash prefixes of LIONESS's four round keys.
 _PRP_PREFIXES = tuple(_DOM_PRP + bytes([i]) for i in range(1, 5))
 
+# HMAC's inner and outer pads as translate tables: key.translate(_IPAD) is
+# key XOR 0x36 bytewise, key.translate(_OPAD) key XOR 0x5c.
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
+_SHA256_BLOCK = 64
+
+# The width of the keystream chunk a SeedRng draws its reads from.
+_RNG_CHUNK = 256
+
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
     """XOR two equal-length byte strings."""
@@ -65,10 +77,12 @@ class SeedRng:
 
     Used for every random choice an onion former or game challenger makes, so
     that whole runs replay bit-identically from a single seed.  The stream is
-    the AES-128-CTR keystream (zero nonce) under sha256(0xb4 | seed)[:16]; the
-    rng keeps only its offset into that stream, and each read produces the
-    keystream from the 16-byte block the offset falls in, so reads split at
-    any sizes concatenate to one long read.
+    the AES-128-CTR keystream (zero nonce) under sha256(0xb4 | seed)[:16].
+    Reads are served from a chunk of that keystream, at least _RNG_CHUNK
+    bytes and starting on a 16-byte block, made by one ``_aes_ctr`` call; a
+    read that runs past the chunk's end makes the next chunk from the block
+    the read starts in.  So a relay's 16-byte tid draws cost one cipher call
+    per sixteen, and reads split at any sizes concatenate to one long read.
     """
 
     def __init__(self, seed: bytes):
@@ -77,13 +91,25 @@ class SeedRng:
         if not isinstance(seed, (bytes, bytearray)):
             raise TypeError("SeedRng needs a bytes seed, not %s" % type(seed).__name__)
         self._key = hashlib.sha256(_DOM_RNG + bytes(seed)).digest()[:16]
-        self._offset = 0
+        # The keystream from counter block _block on, and the offset of the
+        # next unread byte in it.
+        self._chunk = b""
+        self._block = 0
+        self._pos = 0
 
     def read(self, n: int) -> bytes:
         """Return the next n bytes of the stream."""
-        block, skip = divmod(self._offset, 16)
-        self._offset += n
-        return _aes_ctr(self._key, block, bytes(skip + n))[skip:]
+        if n < 0:
+            raise ValueError("SeedRng read length must not be negative")
+        pos = self._pos
+        end = pos + n
+        if end > len(self._chunk):
+            self._block += pos >> 4
+            pos &= 15
+            end = pos + n
+            self._chunk = _aes_ctr(self._key, self._block, bytes(max(_RNG_CHUNK, end)))
+        self._pos = end
+        return self._chunk[pos:end]
 
     def fork(self, label: bytes) -> "SeedRng":
         """An independent stream derived from this seed and a label; it does
@@ -177,9 +203,23 @@ def prg(key: bytes, out_len: int) -> bytes:
     return prg_xor(key, bytes(out_len))
 
 
+def _hmac_sha256(key: bytes, data: bytes) -> bytes:
+    """HMAC-SHA256 as RFC 2104 defines it: H(K xor opad | H(K xor ipad | m)),
+    K the key zero-padded to the 64-byte block, or its hash if it is longer.
+    Key and data may be any bytes-like object."""
+    if type(key) is not bytes:
+        # memoryview refuses an int, which bytes() would take as a length.
+        key = memoryview(key).tobytes()
+    if len(key) > _SHA256_BLOCK:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(_SHA256_BLOCK, b"\x00")
+    inner = hashlib.sha256(key.translate(_IPAD) + data).digest()
+    return hashlib.sha256(key.translate(_OPAD) + inner).digest()
+
+
 def mac(key: bytes, data: bytes) -> bytes:
     """HMAC-SHA256 truncated to KAPPA bytes."""
-    return _hmac_digest(key, data, "sha256")[:KAPPA]
+    return _hmac_sha256(key, data)[:KAPPA]
 
 
 def _prp_subkeys(key: bytes):
@@ -196,7 +236,7 @@ def _left(block: bytes) -> int:
 
 
 def _compress(key: bytes, right: bytes) -> int:
-    return int.from_bytes(_hmac_digest(key, right, "sha256")[:KAPPA], "big")
+    return int.from_bytes(_hmac_sha256(key, right)[:KAPPA], "big")
 
 
 def prp_enc(key: bytes, block: bytes) -> bytes:

@@ -232,7 +232,10 @@ def build_padding(chain: tuple, upto: int, params: FormatParams) -> bytes:
     of that hop's beta keystream, exactly the bytes a peeling relay will
     later shift into view.
     """
-    assert 0 <= upto <= len(chain)
+    # A ValueError, not an assert: python -O strips asserts, and upto past
+    # the chain would then return the whole chain's padding.
+    if not 0 <= upto <= len(chain):
+        raise ValueError("padding depth out of range for the chain")
     streams = [prg(layer.k_rho, params.stream_len) for layer in chain[:upto]]
     return _padding(streams, params)
 
@@ -257,8 +260,10 @@ def build_header(chain: tuple, path_addrs, final_contents: bytes, params):
     """
     kappa, r = params.kappa, params.max_hops
     n = len(chain)
-    assert len(path_addrs) == n
-    assert len(final_contents) == (2 * (r - n) + 3) * kappa
+    if len(path_addrs) != n:
+        raise ValueError("build_header needs one address per hop")
+    if len(final_contents) != (2 * (r - n) + 3) * kappa:
+        raise ValueError("final routing contents have the wrong width")
 
     streams = [prg(layer.k_rho, params.stream_len) for layer in chain]
     phi = _padding(streams[: n - 1], params)
@@ -328,7 +333,8 @@ def build_payload_forward(params, receiver: bytes, reply, message: bytes) -> byt
         else b"\x00" * params.reply_block_len
     )
     out = b"\x00" * params.kappa + receiver + block + _frame(message, params)
-    assert len(out) == params.payload_len
+    if len(out) != params.payload_len:
+        raise ValueError("receiver address or reply block has the wrong width")
     return out
 
 

@@ -1,3 +1,4 @@
+import array
 import hashlib
 import hmac
 import os
@@ -13,6 +14,7 @@ import rsor.group as group_module
 from rsor.crypto import (
     KAPPA,
     SeedRng,
+    _hmac_sha256,
     mac,
     prg,
     prg_xor,
@@ -92,6 +94,86 @@ def test_seed_rng_reads_continue_one_keystream(seed, sizes, label):
     assert whole == _reference_keystream(key, sum(sizes))
     # A fork does not depend on how much of its parent was read.
     assert rng.fork(label).read(40) == SeedRng(seed).fork(label).read(40)
+
+
+@pytest.mark.parametrize("start", range(250, 261))
+def test_seed_rng_reads_straddle_a_chunk_end(start):
+    seed = b"chunk-ends"
+    key = hashlib.sha256(b"\xb4" + seed).digest()[:16]
+    reference = _reference_keystream(key, 2000)
+    for n in (1, 6, 255, 256, 257, 600):
+        rng = SeedRng(seed)
+        # Ten-byte reads up to start, so the first chunk is the narrowest one
+        # and start sits a few bytes before or after its end.
+        offset = 0
+        while offset < start:
+            step = min(10, start - offset)
+            assert rng.read(step) == reference[offset:offset + step]
+            offset += step
+        assert rng.read(n) == reference[start:start + n], (start, n)
+        assert rng.read(7) == reference[start + n:start + n + 7], (start, n)
+
+
+def test_seed_rng_fork_mid_chunk_equals_a_fresh_fork():
+    seed = b"fork-mid-chunk"
+    key = hashlib.sha256(b"\xb4" + seed).digest()[:16]
+    rng = SeedRng(seed)
+    assert rng.read(100) == _reference_keystream(key, 100)
+    fork = rng.fork(b"label")
+    assert fork.read(300) == SeedRng(seed).fork(b"label").read(300)
+    # Forking leaves the parent where it was.
+    assert rng.read(200) == _reference_keystream(key, 300)[100:]
+
+
+def test_seed_rng_refuses_a_negative_read():
+    rng = SeedRng(b"negative")
+    rng.read(20)
+    with pytest.raises(ValueError):
+        rng.read(-1)
+    assert rng.read(5) == SeedRng(b"negative").read(25)[20:]
+
+
+_HMAC_KEY_LENGTHS = (0, 1, 16, 32, 63, 64, 65, 100, 200)
+
+
+@settings(max_examples=200)
+@given(key=st.sampled_from(_HMAC_KEY_LENGTHS).flatmap(lambda n: st.binary(min_size=n, max_size=n)),
+       data=st.binary(max_size=1000))
+def test_hmac_matches_the_standard_library(key, data):
+    expected = hmac.new(key, data, hashlib.sha256).digest()
+    assert _hmac_sha256(key, data) == expected
+    assert mac(key, data) == expected[:KAPPA]
+
+
+@pytest.mark.parametrize("key_len", _HMAC_KEY_LENGTHS)
+def test_hmac_matches_the_standard_library_at_every_data_edge(key_len):
+    key = SeedRng(b"hmac-key").read(key_len)
+    data = SeedRng(b"hmac-data").read(1000)
+    # Around the 64-byte block and the 55-byte single-block limit, and the
+    # widths mac sees: a beta and a LIONESS right part.
+    for n in (0, 1, 55, 56, 63, 64, 65, 119, 120, 128, 176, 339, 1000):
+        expected = hmac.new(key, data[:n], hashlib.sha256).digest()
+        assert _hmac_sha256(key, data[:n]) == expected, n
+        assert mac(key, data[:n]) == expected[:KAPPA], n
+
+
+@pytest.mark.parametrize("kind", [bytes, bytearray, memoryview, lambda b: array.array("B", b)])
+def test_mac_takes_every_bytes_like_key_and_data(kind):
+    for key in (b"k" * KAPPA, b"K" * 65):
+        expected = hmac.new(key, b"some data", hashlib.sha256).digest()
+        assert mac(kind(key), b"some data") == expected[:KAPPA]
+        assert mac(key, kind(b"some data")) == expected[:KAPPA]
+        assert _hmac_sha256(kind(key), kind(b"some data")) == expected
+
+
+@pytest.mark.parametrize("key, data", [
+    (16, b"data"), ("a str key", b"data"), (None, b"data"),
+    (b"k" * KAPPA, 16), (b"k" * KAPPA, "str data"), (b"k" * KAPPA, None),
+])
+def test_mac_refuses_what_is_not_bytes_like(key, data):
+    # An int key must not become that many zero bytes, as bytes(16) would.
+    with pytest.raises(TypeError):
+        mac(key, data)
 
 
 def test_prg_prefix_property():
@@ -234,8 +316,14 @@ def test_input_checks_raise_under_python_O():
         from rsor.crypto import KAPPA, SeedRng, prg, prg_xor, prp_dec, prp_enc, xor_bytes
         from rsor.group import PROD_GROUP
         from rsor.kem import kem_chain_create
+        from rsor.packet import (FormatParams, build_header, build_padding,
+                                 build_payload_forward, relay_addr)
 
         assert False, "asserts must be stripped"
+        params = FormatParams(group=PROD_GROUP)
+        chain = kem_chain_create(PROD_GROUP, 5, [PROD_GROUP.g] * 3)
+        final = bytes((2 * (params.max_hops - 3) + 3) * KAPPA)
+        addrs = [relay_addr(b"r%d" % i, params) for i in range(3)]
         calls = [
             (ValueError, lambda: xor_bytes(b"\\x01", b"\\x00\\x02")),
             (ValueError, lambda: prg(bytes(KAPPA), -1)),
@@ -244,13 +332,27 @@ def test_input_checks_raise_under_python_O():
             (ValueError, lambda: prp_enc(bytes(KAPPA), b"abc")),
             (ValueError, lambda: prp_enc(bytes(KAPPA), bytes(KAPPA))),
             (ValueError, lambda: prp_dec(bytes(KAPPA), bytes(KAPPA))),
+            (ValueError, lambda: SeedRng(b"s").read(-1)),
             # Unrefused, these seeded the streams of bytes(5) and b"\\x00".
             (TypeError, lambda: SeedRng(5)),
             (TypeError, lambda: SeedRng(True)),
             # Unrefused, x = 0 put g^0, the identity, on the wire as alpha_0.
             (ValueError, lambda: kem_chain_create(PROD_GROUP, 0, [PROD_GROUP.g])),
             (ValueError, lambda: kem_chain_create(PROD_GROUP, PROD_GROUP.q, [PROD_GROUP.g])),
+            # Unrefused, these returned the 3-layer padding, a 344-byte
+            # payload where 355 bytes are wanted, and an IndexError.
+            (ValueError, lambda: build_padding(chain, 7, params)),
+            (ValueError, lambda: build_padding(chain, -1, params)),
+            (ValueError, lambda: build_payload_forward(params, b"short", None, b"m")),
+            (ValueError, lambda: build_header(chain, addrs[:2], final, params)),
+            (ValueError, lambda: build_header(chain, addrs, final + b"x", params)),
         ]
+        # The well-formed calls next to them still build (not asserted:
+        # -O strips that too).
+        built = (len(build_padding(chain, 3, params)), len(build_header(chain, addrs, final, params)),
+                 len(build_payload_forward(params, bytes(params.addr_len), None, b"m")))
+        if built != (6 * KAPPA, 3, params.payload_len):
+            raise SystemExit("well-formed builder calls gave %r" % (built,))
         for i, (refusal, call) in enumerate(calls):
             try:
                 call()

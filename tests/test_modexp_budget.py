@@ -102,6 +102,23 @@ def test_forward_hop_runs_one_cipher_pass_per_stream(monkeypatch):
     assert result.next_onion == form_onion(3, spec, PARAMS)
 
 
+def test_sixteen_relay_hops_draw_their_tids_from_one_keystream_chunk(monkeypatch):
+    spec, keys = _spec(2, 0)
+    onions = [form_onion(1, dataclasses.replace(spec, seed=b"tid-budget/%d" % i), PARAMS)
+              for i in range(16)]
+    relay = RelayState(name=b"r0", keypair=keys[b"r0"])
+    rng = SeedRng(b"tid-budget-ids")
+    calls = []
+    original = rsor.crypto._aes_ctr
+    monkeypatch.setattr(rsor.crypto, "_aes_ctr", lambda *args: calls.append(1) or original(*args))
+    for onion in onions:
+        event = relay_on_onion(relay, onion, b"sender", PARAMS, rng)
+        _event, action = relay_forward(relay, event["tid"], PARAMS, rng)
+        assert action.next_hop == b"r1"
+    # Three cipher passes per peel; the sixteen 16-byte tids share one chunk.
+    assert len(calls) <= 3 * 16 + 1
+
+
 def test_derive_checks_each_hop_key_once(counts):
     spec, _keys = _spec(5, 0)
     counts.update(base=0, exp=0, is_element=0)
