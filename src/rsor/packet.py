@@ -260,6 +260,8 @@ def build_header(chain: tuple, path_addrs, final_contents: bytes, params):
     """
     kappa, r = params.kappa, params.max_hops
     n = len(chain)
+    if not 1 <= n <= r:
+        raise ValueError("build_header needs 1 to max_hops layers")
     if len(path_addrs) != n:
         raise ValueError("build_header needs one address per hop")
     if len(final_contents) != (2 * (r - n) + 3) * kappa:

@@ -332,20 +332,23 @@ def test_input_checks_raise_under_python_O():
             (ValueError, lambda: prp_enc(bytes(KAPPA), b"abc")),
             (ValueError, lambda: prp_enc(bytes(KAPPA), bytes(KAPPA))),
             (ValueError, lambda: prp_dec(bytes(KAPPA), bytes(KAPPA))),
-            (ValueError, lambda: SeedRng(b"s").read(-1)),
             # Unrefused, these seeded the streams of bytes(5) and b"\\x00".
             (TypeError, lambda: SeedRng(5)),
             (TypeError, lambda: SeedRng(True)),
             # Unrefused, x = 0 put g^0, the identity, on the wire as alpha_0.
             (ValueError, lambda: kem_chain_create(PROD_GROUP, 0, [PROD_GROUP.g])),
             (ValueError, lambda: kem_chain_create(PROD_GROUP, PROD_GROUP.q, [PROD_GROUP.g])),
-            # Unrefused, these returned the 3-layer padding, a 344-byte
-            # payload where 355 bytes are wanted, and an IndexError.
+            # Unrefused, these returned the whole chain's padding, a shorter
+            # one, a 344-byte payload where 355 bytes are wanted, an
+            # IndexError and a last layer with a 177-byte beta.
             (ValueError, lambda: build_padding(chain, 7, params)),
             (ValueError, lambda: build_padding(chain, -1, params)),
             (ValueError, lambda: build_payload_forward(params, b"short", None, b"m")),
             (ValueError, lambda: build_header(chain, addrs[:2], final, params)),
             (ValueError, lambda: build_header(chain, addrs, final + b"x", params)),
+            # Unrefused, these raised IndexError and built a 6-hop header.
+            (ValueError, lambda: build_header((), [], bytes((2 * params.max_hops + 3) * KAPPA), params)),
+            (ValueError, lambda: build_header(chain * 2, addrs * 2, bytes(KAPPA), params)),
         ]
         # The well-formed calls next to them still build (not asserted:
         # -O strips that too).
