@@ -1,15 +1,17 @@
-"""Golden files pinning wire bytes, a scenario trace and game outcomes.
+"""Golden files pinning wire bytes, scenario traces and game outcomes.
 
 The files under tests/data/ were written by an earlier revision of the
 code; these tests recompute every record with the current code and compare.
 A failure means a refactor changed observable behaviour: onion bytes, the
-deterministic simulator trace, or some registered adversary's (b, guess,
-transcript) in a security game or in the KEM game.
+deterministic simulator trace, the ideal world's env and adv traces, or some
+registered adversary's (b, guess, transcript) in a security game or in the
+KEM game.
 
 Regenerate (only when a format change is intended) with
     PYTHONPATH=src python tests/test_golden.py --write
 """
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -35,8 +37,10 @@ from rsor.sim import (
     Scenario,
     WorkItem,
     baseline_scenario,
+    run_ideal_scenario,
     run_scenario,
     scenario_nymserver_attack,
+    two_senders_scenario,
     write_trace,
 )
 
@@ -94,6 +98,26 @@ def adversarial_scenario():
         adversary=(Rule("tag", 2, 2), Rule("tag", 3, 4), Rule("drop", 4, 2)),
         seed=5,
     )
+
+
+def ideal_trace_records():
+    """(scenario, corrupted, rules, env, adv) of run_ideal_scenario for
+    baseline and two-senders at seed 5: no corruption with no rule and with
+    a tag at hop 1, each single relay or sender corrupted with no rule, and
+    the first item's exit corrupted with a tag and with a drop at hop 1.
+    Between them they reach every adversary leak the functionality has."""
+    records = []
+    for scenario in (baseline_scenario(5), two_senders_scenario(5)):
+        exit_relay = scenario.workload[0].path[-1]
+        runs = [((), ()), ((), (Rule("tag", 0, 1),))]
+        runs += [((name,), ()) for name in scenario.relays + scenario.senders]
+        runs += [((exit_relay,), (Rule(action, 0, 1),)) for action in ("tag", "drop")]
+        for corrupted, rules in runs:
+            env, adv = run_ideal_scenario(
+                dataclasses.replace(scenario, corrupted=corrupted, adversary=rules))
+            records.append([scenario.name, [name.decode() for name in corrupted],
+                            [[r.action, r.item, r.hop] for r in rules], env, adv])
+    return records
 
 
 NYM_SEEDS = range(12)
@@ -283,6 +307,11 @@ def test_adversarial_trace_matches_golden(tmp_path):
         _read_lines("adversarial_trace_seed5.jsonl")
 
 
+def test_ideal_traces_match_golden():
+    golden = [json.loads(line) for line in _read_lines("ideal_traces.jsonl")]
+    assert ideal_trace_records() == golden
+
+
 def test_nymserver_attack_matches_golden():
     golden = [json.loads(line) for line in _read_lines("nymserver_attack.jsonl")]
     assert nymserver_records() == golden
@@ -318,6 +347,9 @@ def _write_all():
             "".join(json.dumps(r) + "\n" for r in oracle_walk_records(filler)), encoding="ascii")
     write_trace(DATA / "baseline_trace_seed5.jsonl", run_scenario(baseline_scenario(seed=5)))
     write_trace(DATA / "adversarial_trace_seed5.jsonl", run_scenario(adversarial_scenario()))
+    (DATA / "ideal_traces.jsonl").write_text(
+        "".join(json.dumps(r, sort_keys=True) + "\n" for r in ideal_trace_records()),
+        encoding="ascii")
     (DATA / "nymserver_attack.jsonl").write_text(
         "".join(json.dumps(r) + "\n" for r in nymserver_records()), encoding="ascii")
     (DATA / "kem_games.jsonl").write_text(
