@@ -13,7 +13,6 @@ node.make_event records, as in the real world, appended to adv_events
 (visible to S) and env_events (visible to Z / the parties).
 """
 
-import dataclasses
 from dataclasses import dataclass
 
 from .kem import MAX_HOPS
@@ -22,7 +21,7 @@ from .node import make_event
 
 @dataclass(frozen=True)
 class AbstractOnion:
-    """One onion as the ideal world sees it.
+    """One onion as the ideal world sees it; its position travels beside it.
 
     For replies, sender is the exit relay that created the reply onion,
     receiver is the original sender awaiting it, path is the reply path,
@@ -35,11 +34,7 @@ class AbstractOnion:
     message: bytes
     path: tuple       # relay names, positions 1..n; position 0 is sender
     reply_path: tuple
-    pos: int
     direction: str    # "f" forward, "b" backward (reply)
-
-    def at(self, pos):
-        return dataclasses.replace(self, pos=pos)
 
     def hop(self, i):
         """Party at position i: the origin for 0, else path[i-1]."""
@@ -52,11 +47,11 @@ class RsorIdeal:
     def __init__(self, bad, rng):
         self.bad = set(bad)
         self._rng = rng
-        self.l_o = {}        # tid -> (AbstractOnion, next honest index)
-        self.buffers = {}    # (relay, tid') -> AbstractOnion
+        self.l_o = {}        # tid -> (AbstractOnion, next honest position)
+        self.buffers = {}    # (relay, tid') -> (AbstractOnion, its position)
         self.reply_buffers = {}  # (relay, tid') -> (message, back tid)
         self.l_tag = set()   # tagged onions, keyed by (sid, direction)
-        self.back = {}       # tid -> (sender, path, reply_path, origin, sid)
+        self.back = {}       # tid -> (forward AbstractOnion, replying party)
         self.id_fwd = {}     # reply sid -> forward sid
         self.rep = {}        # (exit relay, rid) -> tid
         self.adv_events = []
@@ -79,22 +74,21 @@ class RsorIdeal:
     # -- messages from the environment / adversary -------------------------
 
     def process_new_onion(self, sender, receiver, message, path, reply_path):
-        """A sender hands in a fresh onion description."""
-        if len(path) > MAX_HOPS or len(reply_path) > MAX_HOPS:
+        """A sender hands in a fresh onion description; refused (False, no
+        event) for an empty path or one longer than MAX_HOPS."""
+        if not 1 <= len(path) <= MAX_HOPS or len(reply_path) > MAX_HOPS:
             return False
-        sid = self._fresh("sid")
         onion = AbstractOnion(
-            sid=sid,
+            sid=self._fresh("sid"),
             sender=sender,
             receiver=receiver,
             message=message,
             path=tuple(path),
             reply_path=tuple(reply_path),
-            pos=0,
             direction="f",
         )
         self._out_cor_sender(onion, "start")
-        self._proc_next_step(onion)
+        self._proc_next_step(onion, 0)
         return True
 
     def process_new_reply(self, message, tid):
@@ -102,21 +96,20 @@ class RsorIdeal:
         entry = self.back.pop(tid, None)  # Back entries are single-use
         if entry is None:
             return False
-        orig_sender, path, reply_path, origin, sid_fwd = entry
+        fwd, origin = entry
         sid = self._fresh("sid")
-        self.id_fwd[sid] = sid_fwd
+        self.id_fwd[sid] = fwd.sid
         onion = AbstractOnion(
             sid=sid,
             sender=origin,
-            receiver=orig_sender,
+            receiver=fwd.sender,
             message=message,
-            path=tuple(reply_path),
+            path=fwd.reply_path,
             reply_path=(),
-            pos=0,
             direction="b",
         )
-        self._out_cor_sender(onion, "start", fwd_path=path)
-        self._proc_next_step(onion)
+        self._out_cor_sender(onion, "start", fwd_path=fwd.path)
+        self._proc_next_step(onion, 0)
         return True
 
     def deliver_onion(self, tid):
@@ -125,7 +118,6 @@ class RsorIdeal:
         if entry is None:
             return
         onion, j = entry
-        onion = onion.at(j)
         if onion.direction == "b" and j == len(onion.path):
             # Arrived back at the reply receiver: deliver quietly, and only
             # if the payload was never tagged in transit.
@@ -134,13 +126,13 @@ class RsorIdeal:
             return
         tid_new = self._fresh("tid")
         self._to_env(onion.hop(j), "onion-received", tid=tid_new, via=onion.hop(j - 1))
-        self.buffers[(onion.hop(j), tid_new)] = onion
+        self.buffers[(onion.hop(j), tid_new)] = entry
 
     def forward_onion(self, party, tid):
         """Z or S (via a relay) flushes one buffered temporary id."""
-        onion = self.buffers.pop((party, tid), None)
-        if onion is not None:
-            self._proc_next_step(onion)
+        entry = self.buffers.pop((party, tid), None)
+        if entry is not None:
+            self._proc_next_step(*entry)
             return
         reply = self.reply_buffers.pop((party, tid), None)
         if reply is not None:
@@ -191,30 +183,22 @@ class RsorIdeal:
         corrupted reply receiver (the original sender, who built the reply
         header and therefore knows everything about it in the real world).
         """
-        if onion.direction == "f" and onion.sender in self.bad:
-            self._to_adv(
-                "sender-leak", tid=tid, sid=onion.sid,
-                sender=onion.sender, receiver=onion.receiver,
-                message=onion.message, n=len(onion.path), path=onion.path,
-                reply_path=onion.reply_path, direction="f",
-            )
-        elif onion.direction == "b" and onion.receiver in self.bad:
-            self._to_adv(
-                "sender-leak", tid=tid, sid=onion.sid,
-                sender=onion.sender, receiver=onion.receiver,
-                message=onion.message,
-                path=fwd_path if fwd_path is not None else onion.path,
-                reply_path=onion.path, direction="b",
-                replying_to=self.id_fwd.get(onion.sid),
-            )
+        if onion.direction == "f":
+            endpoint = onion.sender
+            fields = {"n": len(onion.path), "path": onion.path,
+                      "reply_path": onion.reply_path}
+        else:
+            endpoint = onion.receiver
+            fields = {"path": fwd_path if fwd_path is not None else onion.path,
+                      "reply_path": onion.path,
+                      "replying_to": self.id_fwd.get(onion.sid)}
+        if endpoint in self.bad:
+            self._to_adv("sender-leak", tid=tid, sid=onion.sid,
+                         sender=onion.sender, receiver=onion.receiver,
+                         message=onion.message, direction=onion.direction,
+                         **fields)
 
-    def _proc_to_relay(self, onion):
-        i = onion.pos
-        j = next(
-            k
-            for k in range(i + 1, len(onion.path) + 1)
-            if onion.hop(k) not in self.bad
-        )
+    def _proc_to_relay(self, onion, i, j):
         tid = self._fresh("tid")
         self._to_adv(
             "segment", tid=tid, frm=onion.hop(i), to=onion.hop(j),
@@ -226,17 +210,11 @@ class RsorIdeal:
             self._to_adv("tid-sid", tid=tid, sid=onion.sid)
         self.l_o[tid] = (onion, j)
 
-    def _setup_reply(self, onion, rid):
+    def _setup_reply(self, onion, i, rid):
         tid = self._fresh("tid")
-        self.back[tid] = (
-            onion.sender,
-            onion.path,
-            onion.reply_path,
-            onion.hop(onion.pos),
-            onion.sid,
-        )
-        if onion.pos == len(onion.path):
-            self.rep[(onion.hop(onion.pos), rid)] = tid
+        self.back[tid] = (onion, onion.hop(i))
+        if i == len(onion.path):
+            self.rep[(onion.hop(i), rid)] = tid
             self._to_adv("reply-setup", rid=rid)
         else:
             prefix = []
@@ -246,40 +224,36 @@ class RsorIdeal:
                     break
             self._to_adv("reply-setup", tid=tid, reply_prefix=prefix)
 
-    def _leak_message(self, onion):
+    def _leak_message(self, onion, i):
         if onion.message is None:
             return
         self._out_cor_sender(onion, "end")
         if onion.reply_path:
             rid = self._fresh("rid")
-            self._setup_reply(onion, rid)
-        if onion.pos == len(onion.path):
-            self._to_env(onion.hop(onion.pos), "message-delivered",
-                         receiver=onion.receiver)
+            self._setup_reply(onion, i, rid)
+        if i == len(onion.path):
+            self._to_env(onion.hop(i), "message-delivered", receiver=onion.receiver)
         else:
-            self._to_env(onion.hop(onion.pos), "forwarded",
-                         to=onion.hop(onion.pos + 1))
+            self._to_env(onion.hop(i), "forwarded", to=onion.hop(i + 1))
         self._to_adv(
-            "message-leak", frm=onion.hop(onion.pos),
-            message=onion.message, receiver=onion.receiver,
-            via=onion.path[onion.pos :],
+            "message-leak", frm=onion.hop(i), message=onion.message,
+            receiver=onion.receiver, via=onion.path[i:],
         )
 
-    def _leak_reply(self, onion):
+    def _leak_reply(self, onion, i):
         tid = self._fresh("tid")
         self._to_adv(
-            "reply-leak", tid=tid, frm=onion.hop(onion.pos),
-            message=onion.message, receiver=onion.receiver,
-            via=onion.path[onion.pos : len(onion.path) - 1],
+            "reply-leak", tid=tid, frm=onion.hop(i), message=onion.message,
+            receiver=onion.receiver, via=onion.path[i : len(onion.path) - 1],
         )
-        self._to_env(onion.hop(onion.pos), "forwarded", to=onion.hop(onion.pos + 1))
+        self._to_env(onion.hop(i), "forwarded", to=onion.hop(i + 1))
         self._out_cor_sender(onion, tid)
 
-    def _proc_next_step(self, onion):
-        i, n = onion.pos, len(onion.path)
-        rest_bad = all(onion.hop(j) in self.bad for j in range(i + 1, n + 1))
-        if not (rest_bad or i == n):
-            self._proc_to_relay(onion)
+    def _proc_next_step(self, onion, i):
+        n = len(onion.path)
+        j = next((k for k in range(i + 1, n + 1) if onion.hop(k) not in self.bad), None)
+        if j is not None:
+            self._proc_to_relay(onion, i, j)
             return
         if self._tagged(onion):
             self._out_cor_sender(onion, "tagged")
@@ -290,6 +264,6 @@ class RsorIdeal:
             else:
                 self._to_env(onion.hop(i), "dropped", reason="integrity")
         elif onion.direction == "f":
-            self._leak_message(onion)
+            self._leak_message(onion, i)
         else:
-            self._leak_reply(onion)
+            self._leak_reply(onion, i)

@@ -68,7 +68,8 @@ class WorkItem:
 class Rule:
     """Adversary script entry addressing an onion by observable coordinates:
     the workload index and the 1-based arrival hop (reply hops continue the
-    numbering after the forward trip)."""
+    numbering after the forward trip; a corrupted relay's hop counts in both
+    worlds)."""
 
     action: str  # "drop" or "tag"
     item: int
@@ -321,18 +322,21 @@ def _pump_ideal(ideal, scenario, idx, rules, names):
             event = ideal.adv_events[ai]
             ai += 1
             kind = event["kind"]
-            if kind == "segment":
-                hop += 1
-                rule = rules.get((idx, hop))
-                if rule is not None and rule.action == "drop":
-                    continue
-                if rule is not None and rule.action == "tag":
+            if kind in ("segment", "message-leak"):
+                # The hops this step covers: arrivals at a segment's corrupted
+                # via relays and at its honest to, or at a leak's via relays.
+                first, hop = hop + 1, hop + len(event["via"]) + (kind == "segment")
+                actions = {rules[idx, h].action for h in range(first, hop + 1)
+                           if (idx, h) in rules}
+            if kind == "segment" and "drop" not in actions:
+                if "tag" in actions:
                     ideal.tag(event["tid"])
                 ideal.deliver_onion(event["tid"])
             elif kind == "reply-setup" and "rid" in event:
                 last_rid = event["rid"]
-            elif kind == "message-leak" and item.receiver in scenario.receivers:
-                # The real world drops a delivery to an unknown receiver.
+            elif kind == "message-leak" and not actions and item.receiver in scenario.receivers:
+                # A drop or a tag before the exit withholds the delivery, and
+                # the real world drops a delivery to an unknown receiver.
                 ideal.deliver_message(names[event["frm"]], item.message, last_rid, item.receiver)
             elif kind == "initiate-reply":
                 ideal.deliver_reply(item.receiver, names[event["relay"]],

@@ -1,3 +1,5 @@
+import pytest
+
 from rsor.crypto import SeedRng
 from rsor.ideal import AbstractOnion, RsorIdeal
 
@@ -45,9 +47,13 @@ def _pump_to_completion(ideal, reply_message=None):
             )
 
 
-def test_rejects_overlong_paths():
+@pytest.mark.parametrize("path", [tuple(b"r%d" % i for i in range(6)), ()],
+                         ids=["overlong", "empty"])
+def test_rejects_overlong_paths(path):
+    """A path over MAX_HOPS, or an empty one, is refused without an event,
+    as validate_shape refuses it in the real world."""
     ideal = _ideal()
-    ok = ideal.process_new_onion(b"alice", b"svc", b"m", tuple(b"r%d" % i for i in range(6)), ())
+    ok = ideal.process_new_onion(b"alice", b"svc", b"m", path, ())
     assert not ok
     assert ideal.adv_events == [] and ideal.env_events == []
 
@@ -182,8 +188,7 @@ def test_tids_are_fresh_per_honest_hop():
 def test_abstract_onion_hop_indexing():
     onion = AbstractOnion(
         sid="s", sender=b"alice", receiver=b"svc", message=b"m",
-        path=(b"a", b"b"), reply_path=(), pos=0, direction="f",
+        path=(b"a", b"b"), reply_path=(), direction="f",
     )
     assert onion.hop(0) == b"alice"
     assert onion.hop(2) == b"b"
-    assert onion.at(2).pos == 2

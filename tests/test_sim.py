@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -132,6 +133,31 @@ def test_real_ideal_correspondence_unknown_receiver():
         ["ghost", "ghost"]
     env, _adv = run_ideal_scenario(scenario)
     assert traces_equivalent(real, env)
+
+
+def _deliveries(trace):
+    """Who got which message or reply in one world's trace."""
+    return sorted((e["kind"], e["actor"], e["message"]) for e in trace
+                  if e["kind"] in ("message-received", "got-reply"))
+
+
+def test_both_worlds_deliver_alike_under_corruption_and_single_rules():
+    """With at most two parties corrupted, none of them a repliable item's
+    exit or sender (run_ideal_scenario plays neither), both worlds deliver
+    the same messages and replies under no rule and under every single drop
+    or tag rule at hops 1-7 of any item."""
+    for make, seed in itertools.product((baseline_scenario, two_senders_scenario), range(2)):
+        scenario = make(seed)
+        unplayed = {party for item in scenario.workload if item.reply_path
+                    for party in (item.path[-1], item.sender)}
+        parties = [p for p in scenario.relays + scenario.senders if p not in unplayed]
+        rules = [()] + [(Rule(action, idx, hop),) for idx in range(len(scenario.workload))
+                        for action in ("drop", "tag") for hop in range(1, 8)]
+        for k in range(3):
+            for corrupted, rule in itertools.product(itertools.combinations(parties, k), rules):
+                case = dataclasses.replace(scenario, corrupted=corrupted, adversary=rule)
+                env, _adv = run_ideal_scenario(case)
+                assert _deliveries(run_scenario(case)) == _deliveries(env), (corrupted, rule)
 
 
 def test_normalize_skips_diagnostics():
