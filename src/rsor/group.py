@@ -147,29 +147,35 @@ class GroupParams:
         """This group's libcrypto state: a BN_CTX, p as a BIGNUM, its
         Montgomery context, scratch BIGNUMs for the result, base and
         exponent, and an elem_len result buffer.  Pointers into this
-        process, shared by every call: one thread only."""
+        process, shared by every call: one thread only.  The handles are
+        c_void_p objects, which ctypes passes on without converting an int
+        at every call."""
         lib, width = _LIBCRYPTO, self.elem_len
-        ctx = _ok(lib.BN_CTX_new(), "BN_CTX_new")
-        mod = _ok(lib.BN_bin2bn(self.p.to_bytes(width, "big"), width, None), "BN_bin2bn")
-        mont = _ok(lib.BN_MONT_CTX_new(), "BN_MONT_CTX_new")
+        ctx = ctypes.c_void_p(_ok(lib.BN_CTX_new(), "BN_CTX_new"))
+        mod = ctypes.c_void_p(
+            _ok(lib.BN_bin2bn(self.p.to_bytes(width, "big"), width, None), "BN_bin2bn"))
+        mont = ctypes.c_void_p(_ok(lib.BN_MONT_CTX_new(), "BN_MONT_CTX_new"))
         _ok(lib.BN_MONT_CTX_set(mont, mod, ctx), "BN_MONT_CTX_set")
-        r, a, x = (_ok(lib.BN_new(), "BN_new") for _ in range(3))
+        r, a, x = (ctypes.c_void_p(_ok(lib.BN_new(), "BN_new")) for _ in range(3))
         return ctx, mod, mont, r, a, x, ctypes.create_string_buffer(width)
 
     def exp(self, base: int, e: int) -> int:
         """Modular exponentiation base**(e mod q) mod p, by BN_mod_exp_mont,
         signed when the group is; base is trusted to be an element."""
-        e %= self.q
         lib = _LIBCRYPTO
         ctx, mod, mont, r, a, x, out = self._bn
-        width = self.elem_len
-        _ok(lib.BN_bin2bn((base % self.p).to_bytes(width, "big"), width, a), "BN_bin2bn")
-        _ok(lib.BN_bin2bn(e.to_bytes(width, "big"), width, x), "BN_bin2bn")
-        _ok(lib.BN_mod_exp_mont(r, a, x, mod, ctx, mont), "BN_mod_exp_mont")
+        p, q, width = self.p, self.q, self.elem_len
+        if not lib.BN_bin2bn((base % p).to_bytes(width, "big"), width, a):
+            raise RuntimeError("libcrypto BN_bin2bn failed")
+        if not lib.BN_bin2bn((e % q).to_bytes(width, "big"), width, x):
+            raise RuntimeError("libcrypto BN_bin2bn failed")
+        if not lib.BN_mod_exp_mont(r, a, x, mod, ctx, mont):
+            raise RuntimeError("libcrypto BN_mod_exp_mont failed")
         if lib.BN_bn2binpad(r, out, width) != width:
             raise RuntimeError("libcrypto BN_bn2binpad failed")
-        v = int.from_bytes(out.raw, "big")
-        return min(v, self.p - v) if self.signed else v
+        v = int.from_bytes(out, "big")
+        # min(v, p - v) with one comparison, since p = 2q + 1.
+        return p - v if self.signed and v > q else v
 
     @cached_property
     def _g_table(self):

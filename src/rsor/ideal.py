@@ -75,8 +75,11 @@ class RsorIdeal:
 
     def process_new_onion(self, sender, receiver, message, path, reply_path):
         """A sender hands in a fresh onion description; refused (False, no
-        event) for an empty path or one longer than MAX_HOPS."""
+        event) for an empty path, one longer than MAX_HOPS or a path that
+        visits a party twice, as validate_shape refuses them."""
         if not 1 <= len(path) <= MAX_HOPS or len(reply_path) > MAX_HOPS:
+            return False
+        if len(set(path)) != len(path) or len(set(reply_path)) != len(reply_path):
             return False
         onion = AbstractOnion(
             sid=self._fresh("sid"),

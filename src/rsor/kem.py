@@ -27,6 +27,7 @@ an adversary what derive and proc_onion compute.  MAX_HOPS is the format's
 one hop limit: packet widths, validate_shape and the ideal world read it.
 """
 
+import collections
 import math
 from dataclasses import dataclass
 
@@ -42,18 +43,15 @@ class KemKeyPair:
     pk: int
 
 
-@dataclass(frozen=True)
-class LayerSecrets:
+class LayerSecrets(collections.namedtuple("LayerSecrets", "alpha b k_rho k_mu k_pi")):
     """One hop's KEM output: its alpha, its blinding factor b and the three
     keys h_*(s) splits into.  The shared secret s itself is not kept: no
     reader needs it, so a layer can also be built from what the KEM game
-    hands out, LayerSecrets(alpha, b, k_rho, k_mu, k_pi)."""
+    hands out, LayerSecrets(alpha, b, k_rho, k_mu, k_pi).  A named tuple,
+    not a frozen dataclass: one is built per relay hop and per chain layer,
+    and a tuple is built without a setattr per field."""
 
-    alpha: int
-    b: int
-    k_rho: bytes
-    k_mu: bytes
-    k_pi: bytes
+    __slots__ = ()
 
     @property
     def keys(self) -> bytes:

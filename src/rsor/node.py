@@ -17,6 +17,7 @@ rids.  A party's state is built from its name (and keypair) alone: its
 view, buffers and inbox start empty and cannot be passed in.
 """
 
+import collections
 from dataclasses import dataclass, field
 
 from .kem import KemKeyPair
@@ -33,26 +34,33 @@ from .packet import (
 REPLY_BUFFER_CAP = 64  # rids one relay keeps for receivers yet to answer
 
 
-@dataclass(frozen=True)
-class SendOnion:
-    next_hop: bytes
-    onion: Onion
+# A relay's actions are named tuples, not frozen dataclasses: one is built
+# per hop, and a tuple is built without a setattr per field.
+class SendOnion(collections.namedtuple("SendOnion", "next_hop onion")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SendMessage:
-    receiver: bytes
-    message: bytes
-    rid: bytes = None  # None for non-repliable deliveries
+class SendMessage(collections.namedtuple("SendMessage", "receiver message rid",
+                                         defaults=(None,))):
+    """rid is None for non-repliable deliveries."""
+
+    __slots__ = ()
 
 
 def make_event(actor, kind: str, **fields):
     """One trace record of either world, actor None when no party logs it
     (links, the adversary's view); the simulator adds the time field when
-    logging.  Every value is rendered by trace_text."""
+    logging.  Every value is rendered as trace_text renders it: bytes are
+    decoded here and str, int and bool pass unchanged, so only lists,
+    tuples and other types take the call."""
     record = {"kind": kind} if actor is None else {"actor": trace_text(actor), "kind": kind}
     for key, value in fields.items():
-        record[key] = trace_text(value)
+        cls = type(value)
+        if cls is bytes:
+            value = str(value, "utf-8", "replace")
+        elif cls is not str and cls is not int and cls is not bool:
+            value = trace_text(value)
+        record[key] = value
     return record
 
 

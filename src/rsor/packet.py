@@ -8,6 +8,7 @@ pre-built reply header so the exit relay can send an answer back without
 learning who asked.
 """
 
+import collections
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
@@ -35,7 +36,9 @@ class FormatParams:
     bytes regardless of path length; payload_len must leave room for the
     mandatory payload fields plus a nonempty message.  legacy_zero_filler
     selects the broken variant whose final-layer header filler is all-zero
-    bytes instead of random ones.
+    bytes instead of random ones.  Each width is computed on first read and
+    kept in the instance's __dict__, outside the fields, so equality, hashing
+    and dataclasses.replace see the fields alone.
     """
 
     group: GroupParams
@@ -51,43 +54,43 @@ class FormatParams:
         if self.payload_len < self.min_payload_len:
             raise ValueError("payload_len must be at least %d" % self.min_payload_len)
 
-    @property
+    @cached_property
     def addr_len(self):
         # The beta slicing tables assume address fields and MACs share a width.
         return self.kappa
 
-    @property
+    @cached_property
     def beta_len(self):
         return (2 * self.max_hops + 1) * self.kappa
 
-    @property
+    @cached_property
     def header_len(self):
         return self.group.elem_len + self.beta_len + self.kappa
 
-    @property
+    @cached_property
     def reply_block_len(self):
         # first-hop address + serialized reply header + k_tilde
         return self.addr_len + self.header_len + self.kappa
 
-    @property
+    @cached_property
     def min_payload_len(self):
         # 0_kappa + receiver address + reply block + 2-byte frame + 1 byte
         return self.kappa + self.addr_len + self.reply_block_len + 3
 
-    @property
+    @cached_property
     def msg_slot_len(self):
         return self.payload_len - (self.kappa + self.addr_len + self.reply_block_len)
 
-    @property
+    @cached_property
     def max_msg_len(self):
         return self.msg_slot_len - 2
 
-    @property
+    @cached_property
     def stream_len(self):
         # Widest PRG slice any header operation needs: (2*max_hops+3)*kappa.
         return self.beta_len + 2 * self.kappa
 
-    @property
+    @cached_property
     def onion_len(self):
         return self.header_len + self.payload_len
 
@@ -128,21 +131,19 @@ class OnionSpec:
     reply_path: tuple = ()
 
 
-@dataclass(frozen=True)
-class ProcResult:
+class ProcResult(collections.namedtuple(
+        "ProcResult", "kind next_hop next_onion message receiver reply_info reason",
+        defaults=(None,) * 6)):
     """Outcome of processing one onion at one relay.
 
-    kind is one of "forward", "exit", "reply", "fail".  Callers other than
-    tests must treat every "fail" identically; reason is diagnostic only.
+    kind is one of "forward", "exit", "reply", "fail"; every other field
+    defaults to None.  Callers other than tests must treat every "fail"
+    identically; reason is diagnostic only.  A named tuple, not a frozen
+    dataclass, since one is built per hop: a tuple is built without a
+    setattr per field.
     """
 
-    kind: str
-    next_hop: bytes = None
-    next_onion: Onion = None
-    message: bytes = None
-    receiver: bytes = None
-    reply_info: ReplyInfo = None
-    reason: str = None
+    __slots__ = ()
 
 
 def _fail(reason):

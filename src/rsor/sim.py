@@ -150,7 +150,10 @@ class _Network:
         self.events = []
 
     def log(self, event):
-        self.events.append(dict(event, time=len(self.events)))
+        # Every event is a fresh record that no one else keeps, so the time
+        # goes into it rather than into a copy.
+        event["time"] = len(self.events)
+        self.events.append(event)
 
     def link(self, src, dst, secure=False):
         # Secure relay-to-relay links leak nothing but a constant-size marker.

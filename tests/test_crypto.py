@@ -227,6 +227,19 @@ def test_prg_xor_refuses_a_key_not_kappa_bytes(key_len):
         prg_xor(b"k" * key_len, bytes(16))
 
 
+def test_prg_xor_takes_bytes_like_data_and_refuses_an_int_or_a_str():
+    key = bytes(range(KAPPA))
+    data = b"some data to encrypt"
+    expected = xor_bytes(data, prg(key, len(data)))
+    for kind in (bytearray, memoryview, lambda b: array.array("B", b)):
+        assert prg_xor(key, kind(data)) == expected
+    # An int must not become that many bytes of raw keystream, as bytes(5)
+    # would, nor a str its encoding.
+    for bad in (5, "str data"):
+        with pytest.raises(TypeError):
+            prg_xor(key, bad)
+
+
 def test_seed_rng_reads_inside_blocks_past_two_to_the_sixteen():
     seed = b"offsets"
     key = hashlib.sha256(b"\xb4" + seed).digest()[:16]
@@ -335,6 +348,9 @@ def test_input_checks_raise_under_python_O():
             # Unrefused, these seeded the streams of bytes(5) and b"\\x00".
             (TypeError, lambda: SeedRng(5)),
             (TypeError, lambda: SeedRng(True)),
+            # Unrefused, an int gave that many bytes of raw keystream.
+            (TypeError, lambda: prg_xor(bytes(KAPPA), 5)),
+            (TypeError, lambda: prg_xor(bytes(KAPPA), "data")),
             # Unrefused, x = 0 put g^0, the identity, on the wire as alpha_0.
             (ValueError, lambda: kem_chain_create(PROD_GROUP, 0, [PROD_GROUP.g])),
             (ValueError, lambda: kem_chain_create(PROD_GROUP, PROD_GROUP.q, [PROD_GROUP.g])),

@@ -47,13 +47,18 @@ def _pump_to_completion(ideal, reply_message=None):
             )
 
 
-@pytest.mark.parametrize("path", [tuple(b"r%d" % i for i in range(6)), ()],
-                         ids=["overlong", "empty"])
-def test_rejects_overlong_paths(path):
-    """A path over MAX_HOPS, or an empty one, is refused without an event,
-    as validate_shape refuses it in the real world."""
+@pytest.mark.parametrize("path, reply_path", [
+    (tuple(b"r%d" % i for i in range(6)), ()),
+    ((), ()),
+    ((b"a", b"b", b"a"), ()),
+    ((b"a",), (b"d", b"e", b"d", b"alice")),
+], ids=["overlong", "empty", "cyclic", "cyclic-reply"])
+def test_rejects_overlong_paths(path, reply_path):
+    """A path over MAX_HOPS, an empty one or one that visits a party twice
+    is refused without an event, as validate_shape refuses it in the real
+    world."""
     ideal = _ideal()
-    ok = ideal.process_new_onion(b"alice", b"svc", b"m", path, ())
+    ok = ideal.process_new_onion(b"alice", b"svc", b"m", path, reply_path)
     assert not ok
     assert ideal.adv_events == [] and ideal.env_events == []
 

@@ -1,9 +1,11 @@
 """Group membership is checked once, where untrusted values enter, and each
 party processes an onion once.  These tests pin the modexp cost of that, the
-LIONESS cost of a round trip, the cipher passes of a forward hop, and the
-behaviour that must survive them: range errors, replay refusal, rid use."""
+LIONESS cost of a round trip, the cipher passes and hashes of a forward hop,
+and the behaviour that must survive them: range errors, replay refusal, rid
+use."""
 
 import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
@@ -100,6 +102,27 @@ def test_forward_hop_runs_one_cipher_pass_per_stream(monkeypatch):
     assert tally == {"prg": 0, "_aes_ctr": 3}
     monkeypatch.undo()
     assert result.next_onion == form_onion(3, spec, PARAMS)
+
+
+def test_forward_hop_makes_fifteen_sha256_calls(monkeypatch):
+    spec, keys = _spec(3, 0)
+    onion = form_onion(2, spec, PARAMS)
+    tally = {}
+    original = hashlib.sha256
+
+    def counted(*args):
+        caller = sys._getframe(1).f_code.co_name
+        tally[caller] = tally.get(caller, 0) + 1
+        return original(*args)
+
+    monkeypatch.setattr(hashlib, "sha256", counted)
+    result = proc_onion(keys[b"r1"].sk, onion, b"r1", PARAMS, InMemoryView())
+    monkeypatch.undo()
+    assert result.kind == "forward"
+    # The KEM layer's four oracles, the replay tag, LIONESS's four round
+    # keys, and two HMACs of two hashes each in LIONESS and one in the MAC.
+    assert tally == {"_h_b": 1, "_h_sym": 3, "_hmac_sha256": 6, "_tag": 1, "_prp_subkeys": 4}
+    assert sum(tally.values()) == 15
 
 
 def test_sixteen_relay_hops_draw_their_tids_from_one_keystream_chunk(monkeypatch):

@@ -65,6 +65,37 @@ def test_widths():
     assert len(serialize_onion(onion, PARAMS)) == PARAMS.onion_len
 
 
+def _formula_widths(payload_len):
+    """Every FormatParams width for PROD_GROUP (33-byte elements), kappa 16
+    and 5 hops, from the format's formulas."""
+    header = 33 + 11 * 16 + 16
+    reply_block = 16 + header + 16
+    return {
+        "addr_len": 16, "beta_len": 11 * 16, "header_len": header,
+        "reply_block_len": reply_block, "min_payload_len": 16 + 16 + reply_block + 3,
+        "msg_slot_len": payload_len - (16 + 16 + reply_block),
+        "max_msg_len": payload_len - (16 + 16 + reply_block) - 2,
+        "stream_len": 13 * 16, "onion_len": header + payload_len,
+    }
+
+
+def test_widths_are_right_after_caching():
+    base = FormatParams(group=PROD_GROUP)
+    read = {name: getattr(base, name) for name in _formula_widths(355)}
+    assert read == _formula_widths(355)
+    # A copy of a read instance and a fresh one both compute their own widths.
+    copy = dataclasses.replace(base, payload_len=400)
+    fresh = FormatParams(group=PROD_GROUP, payload_len=400)
+    for params in (copy, fresh):
+        assert {name: getattr(params, name) for name in read} == _formula_widths(400)
+    # The cached widths sit outside the fields: read or not, equal fields
+    # compare and hash equal.
+    unread = FormatParams(group=PROD_GROUP, payload_len=400)
+    assert copy == fresh == unread
+    assert hash(copy) == hash(fresh) == hash(unread)
+    assert copy != base
+
+
 def test_width_invariant_across_path_lengths():
     widths = set()
     for n in range(1, 6):
