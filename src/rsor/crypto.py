@@ -149,9 +149,10 @@ def _aes_ctr(key16: bytes, block: int, data: bytes) -> bytes:
     # A fresh buffer per call, made as a bare c_char array, which skips
     # create_string_buffer's checks; a buffer kept across calls and copied
     # out with ctypes.string_at was no faster.  With the c_void_p context,
-    # this took a 339-byte pass from about 3.7 to 3.2 us (Python 3.11, 2-core
-    # Xeon): below end-to-end noise alone, resolved only with the other
-    # per-call cuts on the peel path.
+    # this saves about 0.1 us of a 4.3 us 339-byte pass (medians of 200
+    # interleaved timeit pairs, Python 3.11 on a 2-core Xeon): far below
+    # end-to-end noise alone, and resolved only together with the other
+    # per-call cuts on the relay's peel path.
     out = (ctypes.c_char * n)()
     if not lib.EVP_EncryptUpdate(ctx, out, _WRITTEN, data, n):
         raise RuntimeError("libcrypto EVP_EncryptUpdate failed")

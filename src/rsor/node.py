@@ -65,8 +65,9 @@ def make_event(actor, kind: str, **fields):
 
 
 def trace_text(value):
-    """The one place bytes become trace text: UTF-8, invalid bytes replaced;
-    lists and tuples element by element; other values as they are."""
+    """How a value becomes trace text: bytes as UTF-8, invalid bytes
+    replaced; lists and tuples element by element; other values as they
+    are.  make_event applies the bytes rule inline to a bytes field."""
     if isinstance(value, bytes):
         return str(value, "utf-8", "replace")
     if isinstance(value, (list, tuple)):
