@@ -51,6 +51,10 @@ _DOM_MAC = b"\xb2"
 _DOM_PRP = b"\xb3"
 _DOM_RNG = b"\xb4"
 
+# h_b's prefix at counter 0; a later counter is hashed only after a digest
+# that is 0 mod q.
+_HB_FIRST = _DOM_BLIND + b"\x00"
+
 # The hash prefixes of LIONESS's four round keys.
 _PRP_1, _PRP_2, _PRP_3, _PRP_4 = (_DOM_PRP + bytes([i]) for i in range(1, 5))
 
@@ -60,15 +64,17 @@ _IPAD = bytes(x ^ 0x36 for x in range(256))
 _OPAD = bytes(x ^ 0x5C for x in range(256))
 _SHA256_BLOCK = 64
 
-# The width of the keystream chunk a SeedRng draws its reads from.
+# The width of the keystream chunk a SeedRng draws its reads from, and the
+# zeros a chunk of that width is encrypted from.
 _RNG_CHUNK = 256
+_ZERO_CHUNK = bytes(_RNG_CHUNK)
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
     """XOR two equal-length byte strings."""
-    if len(a) != len(b):
-        raise ValueError("xor operands must have equal length")
     n = len(a)
+    if len(b) != n:
+        raise ValueError("xor operands must have equal length")
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(n, "big")
 
 
@@ -84,6 +90,8 @@ class SeedRng:
     the read starts in.  So a relay's 16-byte tid draws cost one cipher call
     per sixteen, and reads split at any sizes concatenate to one long read.
     """
+
+    __slots__ = ("_key", "_chunk", "_block", "_pos")
 
     def __init__(self, seed: bytes):
         # Not an assert, which python -O strips: bytes(5) would then seed
@@ -107,14 +115,28 @@ class SeedRng:
             self._block += pos >> 4
             pos &= 15
             end = pos + n
-            self._chunk = _aes_ctr(self._key, self._block, bytes(max(_RNG_CHUNK, end)))
+            zeros = _ZERO_CHUNK if end <= _RNG_CHUNK else bytes(end)
+            self._chunk = _aes_ctr(self._key, self._block, zeros)
         self._pos = end
         return self._chunk[pos:end]
 
     def fork(self, label: bytes) -> "SeedRng":
         """An independent stream derived from this seed and a label; it does
-        not depend on how much of this stream has been read."""
-        return SeedRng(self._key + bytes(label))
+        not depend on how much of this stream has been read.
+
+        The child is the stream SeedRng(key | label) would give, key this
+        stream's 16-byte AES key: its own key is sha256(0xb4 | key |
+        label)[:16].  It is built here, without a second pass through
+        __init__.  label must be bytes or a bytearray: an int would become
+        that many zero bytes, as bytes(3) does, so it raises TypeError."""
+        if not isinstance(label, (bytes, bytearray)):
+            raise TypeError("SeedRng.fork needs a bytes label, not %s" % type(label).__name__)
+        child = object.__new__(SeedRng)
+        child._key = hashlib.sha256(_DOM_RNG + self._key + label).digest()[:16]
+        child._chunk = b""
+        child._block = 0
+        child._pos = 0
+        return child
 
 
 @functools.cache
@@ -128,9 +150,17 @@ def _cipher_ctx(lib):
     return ctx
 
 
+# The counter block every stream but a SeedRng's later chunks starts at.
+_ZERO_BLOCK = bytes(16)
+
 # EVP_EncryptUpdate's output count, which CTR mode always sets to the input
 # length; written by every call and never read, so one serves them all.
 _WRITTEN = ctypes.c_int()
+
+# The buffer every _aes_ctr call writes its output into and slices it out
+# of, grown to the widest call so far (512 bytes covers every width of the
+# default format).  Shared like the cipher context: one thread only.
+_out = (ctypes.c_char * 512)()
 
 
 def _aes_ctr(key16: bytes, block: int, data: bytes) -> bytes:
@@ -138,36 +168,38 @@ def _aes_ctr(key16: bytes, block: int, data: bytes) -> bytes:
     block `block` (the 16-byte big-endian counter of the zero-nonce stream).
     libcrypto reads data itself, so zeros in give the keystream out.  data
     may be any bytes-like object; an int or a str raises TypeError."""
+    global _out
     if type(data) is not bytes:
         # memoryview refuses an int, which bytes() would take as a length.
         data = memoryview(data).tobytes()
     n = len(data)
     lib = _group._LIBCRYPTO
     ctx = _cipher_ctx(lib)
-    if not lib.EVP_EncryptInit_ex(ctx, None, None, key16, block.to_bytes(16, "big")):
+    iv = block.to_bytes(16, "big") if block else _ZERO_BLOCK
+    if not lib.EVP_EncryptInit_ex(ctx, None, None, key16, iv):
         raise RuntimeError("libcrypto EVP_EncryptInit_ex failed")
-    # A fresh buffer per call, made as a bare c_char array, which skips
-    # create_string_buffer's checks; a buffer kept across calls and copied
-    # out with ctypes.string_at was no faster.  With the c_void_p context,
-    # this saves about 0.1 us of a 4.3 us 339-byte pass (medians of 200
-    # interleaved timeit pairs, Python 3.11 on a 2-core Xeon): far below
-    # end-to-end noise alone, and resolved only together with the other
-    # per-call cuts on the relay's peel path.
-    out = (ctypes.c_char * n)()
+    # Slicing the kept buffer copies the output out in one step: about
+    # 0.3 us less per call than making a fresh c_char array and reading its
+    # .raw (timeit, 339 bytes, Python 3.11 on a 2-core Xeon), where
+    # ctypes.string_at, at 0.56 us per copy, saved nothing.
+    out = _out
+    if len(out) < n:
+        out = _out = (ctypes.c_char * n)()
     if not lib.EVP_EncryptUpdate(ctx, out, _WRITTEN, data, n):
         raise RuntimeError("libcrypto EVP_EncryptUpdate failed")
-    return out.raw
+    return out[:n]
 
 
 def _h_b(q: int, material: bytes) -> int:
-    """h_b on the encodings of (alpha, s), concatenated."""
-    ctr = 0
-    while True:
-        digest = hashlib.sha256(_DOM_BLIND + bytes([ctr]) + material).digest()
-        b = int.from_bytes(digest, "big") % q
-        if b != 0:
-            return b
+    """h_b on the encodings of (alpha, s), concatenated: the first nonzero
+    sha256(0xb0 | ctr | material) mod q, for ctr = 0, 1, ..."""
+    b = int.from_bytes(hashlib.sha256(_HB_FIRST + material).digest(), "big") % q
+    ctr = 1
+    while b == 0:
+        b = int.from_bytes(hashlib.sha256(_DOM_BLIND + bytes([ctr]) + material).digest(),
+                           "big") % q
         ctr += 1
+    return b
 
 
 def _h_sym(domain: bytes, s_encoded: bytes) -> bytes:

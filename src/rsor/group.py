@@ -194,11 +194,12 @@ class GroupParams:
         """g**(e mod q), the same value as exp(g, e): one table entry per
         nonzero byte of e mod q, multiplied mod p, then signed when the
         group is."""
-        table, p, r = self._g_table, self.p, 1
-        for row, d in zip(table, (e % self.q).to_bytes(len(table), "little")):
+        table, p, q, r = self._g_table, self.p, self.q, 1
+        for row, d in zip(table, (e % q).to_bytes(len(table), "little")):
             if d:
                 r = r * row[d] % p
-        return min(r, p - r) if self.signed else r
+        # min(r, p - r) with one comparison, since p = 2q + 1.
+        return p - r if self.signed and r > q else r
 
     def is_element(self, v) -> bool:
         """True if v is a member of the order-q group (including identity):
@@ -242,11 +243,17 @@ class GroupParams:
             raise GroupDecodeError("byte string does not encode a subgroup element")
         return v
 
+    @cached_property
+    def _draw_len(self):
+        """The bytes random_scalar reads per draw: q's width plus 8, so
+        that reducing the draw mod q leaves a bias below 2**-64."""
+        return (self.q.bit_length() + 7) // 8 + 8
+
     def random_scalar(self, rng) -> int:
         """Uniform scalar in [1, q) drawn from the given deterministic rng."""
-        nbytes = (self.q.bit_length() + 7) // 8
+        draw, q = self._draw_len, self.q
         while True:
-            e = int.from_bytes(rng.read(nbytes + 8), "big") % self.q
+            e = int.from_bytes(rng.read(draw), "big") % q
             if e != 0:
                 return e
 

@@ -29,7 +29,6 @@ one hop limit: packet widths, validate_shape and the ideal world read it.
 
 import collections
 import math
-from dataclasses import dataclass
 
 from .crypto import KAPPA, ro_hb, ro_hsym, ro_layer
 
@@ -37,10 +36,11 @@ MAX_HOPS = 5  # the longest path, forward or reply, an onion may take
 KNOWN_KEYS_CAP = 1024  # public keys the membership memo holds, over all groups
 
 
-@dataclass(frozen=True)
-class KemKeyPair:
-    sk: int
-    pk: int
+class KemKeyPair(collections.namedtuple("KemKeyPair", "sk pk")):
+    """A private key sk and its public key pk = g^sk.  A named tuple, as
+    LayerSecrets is: one is built per party of every scenario run."""
+
+    __slots__ = ()
 
 
 class LayerSecrets(collections.namedtuple("LayerSecrets", "alpha b k_rho k_mu k_pi")):
@@ -65,17 +65,23 @@ class _KnownKeys:
     holds no tuple and a lookup hashes no group; a pk is remembered for
     one group at a time, and a hit needs that very group object.  An object
     rather than a module-level dict, so code that snapshots module dicts
-    (the benchmark's tracer) sees one binding that never changes."""
+    (the benchmark's tracer) sees one binding that never changes.
+
+    An OrderedDict, whose popitem(last=False) drops the oldest key in
+    constant time.  A full memo evicts on every keygen, and a plain dict's
+    next(iter(...)) first steps over the slots of every key evicted since
+    its last resize: 0.9 us per add against 0.35 us here (timeit, 1024
+    keys, Python 3.11)."""
 
     def __init__(self):
-        self.groups = {}
+        self.groups = collections.OrderedDict()
 
     def knows(self, group, pk: int) -> bool:
         return self.groups.get(pk) is group
 
     def add(self, group, pk: int):
         if pk not in self.groups and len(self.groups) >= KNOWN_KEYS_CAP:
-            del self.groups[next(iter(self.groups))]
+            self.groups.popitem(last=False)
         self.groups[pk] = group
 
 
@@ -107,16 +113,12 @@ def kem_keygen(group, rng) -> KemKeyPair:
     sk = group.random_scalar(rng)
     pk = group.base(sk)
     _known_keys.add(group, pk)
-    return KemKeyPair(sk=sk, pk=pk)
+    return KemKeyPair(sk, pk)
 
 
 def h_star(group, s: int) -> bytes:
     """Concatenation of the three key oracles on one shared secret."""
     return b"".join(ro_hsym(tag, group, s) for tag in ("rho", "mu", "pi"))
-
-
-def _layer_from_secret(group, alpha: int, s: int) -> LayerSecrets:
-    return LayerSecrets(alpha, *ro_layer(group, alpha, s))
 
 
 def kem_chain_create(group, x: int, pubkeys) -> tuple:
@@ -135,14 +137,14 @@ def kem_chain_create(group, x: int, pubkeys) -> tuple:
     # identity, on the wire.
     if not group.is_scalar(x):
         raise ValueError("the chain secret x must be a scalar in [1, q)")
+    base, exp, q = group.base, group.exp, group.q
     layers = []
     exponent = x
     for pk in pubkeys:
-        alpha = group.base(exponent)
-        s = group.exp(pk, exponent)
-        layer = _layer_from_secret(group, alpha, s)
-        layers.append(layer)
-        exponent = (exponent * layer.b) % group.q
+        alpha = base(exponent)
+        b, k_rho, k_mu, k_pi = ro_layer(group, alpha, exp(pk, exponent))
+        layers.append(LayerSecrets(alpha, b, k_rho, k_mu, k_pi))
+        exponent = exponent * b % q
     return tuple(layers)
 
 
@@ -152,8 +154,7 @@ def kem_decap(group, sk: int, alpha: int) -> LayerSecrets:
     alpha comes off the wire, so the caller checks membership first
     (``proc_onion`` does, at its entry).
     """
-    s = group.exp(alpha, sk)
-    return _layer_from_secret(group, alpha, s)
+    return LayerSecrets(alpha, *ro_layer(group, alpha, group.exp(alpha, sk)))
 
 
 def kem_blind(group, alpha: int, b: int) -> int:

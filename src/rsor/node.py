@@ -51,9 +51,14 @@ def make_event(actor, kind: str, **fields):
     """One trace record of either world, actor None when no party logs it
     (links, the adversary's view); the simulator adds the time field when
     logging.  Every value is rendered as trace_text renders it: bytes are
-    decoded here and str, int and bool pass unchanged, so only lists,
-    tuples and other types take the call."""
-    record = {"kind": kind} if actor is None else {"actor": trace_text(actor), "kind": kind}
+    decoded here, actor included, and str, int and bool pass unchanged,
+    so only lists, tuples and other types take the call."""
+    if actor is None:
+        record = {"kind": kind}
+    elif type(actor) is bytes:
+        record = {"actor": str(actor, "utf-8", "replace"), "kind": kind}
+    else:
+        record = {"actor": trace_text(actor), "kind": kind}
     for key, value in fields.items():
         cls = type(value)
         if cls is bytes:
@@ -169,7 +174,7 @@ def sender_send(state: SenderState, spec: OnionSpec, params):
         state.view.expect_reply(d.opening)
     first_hop = spec.path[0][0]
     event = make_event(state.name, "forwarded", to=first_hop)
-    return event, SendOnion(next_hop=first_hop, onion=d.onion(1))
+    return event, SendOnion(next_hop=first_hop, onion=d.fwd_onions[0])
 
 
 def sender_on_onion(state: SenderState, onion: Onion, params):

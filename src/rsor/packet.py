@@ -26,6 +26,12 @@ ADDR_RECEIVER = 0x04
 REPLY_OPENING_CAP = 64  # replies one view awaits at a time
 REPLAY_SHARDS = 256  # dicts one replay cache splits its tags over
 
+# Address fields and MACs are KAPPA bytes wide (FormatParams.addr_len), so
+# the forward trip's exit address and the 2*kappa zeros a relay appends to
+# beta before peeling it are format constants.
+_EXIT_ADDR = bytes([ADDR_EXIT]) + bytes(KAPPA - 1)
+_PEEL_PAD = bytes(2 * KAPPA)
+
 
 @dataclass(frozen=True)
 class FormatParams:
@@ -429,7 +435,7 @@ def _trip(rng: SeedRng, label: bytes, path, prefix: bytes, params):
     n_filler = (2 * (params.max_hops - len(path)) + 3) * params.kappa - len(prefix)
     filler = (bytes(n_filler) if params.legacy_zero_filler
               else rng.fork(label + b"-filler").read(n_filler))
-    addrs = [relay_addr(name, params) for name, _pk in path]
+    addrs = [encode_addr(ADDR_RELAY, name, params) for name, _pk in path]
     return chain, build_header(chain, addrs, prefix + filler, params)
 
 
@@ -443,9 +449,7 @@ def derive(spec: OnionSpec, params: FormatParams) -> Derived:
     validate_spec(spec, params)
     rng = SeedRng(spec.seed)
     n = len(spec.path)
-    fwd_chain, fwd_headers = _trip(
-        rng, b"forward", spec.path, encode_addr(ADDR_EXIT, b"", params), params
-    )
+    fwd_chain, fwd_headers = _trip(rng, b"forward", spec.path, _EXIT_ADDR, params)
 
     rep_headers = ()
     reply_info = None
@@ -560,12 +564,8 @@ class InMemoryView:
 
 
 def _peel_beta(layer, header: Header, params):
-    wide = prg_xor(layer.k_rho, header.beta + bytes(2 * params.kappa))
-    return (
-        wide[: params.kappa],
-        wide[params.kappa : 2 * params.kappa],
-        wide[2 * params.kappa :],
-    )
+    wide = prg_xor(layer.k_rho, header.beta + _PEEL_PAD)
+    return wide[:KAPPA], wide[KAPPA:2 * KAPPA], wide[2 * KAPPA:]
 
 
 def zero_run(sk: int, header: Header, params) -> int:

@@ -116,13 +116,21 @@ def parse_count(text) -> int:
 def default_params(**fields):
     """FormatParams over SQR_GROUP; fields override FormatParams defaults.
 
+    With no fields, every call returns the one module-level instance,
+    ``FormatParams(group=SQR_GROUP)``, whose cached widths are then
+    computed once per process; FormatParams is frozen, so sharing it is
+    safe.  Any override builds a new instance.
+
     Of the three groups in ``group``, the signed quadratic residues are the
     default: membership there is a range test, not a Legendre test, and
     security is exactly ``PROD_GROUP``'s (the same 258-bit field, far below
     128-bit security).  ``PROD_GROUP`` and ``TOY_GROUP`` stay the
     Legendre-tested groups.
     """
-    return FormatParams(group=SQR_GROUP, **fields)
+    return FormatParams(group=SQR_GROUP, **fields) if fields else _DEFAULT_PARAMS
+
+
+_DEFAULT_PARAMS = FormatParams(group=SQR_GROUP)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +165,12 @@ class _Network:
 
     def link(self, src, dst, secure=False):
         # Secure relay-to-relay links leak nothing but a constant-size marker.
-        self.log(make_event(None, "link", src=src, dst=dst, marker="onion", secure=secure))
+        # The record make_event(None, "link", ...) would build, built here:
+        # src and dst are names, bytes rendered as trace_text renders them.
+        events = self.events
+        events.append({"kind": "link", "src": str(src, "utf-8", "replace"),
+                       "dst": str(dst, "utf-8", "replace"), "marker": "onion",
+                       "secure": secure, "time": len(events)})
 
     def send(self, idx, item, seed):
         """Form workload item idx at its sender and run it to completion."""
@@ -179,7 +192,7 @@ class _Network:
         hop = 1
         while action is not None:
             current, onion = action.next_hop, action.onion
-            rule = self.rules.get((idx, hop))
+            rule = self.rules.get((idx, hop)) if self.rules else None
             if rule is not None and rule.action == "drop":
                 self.log(make_event(None, "adv-drop", item=idx, hop=hop))
                 return

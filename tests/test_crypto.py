@@ -114,6 +114,21 @@ def test_seed_rng_reads_straddle_a_chunk_end(start):
         assert rng.read(7) == reference[start + n:start + n + 7], (start, n)
 
 
+@given(
+    seed=st.binary(max_size=40),
+    already_read=st.integers(min_value=0, max_value=600),
+    label=st.binary(max_size=64),
+    n=st.integers(min_value=0, max_value=300),
+)
+def test_seed_rng_fork_is_the_stream_seeded_by_key_and_label(seed, already_read, label, n):
+    # fork builds its child directly; it must read what a SeedRng seeded
+    # with the parent's key and the label reads, however much of the
+    # parent was read first.
+    parent = SeedRng(seed)
+    parent.read(already_read)
+    assert parent.fork(label).read(n) == SeedRng(parent._key + label).read(n)
+
+
 def test_seed_rng_fork_mid_chunk_equals_a_fresh_fork():
     seed = b"fork-mid-chunk"
     key = hashlib.sha256(b"\xb4" + seed).digest()[:16]
@@ -348,6 +363,9 @@ def test_input_checks_raise_under_python_O():
             # Unrefused, these seeded the streams of bytes(5) and b"\\x00".
             (TypeError, lambda: SeedRng(5)),
             (TypeError, lambda: SeedRng(True)),
+            # Unrefused, fork(3) read the stream of fork(b"\\x00\\x00\\x00").
+            (TypeError, lambda: SeedRng(b"s").fork(3)),
+            (TypeError, lambda: SeedRng(b"s").fork("x")),
             # Unrefused, an int gave that many bytes of raw keystream.
             (TypeError, lambda: prg_xor(bytes(KAPPA), 5)),
             (TypeError, lambda: prg_xor(bytes(KAPPA), "data")),

@@ -75,6 +75,50 @@ def counts(monkeypatch):
     return tally
 
 
+@pytest.fixture
+def cipher_and_hash_counts(monkeypatch):
+    """Count crypto._aes_ctr and hashlib.sha256 calls by the name of the
+    function that made them; a SeedRng's key hash, made in __init__ or in
+    fork, counts as "SeedRng"."""
+    tally = {"_aes_ctr": {}, "sha256": {}}
+
+    def counting(name, original):
+        def counted(*args):
+            caller = sys._getframe(1).f_code.co_name
+            if caller in ("__init__", "fork"):
+                caller = "SeedRng"
+            tally[name][caller] = tally[name].get(caller, 0) + 1
+            return original(*args)
+        return counted
+
+    monkeypatch.setattr(rsor.crypto, "_aes_ctr", counting("_aes_ctr", rsor.crypto._aes_ctr))
+    monkeypatch.setattr(hashlib, "sha256", counting("sha256", hashlib.sha256))
+    return tally
+
+
+def test_sender_derive_kernel_budget(counts, cipher_and_hash_counts):
+    spec, _keys = _spec(3, 3)
+    counts.update(base=0, exp=0, is_element=0)
+    for tally in cipher_and_hash_counts.values():
+        tally.clear()
+    derive(spec, PARAMS)
+    # Per layer of both trips, alpha (base) and s (exp); kem_keygen made
+    # every hop key, so none is tested for membership.
+    assert counts == {"base": 6, "exp": 6, "is_element": 0}
+    # One keystream per header layer, two stream rounds per forward payload
+    # layer, and one keystream chunk for each of the six SeedRng forks that
+    # are read (x and filler per trip, ident and k-tilde); the root stream
+    # is only forked.
+    assert cipher_and_hash_counts["_aes_ctr"] == {"prg_xor": 6, "prp_enc": 6, "read": 6}
+    # The four oracles of each of the six KEM layers, the seven SeedRng
+    # keys, a two-hash HMAC per header MAC and two per LIONESS call, and
+    # LIONESS's four round keys.
+    sha256 = cipher_and_hash_counts["sha256"]
+    assert sha256 == {"_h_b": 6, "_h_sym": 18, "SeedRng": 7, "_hmac_sha256": 24,
+                      "_prp_subkeys": 12}
+    assert sum(sha256.values()) == 67
+
+
 def test_forward_hop_costs_three_modexps(counts):
     spec, keys = _spec(3, 0)
     onion = form_onion(2, spec, PARAMS)

@@ -8,6 +8,8 @@ import sys
 import pytest
 
 from rsor.games import check_correctness_pair, game_correctness, run_game_batch
+from rsor.group import SQR_GROUP
+from rsor.packet import FormatParams
 from rsor.sim import (
     Rule,
     Scenario,
@@ -16,6 +18,7 @@ from rsor.sim import (
     attack_padding,
     attack_tagging,
     baseline_scenario,
+    default_params,
     normalize_trace,
     parse_config,
     parse_count,
@@ -29,6 +32,17 @@ from rsor.sim import (
     two_senders_scenario,
     write_trace,
 )
+
+
+def test_default_params_is_one_instance_unless_overridden():
+    params = default_params()
+    assert default_params() is params
+    assert params == FormatParams(group=SQR_GROUP)
+    for fields in ({"payload_len": 700}, {"legacy_zero_filler": True},
+                   {"payload_len": params.payload_len}):
+        other = default_params(**fields)
+        assert other is not params and other is not default_params(**fields)
+        assert other == FormatParams(group=SQR_GROUP, **fields)
 
 
 def test_run_is_deterministic():
