@@ -15,7 +15,8 @@ XOR runs in Python.  LIONESS's stream rounds and the relay's header peel
 zeros, for the callers that need the raw keystream.  It runs in libcrypto
 through the handle ``group`` requires: one ``EVP_CIPHER_CTX`` set to
 AES-128-CTR on first use, kept until the process ends and re-keyed for each
-call, so it must run on one thread.  Nothing outside the standard library
+call, and one output buffer every call writes into, so it must run on one
+thread.  Nothing outside the standard library
 is imported.
 
 Each hash oracle has one definition, over encoded group elements.
