@@ -25,7 +25,6 @@ from .packet import (
     receiver_addr,
     recognize_onion,
     serialize_header,
-    serialize_onion,
     tag_payload,
     validate_spec,
     zero_run,
@@ -481,12 +480,17 @@ def _sti_world(oracles, rng, sub, bit, real, bar):
 # Adversaries
 
 class _BaseAdversary:
-    """Common plumbing: stores the game surface, builds its own relay keys."""
+    """Common plumbing: stores the game surface and plays the adversary's
+    corrupted relays.  relay(name) is the one key rule: the key comes from
+    keypair(name).  Its relays peel against one replay view, so each peels
+    an onion once, and an exit answers from that peel (exit_reply)."""
 
     def __init__(self, rng):
         self.rng = rng
         self.oracles = None
         self.challenge = None
+        self.relays = {}
+        self.view = InMemoryView()
 
     def begin(self, params, parties, pks, oracles):
         self.params = params
@@ -496,6 +500,31 @@ class _BaseAdversary:
 
     def keypair(self, label):
         return kem_keygen(self.params.group, self.rng.fork(label))
+
+    def relay(self, name):
+        """Fork relay name's key and return its (name, pk) path entry."""
+        self.relays[name] = self.keypair(name)
+        return name, self.relays[name].pk
+
+    def peel(self, name, onion):
+        return proc_onion(self.relays[name].sk, onion, name, self.params, self.view)
+
+    def walk(self, onion, names):
+        """The onion the last named relay forwards, or None."""
+        for name in names:
+            result = self.peel(name, onion)
+            if result.kind != "forward":
+                return None
+            onion = result.next_onion
+        return onion
+
+    def exit_reply(self, onion, name, message):
+        """build_reply_onion's answer for message from name's peel of onion
+        as a repliable exit, or None."""
+        result = self.peel(name, onion)
+        if result.kind != "exit" or result.reply_info is None:
+            return None
+        return build_reply_onion(result.reply_info, message, self.params)
 
     def on_challenge(self, onion):
         self.challenge = onion
@@ -508,17 +537,17 @@ class GuessingAdversary(_BaseAdversary):
     """Negative control: valid submission, fair-coin guess."""
 
     def submit(self):
-        a, b, c = (self.keypair(l) for l in (b"a", b"b", b"c"))
+        x1, x2, x3 = (self.relay(name) for name in (b"x1", b"x2", b"x3"))
         if len(self.parties) == 3:  # STI surface
             return Submission(
                 message=b"probe", receiver=b"svc", j=1, j_back=1,
-                path=((P_H, None), (b"x1", a.pk), (b"x2", b.pk)),
-                reply_path=((P_H_BACK, None), (b"x3", c.pk), (P_S, None)),
+                path=((P_H, None), x1, x2),
+                reply_path=((P_H_BACK, None), x3, (P_S, None)),
             )
         return Submission(
             message=b"probe", receiver=b"svc", j=2, j_back=1,
-            path=((b"x1", a.pk), (P_H, None), (b"x2", b.pk)),
-            reply_path=((P_H, None), (b"x3", c.pk), (P_S, None)),
+            path=(x1, (P_H, None), x2),
+            reply_path=((P_H, None), x3, (P_S, None)),
         )
 
     def guess(self):
@@ -528,38 +557,26 @@ class GuessingAdversary(_BaseAdversary):
 class ByteComparisonAdversary(GuessingAdversary):
     """Negative control for TLU: tries to compare the challenge against a
     self-built onion.  The challenger's randomness is unknowable, so the
-    comparison conveys nothing and the guess degrades to structure checks."""
+    comparison conveys nothing and the guess degrades to a coin."""
 
     def submit(self):
         self._sub = super().submit()
         return self._sub
 
     def guess(self):
-        mine = form_onion(
-            1,
-            OnionSpec(
-                seed=self.rng.fork(b"guess-seed").read(32),
-                message=self._sub.message,
-                receiver=receiver_addr(self._sub.receiver, self.params),
-                path=tuple(
-                    (n, pk if pk is not None else self.pks[n])
-                    for n, pk in self._sub.path
-                ),
-                reply_path=tuple(
-                    (n, pk if pk is not None else self.pks[n])
-                    for n, pk in self._sub.reply_path
-                ),
-            ),
-            self.params,
-        )
-        same_width = len(serialize_onion(mine, self.params)) == len(
-            serialize_onion(self.challenge, self.params)
-        )
-        headers_equal = serialize_header(mine.header, self.params) == serialize_header(
-            self.challenge.header, self.params
-        )
-        if headers_equal or not same_width:
-            return 0  # never happens for a sound scheme; structural fallback
+        def keyed(path):
+            return tuple((n, pk if pk is not None else self.pks[n]) for n, pk in path)
+
+        sub = self._sub
+        mine = form_onion(1, OnionSpec(
+            seed=self.rng.fork(b"guess-seed").read(32),
+            message=sub.message,
+            receiver=receiver_addr(sub.receiver, self.params),
+            path=keyed(sub.path),
+            reply_path=keyed(sub.reply_path),
+        ), self.params)
+        if mine.header == self.challenge.header:
+            return 0  # never happens for a sound scheme
         return self.coin()
 
 
@@ -570,70 +587,48 @@ class TagConsistencyAdversary(_BaseAdversary):
     worlds, so the exit sees garbage either way."""
 
     def submit(self):
-        self.k1 = self.keypair(b"k1")
-        self.k2 = self.keypair(b"k2")
-        self.k3 = self.keypair(b"k3")
-        self._sub = Submission(
+        return Submission(
             message=b"tag-probe", receiver=b"svc", j=2, j_back=1,
-            path=((b"x1", self.k1.pk), (P_H, None), (b"x2", self.k2.pk)),
-            reply_path=((b"x3", self.k3.pk), (P_S, None)),
+            path=(self.relay(b"x1"), (P_H, None), self.relay(b"x2")),
+            reply_path=(self.relay(b"x3"), (P_S, None)),
         )
-        return self._sub
 
     def guess(self):
-        params = self.params
-        view = InMemoryView()
-        result = proc_onion(self.k1.sk, self.challenge, b"x1", params, view)
-        if result.kind != "forward":
+        onion = self.walk(self.challenge, (b"x1",))
+        if onion is None:
             return self.coin()
-        tagged = tag_payload(
-            result.next_onion, self.rng.fork(b"mask").read(params.payload_len)
-        )
+        tagged = tag_payload(onion, self.rng.fork(b"mask").read(self.params.payload_len))
         out = self.oracles.proc(P_H, tagged)
         if out is None or out[0] != "forward":
             return 1  # real onions never vanish at the honest mid hop
-        final = proc_onion(self.k2.sk, out[2], b"x2", params, view)
-        if final.kind == "exit":
+        if self.peel(b"x2", out[2]).kind == "exit":
             return 0  # structured payload survived the tag: impossible world
         return self.coin()
 
 
 class DirectionStructureAdversary(_BaseAdversary):
     """Negative control for SLU: walks the challenge to the honest reply hop
-    and tests whether the onion it gets back is distinguishable, by width or
-    routing structure, from a forward onion."""
+    and tests whether the onion it gets back is distinguishable, by routing
+    structure, from a forward onion."""
 
     def submit(self):
-        self.k1 = self.keypair(b"k1")
-        self.k2 = self.keypair(b"k2")
-        self.k3 = self.keypair(b"k3")
-        self._sub = Submission(
+        return Submission(
             message=b"dir-probe", receiver=b"svc", j_back=1,
-            path=((b"x1", self.k1.pk), (b"x2", self.k2.pk)),
-            reply_path=((P_H, None), (b"x3", self.k3.pk), (P_S, None)),
+            path=(self.relay(b"x1"), self.relay(b"x2")),
+            reply_path=((P_H, None), self.relay(b"x3"), (P_S, None)),
         )
-        return self._sub
 
     def guess(self):
-        params = self.params
-        view = InMemoryView()
-        # Forward trip with our own keys, then build the reply ourselves
-        # from the exit's one peel.
-        result = proc_onion(self.k1.sk, self.challenge, b"x1", params, view)
-        if result.kind != "forward":
+        # Forward trip through our own relays, then the reply from the
+        # exit's one peel.
+        onion = self.walk(self.challenge, (b"x1",))
+        formed = None if onion is None else self.exit_reply(onion, b"x2", b"reply-probe")
+        if formed is None:
             return self.coin()
-        result = proc_onion(self.k2.sk, result.next_onion, b"x2", params, view)
-        if result.kind != "exit" or result.reply_info is None:
-            return self.coin()
-        reply_onion, _first_hop = build_reply_onion(result.reply_info, b"reply-probe", params)
-        out = self.oracles.proc(P_H, reply_onion)
+        out = self.oracles.proc(P_H, formed[0])
         if out is None or out[0] != "forward":
             return self.coin()
-        onion_back = out[2]
-        if len(serialize_onion(onion_back, params)) != params.onion_len:
-            return 1
-        after = proc_onion(self.k3.sk, onion_back, b"x3", params, view)
-        if after.kind not in ("forward", "exit"):
+        if self.peel(b"x3", out[2]).kind not in ("forward", "exit"):
             return 1  # a malformed hand-back would expose the replacement
         return self.coin()
 
@@ -649,36 +644,29 @@ class PathLengthPaddingAdversary(_BaseAdversary):
     """
 
     def submit(self):
-        labels = (b"x1", b"x2", b"x3", b"x4")
-        self.tail_keys = {label: self.keypair(label) for label in labels}
         self._mode = "sti" if len(self.parties) == 3 else "tlu"
-        x1, x2, x3, x4 = ((label, self.tail_keys[label].pk) for label in labels)
+        x1, x2, x3, x4 = (self.relay(name) for name in (b"x1", b"x2", b"x3", b"x4"))
         if self._mode == "sti":  # honest hop at j=2, exit corrupted
             reply_path = ((P_H_BACK, None), (P_S, None))
         else:
-            reply_path = ((b"x5", self.keypair(b"x5").pk), (P_S, None))
+            reply_path = (self.relay(b"x5"), (P_S, None))
         return Submission(
             message=b"pad-probe", receiver=b"svc", j=2, j_back=1,
             path=(x1, (P_H, None), x2, x3, x4), reply_path=reply_path,
         )
 
     def guess(self):
-        params = self.params
-        onion = self.challenge
         if self._mode == "tlu":
             # Deepest reachable layer: the honest relay's.  Measure there
             # (with x1's key, the only one the adversary has on the way).
-            peel, reader = [b"x1"], b"x1"
+            names, reader = (b"x1",), b"x1"
         else:
-            peel, reader = [b"x2", b"x3"], b"x4"
-        view = InMemoryView()
-        for label in peel:
-            result = proc_onion(self.tail_keys[label].sk, onion, label, params, view)
-            if result.kind != "forward":
-                return self.coin()
-            onion = result.next_onion
-        run = zero_run(self.tail_keys[reader].sk, onion.header, params)
-        return 1 if run >= 4 * params.kappa else 0
+            names, reader = (b"x2", b"x3"), b"x4"
+        onion = self.walk(self.challenge, names)
+        if onion is None:
+            return self.coin()
+        run = zero_run(self.relays[reader].sk, onion.header, self.params)
+        return 1 if run >= 4 * self.params.kappa else 0
 
 
 # ---------------------------------------------------------------------------

@@ -543,7 +543,10 @@ class InMemoryView:
 
     def check_and_add(self, header_bytes: bytes) -> bool:
         key = self._tag(header_bytes)
-        shard = self._seen.setdefault(key % REPLAY_SHARDS, {})
+        shard = self._seen.get(key % REPLAY_SHARDS)
+        if shard is None:
+            self._seen[key % REPLAY_SHARDS] = {key: None}
+            return True
         if key in shard:
             return False
         shard[key] = None
@@ -664,9 +667,10 @@ def form_reply(m_reply: bytes, onion_at_exit: Onion, exit_name: bytes, sk: int, 
     embedded ReplyInfo with build_reply_onion, whose (onion, first-hop
     name) it returns.  None when the forward onion was non-repliable or
     malformed.  This is the paper's one-shot FormReply,
-    kept as the tests' reference and for the demos; relays, the game
-    challengers and the game adversaries keep the ReplyInfo from their
-    single peel and call build_reply_onion instead.
+    kept as the tests' reference and for the demos.  Relays and the game
+    challengers keep the ReplyInfo from their single peel and call
+    build_reply_onion instead, and every game adversary answers from its
+    one exit peel through games._BaseAdversary.exit_reply.
     """
     result = proc_onion(sk, onion_at_exit, exit_name, params, InMemoryView())
     if result.kind != "exit" or result.reply_info is None:

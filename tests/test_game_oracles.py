@@ -29,7 +29,6 @@ from rsor.packet import (
     OnionSpec,
     derive,
     form_onion,
-    proc_onion,
     receiver_addr,
     tag_payload,
 )
@@ -46,15 +45,14 @@ class _ExitProbe(_BaseAdversary):
         self.probe = probe
 
     def submit(self):
-        self.k1 = self.keypair(b"k1")
         return Submission(
             message=b"exit-probe", receiver=b"svc", j=2, j_back=1,
-            path=((b"x1", self.k1.pk), (P_H, None)),
-            reply_path=((b"x3", self.keypair(b"k3").pk), (P_S, None)),
+            path=(self.relay(b"x1"), (P_H, None)),
+            reply_path=(self.relay(b"x3"), (P_S, None)),
         )
 
     def guess(self):
-        result = proc_onion(self.k1.sk, self.challenge, b"x1", self.params, InMemoryView())
+        result = self.peel(b"x1", self.challenge)
         assert result.kind == "forward"
         self.answer = self.probe(self.oracles, result.next_onion)
         return 0
@@ -138,7 +136,7 @@ class _MidProbe(_ExitProbe):
 
     def submit(self):
         sub = super().submit()
-        return dataclasses.replace(sub, path=sub.path + ((b"x2", self.keypair(b"k2").pk),))
+        return dataclasses.replace(sub, path=sub.path + (self.relay(b"x2"),))
 
 
 def _both_worlds(game, probe_cls, probe, seed):

@@ -20,7 +20,7 @@ from rsor.games import (
 )
 from rsor.games import _BaseAdversary, fair_coin_pvalue
 from rsor.group import PROD_GROUP, SQR_GROUP, GroupParams
-from rsor.packet import FormatParams, InMemoryView, Onion, proc_onion
+from rsor.packet import FormatParams, Onion
 
 
 def test_correctness_game_passes():
@@ -158,8 +158,7 @@ class _NamedBeforeHonestHop(GuessingAdversary):
     def submit(self):
         sub = super().submit()
         if len(self.parties) == 3:  # STI: move its honest hop from j = 1 to j = 2
-            x0 = (b"x0", self.keypair(b"x0").pk)
-            sub = dataclasses.replace(sub, j=2, path=(x0,) + sub.path)
+            sub = dataclasses.replace(sub, j=2, path=(self.relay(b"x0"),) + sub.path)
         return dataclasses.replace(sub, path=((self.name, sub.path[0][1]),) + sub.path[1:])
 
 
@@ -220,18 +219,14 @@ class _ReplayProbe(_BaseAdversary):
     replay and one-reply rules."""
 
     def submit(self):
-        self.k1 = self.keypair(b"k1")
-        self.k3 = self.keypair(b"k3")
         return Submission(
             message=b"hello", receiver=b"svc", j=2, j_back=1,
-            path=((b"x1", self.k1.pk), (P_H, None)),
-            reply_path=((b"x3", self.k3.pk), (P_S, None)),
+            path=(self.relay(b"x1"), (P_H, None)),
+            reply_path=(self.relay(b"x3"), (P_S, None)),
         )
 
     def guess(self):
-        params = self.params
-        view = InMemoryView()
-        step = proc_onion(self.k1.sk, self.challenge, b"x1", params, view)
+        step = self.peel(b"x1", self.challenge)
         assert step.kind == "forward"
         layer = step.next_onion
         self.first = self.oracles.proc(P_H, layer)
@@ -265,26 +260,18 @@ class _SluAbsorbProbe(_BaseAdversary):
     the final layer is silently absorbed at the honest sender."""
 
     def submit(self):
-        self.k1 = self.keypair(b"k1")
-        self.k3 = self.keypair(b"k3")
         return Submission(
             message=b"probe", receiver=b"svc", j_back=1,
-            path=((b"x1", self.k1.pk),),
-            reply_path=((P_H, None), (b"x3", self.k3.pk), (P_S, None)),
+            path=(self.relay(b"x1"),),
+            reply_path=((P_H, None), self.relay(b"x3"), (P_S, None)),
         )
 
     def guess(self):
-        params = self.params
-        view = InMemoryView()
-        from rsor.packet import form_reply
-
-        step = proc_onion(self.k1.sk, self.challenge, b"x1", params, view)
-        assert step.kind == "exit"
-        formed = form_reply(b"back", self.challenge, b"x1", self.k1.sk, params)
+        formed = self.exit_reply(self.challenge, b"x1", b"back")
         assert formed is not None
         out = self.oracles.proc(P_H, formed[0])
         assert out is not None and out[0] == "forward"
-        step2 = proc_onion(self.k3.sk, out[2], b"x3", params, view)
+        step2 = self.peel(b"x3", out[2])
         assert step2.kind == "forward"
         self.absorbed = self.oracles.proc(P_S, step2.next_onion)
         return 0
@@ -302,22 +289,14 @@ class _StiAbsorbProbe(_BaseAdversary):
     checks the silent absorption at the honest reply relay."""
 
     def submit(self):
-        self.keys = {label: self.keypair(label) for label in (b"x1", b"x2")}
         return Submission(
             message=b"probe", receiver=b"svc", j=1, j_back=1,
-            path=((P_H, None), (b"x1", self.keys[b"x1"].pk)),
+            path=((P_H, None), self.relay(b"x1")),
             reply_path=((P_H_BACK, None), (P_S, None)),
         )
 
     def guess(self):
-        from rsor.packet import form_reply
-
-        params = self.params
-        view = InMemoryView()
-        onion = self.challenge
-        result = proc_onion(self.keys[b"x1"].sk, onion, b"x1", params, view)
-        assert result.kind == "exit"
-        formed = form_reply(b"back", onion, b"x1", self.keys[b"x1"].sk, params)
+        formed = self.exit_reply(self.challenge, b"x1", b"back")
         assert formed is not None
         self.absorbed = self.oracles.proc(P_H_BACK, formed[0])
         return 0
@@ -334,10 +313,7 @@ class _StiMessageCheck(_StiAbsorbProbe):
     """Both STI worlds must expose the same message at the corrupted exit."""
 
     def guess(self):
-        params = self.params
-        result = proc_onion(
-            self.keys[b"x1"].sk, self.challenge, b"x1", params, InMemoryView()
-        )
+        result = self.peel(b"x1", self.challenge)
         assert result.kind == "exit"
         self.seen_message = result.message
         return 0
@@ -392,8 +368,7 @@ class NegatedAlphaAdversary(GuessingAdversary):
 
     def guess(self):
         params = self.params
-        peeled = proc_onion(self.keypair(b"a").sk, self.challenge, b"x1", params,
-                            InMemoryView())
+        peeled = self.peel(b"x1", self.challenge)
         if peeled.kind != "forward":
             return self.coin()
         header = peeled.next_onion.header
