@@ -243,7 +243,7 @@ def _correctness_once(rng, n, nr, params, corrupt_hop):
     hops = path + reply_path
     for event in net.events:
         if event["kind"] == "dropped":
-            hop = hops.index(event["actor"].encode()) + 1
+            hop = hops.index(event["actor"]) + 1
             clause = ("forward-path" if hop < n else "request-reception" if hop == n
                       else "backward-path" if hop < n + nr else "reply-reception")
             return [(clause, n, nr, hop, event["reason"])]

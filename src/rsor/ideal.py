@@ -9,8 +9,8 @@ honest relay, which is precisely what makes hops unlinkable in this model.
 
 The adversary role is called S and the environment role Z; both drive the
 same instance through the message methods below.  All events are
-node.make_event records, as in the real world, appended to adv_events
-(visible to S) and env_events (visible to Z / the parties).
+node.make_event records of the bytes handed in, as in the real world,
+appended to adv_events (visible to S) and env_events (visible to Z).
 """
 
 from dataclasses import dataclass

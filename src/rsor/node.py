@@ -50,29 +50,24 @@ class SendMessage(collections.namedtuple("SendMessage", "receiver message rid",
 def make_event(actor, kind: str, **fields):
     """One trace record of either world, actor None when no party logs it
     (links, the adversary's view); the simulator adds the time field when
-    logging.  Every value is rendered as trace_text renders it: bytes are
-    decoded here, actor included, and str, int and bool pass unchanged,
-    so only lists, tuples and other types take the call."""
-    if actor is None:
-        record = {"kind": kind}
-    elif type(actor) is bytes:
-        record = {"actor": str(actor, "utf-8", "replace"), "kind": kind}
-    else:
-        record = {"actor": trace_text(actor), "kind": kind}
-    for key, value in fields.items():
-        cls = type(value)
-        if cls is bytes:
-            value = str(value, "utf-8", "replace")
-        elif cls is not str and cls is not int and cls is not bool:
-            value = trace_text(value)
-        record[key] = value
+    logging.  Values stay as the parties hold them, names as bytes; render
+    turns a record into trace text where a trace leaves the library."""
+    record = {"kind": kind} if actor is None else {"actor": actor, "kind": kind}
+    record.update(fields)
     return record
+
+
+def render(event):
+    """Turn a record's values into trace text in place; returns it."""
+    for key, value in event.items():
+        event[key] = trace_text(value)
+    return event
 
 
 def trace_text(value):
     """How a value becomes trace text: bytes as UTF-8, invalid bytes
     replaced; lists and tuples element by element; other values as they
-    are.  make_event applies the bytes rule inline to a bytes field."""
+    are."""
     if isinstance(value, bytes):
         return str(value, "utf-8", "replace")
     if isinstance(value, (list, tuple)):

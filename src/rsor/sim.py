@@ -1,7 +1,9 @@
 """Deterministic in-memory network simulator and attack scenarios.
 
-Runs whole workloads of onions over a relay topology with logical-time
-scheduling, records JSON-lines traces, and can drive the ideal
+Runs whole workloads of onions over a relay topology, one onion at a time:
+each runs to completion before the next one starts, and each event's time
+is its index in the trace.  Records JSON-lines traces, rendered as text by
+node.render just before a run returns, and can drive the ideal
 functionality with the identical schedule for trace comparison.  One
 real-world network object holds the parties' states and the adversary's
 rules and drives every onion hop by hop, scenarios, the nymserver attack
@@ -28,9 +30,9 @@ from .node import (
     relay_forward,
     relay_on_onion,
     relay_on_receiver_reply,
+    render,
     sender_on_onion,
     sender_send,
-    trace_text,
 )
 from .packet import (
     FormatParams,
@@ -165,12 +167,7 @@ class _Network:
 
     def link(self, src, dst, secure=False):
         # Secure relay-to-relay links leak nothing but a constant-size marker.
-        # The record make_event(None, "link", ...) would build, built here:
-        # src and dst are names, bytes rendered as trace_text renders them.
-        events = self.events
-        events.append({"kind": "link", "src": str(src, "utf-8", "replace"),
-                       "dst": str(dst, "utf-8", "replace"), "marker": "onion",
-                       "secure": secure, "time": len(events)})
+        self.log(make_event(None, "link", src=src, dst=dst, marker="onion", secure=secure))
 
     def send(self, idx, item, seed):
         """Form workload item idx at its sender and run it to completion."""
@@ -289,7 +286,7 @@ def _check_workload(scenario: Scenario, params):
 
 
 def run_scenario(scenario: Scenario):
-    """Execute a scenario in the real world; returns the event trace.
+    """Execute a scenario in the real world; returns the rendered trace.
 
     Fully deterministic in the scenario and its seed: relay keys, onion
     seeds, and all temporary ids come from one seeded stream.  Raises
@@ -301,6 +298,8 @@ def run_scenario(scenario: Scenario):
     net = _Network(scenario, params, rng)
     for idx, item in enumerate(scenario.workload):
         net.send(idx, item, rng.fork(b"item:%d" % idx).read(32))
+    for event in net.events:
+        render(event)
     return net.events
 
 
@@ -310,7 +309,7 @@ def run_scenario(scenario: Scenario):
 def run_ideal_scenario(scenario: Scenario):
     """Drive the ideal functionality with the scenario's schedule.
 
-    Returns (env_trace, adv_trace).  The env trace is comparable to the
+    Returns (env_trace, adv_trace), rendered.  The env trace matches the
     real trace after normalization, within the scope traces_equivalent
     states; deliveries to unknown receivers are dropped in both worlds.
     """
@@ -318,15 +317,15 @@ def run_ideal_scenario(scenario: Scenario):
     rng = SeedRng(_seed_bytes(scenario.seed) + b"ideal")
     ideal = RsorIdeal(bad=scenario.corrupted, rng=rng)
     rules = {(r.item, r.hop): r for r in scenario.adversary}
-    names = {trace_text(n): n for n in scenario.relays + scenario.senders + scenario.receivers}
     for idx in range(len(scenario.workload)):
-        _pump_ideal(ideal, scenario, idx, rules, names)
-    env = [dict(e, time=i) for i, e in enumerate(ideal.env_events)]
-    adv = [dict(e, time=i) for i, e in enumerate(ideal.adv_events)]
-    return env, adv
+        _pump_ideal(ideal, scenario, idx, rules)
+    for events in (ideal.env_events, ideal.adv_events):
+        for time, event in enumerate(events):
+            render(event)["time"] = time
+    return ideal.env_events, ideal.adv_events
 
 
-def _pump_ideal(ideal, scenario, idx, rules, names):
+def _pump_ideal(ideal, scenario, idx, rules):
     """Hand workload item idx to the ideal functionality and play S and Z
     on the events it causes until it is quiescent."""
     item = scenario.workload[idx]
@@ -353,18 +352,18 @@ def _pump_ideal(ideal, scenario, idx, rules, names):
             elif kind == "message-leak" and not actions and item.receiver in scenario.receivers:
                 # A drop or a tag before the exit withholds the delivery, and
                 # the real world drops a delivery to an unknown receiver.
-                ideal.deliver_message(names[event["frm"]], item.message, last_rid, item.receiver)
+                ideal.deliver_message(event["frm"], item.message, last_rid, item.receiver)
             elif kind == "initiate-reply":
-                ideal.deliver_reply(item.receiver, names[event["relay"]],
+                ideal.deliver_reply(item.receiver, event["relay"],
                                     item.reply_message, event["rid"])
             continue
         event = ideal.env_events[ei]
         ei += 1
         kind = event["kind"]
         if kind in ("onion-received", "reply-onion-ready"):
-            ideal.forward_onion(names[event["actor"]], event["tid"])
+            ideal.forward_onion(event["actor"], event["tid"])
         elif kind == "message-received" and event["repliable"] and item.reply_message is not None:
-            ideal.initiate_reply(item.receiver, names[event["from"]],
+            ideal.initiate_reply(item.receiver, event["from"],
                                  item.reply_message, event["rid"])
 
 

@@ -26,23 +26,23 @@ def _pump_to_completion(ideal, reply_message=None):
                 last_rid = event["rid"]
             elif event["kind"] == "message-leak":
                 ideal.deliver_message(
-                    event["frm"].encode(), event["message"], last_rid,
-                    event["receiver"].encode(),
+                    event["frm"], event["message"], last_rid,
+                    event["receiver"],
                 )
                 last_rid = None
             elif event["kind"] == "initiate-reply":
                 ideal.deliver_reply(
-                    event["receiver"].encode(), event["relay"].encode(),
+                    event["receiver"], event["relay"],
                     event["message"], event["rid"],
                 )
             continue
         event = ideal.env_events[done_env]
         done_env += 1
         if event["kind"] in ("onion-received", "reply-onion-ready"):
-            ideal.forward_onion(event["actor"].encode(), event["tid"])
+            ideal.forward_onion(event["actor"], event["tid"])
         elif event["kind"] == "message-received" and event.get("repliable") and reply_message:
             ideal.initiate_reply(
-                event["actor"].encode(), event["from"].encode(),
+                event["actor"], event["from"],
                 reply_message, event["rid"],
             )
 
@@ -73,7 +73,7 @@ def test_honest_forward_delivery():
     # An honest sender leaks nothing beyond per-segment tids.
     assert all(e["kind"] in ("segment", "message-leak") for e in ideal.adv_events)
     leak = [e for e in ideal.adv_events if e["kind"] == "message-leak"][0]
-    assert leak["message"] == "hi" and leak["receiver"] == "svc"
+    assert leak["message"] == b"hi" and leak["receiver"] == b"svc"
 
 
 def test_segment_spans_corrupted_runs():
@@ -81,13 +81,13 @@ def test_segment_spans_corrupted_runs():
     ideal.process_new_onion(b"alice", b"svc", b"m", (b"a", b"b", b"c", b"d"), ())
     segments = [e for e in ideal.adv_events if e["kind"] == "segment"]
     # First segment stops at the first honest relay a.
-    assert segments[0]["frm"] == "alice" and segments[0]["to"] == "a"
+    assert segments[0]["frm"] == b"alice" and segments[0]["to"] == b"a"
     ideal.deliver_onion(segments[0]["tid"])
     ideal.forward_onion(b"a", ideal.env_events[-1]["tid"])
     segments = [e for e in ideal.adv_events if e["kind"] == "segment"]
     # Second segment skips the corrupted b, c and lands on d.
-    assert segments[1]["frm"] == "a" and segments[1]["to"] == "d"
-    assert segments[1]["via"] == ["b", "c"]
+    assert segments[1]["frm"] == b"a" and segments[1]["to"] == b"d"
+    assert segments[1]["via"] == (b"b", b"c")
 
 
 def test_corrupted_sender_full_disclosure():
@@ -95,9 +95,9 @@ def test_corrupted_sender_full_disclosure():
     ideal.process_new_onion(b"mallory", b"svc", b"secret", (b"a",), (b"b", b"mallory"))
     leaks = [e for e in ideal.adv_events if e["kind"] == "sender-leak"]
     assert leaks
-    assert leaks[0]["message"] == "secret"
-    assert leaks[0]["path"] == ["a"]
-    assert leaks[0]["reply_path"] == ["b", "mallory"]
+    assert leaks[0]["message"] == b"secret"
+    assert leaks[0]["path"] == (b"a",)
+    assert leaks[0]["reply_path"] == (b"b", b"mallory")
     assert leaks[0]["n"] == 1
 
 
@@ -151,7 +151,7 @@ def test_reply_round_trip():
     ideal.process_new_onion(b"alice", b"svc", b"ping", (b"a",), (b"b", b"alice"))
     _pump_to_completion(ideal, reply_message=b"pong")
     got = [e for e in ideal.env_events if e["kind"] == "got-reply"]
-    assert got and got[0]["actor"] == "alice" and got[0]["message"] == "pong"
+    assert got and got[0]["actor"] == b"alice" and got[0]["message"] == b"pong"
 
 
 def test_rid_single_use():
@@ -174,7 +174,7 @@ def test_bypass_reply_from_corrupted_exit():
     ideal.bypass_reply(b"exit", b"forged", setup[0]["tid"])
     _pump_to_completion(ideal)
     got = [e for e in ideal.env_events if e["kind"] == "got-reply"]
-    assert got and got[0]["message"] == "forged"
+    assert got and got[0]["message"] == b"forged"
     # Back entries are single use: a second bypass does nothing.
     before = len(ideal.env_events)
     ideal.bypass_reply(b"exit", b"again", setup[0]["tid"])

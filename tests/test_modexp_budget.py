@@ -440,7 +440,7 @@ def test_replayed_onion_is_refused():
     onion = form_onion(1, spec, PARAMS)
     assert relay_on_onion(state, onion, b"sender", PARAMS, ids)["kind"] == "onion-received"
     again = relay_on_onion(state, onion, b"sender", PARAMS, ids)
-    assert again == {"actor": "r0", "kind": "dropped", "reason": "replay"}
+    assert again == {"actor": b"r0", "kind": "dropped", "reason": "replay"}
     other, _ = _spec(2, 1, seed=b"another-spec")
     assert proc_onion(keys[b"r0"].sk, form_onion(1, other, PARAMS), b"r0", PARAMS,
                       state.view).reason != "replay"

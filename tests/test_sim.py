@@ -149,6 +149,21 @@ def test_real_ideal_correspondence_unknown_receiver():
     assert traces_equivalent(real, env)
 
 
+def test_real_ideal_correspondence_with_names_that_are_not_utf8():
+    """b"\\xff" and b"\\xfe" render alike in trace text; both worlds still run
+    on the parties' own names, so the ideal round trip completes."""
+    scenario = Scenario(
+        name="not-utf8", relays=(b"\xff", b"\xfe", b"c", b"d", b"e"),
+        senders=(b"alice",), receivers=(b"svc",),
+        workload=(WorkItem(b"alice", (b"\xff", b"\xfe", b"c"), b"svc", b"ping",
+                           reply_path=(b"d", b"e", b"alice"), reply_message=b"pong"),),
+        seed=3,
+    )
+    env, _adv = run_ideal_scenario(scenario)
+    assert ("got-reply", "alice", "pong") in normalize_trace(env)
+    assert traces_equivalent(run_scenario(scenario), env)
+
+
 def _deliveries(trace):
     """Who got which message or reply in one world's trace."""
     return sorted((e["kind"], e["actor"], e["message"]) for e in trace
