@@ -111,7 +111,7 @@ class RsorIdeal:
             reply_path=(),
             direction="b",
         )
-        self._out_cor_sender(onion, "start", fwd_path=fwd.path)
+        self._out_cor_sender(onion, "start")
         self._proc_next_step(onion, 0)
         return True
 
@@ -179,27 +179,25 @@ class RsorIdeal:
 
     # -- internal procedures ----------------------------------------------
 
-    def _out_cor_sender(self, onion, tid, fwd_path=None):
+    def _out_cor_sender(self, onion, tid):
         """Full disclosure to S when the responsible endpoint is corrupted.
 
         Forward onions disclose on a corrupted sender; reply onions on a
         corrupted reply receiver (the original sender, who built the reply
         header and therefore knows everything about it in the real world).
+        path is the path this onion travels and reply_path its own, empty
+        for a reply; a reply names the forward onion it answers, whose
+        records hold the forward path.
         """
         if onion.direction == "f":
-            endpoint = onion.sender
-            fields = {"n": len(onion.path), "path": onion.path,
-                      "reply_path": onion.reply_path}
+            endpoint, fields = onion.sender, {"n": len(onion.path)}
         else:
-            endpoint = onion.receiver
-            fields = {"path": fwd_path if fwd_path is not None else onion.path,
-                      "reply_path": onion.path,
-                      "replying_to": self.id_fwd.get(onion.sid)}
+            endpoint, fields = onion.receiver, {"replying_to": self.id_fwd.get(onion.sid)}
         if endpoint in self.bad:
             self._to_adv("sender-leak", tid=tid, sid=onion.sid,
                          sender=onion.sender, receiver=onion.receiver,
                          message=onion.message, direction=onion.direction,
-                         **fields)
+                         path=onion.path, reply_path=onion.reply_path, **fields)
 
     def _proc_to_relay(self, onion, i, j):
         tid = self._fresh("tid")

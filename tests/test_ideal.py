@@ -101,6 +101,24 @@ def test_corrupted_sender_full_disclosure():
     assert leaks[0]["n"] == 1
 
 
+def test_corrupted_sender_reply_disclosure():
+    """Every sender-leak record of a reply gives path the reply path and an
+    empty reply_path; the forward path is in the records of the forward
+    onion that replying_to names."""
+    ideal = _ideal(bad=(b"mallory",))
+    ideal.process_new_onion(b"mallory", b"svc", b"ask", (b"a", b"b"), (b"c", b"mallory"))
+    _pump_to_completion(ideal, reply_message=b"answer")
+    leaks = [e for e in ideal.adv_events if e["kind"] == "sender-leak"]
+    back = [e for e in leaks if e["direction"] == "b"]
+    assert back and back[0]["tid"] == "start"
+    for leak in back:
+        assert leak["path"] == (b"c", b"mallory") and leak["reply_path"] == ()
+        assert leak["message"] == b"answer" and "n" not in leak
+    forward = [e for e in leaks if e["sid"] == back[0]["replying_to"]]
+    assert forward and all(e["direction"] == "f" and "replying_to" not in e for e in forward)
+    assert {e["path"] for e in forward} == {(b"a", b"b")}
+
+
 def test_honest_sender_no_disclosure():
     ideal = _ideal(bad=(b"x",))
     ideal.process_new_onion(b"alice", b"svc", b"secret", (b"a",), ())
