@@ -23,12 +23,9 @@ from rsor.group import PROD_GROUP, SQR_GROUP
 from rsor.kem import GuessingKemAdversary, WhiteBoxKemAdversary, kem_game_run, kem_keygen
 from rsor.packet import (
     FormatParams,
-    InMemoryView,
     Onion,
     OnionSpec,
-    form_reply,
     onion_vector_lines,
-    proc_onion,
     receiver_addr,
     serialize_onion,
 )
@@ -192,9 +189,10 @@ def kem_game_records():
 
 
 class OracleWalkAdversary(_BaseAdversary):
-    """Walks the challenge to the honest relay with its own keys and drives
-    the Proc and Reply oracles there: a first proc, a replayed proc, a reply,
-    a second reply, then follows the answer to the honest sender.  Every
+    """Walks the challenge through its own relays to the honest relay and
+    drives the Proc and Reply oracles there: a first proc, a replayed proc,
+    a reply, a second reply, then follows the answer to the honest sender,
+    all through _BaseAdversary's relay, walk and exit_reply.  Every
     oracle answer is summarised in self.seen, so the golden file pins what
     the challenger answers in each world, not only the answer lengths.
 
@@ -208,28 +206,15 @@ class OracleWalkAdversary(_BaseAdversary):
         self.seen = []
 
     def submit(self):
-        self.k = {label: self.keypair(label) for label in (b"x1", b"x2", b"x3")}
-        own = lambda label: (label, self.k[label].pk)
+        x1, x2, x3 = (self.relay(name) for name in (b"x1", b"x2", b"x3"))
         path, reply_path, j, j_back = {
-            "tlu-mid": ((own(b"x1"), (P_H, None), own(b"x2")),
-                        (own(b"x3"), (P_S, None)), 2, None),
-            "tlu-exit": ((own(b"x1"), own(b"x2"), (P_H, None)),
-                         (own(b"x3"), (P_S, None)), 3, None),
-            "slu-exit": ((own(b"x1"), (P_H, None)),
-                         (own(b"x3"), (P_S, None)), None, 0),
-            "slu-reply": ((own(b"x1"), own(b"x2")),
-                          ((P_H, None), own(b"x3"), (P_S, None)), None, 1),
+            "tlu-mid": ((x1, (P_H, None), x2), (x3, (P_S, None)), 2, None),
+            "tlu-exit": ((x1, x2, (P_H, None)), (x3, (P_S, None)), 3, None),
+            "slu-exit": ((x1, (P_H, None)), (x3, (P_S, None)), None, 0),
+            "slu-reply": ((x1, x2), ((P_H, None), x3, (P_S, None)), None, 1),
         }[self.variant]
         return Submission(message=b"walk", receiver=b"svc", path=path,
                           reply_path=reply_path, j=j, j_back=j_back)
-
-    def _peel(self, onion, labels):
-        for label in labels:
-            result = proc_onion(self.k[label].sk, onion, label, self.params, InMemoryView())
-            if result.kind != "forward":
-                return None
-            onion = result.next_onion
-        return onion
 
     def _note(self, out):
         def summary(part):
@@ -246,9 +231,9 @@ class OracleWalkAdversary(_BaseAdversary):
             "slu-exit": [b"x1"], "slu-reply": [b"x1"]}
 
     def guess(self):
-        onion = self._peel(self.challenge, self.PEEL[self.variant])
+        onion = self.walk(self.challenge, self.PEEL[self.variant])
         if onion is not None and self.variant == "slu-reply":
-            formed = form_reply(b"walk-back", onion, b"x2", self.k[b"x2"].sk, self.params)
+            formed = self.exit_reply(onion, b"x2", b"walk-back")
             onion = formed[0] if formed else None
         if onion is None:
             return self.coin()
@@ -259,7 +244,7 @@ class OracleWalkAdversary(_BaseAdversary):
         if self.variant != "tlu-mid":
             # A reply onion, or a forwarded reply layer, reaches P_S via x3.
             onward = back[1] if back else first[2] if first and first[0] == "forward" else None
-            at_s = onward and self._peel(onward, [b"x3"])
+            at_s = onward and self.walk(onward, [b"x3"])
             if at_s is not None:
                 self._note(self.oracles.proc(P_S, at_s))
         return self.coin()
