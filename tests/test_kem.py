@@ -1,9 +1,9 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
-from scipy.stats import binomtest
 
 import rsor.kem as kem_module
 from rsor.crypto import SeedRng, ro_hb, ro_hsym
@@ -23,6 +23,8 @@ from rsor.kem import (
     kem_keygen,
 )
 from rsor.packet import FormatParams, validate_shape
+
+from binomial import binomial_pvalue
 
 
 def test_toy_kem_values():
@@ -468,7 +470,7 @@ def test_negated_alpha_wins_three_in_four_against_a_range_check(monkeypatch):
     wins = _negated_alpha_wins()
     # Bit 1 is always guessed right, bit 0 whenever sk is even: 3/4.
     assert fair_coin_pvalue(wins, 400) < 1e-9
-    assert binomtest(wins, 400, 0.75).pvalue >= 0.01
+    assert binomial_pvalue(wins, 400, Fraction(3, 4)) >= 0.01
 
 
 # In the signed group p - alpha* names alpha*'s own class, so the attack
