@@ -11,12 +11,12 @@ from rsor import (
     PROD_GROUP,
     SeedRng,
     derive,
-    form_reply,
     proc_onion,
     receiver_addr,
     serialize_onion,
 )
 from rsor.kem import kem_keygen
+from rsor.packet import build_reply_onion
 
 params = FormatParams(group=PROD_GROUP)
 rng = SeedRng(b"round-trip-demo")
@@ -54,7 +54,8 @@ for name in (b"guard", b"middle", b"exit"):
         print("        it also found an embedded reply block (sender unknown)")
 
 print("\n-- the service answers --")
-reply_onion, next_hop = form_reply(b"42", onion, b"exit", keys[b"exit"].sk, params)
+# The exit answers from the reply block its one peel found.
+reply_onion, next_hop = build_reply_onion(result.reply_info, b"42", params)
 print("exit    sealed the answer, sends the pre-built reply header to %s"
       % next_hop.decode())
 

@@ -666,11 +666,11 @@ def form_reply(m_reply: bytes, onion_at_exit: Onion, exit_name: bytes, sk: int, 
     outside any party's replay state, and builds the reply from the
     embedded ReplyInfo with build_reply_onion, whose (onion, first-hop
     name) it returns.  None when the forward onion was non-repliable or
-    malformed.  This is the paper's one-shot FormReply,
-    kept as the tests' reference and for the demos.  Relays and the game
-    challengers keep the ReplyInfo from their single peel and call
-    build_reply_onion instead, and every game adversary answers from its
-    one exit peel through games._BaseAdversary.exit_reply.
+    malformed.  This is the paper's one-shot FormReply, kept only as the
+    tests' reference.  Relays, the game challengers and the demos keep the
+    ReplyInfo from their single peel and call build_reply_onion instead,
+    and every game adversary answers from its one exit peel through
+    games._BaseAdversary.exit_reply.
     """
     result = proc_onion(sk, onion_at_exit, exit_name, params, InMemoryView())
     if result.kind != "exit" or result.reply_info is None:
