@@ -58,10 +58,15 @@ def make_event(actor, kind: str, **fields):
 
 
 def render(event):
-    """Turn a record's values into trace text in place; returns it."""
+    """Turn a record's values into trace text in place; returns it.  Only
+    the values trace_text changes take the call, a third of a trace's."""
     for key, value in event.items():
-        event[key] = trace_text(value)
+        if type(value) in _TEXT_CHANGES:
+            event[key] = trace_text(value)
     return event
+
+
+_TEXT_CHANGES = frozenset((bytes, list, tuple))
 
 
 def trace_text(value):
