@@ -1,4 +1,15 @@
-"""Repliable service onion routing: packet format, runtime, games, simulator."""
+"""Repliable service onion routing: packet format, runtime, games, simulator.
+
+Every record type is a collections.namedtuple subclass: one is built
+without a setattr per field, many are built per hop, and importing the
+package loads no dataclasses module.  A record whose values are worked out
+on first read (GroupParams, FormatParams, Derived) keeps them in its
+__dict__ through cached_property; every other record sets __slots__ = ().
+A named tuple compares equal to a plain tuple of its values, so code that
+takes records from an adversary checks their exact types
+(games._well_formed).  The party states (node.RelayState and friends) are
+mutable, and so are slotted classes.
+"""
 
 from .group import GroupParams, PROD_GROUP, SQR_GROUP, TOY_GROUP
 from .crypto import SeedRng, mac, prg, prg_xor, prp_dec, prp_enc, ro_hb, ro_hsym, xor_bytes

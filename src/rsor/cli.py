@@ -1,7 +1,6 @@
 """Command-line front end: rsor-sim run | attack | game."""
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -54,7 +53,7 @@ def _cmd_run(args):
             return 2
         scenario = sim.SCENARIOS[args.scenario]()
     if args.seed is not None:
-        scenario = dataclasses.replace(scenario, seed=args.seed)
+        scenario = scenario._replace(seed=args.seed)
     trace = sim.run_scenario(scenario)
     if args.out:
         sim.write_trace(args.out, trace)

@@ -8,8 +8,8 @@ challenge layers), and guess the hidden bit.  These are positive/negative
 controls at desk scale, not proofs.
 """
 
+import collections
 import math
-from dataclasses import dataclass
 
 from .crypto import SeedRng
 from .kem import kem_keygen
@@ -143,17 +143,12 @@ class GameOracles:
 # ---------------------------------------------------------------------------
 # Submission validation
 
-@dataclass(frozen=True)
-class Submission:
+class Submission(collections.namedtuple(
+        "Submission", "message receiver path reply_path j j_back", defaults=(None, None))):
     """Challenge description: message, receiver name, honest positions, and
     both paths as ((name, pk-or-None), ...) with None at challenger slots."""
 
-    message: bytes
-    receiver: bytes
-    path: tuple
-    reply_path: tuple
-    j: int = None
-    j_back: int = None
+    __slots__ = ()
 
 
 def _checked_paths(sub, oracles, honest_slots):

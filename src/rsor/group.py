@@ -71,8 +71,8 @@ Code outside this module uses a group only through ``q``, ``elem_len``,
 belong to this modp class.
 """
 
+import collections
 import ctypes
-from dataclasses import dataclass
 from functools import cached_property
 
 
@@ -126,21 +126,29 @@ class GroupDecodeError(ValueError):
     """Raised when a byte string is not a valid encoding of a group element."""
 
 
-@dataclass(frozen=True)
-class GroupParams:
+class GroupParams(collections.namedtuple("GroupParams", "name p q g elem_len signed",
+                                         defaults=(False,))):
     """A prime-order subgroup of Z_p^* with generator g and fixed encoding
-    width; with signed set, its image under v -> min(v, p - v)."""
+    width; with signed set, its image under v -> min(v, p - v).
 
-    name: str
-    p: int          # modulus of the ambient field
-    q: int          # prime order of the subgroup
-    g: int          # generator of the order-q subgroup
-    elem_len: int   # wire width of an encoded element, in bytes
-    signed: bool = False  # elements are the signed residues [1, q]
+    name labels the group; p is the modulus of the ambient field, q the
+    prime order of the subgroup and g its generator; elem_len is the wire
+    width of an encoded element, in bytes; signed makes the elements the
+    signed residues [1, q].  The cached tables live in the instance's
+    __dict__, outside the fields, so equality, hashing and _replace see
+    the fields alone."""
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        # A ValueError, not an assert: python -O strips asserts.
         if self.p != 2 * self.q + 1:
             raise ValueError("p must be the safe prime 2q + 1 (is_element relies on it)")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls, skips __new__.
+        return cls(*iterable)
 
     @cached_property
     def _bn(self):

@@ -13,28 +13,24 @@ node.make_event records of the bytes handed in, as in the real world,
 appended to adv_events (visible to S) and env_events (visible to Z).
 """
 
-from dataclasses import dataclass
+import collections
 
 from .kem import MAX_HOPS
 from .node import make_event
 
 
-@dataclass(frozen=True)
-class AbstractOnion:
+class AbstractOnion(collections.namedtuple(
+        "AbstractOnion", "sid sender receiver message path reply_path direction")):
     """One onion as the ideal world sees it; its position travels beside it.
 
     For replies, sender is the exit relay that created the reply onion,
     receiver is the original sender awaiting it, path is the reply path,
-    and reply_path is empty.
+    and reply_path is empty.  path holds relay names, positions 1..n
+    (position 0 is the sender); direction is "f" forward or "b" backward
+    (reply).
     """
 
-    sid: str
-    sender: bytes
-    receiver: bytes
-    message: bytes
-    path: tuple       # relay names, positions 1..n; position 0 is sender
-    reply_path: tuple
-    direction: str    # "f" forward, "b" backward (reply)
+    __slots__ = ()
 
     def hop(self, i):
         """Party at position i: the origin for 0, else path[i-1]."""

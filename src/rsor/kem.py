@@ -37,8 +37,7 @@ KNOWN_KEYS_CAP = 1024  # public keys the membership memo holds, over all groups
 
 
 class KemKeyPair(collections.namedtuple("KemKeyPair", "sk pk")):
-    """A private key sk and its public key pk = g^sk.  A named tuple, as
-    LayerSecrets is: one is built per party of every scenario run."""
+    """A private key sk and its public key pk = g^sk."""
 
     __slots__ = ()
 
@@ -47,9 +46,7 @@ class LayerSecrets(collections.namedtuple("LayerSecrets", "alpha b k_rho k_mu k_
     """One hop's KEM output: its alpha, its blinding factor b and the three
     keys h_*(s) splits into.  The shared secret s itself is not kept: no
     reader needs it, so a layer can also be built from what the KEM game
-    hands out, LayerSecrets(alpha, b, k_rho, k_mu, k_pi).  A named tuple,
-    not a frozen dataclass: one is built per relay hop and per chain layer,
-    and a tuple is built without a setattr per field."""
+    hands out, LayerSecrets(alpha, b, k_rho, k_mu, k_pi)."""
 
     __slots__ = ()
 

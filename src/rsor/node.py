@@ -18,7 +18,6 @@ view, buffers and inbox start empty and cannot be passed in.
 """
 
 import collections
-from dataclasses import dataclass, field
 
 from .kem import KemKeyPair
 from .packet import (
@@ -34,8 +33,6 @@ from .packet import (
 REPLY_BUFFER_CAP = 64  # rids one relay keeps for receivers yet to answer
 
 
-# A relay's actions are named tuples, not frozen dataclasses: one is built
-# per hop, and a tuple is built without a setattr per field.
 class SendOnion(collections.namedtuple("SendOnion", "next_hop onion")):
     __slots__ = ()
 
@@ -80,27 +77,35 @@ def trace_text(value):
     return value
 
 
-@dataclass
 class RelayState:
-    name: bytes
-    keypair: KemKeyPair
-    view: InMemoryView = field(default_factory=InMemoryView, init=False)
-    outgoing_buffer: dict = field(default_factory=dict, init=False)  # tid -> ProcResult
-    reply_buffer: dict = field(default_factory=dict, init=False)     # rid -> ReplyInfo, oldest first
+    """view: replay cache; outgoing_buffer: tid -> ProcResult; reply_buffer:
+    rid -> ReplyInfo, oldest first."""
+
+    __slots__ = ("name", "keypair", "view", "outgoing_buffer", "reply_buffer")
+
+    def __init__(self, name: bytes, keypair: KemKeyPair):
+        self.name, self.keypair = name, keypair
+        self.view, self.outgoing_buffer, self.reply_buffer = InMemoryView(), {}, {}
 
 
-@dataclass
 class SenderState:
-    name: bytes
-    keypair: KemKeyPair
-    view: InMemoryView = field(default_factory=InMemoryView, init=False)  # replay cache, ReplyOpenings
-    replies: list = field(default_factory=list, init=False)  # received reply messages
+    """view: replay cache and ReplyOpenings; replies: the reply messages
+    received."""
+
+    __slots__ = ("name", "keypair", "view", "replies")
+
+    def __init__(self, name: bytes, keypair: KemKeyPair):
+        self.name, self.keypair = name, keypair
+        self.view, self.replies = InMemoryView(), []
 
 
-@dataclass
 class ReceiverState:
-    name: bytes
-    inbox: list = field(default_factory=list, init=False)  # (message, rid or None, from-relay)
+    """inbox: (message, rid or None, from-relay) per delivery."""
+
+    __slots__ = ("name", "inbox")
+
+    def __init__(self, name: bytes):
+        self.name, self.inbox = name, []
 
 
 # ---------------------------------------------------------------------------

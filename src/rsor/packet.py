@@ -10,11 +10,10 @@ learning who asked.
 
 import collections
 import hashlib
-from dataclasses import dataclass
 from functools import cached_property
 
 from .crypto import KAPPA, SeedRng, mac, prg, prg_xor, prp_dec, prp_enc, xor_bytes
-from .group import GroupDecodeError, GroupParams
+from .group import GroupDecodeError
 from .kem import MAX_HOPS, is_public_key, kem_blind, kem_chain_create, kem_decap
 
 # Address type tags (first byte of every addr_len-wide address field).
@@ -33,8 +32,8 @@ _EXIT_ADDR = bytes([ADDR_EXIT]) + bytes(KAPPA - 1)
 _PEEL_PAD = bytes(2 * KAPPA)
 
 
-@dataclass(frozen=True)
-class FormatParams:
+class FormatParams(collections.namedtuple("FormatParams", "group payload_len legacy_zero_filler",
+                                          defaults=(355, False))):
     """All width constants of the packet format.
 
     kappa (crypto.KAPPA) and max_hops (kem.MAX_HOPS) are format constants,
@@ -44,21 +43,24 @@ class FormatParams:
     selects the broken variant whose final-layer header filler is all-zero
     bytes instead of random ones.  Each width is computed on first read and
     kept in the instance's __dict__, outside the fields, so equality, hashing
-    and dataclasses.replace see the fields alone.
+    and _replace see the fields alone.
     """
-
-    group: GroupParams
-    payload_len: int = 355
-    legacy_zero_filler: bool = False
 
     kappa = KAPPA
     max_hops = MAX_HOPS
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # A ValueError, not an assert: python -O strips asserts, and an
         # undersized payload_len would then fail every hop with bad-width.
         if self.payload_len < self.min_payload_len:
             raise ValueError("payload_len must be at least %d" % self.min_payload_len)
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls, skips __new__.
+        return cls(*iterable)
 
     @cached_property
     def addr_len(self):
@@ -101,40 +103,28 @@ class FormatParams:
         return self.header_len + self.payload_len
 
 
-@dataclass(frozen=True)
-class Header:
-    alpha: int
-    beta: bytes
-    gamma: bytes
+class Header(collections.namedtuple("Header", "alpha beta gamma")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Onion:
-    header: Header
-    delta: bytes
+class Onion(collections.namedtuple("Onion", "header delta")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ReplyInfo:
+class ReplyInfo(collections.namedtuple("ReplyInfo", "first_hop eta0 k_tilde")):
     """What an exit relay needs to answer: where to send the pre-built reply
     header and the key sealing the reply payload."""
 
-    first_hop: bytes
-    eta0: Header
-    k_tilde: bytes
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class OnionSpec:
+class OnionSpec(collections.namedtuple("OnionSpec", "seed message receiver path reply_path",
+                                       defaults=((),))):
     """Everything that determines one onion: seed, message, receiver, and the
     two paths as ((name, pubkey), ...) tuples.  An empty reply path means the
     onion is not repliable."""
 
-    seed: bytes
-    message: bytes
-    receiver: bytes
-    path: tuple
-    reply_path: tuple = ()
+    __slots__ = ()
 
 
 class ProcResult(collections.namedtuple(
@@ -144,9 +134,7 @@ class ProcResult(collections.namedtuple(
 
     kind is one of "forward", "exit", "reply", "fail"; every other field
     defaults to None.  Callers other than tests must treat every "fail"
-    identically; reason is diagnostic only.  A named tuple, not a frozen
-    dataclass, since one is built per hop: a tuple is built without a
-    setattr per field.
+    identically; reason is diagnostic only.
     """
 
     __slots__ = ()
@@ -364,8 +352,7 @@ def _open_payload(plain: bytes, params):
 # ---------------------------------------------------------------------------
 # Derivation of a complete onion from its spec
 
-@dataclass(frozen=True)
-class ReplyOpening:
+class ReplyOpening(collections.namedtuple("ReplyOpening", "header k_pis k_tilde")):
     """What the creator of a repliable onion keeps to open the reply: the
     header the reply arrives with, which the sender's view files it under
     and recognizes the reply by, the PRP keys of the reply relays before
@@ -373,13 +360,11 @@ class ReplyOpening:
     reply payload.  It holds no seed, so it regenerates nothing else of the
     onion."""
 
-    header: Header
-    k_pis: tuple
-    k_tilde: bytes
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Derived:
+class Derived(collections.namedtuple(
+        "Derived", "fwd_onions fwd_chain reply_info opening reply_headers message params")):
     """Every layer of one onion, derived once from its spec.
 
     fwd_onions holds layers 1..n of the forward trip.  Layers n+1..n+nr are
@@ -389,14 +374,6 @@ class Derived:
     reply_info and opening are None, and reply_headers is empty, when the
     onion is not repliable.
     """
-
-    fwd_onions: tuple
-    fwd_chain: tuple
-    reply_info: ReplyInfo
-    opening: ReplyOpening
-    reply_headers: tuple
-    message: bytes
-    params: FormatParams
 
     @cached_property
     def onions(self) -> tuple:

@@ -12,8 +12,8 @@ and the correctness game alike.  Also houses the three reproduced attacks
 zero-padding path-length leak).
 """
 
+import collections
 import json
-from dataclasses import dataclass
 
 from .crypto import SeedRng
 from .group import SQR_GROUP
@@ -54,40 +54,29 @@ from .packet import (
 # ---------------------------------------------------------------------------
 # Scenario description
 
-@dataclass(frozen=True)
-class WorkItem:
-    """One sender action: an onion to a receiver, optionally answered."""
+class WorkItem(collections.namedtuple(
+        "WorkItem", "sender path receiver message reply_path reply_message",
+        defaults=((), None))):
+    """One sender action: an onion to a receiver, optionally answered.  path
+    and reply_path are relay names; the reply path's last entry is the
+    sender."""
 
-    sender: bytes
-    path: tuple           # relay names
-    receiver: bytes
-    message: bytes
-    reply_path: tuple = ()  # relay names, last entry = sender
-    reply_message: bytes = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(collections.namedtuple("Rule", "action item hop")):
     """Adversary script entry addressing an onion by observable coordinates:
     the workload index and the 1-based arrival hop (reply hops continue the
     numbering after the forward trip; a corrupted relay's hop counts in both
-    worlds)."""
+    worlds).  action is "drop" or "tag"."""
 
-    action: str  # "drop" or "tag"
-    item: int
-    hop: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Scenario:
-    name: str
-    relays: tuple
-    senders: tuple
-    receivers: tuple
-    workload: tuple
-    corrupted: tuple = ()
-    adversary: tuple = ()
-    seed: int = 0
+class Scenario(collections.namedtuple(
+        "Scenario", "name relays senders receivers workload corrupted adversary seed",
+        defaults=((), (), 0))):
+    __slots__ = ()
 
 
 def _seed_bytes(seed) -> bytes:

@@ -149,7 +149,7 @@ def test_criterion_6_zero_padding_leak():
 
 def _reply_scenario(rule):
     base = baseline_scenario(seed=70)
-    return Scenario(**{**base.__dict__, "adversary": (rule,)})
+    return base._replace(adversary=(rule,))
 
 
 def test_criterion_7_tag_asymmetry():

@@ -3,7 +3,6 @@ opening, relays and the sender's reply branch never re-derive, and the game
 challengers derive each spec at most once, in the world that uses it."""
 
 import collections
-import dataclasses
 
 import pytest
 
@@ -85,7 +84,7 @@ def test_sender_keeps_a_reply_opening_and_no_spec():
     opening = sender.view.lookup_reply(d.opening.header)
     assert isinstance(opening, ReplyOpening)
     assert opening == d.opening
-    assert [f.name for f in dataclasses.fields(opening)] == ["header", "k_pis", "k_tilde"]
+    assert list(opening._fields) == ["header", "k_pis", "k_tilde"]
     # The sender's own reply hop applies no PRP layer, so only the relays'
     # keys before it are kept.
     assert len(opening.k_pis) == len(spec.reply_path) - 1

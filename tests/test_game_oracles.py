@@ -4,8 +4,6 @@ answers the TLU challenger once gave only when b = 1, the oracles'
 handling of a payload of the wrong width, and the one exact check of
 adversary input each oracle makes before either world looks at it."""
 
-import dataclasses
-
 import pytest
 
 from rsor.crypto import SeedRng
@@ -86,7 +84,7 @@ class _SluExitProbe(_ExitProbe):
     """The same probe in SLU with j_back = 0, so the honest relay is real's exit."""
 
     def submit(self):
-        return dataclasses.replace(super().submit(), j_back=0)
+        return super().submit()._replace(j_back=0)
 
 
 @pytest.mark.parametrize("game, probe_cls", [(game_tlu_forward, _ExitProbe),
@@ -112,7 +110,7 @@ def test_wrong_payload_width_is_refused_not_raised():
     spec = OnionSpec(seed=b"width", message=b"m", receiver=receiver_addr(b"svc", PARAMS),
                      path=((b"r0", keys[b"r0"].pk),))
     onion = form_onion(1, spec, PARAMS)
-    short = dataclasses.replace(onion, delta=onion.delta[:-1])
+    short = onion._replace(delta=onion.delta[:-1])
     oracles = GameOracles(PARAMS, keys)
     assert oracles.proc(b"r0", short) is None
     assert oracles.reply(b"r0", short, b"answer") is None
@@ -136,7 +134,7 @@ class _MidProbe(_ExitProbe):
 
     def submit(self):
         sub = super().submit()
-        return dataclasses.replace(sub, path=sub.path + (self.relay(b"x2"),))
+        return sub._replace(path=sub.path + (self.relay(b"x2"),))
 
 
 def _both_worlds(game, probe_cls, probe, seed):
@@ -209,7 +207,7 @@ class _InexactEntry(GuessingAdversary):
         path = list(sub.path)
         idx, path_entry = self.entry(path, self.keypair(b"own").pk)
         path[idx] = path_entry
-        return dataclasses.replace(sub, path=tuple(path))
+        return sub._replace(path=tuple(path))
 
 
 @pytest.mark.parametrize("entry", [

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -160,8 +159,8 @@ class _NamedBeforeHonestHop(GuessingAdversary):
     def submit(self):
         sub = super().submit()
         if len(self.parties) == 3:  # STI: move its honest hop from j = 1 to j = 2
-            sub = dataclasses.replace(sub, j=2, path=(self.relay(b"x0"),) + sub.path)
-        return dataclasses.replace(sub, path=((self.name, sub.path[0][1]),) + sub.path[1:])
+            sub = sub._replace(j=2, path=(self.relay(b"x0"),) + sub.path)
+        return sub._replace(path=((self.name, sub.path[0][1]),) + sub.path[1:])
 
 
 @pytest.mark.parametrize("game", [game_tlu_forward, game_slu_backward, game_sti_tail])
@@ -181,7 +180,7 @@ class _UnsetPosition(GuessingAdversary):
         self.field = field
 
     def submit(self):
-        return dataclasses.replace(super().submit(), **{self.field: None})
+        return super().submit()._replace(**{self.field: None})
 
 
 @pytest.mark.parametrize("game, field", [
@@ -204,7 +203,7 @@ class _MessageOfType(GuessingAdversary):
         self.message = message
 
     def submit(self):
-        return dataclasses.replace(super().submit(), message=self.message)
+        return super().submit()._replace(message=self.message)
 
 
 @pytest.mark.parametrize("game", [game_tlu_forward, game_sti_tail])
@@ -374,7 +373,7 @@ class NegatedAlphaAdversary(GuessingAdversary):
         if peeled.kind != "forward":
             return self.coin()
         header = peeled.next_onion.header
-        negated = dataclasses.replace(header, alpha=params.group.p - header.alpha)
+        negated = header._replace(alpha=params.group.p - header.alpha)
         out = self.oracles.proc(P_H, Onion(negated, peeled.next_onion.delta))
         if out is None:
             return self.coin()

@@ -11,7 +11,6 @@ Regenerate (only when a format change is intended) with
     PYTHONPATH=src python tests/test_golden.py --write
 """
 
-import dataclasses
 import hashlib
 import json
 import sys
@@ -111,7 +110,7 @@ def ideal_trace_records():
         runs += [((exit_relay,), (Rule(action, 0, 1),)) for action in ("tag", "drop")]
         for corrupted, rules in runs:
             env, adv = run_ideal_scenario(
-                dataclasses.replace(scenario, corrupted=corrupted, adversary=rules))
+                scenario._replace(corrupted=corrupted, adversary=rules))
             records.append([scenario.name, [name.decode() for name in corrupted],
                             [[r.action, r.item, r.hop] for r in rules], env, adv])
     return records

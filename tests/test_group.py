@@ -1,7 +1,7 @@
 import pytest
 
 from rsor.crypto import SeedRng
-from rsor.group import GroupDecodeError, PROD_GROUP, TOY_GROUP
+from rsor.group import GroupDecodeError, GroupParams, PROD_GROUP, SQR_GROUP, TOY_GROUP
 
 
 def test_toy_group_membership():
@@ -47,6 +47,19 @@ def test_prod_group_structure():
     assert PROD_GROUP.p == 2 * PROD_GROUP.q + 1
     assert pow(PROD_GROUP.g, PROD_GROUP.q, PROD_GROUP.p) == 1
     assert PROD_GROUP.is_element(PROD_GROUP.g)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: GroupParams(name="not-safe", p=23, q=5, g=2, elem_len=1),
+    # namedtuple's own _make and _replace skip __new__, so these need the
+    # _make that GroupParams routes through its constructor.
+    lambda: GroupParams._make(("not-safe", 23, 5, 2, 1)),
+    lambda: SQR_GROUP._replace(p=SQR_GROUP.p + 2),
+], ids=["new", "make", "replace"])
+def test_group_that_is_not_a_safe_prime_is_refused(build):
+    # A ValueError, not an assert, so python -O refuses it too.
+    with pytest.raises(ValueError, match="safe prime"):
+        build()
 
 
 def test_random_scalar_range_and_determinism():

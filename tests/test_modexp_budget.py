@@ -4,7 +4,6 @@ LIONESS cost of a round trip, the cipher passes and hashes of a forward hop,
 and the behaviour that must survive them: range errors, replay refusal, rid
 use."""
 
-import dataclasses
 import hashlib
 import os
 import subprocess
@@ -171,7 +170,7 @@ def test_forward_hop_makes_fifteen_sha256_calls(monkeypatch):
 
 def test_sixteen_relay_hops_draw_their_tids_from_one_keystream_chunk(monkeypatch):
     spec, keys = _spec(2, 0)
-    onions = [form_onion(1, dataclasses.replace(spec, seed=b"tid-budget/%d" % i), PARAMS)
+    onions = [form_onion(1, spec._replace(seed=b"tid-budget/%d" % i), PARAMS)
               for i in range(16)]
     relay = RelayState(name=b"r0", keypair=keys[b"r0"])
     rng = SeedRng(b"tid-budget-ids")
@@ -199,7 +198,7 @@ def test_derive_checks_each_hop_key_once(counts):
     rng = SeedRng(b"derive-checks-each-hop-key-once")
     foreign = tuple((name, PROD_GROUP.exp(PROD_GROUP.g, PROD_GROUP.random_scalar(rng.fork(name))))
                     for name, _pk in spec.path[2:])
-    spec = dataclasses.replace(spec, path=spec.path[:2] + foreign)
+    spec = spec._replace(path=spec.path[:2] + foreign)
     for tests in (3, 0):
         counts.update(base=0, exp=0, is_element=0)
         derive(spec, PARAMS)
@@ -280,7 +279,6 @@ def test_base_makes_no_libcrypto_call(monkeypatch):
 def test_off_group_key_and_empty_seed_raise_under_python_O():
     # python -O strips asserts, so the one key check must not be one.
     script = textwrap.dedent("""
-        import dataclasses
         from rsor.crypto import SeedRng
         from rsor.group import PROD_GROUP
         from rsor.kem import kem_keygen
@@ -291,7 +289,7 @@ def test_off_group_key_and_empty_seed_raise_under_python_O():
         pk = kem_keygen(PROD_GROUP, SeedRng(b"k")).pk
         spec = OnionSpec(seed=b"s", message=b"m", receiver=receiver_addr(b"svc", params),
                          path=((b"r0", pk), (b"r1", PROD_GROUP.p - 1)))
-        for bad in (spec, dataclasses.replace(spec, path=spec.path[:1], seed=b"")):
+        for bad in (spec, spec._replace(path=spec.path[:1], seed=b"")):
             try:
                 derive(bad, params)
             except ValueError:
@@ -426,7 +424,7 @@ def test_encode_rejects_out_of_range_values(value):
 def test_out_of_range_alpha_is_not_recognized_or_processed(alpha):
     spec, keys = _spec(2, 1)
     onion = form_onion(1, spec, PARAMS)
-    bad = dataclasses.replace(onion, header=dataclasses.replace(onion.header, alpha=alpha))
+    bad = onion._replace(header=onion.header._replace(alpha=alpha))
     assert not recognize_onion(1, bad, derive(spec, PARAMS))
     oracles = GameOracles(PARAMS, {b"r0": keys[b"r0"]})
     assert oracles.proc(b"r0", bad) is None

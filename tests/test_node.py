@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 
 import pytest
@@ -174,8 +173,8 @@ def test_sender_requires_own_name_on_reply_path():
     relays, sender, receiver, spec, ids = _network(1, 2, b"own")
     import pytest
 
-    broken = dataclasses.replace(
-        spec, reply_path=(spec.reply_path[0],) + ((b"q0", spec.reply_path[0][1]),)
+    broken = spec._replace(
+        reply_path=(spec.reply_path[0],) + ((b"q0", spec.reply_path[0][1]),)
     )
     with pytest.raises(ValueError):
         sender_send(sender, broken, PARAMS)
@@ -229,7 +228,7 @@ def test_exit_keeps_at_most_reply_buffer_cap_rids():
     rids, specs = [], []
     for i in range(3 * REPLY_BUFFER_CAP):
         seed = hashlib.sha256(b"cap%d" % i).digest()
-        specs.append(dataclasses.replace(spec, seed=seed))
+        specs.append(spec._replace(seed=seed))
         _event, action = sender_send(sender, specs[-1], PARAMS)
         assert len(sender.view._expectations) <= REPLY_OPENING_CAP
         event = relay_on_onion(exit_state, action.onion, b"alice", PARAMS, ids)

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from rsor.crypto import SeedRng, prg, xor_bytes
@@ -84,7 +82,7 @@ def test_widths_are_right_after_caching():
     read = {name: getattr(base, name) for name in _formula_widths(355)}
     assert read == _formula_widths(355)
     # A copy of a read instance and a fresh one both compute their own widths.
-    copy = dataclasses.replace(base, payload_len=400)
+    copy = base._replace(payload_len=400)
     fresh = FormatParams(group=PROD_GROUP, payload_len=400)
     for params in (copy, fresh):
         assert {name: getattr(params, name) for name in read} == _formula_widths(400)
@@ -94,6 +92,17 @@ def test_widths_are_right_after_caching():
     assert copy == fresh == unread
     assert hash(copy) == hash(fresh) == hash(unread)
     assert copy != base
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PARAMS._replace(payload_len=10),
+    lambda: FormatParams._make((PROD_GROUP, 10, False)),
+], ids=["replace", "make"])
+def test_replace_and_make_keep_the_payload_len_floor(build):
+    # namedtuple's own _make, which _replace calls, skips __new__; a
+    # ValueError, not an assert, so python -O refuses it too.
+    with pytest.raises(ValueError, match="payload_len"):
+        build()
 
 
 def test_width_invariant_across_path_lengths():
@@ -320,25 +329,25 @@ def test_validate_spec_rejects_bad_inputs():
     spec, keys = _spec(2, 0, seed=b"valid")
     validate_spec(spec, PARAMS)
     with pytest.raises(ValueError):
-        validate_spec(dataclasses.replace(spec, path=()), PARAMS)
+        validate_spec(spec._replace(path=()), PARAMS)
     with pytest.raises(ValueError):
-        validate_spec(dataclasses.replace(spec, receiver=b"short"), PARAMS)
+        validate_spec(spec._replace(receiver=b"short"), PARAMS)
     with pytest.raises(ValueError):
         validate_spec(
-            dataclasses.replace(spec, message=b"x" * (PARAMS.max_msg_len + 1)), PARAMS
+            spec._replace(message=b"x" * (PARAMS.max_msg_len + 1)), PARAMS
         )
     looped = spec.path + (spec.path[0],)
     with pytest.raises(ValueError):
-        validate_spec(dataclasses.replace(spec, path=looped), PARAMS)
+        validate_spec(spec._replace(path=looped), PARAMS)
     bad_pk = ((spec.path[0][0], 0),) + spec.path[1:]
     with pytest.raises(ValueError):
-        validate_spec(dataclasses.replace(spec, path=bad_pk), PARAMS)
+        validate_spec(spec._replace(path=bad_pk), PARAMS)
     # In range for encode, but of order 2: only the membership test sees it.
     off_group = ((spec.path[0][0], PROD_GROUP.p - 1),) + spec.path[1:]
     with pytest.raises(ValueError):
-        validate_spec(dataclasses.replace(spec, path=off_group), PARAMS)
+        validate_spec(spec._replace(path=off_group), PARAMS)
     with pytest.raises(ValueError):
-        validate_spec(dataclasses.replace(spec, seed=b""), PARAMS)
+        validate_spec(spec._replace(seed=b""), PARAMS)
 
 
 def test_serialize_parse_roundtrip():
@@ -355,8 +364,8 @@ def test_wrong_widths_raise_value_error():
     # as the game oracles refuse a malformed onion by catching ValueError.
     onion = form_onion(1, _spec(2, 0, seed=b"widths")[0], PARAMS)
     header = onion.header
-    for bad in (dataclasses.replace(header, beta=header.beta[:-1]),
-                dataclasses.replace(header, gamma=header.gamma + b"\x00")):
+    for bad in (header._replace(beta=header.beta[:-1]),
+                header._replace(gamma=header.gamma + b"\x00")):
         with pytest.raises(ValueError):
             serialize_header(bad, PARAMS)
         with pytest.raises(ValueError):
@@ -428,7 +437,7 @@ def test_proc_rejects_bad_widths_and_elements():
     result = proc_onion(keys[b"r0"].sk, short, b"r0", PARAMS, InMemoryView())
     assert result.kind == "fail" and result.reason == "bad-width"
     bad_alpha = Onion(
-        dataclasses.replace(onion.header, alpha=PROD_GROUP.p - 1), onion.delta
+        onion.header._replace(alpha=PROD_GROUP.p - 1), onion.delta
     )
     result = proc_onion(keys[b"r0"].sk, bad_alpha, b"r0", PARAMS, InMemoryView())
     assert result.kind == "fail" and result.reason == "bad-element"

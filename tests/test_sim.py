@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import os
@@ -86,7 +85,7 @@ def test_secure_links_are_opaque():
 
 def test_adversary_drop_rule_stops_onion():
     scenario = baseline_scenario(seed=7)
-    scenario = Scenario(**{**scenario.__dict__, "adversary": (Rule("drop", 0, 2),)})
+    scenario = scenario._replace(adversary=(Rule("drop", 0, 2),))
     trace = run_scenario(scenario)
     kinds = [e["kind"] for e in trace]
     assert "adv-drop" in kinds
@@ -102,7 +101,7 @@ def test_real_ideal_correspondence_baseline():
 
 def test_real_ideal_correspondence_with_tagging():
     scenario = baseline_scenario(seed=12)
-    scenario = Scenario(**{**scenario.__dict__, "adversary": (Rule("tag", 0, 2),)})
+    scenario = scenario._replace(adversary=(Rule("tag", 0, 2),))
     real = run_scenario(scenario)
     env, _adv = run_ideal_scenario(scenario)
     assert traces_equivalent(real, env)
@@ -118,7 +117,7 @@ def test_real_ideal_correspondence_two_senders():
 
 
 def _with_rules(scenario, *rules):
-    return dataclasses.replace(scenario, adversary=rules)
+    return scenario._replace(adversary=rules)
 
 
 @pytest.mark.parametrize("scenario", [
@@ -184,7 +183,7 @@ def test_both_worlds_deliver_alike_under_corruption_and_single_rules():
                         for action in ("drop", "tag") for hop in range(1, 8)]
         for k in range(3):
             for corrupted, rule in itertools.product(itertools.combinations(parties, k), rules):
-                case = dataclasses.replace(scenario, corrupted=corrupted, adversary=rule)
+                case = scenario._replace(corrupted=corrupted, adversary=rule)
                 env, _adv = run_ideal_scenario(case)
                 assert _deliveries(run_scenario(case)) == _deliveries(env), (corrupted, rule)
 
@@ -365,7 +364,7 @@ def test_both_worlds_refuse_what_parse_config_refuses(item, named):
 def test_both_worlds_refuse_a_declared_name_too_long_for_an_address(declared):
     scenario = baseline_scenario(seed=1)
     names = getattr(scenario, declared) + (LONG.encode(),)
-    scenario = dataclasses.replace(scenario, **{declared: names})
+    scenario = scenario._replace(**{declared: names})
     for run in (run_scenario, run_ideal_scenario):
         with pytest.raises(ValueError, match=LONG):
             run(scenario)
@@ -379,7 +378,7 @@ def test_every_entry_point_refuses_an_undeclared_corrupted_name(corrupted):
     with pytest.raises(ValueError, match=named):
         parse_config("relays = a, b\nsenders = alice\nreceivers = svc\n"
                      "corrupted = %s\nonion = alice | a, b | svc | hi" % corrupted.decode())
-    scenario = dataclasses.replace(baseline_scenario(seed=1), corrupted=(b"b", corrupted))
+    scenario = baseline_scenario(seed=1)._replace(corrupted=(b"b", corrupted))
     for run in (run_scenario, run_ideal_scenario):
         with pytest.raises(ValueError, match=named):
             run(scenario)
