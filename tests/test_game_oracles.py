@@ -105,6 +105,29 @@ def test_reply_answers_only_the_processed_onion_once(game, probe_cls, bit):
     assert first[0] == "reply-onion"
 
 
+@pytest.mark.parametrize("bit", [0, 1])
+def test_plain_tuples_equal_to_awaited_onions_are_none_in_both_worlds(bit):
+    # A named tuple equals a plain tuple of its values, so only the exact
+    # types _well_formed checks keep such a tuple from P_H's reply entry
+    # and from the reply header P_S awaits.
+    def untyped(onion):
+        return tuple(onion), Onion(tuple(onion.header), onion.delta)
+
+    def probe(oracles, onion):
+        assert oracles.proc(P_H, onion)[0] == "exit"
+        refused = [oracles.reply(P_H, fake, b"answer") for fake in untyped(onion)]
+        _kind, reply, first_hop = oracles.reply(P_H, onion, b"answer")
+        at_sender = adversary.peel(first_hop, reply).next_onion
+        refused += [oracles.proc(P_S, fake) for fake in untyped(at_sender)]
+        return refused, oracles.proc(P_S, at_sender)
+
+    adversary = _ExitProbe(SeedRng(b"exit-probe"), probe)
+    game_tlu_forward(adversary, seed=3, force_b=bit)
+    refused, opened = adversary.answer
+    assert refused == [None] * 4
+    assert opened == ("reply", b"answer")
+
+
 def test_wrong_payload_width_is_refused_not_raised():
     keys = {b"r0": kem_keygen(PROD_GROUP, SeedRng(b"r0"))}
     spec = OnionSpec(seed=b"width", message=b"m", receiver=receiver_addr(b"svc", PARAMS),

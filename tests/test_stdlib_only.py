@@ -1,18 +1,28 @@
 """rsor runs on the Python standard library alone: libcrypto is reached
 through CPython's own ``_hashlib``, and no third-party package is imported
-on any path a scenario, a game batch or a keystream takes."""
+on any path a scenario, a game batch or a keystream takes.  Its records are
+named tuples, so those paths load neither ``dataclasses`` nor the
+``inspect`` it imports."""
 
+import json
 import os
 import subprocess
 import sys
 import textwrap
 
+import pytest
 
-def test_rsor_loads_only_standard_library_modules():
+
+@pytest.fixture(scope="module")
+def modules():
+    """(modules loaded before, modules loaded after) ``import rsor``, a
+    baseline scenario, every registered game batch, a correctness game and
+    a keystream, in a fresh interpreter."""
     script = textwrap.dedent("""
+        import json
         import sys
 
-        before = set(sys.modules)
+        before = sorted(sys.modules)
 
         import rsor
         from rsor.games import ADVERSARIES, game_correctness, run_game_batch
@@ -24,8 +34,7 @@ def test_rsor_loads_only_standard_library_modules():
                 run_game_batch(game, adversary, games=2, seed=1)
         assert game_correctness(2, seed=1)["pass"]
         rsor.prg(bytes(16), 16)
-        loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
-        print(" ".join(sorted(loaded - set(sys.stdlib_module_names) - {"rsor"})))
+        print(json.dumps([before, sorted(sys.modules)]))
     """)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -33,4 +42,19 @@ def test_rsor_loads_only_standard_library_modules():
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "", "rsor loaded non-standard modules: " + out.stdout
+    before, after = json.loads(out.stdout)
+    return set(before), set(after)
+
+
+def test_rsor_loads_only_standard_library_modules(modules):
+    before, after = modules
+    loaded = {name.partition(".")[0] for name in after - before}
+    assert loaded - set(sys.stdlib_module_names) - {"rsor"} == set(), \
+        "rsor loaded non-standard modules"
+
+
+def test_rsor_loads_neither_dataclasses_nor_inspect(modules):
+    # Counted from before the import: an interpreter's site hooks may load
+    # inspect themselves.
+    before, after = modules
+    assert {"dataclasses", "inspect"} & (after - before) == set()
