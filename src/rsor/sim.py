@@ -33,6 +33,7 @@ from .node import (
     render,
     sender_on_onion,
     sender_send,
+    trace_text,
 )
 from .packet import (
     FormatParams,
@@ -109,8 +110,8 @@ def default_params(**fields):
 
     With no fields, every call returns the one module-level instance,
     ``FormatParams(group=SQR_GROUP)``, whose cached widths are then
-    computed once per process; FormatParams is frozen, so sharing it is
-    safe.  Any override builds a new instance.
+    computed once per process; a FormatParams's fields cannot change, so
+    sharing it is safe.  Any override builds a new instance.
 
     Of the three groups in ``group``, the signed quadratic residues are the
     default: membership there is a range test, not a Legendre test, and
@@ -435,18 +436,19 @@ def scenario_tagging_linkage(seed, tag=True):
         if e.get("kind") == "adv-observe" and e.get("saw") == "drop"
         and e.get("reason") == "integrity"
     ]
+    # The trace is rendered, so the guess is a relay's trace text.
     if tag:
-        guess = failures[0].encode("ascii") if failures else None
+        guess = failures[0] if failures else None
     else:
-        guess = (b"exit1", b"exit2")[rng.read(1)[0] & 1]
-    truth = exits[0]  # alice's (the tagged sender's) exit
+        guess = trace_text((b"exit1", b"exit2")[rng.read(1)[0] & 1])
+    truth = trace_text(exits[0])  # alice's (the tagged sender's) exit
     delivered = [
         e for e in trace
         if e.get("kind") == "message-received" and e.get("message") == "ping-a"
     ]
     return {
         "linked": guess == truth,
-        "linked_pair": ("alice", guess.decode("ascii") if guess else None),
+        "linked_pair": ("alice", guess),
         "tagged_message_delivered": bool(delivered),
         "trace": trace,
     }
