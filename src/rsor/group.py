@@ -136,7 +136,7 @@ class GroupParams(collections.namedtuple("GroupParams", "name p q g elem_len sig
     width of an encoded element, in bytes; signed makes the elements the
     signed residues [1, q].  The cached tables live in the instance's
     __dict__, outside the fields, so equality, hashing and _replace see
-    the fields alone."""
+    the fields alone; no attribute can be set."""
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -149,6 +149,11 @@ class GroupParams(collections.namedtuple("GroupParams", "name p q g elem_len sig
     def _make(cls, iterable):
         # namedtuple's own _make, which _replace calls, skips __new__.
         return cls(*iterable)
+
+    def __setattr__(self, name, value):
+        # cached_property writes the instance's __dict__ directly; any other
+        # write would reach every holder of a shared instance.
+        raise AttributeError("%s is immutable" % type(self).__name__)
 
     @cached_property
     def _bn(self):

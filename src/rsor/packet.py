@@ -43,7 +43,7 @@ class FormatParams(collections.namedtuple("FormatParams", "group payload_len leg
     selects the broken variant whose final-layer header filler is all-zero
     bytes instead of random ones.  Each width is computed on first read and
     kept in the instance's __dict__, outside the fields, so equality, hashing
-    and _replace see the fields alone.
+    and _replace see the fields alone; no attribute can be set.
     """
 
     kappa = KAPPA
@@ -61,6 +61,11 @@ class FormatParams(collections.namedtuple("FormatParams", "group payload_len leg
     def _make(cls, iterable):
         # namedtuple's own _make, which _replace calls, skips __new__.
         return cls(*iterable)
+
+    def __setattr__(self, name, value):
+        # cached_property writes the instance's __dict__ directly; any other
+        # write would reach every holder of a shared instance.
+        raise AttributeError("%s is immutable" % type(self).__name__)
 
     @cached_property
     def addr_len(self):

@@ -105,6 +105,18 @@ def test_replace_and_make_keep_the_payload_len_floor(build):
         build()
 
 
+@pytest.mark.parametrize("record, name", [
+    (PARAMS, "payload_len"), (PARAMS, "beta_len"), (PARAMS, "extra"),
+    (PROD_GROUP, "p"), (PROD_GROUP, "_g_table"), (PROD_GROUP, "extra"),
+])
+def test_params_refuse_attribute_writes(record, name):
+    # Module-level instances are shared, so a write would reach every caller.
+    before = getattr(record, name, None)
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(record, name, 1)
+    assert getattr(record, name, None) == before
+
+
 def test_width_invariant_across_path_lengths():
     widths = set()
     for n in range(1, 6):
