@@ -37,15 +37,19 @@ A public key is tested once per process: spec validation goes through
 a key made as g^sk or tested before costs no membership test; every alpha
 is still tested.
 
-``base`` raises the one fixed generator to a power from a fixed-base table
-(Brickell, Gordon, McCurley and Wilson, EUROCRYPT 1992): row i holds
+``base`` raises the one fixed generator to a power.  A group's first
+``TABLE_AFTER - 1`` calls take the libcrypto modexp ``exp`` uses; call
+``TABLE_AFTER`` builds a fixed-base table (Brickell, Gordon, McCurley and
+Wilson, EUROCRYPT 1992), which every later call reads: row i holds
 g^(d * 256^i) for every byte value d, one row per byte of q, so g^e is the
 product of one entry per nonzero byte of e mod q, at most 33 Python modular
 multiplications for ``PROD_GROUP`` and ``SQR_GROUP`` (the signed group
-takes min(r, p - r) once, after the product).  Each group builds its table
-on first use and keeps it until the process ends: for a 258-bit group, 33
-rows of 256 ints, about 0.57 MB, built in 6.5-7 ms (Python 3.11 on a 2-core
-Xeon).
+takes min(r, p - r) once, after the product).  The group keeps the table
+until the process ends: for a 258-bit group, 33 rows of 256 ints, about
+0.57 MB, built by 8448 multiplications in about 3.4 ms.  A table call saves
+about 7.3 us against the modexp, so the table pays back after about 470
+calls (Python 3.11 on a 2-core Xeon), and ``TABLE_AFTER`` is that count.
+A process that makes fewer calls never builds the table.
 
 The other kernels run in libcrypto's BIGNUM code, reached through the
 handle of the extension module CPython's ``hashlib`` already loads
@@ -122,6 +126,15 @@ def _ok(result, call):
     return result
 
 
+# The base call that builds a group's fixed-base table: the break-even.  For
+# a 258-bit group, building it takes 8448 modular multiplications (256 per
+# row, 33 rows), about 3.4 ms; a table call with a full-width exponent then
+# costs about 13.4 us against about 20.7 us for the modexp, so the table
+# pays for itself after 3.4 ms / 7.3 us, about 470 calls (medians, Python
+# 3.11 on a 2-core Xeon).
+TABLE_AFTER = 470
+
+
 class GroupDecodeError(ValueError):
     """Raised when a byte string is not a valid encoding of a group element."""
 
@@ -134,9 +147,9 @@ class GroupParams(collections.namedtuple("GroupParams", "name p q g elem_len sig
     name labels the group; p is the modulus of the ambient field, q the
     prime order of the subgroup and g its generator; elem_len is the wire
     width of an encoded element, in bytes; signed makes the elements the
-    signed residues [1, q].  The cached tables live in the instance's
-    __dict__, outside the fields, so equality, hashing and _replace see
-    the fields alone; no attribute can be set."""
+    signed residues [1, q].  The cached tables and base's call count live
+    in the instance's __dict__, outside the fields, so equality, hashing
+    and _replace see the fields alone; no attribute can be set."""
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -190,6 +203,10 @@ class GroupParams(collections.namedtuple("GroupParams", "name p q g elem_len sig
         # min(v, p - v) with one comparison, since p = 2q + 1.
         return p - v if self.signed and v > q else v
 
+    # The same kernel for base, under a name that wrappers of exp (a call
+    # counter, a tracer) leave alone.
+    _modexp = exp
+
     @cached_property
     def _g_table(self):
         """The fixed-base table: row i holds g**(d * 256**i) mod p at index
@@ -204,10 +221,18 @@ class GroupParams(collections.namedtuple("GroupParams", "name p q g elem_len sig
         return tuple(rows)
 
     def base(self, e: int) -> int:
-        """g**(e mod q), the same value as exp(g, e): one table entry per
-        nonzero byte of e mod q, multiplied mod p, then signed when the
-        group is."""
-        table, p, q, r = self._g_table, self.p, self.q, 1
+        """g**(e mod q), the same value as exp(g, e): by the modexp for a
+        group's first TABLE_AFTER - 1 calls, counted in _base_calls; from
+        then on one table entry per nonzero byte of e mod q, multiplied mod
+        p, then signed when the group is."""
+        state = self.__dict__
+        table = state.get("_g_table")
+        if table is None:
+            calls = state["_base_calls"] = state.get("_base_calls", 0) + 1
+            if calls < TABLE_AFTER:
+                return self._modexp(self.g, e)
+            table = self._g_table
+        p, q, r = self.p, self.q, 1
         for row, d in zip(table, (e % q).to_bytes(len(table), "little")):
             if d:
                 r = r * row[d] % p

@@ -6,8 +6,9 @@ b_i = h_b(alpha_i, s_i).  Relays recover the same secrets from (alpha, sk)
 alone, so the chain can be computed hop by hop without the sender's state.
 
 Powers of the fixed generator (public keys, each alpha_i) come from
-``GroupParams.base``, at most 33 multiplications from the group's fixed-base
-table, and powers of other elements (s_i, blinding, decapsulation) from
+``GroupParams.base`` (a modexp until the group has served enough calls to
+earn back its fixed-base table, then at most 33 multiplications from that
+table), and powers of other elements (s_i, blinding, decapsulation) from
 ``GroupParams.exp``, one libcrypto modexp.  Each layer's blinding factor
 and keys come from one ``crypto.ro_layer`` call, which encodes alpha and
 s_i once each.

@@ -1,8 +1,9 @@
 """The group kernels against plain Python references computed in each test:
-``exp`` (a libcrypto ``BN_mod_exp_mont``) and ``base`` (at most one
-multiplication per byte of the exponent, from a fixed-base table of 33 rows
-of 256 powers of g for ``PROD_GROUP``, about 0.57 MB built once per group in
-about 7 ms) against ``pow(b, e % q, p)``, and the Legendre-symbol membership
+``exp`` (a libcrypto ``BN_mod_exp_mont``) and ``base`` (the same modexp for
+a group's first ``TABLE_AFTER - 1`` calls, then at most one multiplication
+per byte of the exponent, from a fixed-base table of 33 rows of 256 powers
+of g for ``PROD_GROUP``, about 0.57 MB built once per group at call
+``TABLE_AFTER``) against ``pow(b, e % q, p)``, and the Legendre-symbol membership
 test against Euler's criterion ``pow(v, q, p) == 1``.  Neither power kernel
 is constant-time; these tests check values only.  Also how the kernels fail:
 a libcrypto call that reports failure raises, and a handle that cannot be
@@ -19,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import rsor.group as group_module
 from rsor.crypto import SeedRng
-from rsor.group import PROD_GROUP, TOY_GROUP, GroupParams
+from rsor.group import PROD_GROUP, SQR_GROUP, TABLE_AFTER, TOY_GROUP, GroupParams
 
 GROUPS = pytest.mark.parametrize("group", [TOY_GROUP, PROD_GROUP], ids=["toy", "prod"])
 
@@ -81,6 +82,31 @@ def test_base_matches_pow_at_each_rows_top_entry(group):
     # 2**256 is below PROD_GROUP's q, so it reads the top row's entry 1.
     for e in [255 * 256**i for i in range(len(table))] + [2**256]:
         assert group.base(e) == pow(group.g, e % group.q, group.p), e
+
+
+def _reference_base(group, e):
+    r = pow(group.g, e % group.q, group.p)
+    return min(r, group.p - r) if group.signed else r
+
+
+@pytest.mark.parametrize("group", [TOY_GROUP, PROD_GROUP, SQR_GROUP],
+                         ids=["toy", "prod", "sqr"])
+def test_base_matches_pow_before_at_and_after_the_table(monkeypatch, group):
+    fresh = group._replace()  # a new instance: no table and no count yet
+    rng = SeedRng(b"base paths")
+    exponents = list(_edge_exponents(group))
+    exponents += [int.from_bytes(rng.read(40), "big") for _ in range(TABLE_AFTER + 20)]
+    # Before its table, base must not go through the name exp, which the
+    # benchmark tracer and the modexp counters wrap.
+    monkeypatch.setattr(GroupParams, "exp", None)
+    for call, e in enumerate(exponents, 1):
+        assert fresh.base(e) == _reference_base(group, e), (call, e)
+        assert ("_g_table" in vars(fresh)) == (call >= TABLE_AFTER), call
+    assert vars(fresh)["_base_calls"] == TABLE_AFTER
+    assert fresh._g_table == group._g_table
+    # The count and the table sit outside the fields.
+    assert fresh == group and hash(fresh) == hash(group)
+    assert fresh._replace() == group and "_base_calls" not in vars(fresh._replace())
 
 
 def test_prod_table_is_built_once():

@@ -269,11 +269,16 @@ def test_base_makes_no_libcrypto_call(monkeypatch):
 
             return counted
 
+    group = sim.default_params().group
+    group._g_table  # base builds it at call TABLE_AFTER; build it now
     monkeypatch.setattr(group_module, "_LIBCRYPTO", CountsModexps())
     sim.run_scenario(sim.baseline_scenario(0))
     # The 15 exp powers of the budget above; its 12 base powers read the
     # fixed-base table.
     assert len(calls) == 15
+    # Before its table, a group's base is one modexp.
+    group._replace().base(3)
+    assert len(calls) == 16
 
 
 def test_off_group_key_and_empty_seed_raise_under_python_O():

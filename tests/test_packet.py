@@ -108,6 +108,7 @@ def test_replace_and_make_keep_the_payload_len_floor(build):
 @pytest.mark.parametrize("record, name", [
     (PARAMS, "payload_len"), (PARAMS, "beta_len"), (PARAMS, "extra"),
     (PROD_GROUP, "p"), (PROD_GROUP, "_g_table"), (PROD_GROUP, "extra"),
+    (PROD_GROUP, "_base_calls"),
 ])
 def test_params_refuse_attribute_writes(record, name):
     # Module-level instances are shared, so a write would reach every caller.
