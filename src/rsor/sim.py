@@ -13,7 +13,6 @@ zero-padding path-length leak).
 """
 
 import collections
-import json
 
 from .crypto import SeedRng
 from .group import SQR_GROUP
@@ -403,6 +402,9 @@ def traces_equivalent(real_trace, ideal_env_trace) -> bool:
 
 
 def write_trace(path, trace):
+    # Imported here: nothing else in the library needs json.
+    import json
+
     with open(path, "w", encoding="ascii") as fh:
         for event in trace:
             fh.write(json.dumps(event, sort_keys=True) + "\n")
