@@ -56,7 +56,11 @@ def _cmd_run(args):
         scenario = scenario._replace(seed=args.seed)
     trace = sim.run_scenario(scenario)
     if args.out:
-        sim.write_trace(args.out, trace)
+        try:
+            sim.write_trace(args.out, trace)
+        except OSError as exc:
+            print("cannot write trace: %s" % exc, file=sys.stderr)
+            return 2
         print("wrote %d events to %s" % (len(trace), args.out))
     else:
         for event in trace:

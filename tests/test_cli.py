@@ -4,7 +4,7 @@ import pytest
 
 from rsor.cli import main
 
-# Config cases that are no file's contents: the path names nothing, or a directory.
+# Paths that name no file to read or write: under a missing directory, or a directory.
 MISSING, DIRECTORY = object(), object()
 
 
@@ -15,6 +15,16 @@ def test_run_writes_trace(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines
     assert json.loads(lines[0])["time"] == 0
+
+
+@pytest.mark.parametrize("where", [MISSING, DIRECTORY], ids=["missing-dir", "directory"])
+def test_run_refuses_an_unwritable_out_path(tmp_path, capsys, where):
+    out = tmp_path / "no-such-dir" / "trace.jsonl" if where is MISSING else tmp_path
+    assert main(["run", "--scenario", "baseline", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("cannot write trace: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_unknown_scenario(capsys):
