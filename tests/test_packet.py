@@ -1,6 +1,9 @@
+import sys
+
 import pytest
 
-from rsor.crypto import SeedRng, prg, xor_bytes
+from rsor import packet
+from rsor.crypto import KAPPA, SeedRng, prg, xor_bytes
 from rsor.group import PROD_GROUP
 from rsor.kem import kem_keygen
 from rsor.packet import (
@@ -13,6 +16,9 @@ from rsor.packet import (
     Onion,
     OnionSpec,
     ReplyOpening,
+    _holds_tag,
+    _open_payload,
+    _unframe,
     build_padding,
     decode_addr,
     derive,
@@ -28,6 +34,7 @@ from rsor.packet import (
     tag_payload,
     validate_spec,
 )
+from rsor.sim import default_params
 
 
 PARAMS = FormatParams(group=PROD_GROUP)
@@ -294,6 +301,68 @@ def test_replay_cache_remembers_every_tag_across_its_shards():
     assert all(view.check_and_add(h) for h in headers)
     assert not any(view.check_and_add(h) for h in headers)
     assert view.check_and_add(b"header-new")
+
+
+def _buckets(node, depth=0):
+    """(depth, bucket) for every bucket of a replay cache, and its lists."""
+    for child in node:
+        if type(child) is list:
+            yield depth + 1, child
+            yield from _buckets(child, depth + 1)
+        elif child is not None:
+            yield depth, child
+
+
+def test_replay_cache_splits_buckets_and_still_remembers_every_tag(monkeypatch):
+    # Buckets of at most 4 tags: 5,000 headers split buckets several levels deep.
+    monkeypatch.setattr(packet, "REPLAY_SPLIT", 4)
+    headers = [b"header-%d" % i for i in range(5000)]
+    view = InMemoryView()
+    assert all(view.check_and_add(h) for h in headers)
+    leaves = [(depth, b) for depth, b in _buckets(view._seen) if type(b) is bytearray]
+    assert max(depth for depth, _ in leaves) >= 3
+    arrival = {InMemoryView._tag(h): i for i, h in enumerate(headers)}
+    for _, bucket in leaves:
+        assert len(bucket) % KAPPA == 0 and len(bucket) <= 4 * KAPPA
+        order = [arrival[bytes(bucket[at:at + KAPPA])] for at in range(0, len(bucket), KAPPA)]
+        assert order == sorted(order)
+    assert sum(len(b) for _, b in leaves) == len(headers) * KAPPA
+    assert not any(view.check_and_add(h) for h in headers)
+    assert view.check_and_add(b"header-new")
+
+
+def test_a_match_straddling_two_records_is_not_a_stored_tag():
+    first, second = bytes(range(KAPPA)), bytes(range(KAPPA, 2 * KAPPA))
+    straddle = first[KAPPA // 2:] + second[:KAPPA // 2]
+    bucket = bytearray(first + second)
+    assert _holds_tag(bucket, first) and _holds_tag(bucket, second)
+    assert not _holds_tag(bucket, straddle)
+    # Stored after the straddling match too: the search goes on past it.
+    assert _holds_tag(bucket + straddle, straddle)
+
+
+def test_replay_cache_costs_at_most_24_bytes_a_tag():
+    view = InMemoryView()
+    for i in range(10_000):
+        view.check_and_add(b"header-%d" % i)
+    held = sys.getsizeof(view._seen) + sum(sys.getsizeof(b) for _, b in _buckets(view._seen))
+    assert held <= 24 * 10_000
+
+
+def test_zero_prefix_refuses_every_frame_length_the_frame_accepts():
+    """A tagged onion's innermost plaintext is uniformly random, and so is
+    its 2-byte frame length.  The frame alone accepts max_msg_len + 1 of
+    the 65,536 lengths, so without the zero-prefix test about one tagged
+    onion in a thousand would be delivered; with it, none is."""
+    params = default_params()
+    slot = bytes(params.max_msg_len)
+    framed = [n.to_bytes(2, "big") + slot for n in range(1 << 16)]
+    accepted = [f for f in framed if _unframe(f) is not None]
+    assert len(accepted) == params.max_msg_len + 1 == 65
+    fields = bytes(params.addr_len + params.reply_block_len)
+    assert all(_open_payload(bytes(KAPPA) + fields + f, params) for f in accepted)
+    prefix = bytes(KAPPA - 1) + b"\x01"
+    assert not any(_open_payload(prefix + fields + f, params) for f in framed)
 
 
 def test_expected_reply_with_a_bad_width_or_a_replay_keeps_its_opening():
