@@ -54,17 +54,21 @@ def _cmd_run(args):
         scenario = sim.SCENARIOS[args.scenario]()
     if args.seed is not None:
         scenario = scenario._replace(seed=args.seed)
-    trace = sim.run_scenario(scenario)
-    if args.out:
-        try:
-            sim.write_trace(args.out, trace)
-        except OSError as exc:
-            print("cannot write trace: %s" % exc, file=sys.stderr)
-            return 2
-        print("wrote %d events to %s" % (len(trace), args.out))
-    else:
-        for event in trace:
+    if not args.out:
+        for event in sim.run_scenario(scenario):
             print(json.dumps(event, sort_keys=True))
+        return 0
+    # The file is opened before the run, so a path that cannot be written
+    # is refused at once; run_scenario itself does no I/O.
+    try:
+        with open(args.out, "w", encoding="ascii") as out:
+            trace = sim.run_scenario(scenario)
+            for event in trace:
+                out.write(json.dumps(event, sort_keys=True) + "\n")
+    except OSError as exc:
+        print("cannot write trace: %s" % exc, file=sys.stderr)
+        return 2
+    print("wrote %d events to %s" % (len(trace), args.out))
     return 0
 
 

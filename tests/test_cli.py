@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from rsor import sim
 from rsor.cli import main
 
 # Paths that name no file to read or write: under a missing directory, or a directory.
@@ -18,7 +19,9 @@ def test_run_writes_trace(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("where", [MISSING, DIRECTORY], ids=["missing-dir", "directory"])
-def test_run_refuses_an_unwritable_out_path(tmp_path, capsys, where):
+def test_run_refuses_an_unwritable_out_path(tmp_path, capsys, monkeypatch, where):
+    # Refused before the scenario runs, not after.
+    monkeypatch.setattr(sim, "run_scenario", lambda scenario: pytest.fail("scenario ran"))
     out = tmp_path / "no-such-dir" / "trace.jsonl" if where is MISSING else tmp_path
     assert main(["run", "--scenario", "baseline", "--out", str(out)]) == 2
     captured = capsys.readouterr()
