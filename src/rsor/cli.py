@@ -1,7 +1,6 @@
 """Command-line front end: rsor-sim run | attack | game."""
 
 import argparse
-import json
 import sys
 
 from . import sim
@@ -55,16 +54,14 @@ def _cmd_run(args):
     if args.seed is not None:
         scenario = scenario._replace(seed=args.seed)
     if not args.out:
-        for event in sim.run_scenario(scenario):
-            print(json.dumps(event, sort_keys=True))
+        sim.write_trace(sys.stdout, sim.run_scenario(scenario))
         return 0
     # The file is opened before the run, so a path that cannot be written
     # is refused at once; run_scenario itself does no I/O.
     try:
         with open(args.out, "w", encoding="ascii") as out:
             trace = sim.run_scenario(scenario)
-            for event in trace:
-                out.write(json.dumps(event, sort_keys=True) + "\n")
+            sim.write_trace(out, trace)
     except OSError as exc:
         print("cannot write trace: %s" % exc, file=sys.stderr)
         return 2

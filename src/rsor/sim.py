@@ -401,13 +401,14 @@ def traces_equivalent(real_trace, ideal_env_trace) -> bool:
     return normalize_trace(real_trace) == normalize_trace(ideal_env_trace)
 
 
-def write_trace(path, trace):
+def write_trace(out, trace):
+    """Write trace to the text stream out as JSON lines, one event a line
+    with its keys sorted: the form the CLI prints and the golden files hold."""
     # Imported here: nothing else in the library needs json.
     import json
 
-    with open(path, "w", encoding="ascii") as fh:
-        for event in trace:
-            fh.write(json.dumps(event, sort_keys=True) + "\n")
+    for event in trace:
+        out.write(json.dumps(event, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,8 @@ def vector_lines(filler, group=PROD_GROUP):
 
 def trace_lines(path):
     """The JSON-lines trace of the seeded baseline round trip."""
-    write_trace(path, run_scenario(baseline_scenario(seed=5)))
+    with open(path, "w", encoding="ascii") as out:
+        write_trace(out, run_scenario(baseline_scenario(seed=5)))
     return path.read_text(encoding="ascii").splitlines()
 
 
@@ -286,7 +287,8 @@ def test_baseline_trace_matches_golden(tmp_path):
 
 
 def test_adversarial_trace_matches_golden(tmp_path):
-    write_trace(tmp_path / "trace.jsonl", run_scenario(adversarial_scenario()))
+    with open(tmp_path / "trace.jsonl", "w", encoding="ascii") as out:
+        write_trace(out, run_scenario(adversarial_scenario()))
     assert (tmp_path / "trace.jsonl").read_text(encoding="ascii").splitlines() == \
         _read_lines("adversarial_trace_seed5.jsonl")
 
@@ -329,8 +331,10 @@ def _write_all():
             "".join(json.dumps(r) + "\n" for r in game_records(filler)), encoding="ascii")
         (DATA / ("walks_%s_filler.jsonl" % filler)).write_text(
             "".join(json.dumps(r) + "\n" for r in oracle_walk_records(filler)), encoding="ascii")
-    write_trace(DATA / "baseline_trace_seed5.jsonl", run_scenario(baseline_scenario(seed=5)))
-    write_trace(DATA / "adversarial_trace_seed5.jsonl", run_scenario(adversarial_scenario()))
+    for name, scenario in (("baseline", baseline_scenario(seed=5)),
+                           ("adversarial", adversarial_scenario())):
+        with open(DATA / ("%s_trace_seed5.jsonl" % name), "w", encoding="ascii") as out:
+            write_trace(out, run_scenario(scenario))
     (DATA / "ideal_traces.jsonl").write_text(
         "".join(json.dumps(r, sort_keys=True) + "\n" for r in ideal_trace_records()),
         encoding="ascii")

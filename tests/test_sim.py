@@ -199,7 +199,8 @@ def test_normalize_skips_diagnostics():
 def test_write_trace_json_lines(tmp_path):
     trace = run_scenario(baseline_scenario(seed=13))
     path = tmp_path / "trace.jsonl"
-    write_trace(path, trace)
+    with open(path, "w", encoding="ascii") as out:
+        write_trace(out, trace)
     lines = path.read_text().splitlines()
     assert len(lines) == len(trace)
     parsed = [json.loads(line) for line in lines]
