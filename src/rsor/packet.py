@@ -30,7 +30,7 @@ REPLY_OPENING_CAP = 64  # replies one view awaits at a time
 REPLAY_SHARDS = 256
 # The most tags a bucket holds before it splits (4 KB).  Chosen against 128
 # by timing one view at 10^4, 10^5 and 10^6 tags in one process, twice
-# (CPython 3.11.7, 2-core x86-64 sandbox): a check that adds a tag cost
+# (CPython 3.11.7, 2-core x86-64 VM): a check that adds a tag cost
 # 1.21-1.35, 1.37-1.45 and 2.13-2.25 us against 1.29-1.56, 1.57-1.58 and
 # 1.97-2.05 us, a repeated header the same within 0.06 us, at 18.9, 20.3
 # and 21.8 bytes a tag against 20.6, 20.3 and 22.1.  The smallest split
