@@ -547,6 +547,7 @@ class InMemoryView:
         node, slot, depth = self._seen, tag[0], 0
         bucket = node[slot]
         while type(bucket) is list:
+            # Split depth d keys on the d-th 4 bits after the first byte.
             depth += 1
             node, slot = bucket, tag[(depth + 1) >> 1] >> (depth & 1) * 4 & 15
             bucket = node[slot]
