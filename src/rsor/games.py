@@ -204,19 +204,6 @@ def game_correctness(trials, seed, params=None, corrupt_hop=None):
     return {"pass": not failures, "trials": trials, "failures": failures}
 
 
-def check_correctness_pair(n, nr, trials, seed):
-    """Correctness clauses for one fixed (n, n_back) combination."""
-    trials = parse_count(trials)
-    params = default_params()
-    rng = SeedRng(b"correct-pair" + _seed_bytes(seed) + b"%d/%d" % (n, nr))
-    failures = []
-    for trial in range(trials):
-        failures.extend(
-            _correctness_once(rng.fork(b"t%d" % trial), n, nr, params, None)
-        )
-    return {"pass": not failures, "failures": failures}
-
-
 def _correctness_once(rng, n, nr, params, corrupt_hop):
     """One round trip through the real-world network: n forward relays, then
     nr reply hops, the last of which is the sender.  Returns the failed

@@ -25,19 +25,11 @@ ADDR_RECEIVER = 0x04
 REPLY_OPENING_CAP = 64  # replies one view awaits at a time
 # A replay cache packs each 16-byte tag into one of REPLAY_SHARDS bytearray
 # buckets by the tag's first byte, about 20 bytes a tag with the buckets'
-# slack and headers.  A bucket that fills splits into up to 16 by the tag's
-# next 4 bits, at every level alike.
+# slack and headers.  The buckets never split, so a check scans n/256
+# records at n tags: about 40 at the 9,000-10,000 tags a view holds after a
+# 30 s relay benchmark run.  A bound on a view's size is ROADMAP item 6's
+# key epochs, not a deeper index.
 REPLAY_SHARDS = 256
-# The most tags a bucket holds before it splits (4 KB).  Chosen against 128
-# by timing one view at 10^4, 10^5 and 10^6 tags in one process, twice
-# (CPython 3.11.7, 2-core x86-64 VM): a check that adds a tag cost
-# 1.21-1.35, 1.37-1.45 and 2.13-2.25 us against 1.29-1.56, 1.57-1.58 and
-# 1.97-2.05 us, a repeated header the same within 0.06 us, at 18.9, 20.3
-# and 21.8 bytes a tag against 20.6, 20.3 and 22.1.  The smallest split
-# size, 65 tags, is above the 35 a bucket holds on average at 9,000 tags a
-# view (ten views of 9,300 tags split none), so the relays of a 30 s relay
-# benchmark run scan flat buckets.
-REPLAY_SPLIT = 256
 
 # Address fields and MACs are KAPPA bytes wide (FormatParams.addr_len), so
 # the forward trip's exit address and the 2*kappa zeros a relay appends to
@@ -520,12 +512,14 @@ class InMemoryView:
     accepts: the first KAPPA bytes of the header's SHA-256 digest (128
     bits, the format's MAC width).  Tags are packed 16 bytes a record into
     bytearray buckets, REPLAY_SHARDS of them by the tag's first byte, each
-    in arrival order.  A tag is present when the bucket holds it at a
-    record boundary.  A bucket that fills, at REPLAY_SPLIT tags or fewer,
-    becomes a list of up to 16 buckets keyed by the tag's next 4 bits, and
-    so on at each level, so a check scans at most 4 KB at any cache size
-    and a split moves only that one bucket's tags.  The cache costs about
-    20 bytes a tag and has no bound yet.
+    in arrival order.  A tag is present when its bucket holds it at a
+    record boundary, so a check scans n/256 records at n tags.  The
+    buckets do not split: no workload comes near the sizes where a scan
+    costs more, and ROADMAP item 6's key epochs are the planned bound on a
+    view.  Timed on a 2-core x86-64 VM (CPython 3.11.7), a check that adds
+    a tag cost about 1.2 us at 10^4 tags, 1.3 us more at 10^5 and 21 us
+    more at 10^6.  The cache costs about 20 bytes a tag and has no bound
+    yet.
     An expectation is a ReplyOpening filed under the header its reply
     arrives with, until proc_onion opens that reply; a view keeps at most
     REPLY_OPENING_CAP of them and evicts the oldest to make room for a new
@@ -544,26 +538,13 @@ class InMemoryView:
 
     def check_and_add(self, header_bytes: bytes) -> bool:
         tag = self._tag(header_bytes)
-        node, slot, depth = self._seen, tag[0], 0
-        bucket = node[slot]
-        while type(bucket) is list:
-            # Split depth d keys on the d-th 4 bits after the first byte.
-            depth += 1
-            node, slot = bucket, tag[(depth + 1) >> 1] >> (depth & 1) * 4 & 15
-            bucket = node[slot]
+        bucket = self._seen[tag[0]]
         if bucket is None:
-            node[slot] = bytearray(tag)
+            self._seen[tag[0]] = bytearray(tag)
             return True
         if _holds_tag(bucket, tag):
             return False
         bucket += tag
-        # Buckets of one level fill at the same rate, so with one split size
-        # they would all split within a few percent of growth.  Each splits
-        # instead at REPLAY_SPLIT less up to three quarters of it, by the
-        # last byte of its oldest tag, which spreads a level's splits over a
-        # fourfold growth of the cache.
-        if len(bucket) >= (REPLAY_SPLIT - REPLAY_SPLIT * 3 * bucket[KAPPA - 1] // 1024) * KAPPA:
-            node[slot] = _split(bucket, depth + 1)
         return True
 
     def expect_reply(self, opening: ReplyOpening):
@@ -589,19 +570,6 @@ def _holds_tag(bucket: bytearray, tag: bytes) -> bool:
             return True
         at = bucket.find(tag, at + 1)
     return False
-
-
-def _split(bucket: bytearray, depth: int) -> list:
-    """Up to 16 buckets keyed by each tag's nibble at depth, every one in
-    the order bucket held its tags."""
-    children, key_at, shift = [None] * 16, (depth + 1) >> 1, (depth & 1) * 4
-    for at in range(0, len(bucket), KAPPA):
-        slot = bucket[at + key_at] >> shift & 15
-        if children[slot] is None:
-            children[slot] = bucket[at:at + KAPPA]
-        else:
-            children[slot] += bucket[at:at + KAPPA]
-    return children
 
 
 def _peel_beta(layer, header: Header, params):
@@ -762,22 +730,3 @@ def parse_onion(data: bytes, params) -> Onion:
         delta=data[params.header_len :],
     )
 
-
-# ---------------------------------------------------------------------------
-# Test vectors
-
-def onion_vector_lines(spec: OnionSpec, params: FormatParams):
-    """Hex test-vector records for one spec: padding, per-layer header
-    pieces, and full serialized onions for both directions."""
-    d = derive(spec, params)
-    n = len(spec.path)
-    lines = []
-    for i in range(n + 1):
-        lines.append("phi_%d,%s" % (i, build_padding(d.fwd_chain, i, params).hex()))
-    for i, onion in enumerate(d.onions[:n]):
-        lines.append("beta_%d,%s" % (i, onion.header.beta.hex()))
-        lines.append("gamma_%d,%s" % (i, onion.header.gamma.hex()))
-    for i, onion in enumerate(d.onions, start=1):
-        kind = "onion" if i <= n else "reply_onion"
-        lines.append("%s_%d,%s" % (kind, i, serialize_onion(onion, params).hex()))
-    return lines

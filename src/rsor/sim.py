@@ -251,21 +251,21 @@ def _check_workload(scenario: Scenario, params):
         check_name(name, params)
     for name in scenario.corrupted:
         if name not in scenario.relays + scenario.senders:
-            raise ValueError("corrupted %r is not in relays or senders" % name.decode())
+            raise ValueError("corrupted %r is not in relays or senders" % trace_text(name))
     # The real world hands an onion addressed to such a name to the sender,
     # which drops it; the ideal world would forward it as a relay.
     both = set(scenario.relays) & set(scenario.senders)
     if both:
-        raise ValueError("%r is both a relay and a sender" % min(both).decode())
+        raise ValueError("%r is both a relay and a sender" % trace_text(min(both)))
     for item in scenario.workload:
         if item.sender not in scenario.senders:
-            raise ValueError("onion sender %r is not in senders" % item.sender.decode())
+            raise ValueError("onion sender %r is not in senders" % trace_text(item.sender))
         for name in item.path + item.reply_path[:-1]:
             if name not in scenario.relays:
-                raise ValueError("onion relay %r is not in relays" % name.decode())
+                raise ValueError("onion relay %r is not in relays" % trace_text(name))
         if item.reply_path and item.reply_path[-1] != item.sender:
             raise ValueError("reply path ends at %r, not at its sender"
-                             % item.reply_path[-1].decode())
+                             % trace_text(item.reply_path[-1]))
         check_name(item.receiver, params)
         validate_shape(item.path, item.reply_path, item.message, params)
         # The real exit would drop an over-long reply as unrepliable, where

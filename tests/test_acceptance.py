@@ -11,7 +11,7 @@ import json
 import pytest
 
 from rsor.crypto import SeedRng
-from rsor.games import check_correctness_pair, fair_coin_pvalue, run_game_batch
+from rsor.games import fair_coin_pvalue, run_game_batch
 from rsor.group import PROD_GROUP
 from rsor.kem import (
     GuessingKemAdversary,
@@ -47,6 +47,8 @@ from rsor.sim import (
     scenario_tagging_linkage,
     traces_equivalent,
 )
+
+from correctness import check_correctness_pair
 
 PARAMS = FormatParams(group=PROD_GROUP)
 

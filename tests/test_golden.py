@@ -24,7 +24,6 @@ from rsor.packet import (
     FormatParams,
     Onion,
     OnionSpec,
-    onion_vector_lines,
     receiver_addr,
     serialize_onion,
 )
@@ -39,6 +38,8 @@ from rsor.sim import (
     two_senders_scenario,
     write_trace,
 )
+
+from vectors import onion_vector_lines
 
 DATA = Path(__file__).resolve().parent / "data"
 FILLERS = {"random": False, "zero": True}

@@ -2,7 +2,6 @@ import sys
 
 import pytest
 
-from rsor import packet
 from rsor.crypto import KAPPA, SeedRng, prg, xor_bytes
 from rsor.group import PROD_GROUP
 from rsor.kem import kem_keygen
@@ -24,7 +23,6 @@ from rsor.packet import (
     derive,
     form_onion,
     form_reply,
-    onion_vector_lines,
     parse_onion,
     proc_onion,
     receiver_addr,
@@ -35,6 +33,8 @@ from rsor.packet import (
     validate_spec,
 )
 from rsor.sim import default_params
+
+from vectors import onion_vector_lines
 
 
 PARAMS = FormatParams(group=PROD_GROUP)
@@ -303,30 +303,22 @@ def test_replay_cache_remembers_every_tag_across_its_shards():
     assert view.check_and_add(b"header-new")
 
 
-def _buckets(node, depth=0):
-    """(depth, bucket) for every bucket of a replay cache, and its lists."""
-    for child in node:
-        if type(child) is list:
-            yield depth + 1, child
-            yield from _buckets(child, depth + 1)
-        elif child is not None:
-            yield depth, child
-
-
-def test_replay_cache_splits_buckets_and_still_remembers_every_tag(monkeypatch):
-    # Buckets of at most 4 tags: 5,000 headers split buckets several levels deep.
-    monkeypatch.setattr(packet, "REPLAY_SPLIT", 4)
+def test_replay_cache_keeps_flat_buckets_in_arrival_order():
     headers = [b"header-%d" % i for i in range(5000)]
     view = InMemoryView()
     assert all(view.check_and_add(h) for h in headers)
-    leaves = [(depth, b) for depth, b in _buckets(view._seen) if type(b) is bytearray]
-    assert max(depth for depth, _ in leaves) >= 3
+    assert len(view._seen) == REPLAY_SHARDS
+    assert all(b is None or type(b) is bytearray for b in view._seen)
     arrival = {InMemoryView._tag(h): i for i, h in enumerate(headers)}
-    for _, bucket in leaves:
-        assert len(bucket) % KAPPA == 0 and len(bucket) <= 4 * KAPPA
-        order = [arrival[bytes(bucket[at:at + KAPPA])] for at in range(0, len(bucket), KAPPA)]
+    for first, bucket in enumerate(view._seen):
+        if bucket is None:
+            continue
+        assert len(bucket) % KAPPA == 0
+        tags = [bytes(bucket[at:at + KAPPA]) for at in range(0, len(bucket), KAPPA)]
+        assert all(tag[0] == first for tag in tags)
+        order = [arrival[tag] for tag in tags]
         assert order == sorted(order)
-    assert sum(len(b) for _, b in leaves) == len(headers) * KAPPA
+    assert sum(len(b) for b in view._seen if b is not None) == len(headers) * KAPPA
     assert not any(view.check_and_add(h) for h in headers)
     assert view.check_and_add(b"header-new")
 
@@ -345,7 +337,7 @@ def test_replay_cache_costs_at_most_24_bytes_a_tag():
     view = InMemoryView()
     for i in range(10_000):
         view.check_and_add(b"header-%d" % i)
-    held = sys.getsizeof(view._seen) + sum(sys.getsizeof(b) for _, b in _buckets(view._seen))
+    held = sys.getsizeof(view._seen) + sum(sys.getsizeof(b) for b in view._seen if b is not None)
     assert held <= 24 * 10_000
 
 

@@ -13,10 +13,11 @@ from rsor.crypto import SeedRng
 from rsor.games import (
     P_H,
     DirectionStructureAdversary,
-    check_correctness_pair,
     game_slu_backward,
 )
 from rsor.packet import form_reply, proc_onion
+
+from correctness import check_correctness_pair
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from rsor.games import check_correctness_pair, game_correctness, run_game_batch
+from rsor.games import game_correctness, run_game_batch
 from rsor.group import SQR_GROUP
 from rsor.packet import FormatParams
 from rsor.sim import (
@@ -361,6 +361,23 @@ def test_both_worlds_refuse_what_parse_config_refuses(item, named):
             run(scenario)
 
 
+@pytest.mark.parametrize("change, named", [
+    ({"corrupted": (b"\xff",)}, "is not in relays or senders"),
+    ({"workload": (WorkItem(b"\xfe", (b"a",), b"svc", b"hi"),)}, "onion sender"),
+    ({"workload": (WorkItem(b"alice", (b"\xfd",), b"svc", b"hi"),)}, "onion relay"),
+    ({"relays": (b"a", b"\xff"), "senders": (b"alice", b"\xff")}, "is both a relay"),
+    ({"workload": (WorkItem(b"alice", (b"a",), b"svc", b"hi", (b"a", b"\xfc"), b"ho"),)},
+     "not at its sender"),
+], ids=["corrupted", "sender", "relay", "both", "reply-end"])
+def test_both_worlds_name_the_problem_for_names_that_are_not_utf8(change, named):
+    scenario = Scenario(name="built", relays=(b"a",), senders=(b"alice",), receivers=(b"svc",),
+                        workload=(WorkItem(b"alice", (b"a",), b"svc", b"hi"),))._replace(**change)
+    for run in (run_scenario, run_ideal_scenario):
+        with pytest.raises(ValueError, match=named) as raised:
+            run(scenario)
+        assert raised.type is ValueError  # not a UnicodeDecodeError
+
+
 @pytest.mark.parametrize("declared", ["relays", "senders", "receivers"])
 def test_both_worlds_refuse_a_declared_name_too_long_for_an_address(declared):
     scenario = baseline_scenario(seed=1)
@@ -408,8 +425,6 @@ def test_counts_below_one_raise_value_error(count):
         run_game_batch("tlu", "guessing", count, 0)
     with pytest.raises(ValueError, match="count"):
         game_correctness(count, 0)
-    with pytest.raises(ValueError, match="count"):
-        check_correctness_pair(2, 1, count, 0)
     with pytest.raises(ValueError, match="count"):
         parse_count(str(count))
     assert parse_count("1") == 1
