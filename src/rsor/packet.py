@@ -25,10 +25,11 @@ ADDR_RECEIVER = 0x04
 REPLY_OPENING_CAP = 64  # replies one view awaits at a time
 # A replay cache packs each 16-byte tag into one of REPLAY_SHARDS bytearray
 # buckets by the tag's first byte, about 20 bytes a tag with the buckets'
-# slack and headers.  The buckets never split, so a check scans n/256
-# records at n tags: about 40 at the 9,000-10,000 tags a view holds after a
-# 30 s relay benchmark run.  A bound on a view's size is ROADMAP item 6's
-# key epochs, not a deeper index.
+# slack and headers.  A check scans n/256 records at n tags: about 40 at
+# the 9,000-10,000 tags a view holds after a 30 s relay benchmark run.  The
+# buckets never split, since no workload holds the 10^5 tags a view where
+# a longer scan starts to show; ROADMAP item 6's key epochs, not a deeper
+# index, are to bound a view.
 REPLAY_SHARDS = 256
 
 # Address fields and MACs are KAPPA bytes wide (FormatParams.addr_len), so
@@ -513,13 +514,13 @@ class InMemoryView:
     bits, the format's MAC width).  Tags are packed 16 bytes a record into
     bytearray buckets, REPLAY_SHARDS of them by the tag's first byte, each
     in arrival order.  A tag is present when its bucket holds it at a
-    record boundary, so a check scans n/256 records at n tags.  The
-    buckets do not split: no workload comes near the sizes where a scan
-    costs more, and ROADMAP item 6's key epochs are the planned bound on a
-    view.  Timed on a 2-core x86-64 VM (CPython 3.11.7), a check that adds
-    a tag cost about 1.2 us at 10^4 tags, 1.3 us more at 10^5 and 21 us
-    more at 10^6.  The cache costs about 20 bytes a tag and has no bound
-    yet.
+    record boundary, so a check scans n/256 records at n tags.  Timed
+    with full-width headers on a 2-core x86-64 VM (CPython 3.11.7), a
+    check that adds a tag costs about 1.4 us at 10^4 tags, 3.2 us at 10^5
+    and 28 us at 10^6.  A 16-way split of full buckets kept the last near
+    3 us, but no workload comes near 10^5 tags a view, so the buckets do
+    not split; ROADMAP item 6's key epochs are the planned bound on a
+    view.  The cache costs about 20 bytes a tag and has no bound yet.
     An expectation is a ReplyOpening filed under the header its reply
     arrives with, until proc_onion opens that reply; a view keeps at most
     REPLY_OPENING_CAP of them and evicts the oldest to make room for a new

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import rsor.kem as kem_module
-from rsor.crypto import SeedRng
+from rsor.crypto import KAPPA, SeedRng
 from rsor.games import (
     ADVERSARIES,
     GuessingAdversary,
@@ -380,16 +380,19 @@ class NegatedAlphaAdversary(GuessingAdversary):
         return 0 if out[0] == "forward" else 1
 
 
-def _negated_alpha_tlu_wins(group, games=300):
-    params = FormatParams(group=group)
-    rng = SeedRng(b"negated-alpha-tlu")
+def _tlu_wins(adversary_cls, label, games, params=None):
+    rng = SeedRng(label)
     wins = 0
     for i in range(games):
         grng = rng.fork(b"g%d" % i)
-        outcome = game_tlu_forward(NegatedAlphaAdversary(grng.fork(b"adv")),
+        outcome = game_tlu_forward(adversary_cls(grng.fork(b"adv")),
                                    grng.fork(b"chal").read(16), params=params)
         wins += outcome["guess_correct"]
     return wins
+
+
+def _negated_alpha_tlu_wins(group, games=300):
+    return _tlu_wins(NegatedAlphaAdversary, b"negated-alpha-tlu", games, FormatParams(group=group))
 
 
 @pytest.fixture
@@ -417,3 +420,34 @@ def test_negated_alpha_tlu_wins_three_in_four_against_a_range_check(range_member
 def test_negated_alpha_tlu_wins_in_the_signed_group_widened_to_p(range_membership):
     # |(p - alpha)^sk| = |alpha^sk| for every sk, so every game is won.
     assert _negated_alpha_tlu_wins(SQR_GROUP) >= 0.95 * 300
+
+
+# ---------------------------------------------------------------------------
+# Why proc_onion checks the header MAC: a bit flipped in beta past the
+# routing field leaves the layer peelable, and only the MAC refuses it.
+
+class BetaBitFlipAdversary(GuessingAdversary):
+    """Peels x1 itself, flips the last bit of beta at P_H and asks Proc
+    there.  With the MAC check P_H refuses the layer in both worlds; without
+    it real's layer (b = 0) peels to a forward and bar's (b = 1) to its
+    exit."""
+
+    def guess(self):
+        onion = self.walk(self.challenge, (b"x1",))
+        if onion is None:
+            return self.coin()
+        beta = onion.header.beta
+        flipped = onion.header._replace(beta=beta[:-1] + bytes([beta[-1] ^ 1]))
+        out = self.oracles.proc(P_H, Onion(flipped, onion.delta))
+        return 0 if out is not None and out[0] == "forward" else 1
+
+
+def test_beta_bit_flip_tlu_is_refused_by_the_mac():
+    wins = _tlu_wins(BetaBitFlipAdversary, b"beta-bit-flip-tlu", 200)
+    assert fair_coin_pvalue(wins, 200) >= 0.01
+
+
+def test_beta_bit_flip_tlu_wins_without_the_mac(monkeypatch):
+    # Every gamma the sender builds and every check a relay makes agree.
+    monkeypatch.setattr("rsor.packet.mac", lambda key, data: bytes(KAPPA))
+    assert _tlu_wins(BetaBitFlipAdversary, b"beta-bit-flip-tlu", 200) >= 0.95 * 200
