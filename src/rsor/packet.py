@@ -730,4 +730,3 @@ def parse_onion(data: bytes, params) -> Onion:
         header=parse_header(data[: params.header_len], params),
         delta=data[params.header_len :],
     )
-
