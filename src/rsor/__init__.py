@@ -5,10 +5,11 @@ without a setattr per field, many are built per hop, and importing the
 package loads no dataclasses module.  A record whose values are worked out
 on first read (GroupParams, FormatParams, Derived) keeps them in its
 __dict__ through cached_property; every other record sets __slots__ = ().
-A named tuple compares equal to a plain tuple of its values, so code that
-takes records from an adversary checks their exact types
-(games._well_formed).  The party states (node.RelayState and friends) are
-mutable, and so are slotted classes.
+A named tuple compares equal to a plain tuple of its values, so the game
+oracles take an adversary's onion as exact bytes and parse them
+(packet.parse_onion), and a challenge submission's names and keys are
+checked for their exact types (games._checked_paths).  The party states
+(node.RelayState and friends) are mutable, and so are slotted classes.
 """
 
 from .group import GroupParams, PROD_GROUP, SQR_GROUP, TOY_GROUP

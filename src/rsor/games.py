@@ -12,19 +12,20 @@ import collections
 import math
 
 from .crypto import SeedRng
+from .group import GroupDecodeError
 from .kem import kem_keygen
 from .packet import (
-    Header,
     InMemoryView,
     Onion,
     OnionSpec,
     build_reply_onion,
     derive,
     form_onion,
+    parse_onion,
     proc_onion,
     receiver_addr,
     recognize_onion,
-    serialize_header,
+    serialize_onion,
     tag_payload,
     validate_spec,
     zero_run,
@@ -66,38 +67,27 @@ def _out_len(out, params):
     return total
 
 
-def _well_formed(onion, params):
-    """True if onion is exactly an Onion whose header is exactly a Header of
-    an int and bytes, with every field at the format's width.  Exact types,
-    so no adversary subclass can answer a comparison its own way."""
-    if type(onion) is not Onion or type(onion.header) is not Header:
-        return False
-    header = onion.header
-    fields = ((header.beta, params.beta_len), (header.gamma, params.kappa),
-              (onion.delta, params.payload_len))
-    return type(header.alpha) is int and all(
-        type(value) is bytes and len(value) == width for value, width in fields)
-
-
 class GameOracles:
     """Proc/Reply request channels for the honest parties of one game.
 
-    Each call first checks the adversary's input, exactly and before
-    either world looks at it: the party must be one of the game's honest
-    parties, the onion well formed (_well_formed), and a Reply's message
-    bytes that fit the frame.  Any other input gets None in both worlds.
+    The adversary sends each onion as its wire bytes.  Either call answers
+    None in both worlds, before either world looks at the input, unless the
+    party is one of the game's honest parties, the onion exact bytes that
+    parse_onion reads, and a Reply's message bytes that fit the frame.
 
-    challenger(party, onion), installed by the game's world, returns None to
-    leave an onion to honest processing with the party's key, or (out,
-    reply) for a recognized challenge layer: out is the Proc answer, and
-    reply is what a Reply to that exact onion gives (see _reply_from).
-    The handler is consulted before the replay test.  Each party peels an
-    onion once, in proc_onion, which makes its own replay test against
-    state[party]; a handler's answer makes the same test once, and the
-    answer to a replayed header is discarded for None.  replies[party]
-    maps each repliable onion the party processed to its reply until its
-    one Reply.  Every answer's byte length is logged so tests can check
-    that the transcript shape is independent of the hidden bit.
+    challenger(party, onion), installed by the game's world, is handed the
+    parsed Onion.  It returns None to leave it to honest processing with
+    the party's key, or (out, reply) for a recognized challenge layer: out
+    is the Proc answer, and reply is what a Reply to those exact bytes
+    gives (see _reply_from).  The handler is consulted before the replay
+    test.  Each party peels an onion once, in proc_onion, which makes its
+    own replay test against state[party]; a handler's answer makes the same
+    test once, on the header bytes sent, and the answer to a replayed
+    header is discarded for None.  replies[party] maps the bytes of each
+    repliable onion the party processed to its reply until its one Reply.
+    Answers are records, built by honest code; each one's byte length is
+    logged so tests can check that the transcript shape is independent of
+    the hidden bit.
     """
 
     def __init__(self, params, keypairs):
@@ -112,31 +102,35 @@ class GameOracles:
         self.transcript.append((move, _out_len(out, self.params)))
         return out
 
-    def _admits(self, party, onion):
-        return (type(party) is bytes and party in self.keys
-                and _well_formed(onion, self.params))
+    def _admits(self, party, data):
+        return type(party) is bytes and party in self.keys and type(data) is bytes
 
-    def proc(self, party, onion):
-        if not self._admits(party, onion):
+    def proc(self, party, data):
+        if not self._admits(party, data):
+            return self._log("proc", None)
+        try:
+            onion = parse_onion(data, self.params)
+        except GroupDecodeError:
             return self._log("proc", None)
         state = self.state[party]
         answer = self.challenger(party, onion)
         if answer is None:
             result = proc_onion(self.keys[party].sk, onion, party, self.params, state)
             out, reply = _translate(result), _reply_from(result.reply_info, self.params)
-        elif state.check_and_add(serialize_header(onion.header, self.params)):
+        elif state.check_and_add(data[:self.params.header_len]):
             out, reply = answer
         else:
             return self._log("proc", None)
         if reply is not None:
-            self.replies[party][onion] = reply
+            self.replies[party][data] = reply
         return self._log("proc", out)
 
-    def reply(self, party, onion, message):
-        if (not self._admits(party, onion) or type(message) is not bytes
+    def reply(self, party, data, message):
+        # Only bytes that parsed were ever filed, so Reply parses nothing.
+        if (not self._admits(party, data) or type(message) is not bytes
                 or len(message) > self.params.max_msg_len):
             return self._log("reply", None)
-        reply = self.replies[party].pop(onion, None)  # one reply per onion
+        reply = self.replies[party].pop(data, None)  # one reply per onion
         return self._log("reply", None if reply is None else ("reply-onion", *reply(message)))
 
 
@@ -190,10 +184,15 @@ def game_correctness(trials, seed, params=None, corrupt_hop=None):
     """Check all four correctness clauses over random specs.
 
     corrupt_hop deliberately mismatches that forward hop's public key as a
-    negative control; the clause at that hop must then fail with "mac".
+    negative control; the clause at that hop must then fail with "mac".  A
+    corrupt_hop that is not exactly an int in 1..max_hops (True is not)
+    raises ValueError before the first trial.
     """
     trials = parse_count(trials)
     params = params or default_params()
+    if corrupt_hop is not None and (type(corrupt_hop) is not int
+                                    or not 1 <= corrupt_hop <= params.max_hops):
+        raise ValueError("corrupt_hop must be an int in 1..%d" % params.max_hops)
     rng = SeedRng(b"correctness" + _seed_bytes(seed))
     failures = []
     for trial in range(trials):
@@ -580,7 +579,7 @@ class TagConsistencyAdversary(_BaseAdversary):
         if onion is None:
             return self.coin()
         tagged = tag_payload(onion, self.rng.fork(b"mask").read(self.params.payload_len))
-        out = self.oracles.proc(P_H, tagged)
+        out = self.oracles.proc(P_H, serialize_onion(tagged, self.params))
         if out is None or out[0] != "forward":
             return 1  # real onions never vanish at the honest mid hop
         if self.peel(b"x2", out[2]).kind == "exit":
@@ -607,7 +606,7 @@ class DirectionStructureAdversary(_BaseAdversary):
         formed = None if onion is None else self.exit_reply(onion, b"x2", b"reply-probe")
         if formed is None:
             return self.coin()
-        out = self.oracles.proc(P_H, formed[0])
+        out = self.oracles.proc(P_H, serialize_onion(formed[0], self.params))
         if out is None or out[0] != "forward":
             return self.coin()
         if self.peel(b"x3", out[2]).kind not in ("forward", "exit"):

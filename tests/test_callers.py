@@ -15,7 +15,6 @@ ALLOWED = {
     "kem.WhiteBoxKemAdversary": "the KEM game's positive control (ROADMAP items 1 and 8)",
     "kem.KemGameOracles.decap": "the KEM game's decapsulation oracle (ROADMAP items 1 and 8)",
     "kem.KemGameOracles.h_b": "the KEM game's h_b oracle (ROADMAP items 1 and 8)",
-    "packet.parse_onion": "the byte path's parser, which ROADMAP item 11 gives a caller",
     "ideal.RsorIdeal.bypass_reply": "the ideal reply bypass, which ROADMAP item 3's simulator calls",
     "packet.build_padding": "the paper's Phi, whose depth check a python -O test pins",
 }

@@ -1,10 +1,12 @@
 """The game oracles answer the same way in both worlds: each party peels an
 onion once in Proc, and Reply answers from that peel.  These cases pin the
 answers the TLU challenger once gave only when b = 1, the oracles'
-handling of a payload of the wrong width, and the one exact check of
-adversary input each oracle makes before either world looks at it."""
+handling of an onion of the wrong width, and the boundary each oracle keeps
+before either world looks at the adversary's input: exact bytes that parse
+as an onion."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rsor.crypto import SeedRng
 from rsor.games import (
@@ -17,17 +19,16 @@ from rsor.games import (
     game_slu_backward,
     game_tlu_forward,
 )
-from rsor.group import PROD_GROUP
+from rsor.group import PROD_GROUP, SQR_GROUP
 from rsor.kem import kem_keygen
 from rsor.packet import (
     FormatParams,
-    Header,
     InMemoryView,
-    Onion,
     OnionSpec,
     derive,
     form_onion,
     receiver_addr,
+    serialize_onion,
     tag_payload,
 )
 
@@ -62,10 +63,15 @@ def _run_tlu(probe, bit):
     return adversary.answer
 
 
+def _wire(oracles, onion):
+    """What an adversary sends an oracle: the onion's wire bytes."""
+    return serialize_onion(onion, oracles.params)
+
+
 @pytest.mark.parametrize("bit", [0, 1])
 def test_tlu_tagged_exit_layer_fails_in_both_worlds(bit):
     def tag_then_proc_and_reply(oracles, onion):
-        tagged = tag_payload(onion, SeedRng(b"mask").read(PARAMS.payload_len))
+        tagged = _wire(oracles, tag_payload(onion, SeedRng(b"mask").read(PARAMS.payload_len)))
         return oracles.proc(P_H, tagged), oracles.reply(P_H, tagged, b"answer")
 
     assert _run_tlu(tag_then_proc_and_reply, bit) == (None, None)
@@ -74,8 +80,9 @@ def test_tlu_tagged_exit_layer_fails_in_both_worlds(bit):
 @pytest.mark.parametrize("bit", [0, 1])
 def test_tlu_oversized_reply_is_none_in_both_worlds(bit):
     def proc_then_long_reply(oracles, onion):
-        assert oracles.proc(P_H, onion)[0] == "exit"
-        return oracles.reply(P_H, onion, b"x" * (PARAMS.max_msg_len + 1))
+        data = _wire(oracles, onion)
+        assert oracles.proc(P_H, data)[0] == "exit"
+        return oracles.reply(P_H, data, b"x" * (PARAMS.max_msg_len + 1))
 
     assert _run_tlu(proc_then_long_reply, bit) is None
 
@@ -92,11 +99,12 @@ class _SluExitProbe(_ExitProbe):
 @pytest.mark.parametrize("bit", [0, 1])
 def test_reply_answers_only_the_processed_onion_once(game, probe_cls, bit):
     def replies_around_proc(oracles, onion):
-        tagged = tag_payload(onion, SeedRng(b"mask").read(PARAMS.payload_len))
-        before = oracles.reply(P_H, onion, b"answer")
-        assert oracles.proc(P_H, onion)[0] == "exit"
+        tagged = _wire(oracles, tag_payload(onion, SeedRng(b"mask").read(PARAMS.payload_len)))
+        data = _wire(oracles, onion)
+        before = oracles.reply(P_H, data, b"answer")
+        assert oracles.proc(P_H, data)[0] == "exit"
         return (before, oracles.reply(P_H, tagged, b"answer"),
-                oracles.reply(P_H, onion, b"answer"), oracles.reply(P_H, onion, b"answer"))
+                oracles.reply(P_H, data, b"answer"), oracles.reply(P_H, data, b"answer"))
 
     adversary = probe_cls(SeedRng(b"exit-probe"), replies_around_proc)
     game(adversary, seed=3, force_b=bit)
@@ -105,35 +113,83 @@ def test_reply_answers_only_the_processed_onion_once(game, probe_cls, bit):
     assert first[0] == "reply-onion"
 
 
+class _EqualsAnything(bytes):
+    def __eq__(self, other):
+        return True
+
+    __hash__ = bytes.__hash__
+
+
+def _look_alikes(onion, params):
+    """Stand-ins for onion's wire bytes that are not exact bytes that parse
+    as an onion: the record and a plain tuple (a named tuple equals one),
+    a record whose header is a plain tuple, a bytearray, a bytes subclass
+    that equals anything, a str, a wrong width, and alpha fields encoding 0,
+    p, all 0xff bytes and p - alpha.  p = 3 mod 4, so p - alpha is a
+    non-residue in PROD_GROUP and above q in SQR_GROUP."""
+    group = params.group
+    data = serialize_onion(onion, params)
+    rest = data[group.elem_len:]
+    return [
+        onion,
+        tuple(onion),
+        onion._replace(header=tuple(onion.header)),
+        bytearray(data),
+        _EqualsAnything(data),
+        data.decode("latin-1"),
+        data[:-1],
+        bytes(group.elem_len) + rest,
+        group.p.to_bytes(group.elem_len, "big") + rest,
+        b"\xff" * group.elem_len + rest,
+        (group.p - onion.header.alpha).to_bytes(group.elem_len, "big") + rest,
+    ]
+
+
+LOOK_ALIKES = 11
+
+
+@pytest.mark.parametrize("group", [PROD_GROUP, SQR_GROUP], ids=["prod", "sqr"])
 @pytest.mark.parametrize("bit", [0, 1])
-def test_plain_tuples_equal_to_awaited_onions_are_none_in_both_worlds(bit):
-    # A named tuple equals a plain tuple of its values, so only the exact
-    # types _well_formed checks keep such a tuple from P_H's reply entry
-    # and from the reply header P_S awaits.
-    def untyped(onion):
-        return tuple(onion), Onion(tuple(onion.header), onion.delta)
+def test_look_alikes_of_awaited_onions_are_none_in_both_worlds(group, bit):
+    # Each look-alike is tried before the real bytes it stands for, so one
+    # that got through would spend the real onion's replay test or reply.
+    params = FormatParams(group=group)
 
     def probe(oracles, onion):
-        assert oracles.proc(P_H, onion)[0] == "exit"
-        refused = [oracles.reply(P_H, fake, b"answer") for fake in untyped(onion)]
-        _kind, reply, first_hop = oracles.reply(P_H, onion, b"answer")
+        data = serialize_onion(onion, params)
+        refused = [oracles.proc(P_H, fake) for fake in _look_alikes(onion, params)]
+        assert oracles.proc(P_H, data)[0] == "exit"
+        refused += [oracles.reply(P_H, fake, b"answer") for fake in _look_alikes(onion, params)]
+        _kind, reply, first_hop = oracles.reply(P_H, data, b"answer")
         at_sender = adversary.peel(first_hop, reply).next_onion
-        refused += [oracles.proc(P_S, fake) for fake in untyped(at_sender)]
-        return refused, oracles.proc(P_S, at_sender)
+        refused += [oracles.proc(P_S, fake) for fake in _look_alikes(at_sender, params)]
+        return refused, oracles.proc(P_S, serialize_onion(at_sender, params))
 
     adversary = _ExitProbe(SeedRng(b"exit-probe"), probe)
-    game_tlu_forward(adversary, seed=3, force_b=bit)
+    game_tlu_forward(adversary, seed=3, params=params, force_b=bit)
     refused, opened = adversary.answer
-    assert refused == [None] * 4
+    assert refused == [None] * (3 * LOOK_ALIKES)
     assert opened == ("reply", b"answer")
+
+
+def test_valid_bytes_are_processed_and_answered_once():
+    keys = {name: kem_keygen(PROD_GROUP, SeedRng(name)) for name in (b"r0", b"q0")}
+    spec = OnionSpec(seed=b"valid", message=b"m", receiver=receiver_addr(b"svc", PARAMS),
+                     path=((b"r0", keys[b"r0"].pk),), reply_path=((b"q0", keys[b"q0"].pk),))
+    d = derive(spec, PARAMS)
+    data = serialize_onion(d.onion(1), PARAMS)
+    oracles = GameOracles(PARAMS, {b"r0": keys[b"r0"]})
+    assert oracles.proc(b"r0", data) == ("exit", b"m", spec.receiver)
+    assert oracles.reply(b"r0", data, b"m") == ("reply-onion", d.onion(2), b"q0")
+    assert oracles.reply(b"r0", data, b"m") is None
+    assert oracles.proc(b"r0", data) is None  # a replay
 
 
 def test_wrong_payload_width_is_refused_not_raised():
     keys = {b"r0": kem_keygen(PROD_GROUP, SeedRng(b"r0"))}
     spec = OnionSpec(seed=b"width", message=b"m", receiver=receiver_addr(b"svc", PARAMS),
                      path=((b"r0", keys[b"r0"].pk),))
-    onion = form_onion(1, spec, PARAMS)
-    short = onion._replace(delta=onion.delta[:-1])
+    short = serialize_onion(form_onion(1, spec, PARAMS), PARAMS)[:-1]
     oracles = GameOracles(PARAMS, keys)
     assert oracles.proc(b"r0", short) is None
     assert oracles.reply(b"r0", short, b"answer") is None
@@ -147,9 +203,10 @@ def test_game_sender_retires_the_opening_its_proc_opens():
     d = derive(spec, PARAMS)
     oracles = GameOracles(PARAMS, {P_S: keys[P_S]})
     oracles.state[P_S].expect_reply(d.opening)
-    assert oracles.proc(P_S, d.onion(3)) == ("reply", b"m")
+    data = serialize_onion(d.onion(3), PARAMS)
+    assert oracles.proc(P_S, data) == ("reply", b"m")
     assert oracles.state[P_S].lookup_reply(d.opening.header) is None
-    assert oracles.proc(P_S, d.onion(3)) is None
+    assert oracles.proc(P_S, data) is None
 
 
 class _MidProbe(_ExitProbe):
@@ -173,34 +230,23 @@ def _both_worlds(game, probe_cls, probe, seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_slu_reply_with_a_str_message_is_none_in_both_worlds(seed):
     def proc_then_str_reply(oracles, onion):
-        return oracles.proc(P_H, onion), oracles.reply(P_H, onion, "str")
+        data = _wire(oracles, onion)
+        return oracles.proc(P_H, data), oracles.reply(P_H, data, "str")
 
     at_0, at_1 = _both_worlds(game_slu_backward, _SluExitProbe, proc_then_str_reply, seed)
     assert at_0 == at_1 and at_0[0][0] == "exit" and at_0[1] is None
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_tlu_str_payload_is_none_in_both_worlds(seed):
-    def proc_str_payload(oracles, onion):
-        return oracles.proc(P_H, Onion(onion.header, "x" * PARAMS.payload_len))
+def test_tlu_look_alikes_at_the_mid_hop_are_none_in_both_worlds(seed):
+    # At b = 1 the challenger answers P_H's recognized layer itself, so a
+    # look-alike it took for that layer would answer differently.
+    def proc_look_alikes(oracles, onion):
+        return ([oracles.proc(P_H, fake) for fake in _look_alikes(onion, oracles.params)],
+                oracles.proc(P_H, _wire(oracles, onion))[0])
 
-    assert _both_worlds(game_tlu_forward, _MidProbe, proc_str_payload, seed) == [None, None]
-
-
-class _EqualsAnything(Header):
-    def __eq__(self, other):
-        return True
-
-    __hash__ = Header.__hash__
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_tlu_header_subclass_is_none_in_both_worlds(seed):
-    def proc_forged_header(oracles, onion):
-        forged = _EqualsAnything(PROD_GROUP.g, bytes(PARAMS.beta_len), bytes(PARAMS.kappa))
-        return oracles.proc(P_H, Onion(forged, onion.delta))
-
-    assert _both_worlds(game_tlu_forward, _MidProbe, proc_forged_header, seed) == [None, None]
+    at_0, at_1 = _both_worlds(game_tlu_forward, _MidProbe, proc_look_alikes, seed)
+    assert at_0 == at_1 == ([None] * LOOK_ALIKES, "forward")
 
 
 class _NeverUnequal(bytes):
@@ -257,5 +303,65 @@ def test_honest_proc_tags_its_header_once(monkeypatch):
     spec = OnionSpec(seed=b"tag-once", message=b"m", receiver=receiver_addr(b"svc", PARAMS),
                      path=((b"r0", keys[b"r0"].pk),))
     oracles = GameOracles(PARAMS, keys)
-    assert oracles.proc(b"r0", form_onion(1, spec, PARAMS))[0] == "exit"
+    assert oracles.proc(b"r0", serialize_onion(form_onion(1, spec, PARAMS), PARAMS))[0] == "exit"
     assert len(tagged) == 1
+
+
+# ---------------------------------------------------------------------------
+# The byte boundary under fuzzing: whatever bytes an adversary sends, each
+# oracle call answers without a raise and logs exactly one transcript entry.
+
+def _fuzz_target(group):
+    """Keys for a two-hop path's relays and the wire bytes of the layer
+    each of them peels: r0 forwards its layer, r1 exits and can reply."""
+    params = FormatParams(group=group)
+    keys = {name: kem_keygen(group, SeedRng(name)) for name in (b"r0", b"r1", b"q0")}
+    spec = OnionSpec(seed=b"fuzz", message=b"m", receiver=receiver_addr(b"svc", params),
+                     path=((b"r0", keys[b"r0"].pk), (b"r1", keys[b"r1"].pk)),
+                     reply_path=((b"q0", keys[b"q0"].pk),))
+    d = derive(spec, params)
+    layers = {b"r0": serialize_onion(d.onion(1), params),
+              b"r1": serialize_onion(d.onion(2), params)}
+    return params, {name: keys[name] for name in layers}, layers
+
+
+FUZZ_TARGETS = {group.name: _fuzz_target(group) for group in (PROD_GROUP, SQR_GROUP)}
+ONION_LEN = PARAMS.onion_len
+_ALPHA, _BETA = PROD_GROUP.elem_len, PROD_GROUP.elem_len + PARAMS.beta_len
+# Byte spans of alpha, beta, gamma and the payload; both groups share them.
+FIELDS = [(0, _ALPHA), (_ALPHA, _BETA), (_BETA, PARAMS.header_len),
+          (PARAMS.header_len, ONION_LEN)]
+
+
+@st.composite
+def _oracle_input(draw):
+    """(group name, honest party, bytes): random bytes of any width up to
+    twice the onion's or of exactly its width, or the party's own layer
+    with one bit flipped in alpha, beta, gamma or the payload."""
+    group = draw(st.sampled_from(sorted(FUZZ_TARGETS)))
+    party = draw(st.sampled_from([b"r0", b"r1"]))
+    kind = draw(st.sampled_from(["any-width", "onion-width", "flip"]))
+    if kind == "any-width":
+        return group, party, draw(st.binary(max_size=2 * ONION_LEN))
+    if kind == "onion-width":
+        return group, party, draw(st.binary(min_size=ONION_LEN, max_size=ONION_LEN))
+    start, stop = draw(st.sampled_from(FIELDS))
+    bit = draw(st.integers(8 * start, 8 * stop - 1))
+    flipped = bytearray(FUZZ_TARGETS[group][2][party])
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    return group, party, bytes(flipped)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_oracle_input())
+@example(("prod", b"r1", FUZZ_TARGETS["prod"][2][b"r1"]))  # an exit, then its reply
+def test_oracles_answer_any_bytes_without_a_raise(case):
+    group, party, data = case
+    params, keys, _layers = FUZZ_TARGETS[group]
+    oracles = GameOracles(params, keys)
+    out = oracles.proc(party, data)
+    assert out is None or (type(out) is tuple and out[0] in ("forward", "exit", "reply"))
+    assert len(oracles.transcript) == 1
+    answer = oracles.reply(party, data, b"answer")
+    assert answer is None or answer[0] == "reply-onion"
+    assert len(oracles.transcript) == 2

@@ -19,7 +19,7 @@ from rsor.games import (
 )
 from rsor.games import _BaseAdversary, fair_coin_pvalue
 from rsor.group import PROD_GROUP, SQR_GROUP, GroupParams
-from rsor.packet import FormatParams, Onion
+from rsor.packet import FormatParams, Onion, serialize_onion
 
 from binomial import binomial_pvalue
 
@@ -35,6 +35,18 @@ def test_correctness_negative_control():
     assert any(f[0] == "forward-path" for f in result["failures"])
     # Each failure names the corrupted hop and why it dropped the onion.
     assert all(f[3:] == (2, "mac") for f in result["failures"])
+
+
+@pytest.mark.parametrize("hop", [0, -1, 6, True, 1.5])
+def test_correctness_refuses_a_corrupt_hop_off_the_path_before_any_trial(hop, monkeypatch):
+    # Unchecked, 0 and -1 would index the path from its end, and 6 (above
+    # max_hops) would corrupt no hop, so every trial would pass.
+    def no_trial(*_args, **_kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr("rsor.games._correctness_once", no_trial)
+    with pytest.raises(ValueError, match="corrupt_hop"):
+        game_correctness(3, seed=0, corrupt_hop=hop)
 
 
 def _batch(game, adversary, games=120, seed=0):
@@ -229,7 +241,7 @@ class _ReplayProbe(_BaseAdversary):
     def guess(self):
         step = self.peel(b"x1", self.challenge)
         assert step.kind == "forward"
-        layer = step.next_onion
+        layer = serialize_onion(step.next_onion, self.params)
         self.first = self.oracles.proc(P_H, layer)
         self.replayed = self.oracles.proc(P_H, layer)
         self.reply1 = self.oracles.reply(P_H, layer, b"pong")
@@ -270,11 +282,11 @@ class _SluAbsorbProbe(_BaseAdversary):
     def guess(self):
         formed = self.exit_reply(self.challenge, b"x1", b"back")
         assert formed is not None
-        out = self.oracles.proc(P_H, formed[0])
+        out = self.oracles.proc(P_H, serialize_onion(formed[0], self.params))
         assert out is not None and out[0] == "forward"
         step2 = self.peel(b"x3", out[2])
         assert step2.kind == "forward"
-        self.absorbed = self.oracles.proc(P_S, step2.next_onion)
+        self.absorbed = self.oracles.proc(P_S, serialize_onion(step2.next_onion, self.params))
         return 0
 
 
@@ -299,7 +311,7 @@ class _StiAbsorbProbe(_BaseAdversary):
     def guess(self):
         formed = self.exit_reply(self.challenge, b"x1", b"back")
         assert formed is not None
-        self.absorbed = self.oracles.proc(P_H_BACK, formed[0])
+        self.absorbed = self.oracles.proc(P_H_BACK, serialize_onion(formed[0], self.params))
         return 0
 
 
@@ -374,7 +386,8 @@ class NegatedAlphaAdversary(GuessingAdversary):
             return self.coin()
         header = peeled.next_onion.header
         negated = header._replace(alpha=params.group.p - header.alpha)
-        out = self.oracles.proc(P_H, Onion(negated, peeled.next_onion.delta))
+        out = self.oracles.proc(
+            P_H, serialize_onion(Onion(negated, peeled.next_onion.delta), params))
         if out is None:
             return self.coin()
         return 0 if out[0] == "forward" else 1
@@ -438,7 +451,7 @@ class BetaBitFlipAdversary(GuessingAdversary):
             return self.coin()
         beta = onion.header.beta
         flipped = onion.header._replace(beta=beta[:-1] + bytes([beta[-1] ^ 1]))
-        out = self.oracles.proc(P_H, Onion(flipped, onion.delta))
+        out = self.oracles.proc(P_H, serialize_onion(Onion(flipped, onion.delta), self.params))
         return 0 if out is not None and out[0] == "forward" else 1
 
 

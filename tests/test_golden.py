@@ -238,16 +238,17 @@ class OracleWalkAdversary(_BaseAdversary):
             onion = formed[0] if formed else None
         if onion is None:
             return self.coin()
-        first = self._note(self.oracles.proc(P_H, onion))
-        self._note(self.oracles.proc(P_H, onion))
-        back = self._note(self.oracles.reply(P_H, onion, b"answer"))
-        self._note(self.oracles.reply(P_H, onion, b"again"))
+        data = serialize_onion(onion, self.params)
+        first = self._note(self.oracles.proc(P_H, data))
+        self._note(self.oracles.proc(P_H, data))
+        back = self._note(self.oracles.reply(P_H, data, b"answer"))
+        self._note(self.oracles.reply(P_H, data, b"again"))
         if self.variant != "tlu-mid":
             # A reply onion, or a forwarded reply layer, reaches P_S via x3.
             onward = back[1] if back else first[2] if first and first[0] == "forward" else None
             at_s = onward and self.walk(onward, [b"x3"])
             if at_s is not None:
-                self._note(self.oracles.proc(P_S, at_s))
+                self._note(self.oracles.proc(P_S, serialize_onion(at_s, self.params)))
         return self.coin()
 
 

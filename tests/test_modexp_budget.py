@@ -39,6 +39,7 @@ from rsor.packet import (
     proc_onion,
     receiver_addr,
     recognize_onion,
+    serialize_onion,
 )
 
 PARAMS = FormatParams(group=PROD_GROUP)
@@ -404,10 +405,10 @@ def test_game_reply_answers_from_the_proc_peel(counts):
     spec, keys = _spec(2, 2)
     d = derive(spec, PARAMS)
     oracles = GameOracles(PARAMS, {b"r1": keys[b"r1"]})
-    onion = d.onion(2)
-    assert oracles.proc(b"r1", onion)[0] == "exit"
+    data = serialize_onion(d.onion(2), PARAMS)
+    assert oracles.proc(b"r1", data)[0] == "exit"
     counts.update(base=0, exp=0, is_element=0)
-    out = oracles.reply(b"r1", onion, spec.message)
+    out = oracles.reply(b"r1", data, spec.message)
     assert counts == {"base": 0, "exp": 0, "is_element": 0}
     assert out == ("reply-onion", d.onion(3), spec.reply_path[0][0])
 
@@ -431,9 +432,12 @@ def test_out_of_range_alpha_is_not_recognized_or_processed(alpha):
     onion = form_onion(1, spec, PARAMS)
     bad = onion._replace(header=onion.header._replace(alpha=alpha))
     assert not recognize_onion(1, bad, derive(spec, PARAMS))
+    # On the wire, -1 is an alpha field of all 0xff bytes.
+    elem_len = PARAMS.group.elem_len
+    data = alpha.to_bytes(elem_len, "big", signed=True) + serialize_onion(onion, PARAMS)[elem_len:]
     oracles = GameOracles(PARAMS, {b"r0": keys[b"r0"]})
-    assert oracles.proc(b"r0", bad) is None
-    assert oracles.reply(b"r0", bad, b"answer") is None
+    assert oracles.proc(b"r0", data) is None
+    assert oracles.reply(b"r0", data, b"answer") is None
 
 
 def test_replayed_onion_is_refused():

@@ -357,6 +357,30 @@ def test_zero_prefix_refuses_every_frame_length_the_frame_accepts():
     assert not any(_open_payload(prefix + fields + f, params) for f in framed)
 
 
+def test_zero_prefix_row_without_the_check_accepts_the_frame_rate():
+    """ROADMAP item 19's zero-prefix row.  The check has no name to swap,
+    so "without the check" means plaintexts whose KAPPA-byte zero prefix
+    holds by construction: _open_payload then judges only the 2-byte frame,
+    and accepts (max_msg_len + 1)/65536 of uniformly random ones, about
+    2^-10.  With the check, a uniform plaintext is accepted with
+    probability 2^-128.  That difference is what the check buys."""
+    params = default_params()
+    n, width = 100_000, params.payload_len
+    assert params.max_msg_len + 1 == 65
+
+    def accepted(label, prefix):
+        """How many of n plaintexts, prefix then uniform bytes from one
+        read, _open_payload accepts."""
+        tail = width - len(prefix)
+        stream = SeedRng(label).read(n * tail)
+        return sum(_open_payload(prefix + stream[i:i + tail], params) is not None
+                   for i in range(0, n * tail, tail))
+
+    # n * 65/65536 = 99.2 with sigma = 9.95: the bound is the mean +- 4 sigma.
+    assert 60 <= accepted(b"zero-prefix-row", bytes(KAPPA)) <= 139
+    assert accepted(b"zero-prefix-row/uniform", b"") == 0
+
+
 def test_expected_reply_with_a_bad_width_or_a_replay_keeps_its_opening():
     spec, keys = _spec(1, 2, seed=b"expected")
     d = derive(spec, PARAMS)
