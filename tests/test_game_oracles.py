@@ -23,11 +23,13 @@ from rsor.group import PROD_GROUP, SQR_GROUP
 from rsor.kem import kem_keygen
 from rsor.packet import (
     FormatParams,
+    Header,
     InMemoryView,
     OnionSpec,
     derive,
     form_onion,
     receiver_addr,
+    serialize_header,
     serialize_onion,
     tag_payload,
 )
@@ -247,6 +249,31 @@ def test_tlu_look_alikes_at_the_mid_hop_are_none_in_both_worlds(seed):
 
     at_0, at_1 = _both_worlds(game_tlu_forward, _MidProbe, proc_look_alikes, seed)
     assert at_0 == at_1 == ([None] * LOOK_ALIKES, "forward")
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_tlu_str_payload_is_none_in_both_worlds(seed):
+    # The str is refused before the real bytes are tried, so the real
+    # onion's replay test is still unspent.
+    def proc_str_then_bytes(oracles, onion):
+        data = _wire(oracles, onion)
+        return oracles.proc(P_H, data.decode("latin-1")), oracles.proc(P_H, data)[0]
+
+    at_0, at_1 = _both_worlds(game_tlu_forward, _MidProbe, proc_str_then_bytes, seed)
+    assert at_0 == at_1 == (None, "forward")
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_tlu_header_subclass_is_none_in_both_worlds(seed):
+    # A forged header under the real payload, in a bytes subclass whose
+    # __eq__ would match the awaited onion's bytes.
+    def proc_forged_header(oracles, onion):
+        forged = Header(PROD_GROUP.g, bytes(PARAMS.beta_len), bytes(PARAMS.kappa))
+        lying = _EqualsAnything(serialize_header(forged, PARAMS) + onion.delta)
+        return oracles.proc(P_H, lying), oracles.proc(P_H, _wire(oracles, onion))[0]
+
+    at_0, at_1 = _both_worlds(game_tlu_forward, _MidProbe, proc_forged_header, seed)
+    assert at_0 == at_1 == (None, "forward")
 
 
 class _NeverUnequal(bytes):
