@@ -13,7 +13,6 @@ from rsor import (
     derive,
     proc_onion,
     receiver_addr,
-    serialize_onion,
 )
 from rsor.kem import kem_keygen
 from rsor.packet import build_reply_onion
@@ -39,7 +38,7 @@ view.expect_reply(d.opening)
 
 onion = d.onion(1)
 print("every onion is %d bytes, regardless of direction or path length\n"
-      % len(serialize_onion(onion, params)))
+      % len(onion))
 
 print("-- forward trip --")
 for name in (b"guard", b"middle", b"exit"):

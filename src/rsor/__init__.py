@@ -5,10 +5,11 @@ without a setattr per field, many are built per hop, and importing the
 package loads no dataclasses module.  A record whose values are worked out
 on first read (GroupParams, FormatParams, Derived) keeps them in its
 __dict__ through cached_property; every other record sets __slots__ = ().
-A named tuple compares equal to a plain tuple of its values, so the game
-oracles take an adversary's onion as exact bytes and parse them
-(packet.parse_onion), and a challenge submission's names and keys are
-checked for their exact types (games._checked_paths).  The party states
+An onion is never a record: every layer, on a link, in an oracle answer
+or in a challenge, is its exact wire bytes, and packet.proc_onion is its
+one parse.  A named tuple compares equal to a plain tuple of its values,
+so a challenge submission's names and keys are checked for their exact
+types (games._checked_paths).  The party states
 (node.RelayState and friends) are mutable, and so are slotted classes.
 """
 
@@ -24,9 +25,7 @@ from .kem import (
 )
 from .packet import (
     FormatParams,
-    Header,
     InMemoryView,
-    Onion,
     OnionSpec,
     ProcResult,
     ReplyInfo,
@@ -34,11 +33,9 @@ from .packet import (
     derive,
     form_onion,
     form_reply,
-    parse_onion,
     proc_onion,
     receiver_addr,
     recognize_onion,
-    serialize_onion,
     tag_payload,
     validate_spec,
 )

@@ -12,20 +12,16 @@ import collections
 import math
 
 from .crypto import SeedRng
-from .group import GroupDecodeError
 from .kem import kem_keygen
 from .packet import (
     InMemoryView,
-    Onion,
     OnionSpec,
     build_reply_onion,
     derive,
     form_onion,
-    parse_onion,
     proc_onion,
     receiver_addr,
     recognize_onion,
-    serialize_onion,
     tag_payload,
     validate_spec,
     zero_run,
@@ -55,16 +51,9 @@ def _reply_from(info, params):
     return lambda message: build_reply_onion(info, message, params)
 
 
-def _out_len(out, params):
-    if out is None:
-        return 0
-    total = 0
-    for part in out:
-        if isinstance(part, Onion):
-            total += params.onion_len
-        elif isinstance(part, (bytes, str)):
-            total += len(part)
-    return total
+def _out_len(out):
+    # Every part of an answer is bytes or a str.
+    return 0 if out is None else sum(map(len, out))
 
 
 class GameOracles:
@@ -72,11 +61,13 @@ class GameOracles:
 
     The adversary sends each onion as its wire bytes.  Either call answers
     None in both worlds, before either world looks at the input, unless the
-    party is one of the game's honest parties, the onion exact bytes that
-    parse_onion reads, and a Reply's message bytes that fit the frame.
+    party is one of the game's honest parties, the onion exact bytes of
+    onion_len, and a Reply's message bytes that fit the frame.  The oracles
+    parse nothing: proc_onion does, once.
 
     challenger(party, onion), installed by the game's world, is handed the
-    parsed Onion.  It returns None to leave it to honest processing with
+    exact bytes, so a challenge layer cut or extended past onion_len never
+    reaches it.  It returns None to leave them to honest processing with
     the party's key, or (out, reply) for a recognized challenge layer: out
     is the Proc answer, and reply is what a Reply to those exact bytes
     gives (see _reply_from).  The handler is consulted before the replay
@@ -85,9 +76,9 @@ class GameOracles:
     test once, on the header bytes sent, and the answer to a replayed
     header is discarded for None.  replies[party] maps the bytes of each
     repliable onion the party processed to its reply until its one Reply.
-    Answers are records, built by honest code; each one's byte length is
-    logged so tests can check that the transcript shape is independent of
-    the hidden bit.
+    Answers are tuples of bytes and str, built by honest code; each one's
+    byte length is logged so tests can check that the transcript shape is
+    independent of the hidden bit.
     """
 
     def __init__(self, params, keypairs):
@@ -99,23 +90,20 @@ class GameOracles:
         self.transcript = []
 
     def _log(self, move, out):
-        self.transcript.append((move, _out_len(out, self.params)))
+        self.transcript.append((move, _out_len(out)))
         return out
 
     def _admits(self, party, data):
-        return type(party) is bytes and party in self.keys and type(data) is bytes
+        return (type(party) is bytes and party in self.keys and type(data) is bytes
+                and len(data) == self.params.onion_len)
 
     def proc(self, party, data):
         if not self._admits(party, data):
             return self._log("proc", None)
-        try:
-            onion = parse_onion(data, self.params)
-        except GroupDecodeError:
-            return self._log("proc", None)
         state = self.state[party]
-        answer = self.challenger(party, onion)
+        answer = self.challenger(party, data)
         if answer is None:
-            result = proc_onion(self.keys[party].sk, onion, party, self.params, state)
+            result = proc_onion(self.keys[party].sk, data, party, self.params, state)
             out, reply = _translate(result), _reply_from(result.reply_info, self.params)
         elif state.check_and_add(data[:self.params.header_len]):
             out, reply = answer
@@ -126,7 +114,7 @@ class GameOracles:
         return self._log("proc", out)
 
     def reply(self, party, data, message):
-        # Only bytes that parsed were ever filed, so Reply parses nothing.
+        # Only bytes that proc_onion processed were ever filed.
         if (not self._admits(party, data) or type(message) is not bytes
                 or len(message) > self.params.max_msg_len):
             return self._log("reply", None)
@@ -326,11 +314,11 @@ def _tlu_world(oracles, rng, sub, bit, real, bar):
     def challenger(party, onion):
         if bit == 0 or party != P_H or not recognize_onion(j, onion, d_bar):
             return None
-        intact = onion.delta == d_bar.onion(j).delta
+        # The header matched and the width is onion_len, so the payload decides.
+        intact = onion == d_bar.onion(j)
         if j < n:
-            continuation = d_real.onion(j + 1)
-            if not intact:
-                continuation = Onion(continuation.header, tag_rng.read(params.payload_len))
+            continuation = (d_real.onion(j + 1) if intact
+                            else d_real.header(j + 1) + tag_rng.read(params.payload_len))
             return ("forward", path[j][0], continuation), None
         if not intact:
             return None  # a tagged exit layer fails integrity, as at b = 0
@@ -556,7 +544,8 @@ class ByteComparisonAdversary(GuessingAdversary):
             path=keyed(sub.path),
             reply_path=keyed(sub.reply_path),
         ), self.params)
-        if mine.header == self.challenge.header:
+        at_delta = self.params.header_len
+        if mine[:at_delta] == self.challenge[:at_delta]:
             return 0  # never happens for a sound scheme
         return self.coin()
 
@@ -578,8 +567,9 @@ class TagConsistencyAdversary(_BaseAdversary):
         onion = self.walk(self.challenge, (b"x1",))
         if onion is None:
             return self.coin()
-        tagged = tag_payload(onion, self.rng.fork(b"mask").read(self.params.payload_len))
-        out = self.oracles.proc(P_H, serialize_onion(tagged, self.params))
+        tagged = tag_payload(onion, self.rng.fork(b"mask").read(self.params.payload_len),
+                             self.params)
+        out = self.oracles.proc(P_H, tagged)
         if out is None or out[0] != "forward":
             return 1  # real onions never vanish at the honest mid hop
         if self.peel(b"x2", out[2]).kind == "exit":
@@ -606,7 +596,7 @@ class DirectionStructureAdversary(_BaseAdversary):
         formed = None if onion is None else self.exit_reply(onion, b"x2", b"reply-probe")
         if formed is None:
             return self.coin()
-        out = self.oracles.proc(P_H, serialize_onion(formed[0], self.params))
+        out = self.oracles.proc(P_H, formed[0])
         if out is None or out[0] != "forward":
             return self.coin()
         if self.peel(b"x3", out[2]).kind not in ("forward", "exit"):
@@ -646,7 +636,7 @@ class PathLengthPaddingAdversary(_BaseAdversary):
         onion = self.walk(self.challenge, names)
         if onion is None:
             return self.coin()
-        run = zero_run(self.relays[reader].sk, onion.header, self.params)
+        run = zero_run(self.relays[reader].sk, onion, self.params)
         return 1 if run >= 4 * self.params.kappa else 0
 
 

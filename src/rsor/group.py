@@ -30,8 +30,9 @@ and q are prime is taken on trust).  With ``signed`` unset, membership is
 that Legendre test; with ``signed`` set, ``exp`` and ``base`` return the
 representative min(v, p - v), and membership is the range test 1 <= v <= q,
 so p - v, the other name of a member's class, is not an element.
-Membership is checked where bytes or keys enter (``decode``, the entry of
-``packet.proc_onion``, spec validation), not inside ``exp`` or ``encode``.
+Membership is checked where bytes or keys enter (``decode``, which
+``packet.proc_onion`` runs on every alpha field, and spec validation), not
+inside ``exp`` or ``encode``.
 A public key is tested once per process: spec validation goes through
 ``kem.is_public_key``, whose bounded key memo ``kem_keygen`` also feeds, so
 a key made as g^sk or tested before costs no membership test; every alpha

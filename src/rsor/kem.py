@@ -20,7 +20,7 @@ construction, and ``is_public_key`` records a key the first time it passes
 ``group.is_element``.  The memo holds at most KNOWN_KEYS_CAP keys and
 evicts the oldest to make room, so an evicted key is simply tested again.
 A non-member never enters it.  Alphas never do either: they come off the
-wire with every onion, so ``proc_onion``, ``decode`` and
+wire with every onion, so ``proc_onion``, through ``decode``, and
 ``KemGameOracles.decap`` test each one.
 
 The KEM game runs kem_chain_create and kem_decap themselves, so it hands
@@ -150,7 +150,7 @@ def kem_decap(group, sk: int, alpha: int) -> LayerSecrets:
     """Relay-side decapsulation; agrees with the sender's layer at this hop.
 
     alpha comes off the wire, so the caller checks membership first
-    (``proc_onion`` does, at its entry).
+    (``proc_onion`` decodes it).
     """
     return LayerSecrets(alpha, *ro_layer(group, alpha, group.exp(alpha, sk)))
 

@@ -12,9 +12,10 @@ filed under the reply header; proc_onion recognizes that header before any
 group operation and retires the opening when it arrives, tampered or not.
 A view holds at most packet.REPLY_OPENING_CAP openings, oldest evicted
 first; senders drop anything unsolicited or tampered without reacting.
-Receivers never parse onions at all -- they only see plaintext messages and
-rids.  A party's state is built from its name (and keypair) alone: its
-view, buffers and inbox start empty and cannot be passed in.
+Onions travel as their wire bytes, and only proc_onion parses them.
+Receivers never see an onion at all -- they only see an exit's plaintext
+messages and rids.  A party's state is built from its name (and keypair)
+alone: its view, buffers and inbox start empty and cannot be passed in.
 """
 
 import collections
@@ -22,7 +23,6 @@ import collections
 from .kem import KemKeyPair
 from .packet import (
     InMemoryView,
-    Onion,
     OnionSpec,
     build_reply_onion,
     derive,
@@ -111,7 +111,7 @@ class ReceiverState:
 # ---------------------------------------------------------------------------
 # Relay operations
 
-def relay_on_onion(state: RelayState, onion: Onion, sender_of: bytes, params, rng):
+def relay_on_onion(state: RelayState, onion: bytes, sender_of: bytes, params, rng):
     """Process an arriving onion; buffer the outcome of its one peel under a
     fresh tid.  An integrity failure had a valid header, so the onion is
     accepted; the destroyed payload only surfaces when the relay gets around
@@ -182,7 +182,7 @@ def sender_send(state: SenderState, spec: OnionSpec, params):
     return event, SendOnion(next_hop=first_hop, onion=d.fwd_onions[0])
 
 
-def sender_on_onion(state: SenderState, onion: Onion, params):
+def sender_on_onion(state: SenderState, onion: bytes, params):
     """Handle a packet arriving back at the sender.
 
     An expected reply is recognized by its header alone, with no
@@ -202,9 +202,7 @@ def sender_on_onion(state: SenderState, onion: Onion, params):
 # Receiver operations
 
 def receiver_on_message(state: ReceiverState, message, rid, from_relay: bytes):
-    """Deliver a plaintext message; onions sent to receivers are dropped."""
-    if isinstance(message, Onion):
-        return make_event(state.name, "dropped", reason="onion-at-receiver")
+    """Deliver an exit's plaintext message."""
     state.inbox.append((message, rid, from_relay))
     return make_event(state.name, "message-received",
                       message=message, repliable=rid is not None)

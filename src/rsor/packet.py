@@ -1,11 +1,13 @@
 """Byte-exact onion packet format: forming, processing, and replying.
 
-An onion is a fixed-width packet (header eta = (alpha, beta, gamma), payload
-delta).  The sender derives every byte it sends from a seed in one pass
-(derive) and keeps only a ReplyOpening to open the answer; relays peel one
-layer at a time with only their private key.  Forward payloads may embed a
-pre-built reply header so the exit relay can send an answer back without
-learning who asked.
+An onion is its wire bytes: onion_len bytes, a header eta = alpha | beta |
+gamma (alpha a group element's fixed-width encoding) followed by the
+payload delta.  The sender derives every byte it sends from a seed in one
+pass (derive) and keeps only a ReplyOpening to open the answer; relays peel
+one layer at a time with only their private key.  proc_onion is the one
+parse of an onion, and the one membership test of its alpha.  Forward
+payloads may embed a pre-built reply header so the exit relay can send an
+answer back without learning who asked.
 """
 
 import collections
@@ -115,17 +117,9 @@ class FormatParams(collections.namedtuple("FormatParams", "group payload_len leg
         return self.header_len + self.payload_len
 
 
-class Header(collections.namedtuple("Header", "alpha beta gamma")):
-    __slots__ = ()
-
-
-class Onion(collections.namedtuple("Onion", "header delta")):
-    __slots__ = ()
-
-
 class ReplyInfo(collections.namedtuple("ReplyInfo", "first_hop eta0 k_tilde")):
     """What an exit relay needs to answer: where to send the pre-built reply
-    header and the key sealing the reply payload."""
+    header (eta0, its bytes) and the key sealing the reply payload."""
 
     __slots__ = ()
 
@@ -145,8 +139,9 @@ class ProcResult(collections.namedtuple(
     """Outcome of processing one onion at one relay.
 
     kind is one of "forward", "exit", "reply", "fail"; every other field
-    defaults to None.  Callers other than tests must treat every "fail"
-    identically; reason is diagnostic only.
+    defaults to None.  A forward's next_onion is the next layer's bytes.
+    Callers other than tests must treat every "fail" identically; reason is
+    diagnostic only.
     """
 
     __slots__ = ()
@@ -166,8 +161,11 @@ def encode_addr(tag: int, name: bytes, params) -> bytes:
 
 
 def check_name(name: bytes, params):
-    """Raise ValueError unless name fits an address field after its tag."""
+    """Raise ValueError unless name is exact bytes that fit an address field
+    after its tag."""
     # A ValueError, not an assert: python -O strips asserts.
+    if type(name) is not bytes:
+        raise ValueError("name %r is not bytes" % (name,))
     if len(name) > params.addr_len - 1:
         raise ValueError("name %r does not fit an address field" % (name,))
 
@@ -256,8 +254,17 @@ def _padding(streams, params) -> bytes:
     return phi
 
 
+def serialize_header(alpha: int, beta: bytes, gamma: bytes, params) -> bytes:
+    """The one header encoder: alpha's fixed-width encoding, beta, gamma."""
+    out = params.group.encode(alpha) + beta + gamma
+    if len(out) != params.header_len:
+        raise ValueError("header fields have the wrong widths")
+    return out
+
+
 def build_header(chain: tuple, path_addrs, final_contents: bytes, params):
-    """All n header layers for one direction, n <= max_hops (validate_spec).
+    """The bytes of all n header layers for one direction, n <= max_hops
+    (validate_spec).
 
     path_addrs[i] is the address field of hop i+1 (path_addrs[0], the first
     hop's own address, is never embedded -- the sender delivers directly).
@@ -279,12 +286,12 @@ def build_header(chain: tuple, path_addrs, final_contents: bytes, params):
 
     beta = xor_bytes(final_contents, streams[n - 1][: len(final_contents)]) + phi
     gamma = mac(chain[n - 1].k_mu, beta)
-    headers = [Header(chain[n - 1].alpha, beta, gamma)]
+    headers = [serialize_header(chain[n - 1].alpha, beta, gamma, params)]
     for i in range(n - 2, -1, -1):
         inner = path_addrs[i + 1] + gamma + beta[: params.beta_len - 2 * kappa]
         beta = xor_bytes(inner, streams[i][: params.beta_len])
         gamma = mac(chain[i].k_mu, beta)
-        headers.append(Header(chain[i].alpha, beta, gamma))
+        headers.append(serialize_header(chain[i].alpha, beta, gamma, params))
     headers.reverse()
     return headers
 
@@ -293,6 +300,9 @@ def build_header(chain: tuple, path_addrs, final_contents: bytes, params):
 # Payload construction
 
 def _frame(message: bytes, params) -> bytes:
+    # Exact bytes, so a str is refused here and not at ljust's TypeError.
+    if type(message) is not bytes:
+        raise ValueError("message must be bytes")
     if len(message) > params.max_msg_len:
         raise ValueError("message does not fit the payload frame")
     return len(message).to_bytes(2, "big") + message.ljust(
@@ -308,7 +318,7 @@ def _unframe(framed: bytes):
 
 
 def serialize_reply_block(info: ReplyInfo, params) -> bytes:
-    return info.first_hop + serialize_header(info.eta0, params) + info.k_tilde
+    return info.first_hop + info.eta0 + info.k_tilde
 
 
 def parse_reply_block(block: bytes, params):
@@ -318,8 +328,9 @@ def parse_reply_block(block: bytes, params):
     nymserver registration), so a bad width is refused, not asserted."""
     if len(block) != params.reply_block_len or block == b"\x00" * params.reply_block_len:
         return None
+    eta0 = block[params.addr_len : params.addr_len + params.header_len]
     try:
-        eta0 = parse_header(block[params.addr_len : params.addr_len + params.header_len], params)
+        params.group.decode(eta0[: params.group.elem_len])
     except GroupDecodeError:
         return None
     return ReplyInfo(
@@ -369,15 +380,15 @@ class ReplyOpening(collections.namedtuple("ReplyOpening", "header k_pis k_tilde"
     header the reply arrives with, which the sender's view files it under
     and recognizes the reply by, the PRP keys of the reply relays before
     the sender in hop order, and k_tilde, under which the exit sealed the
-    reply payload.  It holds no seed, so it regenerates nothing else of the
-    onion."""
+    reply payload.  The header is bytes, as every header and onion is.  It
+    holds no seed, so it regenerates nothing else of the onion."""
 
     __slots__ = ()
 
 
 class Derived(collections.namedtuple(
         "Derived", "fwd_onions fwd_chain reply_info opening reply_headers message params")):
-    """Every layer of one onion, derived once from its spec.
+    """Every layer of one onion, derived once from its spec, as bytes.
 
     fwd_onions holds layers 1..n of the forward trip.  Layers n+1..n+nr are
     the reply trip carrying the spec's own message back: reply_headers holds
@@ -394,19 +405,22 @@ class Derived(collections.namedtuple(
             return self.fwd_onions
         # The exit seals the reply, then every reply-path relay before the
         # sender peels one PRP layer.
+        at_delta = self.params.header_len
         reply = [build_reply_onion(self.reply_info, self.message, self.params)[0]]
         for header, k_pi in zip(self.reply_headers[1:], self.opening.k_pis):
-            reply.append(Onion(header, prp_dec(k_pi, reply[-1].delta)))
+            reply.append(header + prp_dec(k_pi, reply[-1][at_delta:]))
         return self.fwd_onions + tuple(reply)
 
-    def header(self, i: int) -> Header:
+    def header(self, i: int) -> bytes:
         """The header of layer i of the combined path; it seals no payload."""
         n = len(self.fwd_onions)
         if not 1 <= i <= n + len(self.reply_headers):
             raise ValueError("layer index out of range")
-        return self.fwd_onions[i - 1].header if i <= n else self.reply_headers[i - n - 1]
+        if i > n:
+            return self.reply_headers[i - n - 1]
+        return self.fwd_onions[i - 1][: self.params.header_len]
 
-    def onion(self, i: int) -> Onion:
+    def onion(self, i: int) -> bytes:
         """The onion exactly as it arrives at hop i of its combined path."""
         self.header(i)  # the range check
         return self.fwd_onions[i - 1] if i <= len(self.fwd_onions) else self.onions[i - 1]
@@ -463,7 +477,7 @@ def derive(spec: OnionSpec, params: FormatParams) -> Derived:
         fwd_deltas[i] = delta
 
     return Derived(
-        fwd_onions=tuple(map(Onion, fwd_headers, fwd_deltas)),
+        fwd_onions=tuple(map(bytes.__add__, fwd_headers, fwd_deltas)),
         fwd_chain=fwd_chain,
         reply_info=reply_info,
         opening=opening,
@@ -473,31 +487,32 @@ def derive(spec: OnionSpec, params: FormatParams) -> Derived:
     )
 
 
-def form_onion(i: int, spec: OnionSpec, params: FormatParams) -> Onion:
+def form_onion(i: int, spec: OnionSpec, params: FormatParams) -> bytes:
     """The onion exactly as it arrives at hop i of its combined path: a
     one-shot derive(spec, params).onion(i)."""
     return derive(spec, params).onion(i)
 
 
-def recognize_onion(i: int, onion: Onion, derived: Derived) -> bool:
+def recognize_onion(i: int, onion: bytes, derived: Derived) -> bool:
     """Header-only comparison against the i-th layer of a derived onion; the
     payload may have been tampered with and is deliberately ignored, and a
-    reply layer's payload is never sealed for it.
+    reply layer's payload is never sealed for it.  A caller that needs the
+    exact width checks it.
 
-    Compares the header fields, so a malformed header (alpha out of range,
-    wrong widths) is simply unequal rather than an encoding error.  Raises
-    ValueError for an i outside 1..n+nr, as Derived.onion does.
+    Compares the header bytes, so a malformed header is simply unequal.
+    Raises ValueError for an i outside 1..n+nr, as Derived.onion does.
     """
-    return onion.header == derived.header(i)
+    return onion[: derived.params.header_len] == derived.header(i)
 
 
-def tag_payload(onion: Onion, mask: bytes) -> Onion:
+def tag_payload(onion: bytes, mask: bytes, params) -> bytes:
     """Adversary helper: XOR a nonzero mask into the payload only."""
-    if len(mask) != len(onion.delta):
+    at_delta = params.header_len
+    if len(mask) != len(onion) - at_delta:
         raise ValueError("mask width must equal payload width")
     if mask == b"\x00" * len(mask):
         raise ValueError("mask must be nonzero")
-    return Onion(onion.header, xor_bytes(onion.delta, mask))
+    return onion[:at_delta] + xor_bytes(onion[at_delta:], mask)
 
 
 # ---------------------------------------------------------------------------
@@ -554,11 +569,11 @@ class InMemoryView:
             del self._expectations[next(iter(self._expectations))]
         self._expectations[opening.header] = opening
 
-    def lookup_reply(self, header: Header):
+    def lookup_reply(self, header: bytes):
         """The opening filed under this expected reply header, or None."""
         return self._expectations.get(header) if self._expectations else None
 
-    def forget_reply(self, header: Header):
+    def forget_reply(self, header: bytes):
         self._expectations.pop(header, None)
 
 
@@ -573,41 +588,56 @@ def _holds_tag(bucket: bytearray, tag: bytes) -> bool:
     return False
 
 
-def _peel_beta(layer, header: Header, params):
-    wide = prg_xor(layer.k_rho, header.beta + _PEEL_PAD)
+def _header_fields(data: bytes, params):
+    """(alpha field, beta, gamma): the header fields of an onion's bytes, or
+    of a header's."""
+    at_beta = params.group.elem_len
+    at_gamma = at_beta + params.beta_len
+    return data[:at_beta], data[at_beta:at_gamma], data[at_gamma:params.header_len]
+
+
+def _peel_beta(layer, beta: bytes):
+    wide = prg_xor(layer.k_rho, beta + _PEEL_PAD)
     return wide[:KAPPA], wide[KAPPA:2 * KAPPA], wide[2 * KAPPA:]
 
 
-def zero_run(sk: int, header: Header, params) -> int:
-    """The number of zero bytes right after the routing field of a header
-    that the holder of sk peels: what a relay can read off the filler of
-    its own layer (the legacy zero filler leaks the path length there).
-    It checks no MAC: pass a header that reached this relay intact."""
-    layer = kem_decap(params.group, sk, header.alpha)
-    _addr, gamma_next, beta_next = _peel_beta(layer, header, params)
+def zero_run(sk: int, onion: bytes, params) -> int:
+    """The number of zero bytes right after the routing field of an onion's
+    header that the holder of sk peels: what a relay can read off the
+    filler of its own layer (the legacy zero filler leaks the path length
+    there).  It tests neither the MAC nor alpha's membership: pass a layer
+    that reached this relay intact."""
+    alpha_field, beta, _gamma = _header_fields(onion, params)
+    layer = kem_decap(params.group, sk, int.from_bytes(alpha_field, "big"))
+    _addr, gamma_next, beta_next = _peel_beta(layer, beta)
     tail = gamma_next + beta_next
     return len(tail) - len(tail.lstrip(b"\x00"))
 
 
-def proc_onion(sk: int, onion: Onion, self_name: bytes, params, view) -> ProcResult:
-    """Process one onion with this relay's private key.
+def proc_onion(sk: int, data: bytes, self_name: bytes, params, view) -> ProcResult:
+    """Process one onion, its wire bytes, with this relay's private key:
+    the one parse of an onion.
 
+    Anything but exact bytes of onion_len fails at once, before a lookup.
     A sender recognizes the reply it awaits by its header alone, before any
-    group operation, since it built that header itself: it checks the
-    payload width, makes the replay test, retires the ReplyOpening filed
-    under the header (whether or not the payload then opens) and opens the
-    payload, peeling no PRP layer, since the reply path's last PRP key was
-    never applied.  Any other onion is peeled as a relay peels it; a
-    forwarding or exit relay peels one PRP layer off the payload.  Every
-    failure collapses to kind="fail"; the reason field exists for tests
-    only and must never influence honest behavior.
+    group operation, since it built that header itself: it makes the
+    replay test, retires the ReplyOpening filed under the header (whether
+    or not the payload then opens) and opens the payload, peeling no PRP
+    layer, since the reply path's last PRP key was never applied.  Any
+    other onion is peeled as a relay peels it: the decode of its alpha
+    field is the hop's one membership test, and a forwarding or exit relay
+    peels one PRP layer off the payload.  Every failure collapses to
+    kind="fail"; the reason field exists for tests only and must never
+    influence honest behavior.
     """
-    header, delta = onion.header, onion.delta
+    # Exact bytes first: a bytearray is unhashable, so lookup_reply would
+    # raise on one.
+    if type(data) is not bytes or len(data) != params.onion_len:
+        return _fail("bad-width")
+    header, delta = data[: params.header_len], data[params.header_len :]
     opening = view.lookup_reply(header)
     if opening is not None:
-        if len(delta) != params.payload_len:
-            return _fail("bad-width")
-        if not view.check_and_add(serialize_header(header, params)):
+        if not view.check_and_add(header):
             return _fail("replay")
         # The expected header is in the replay cache now, so no later copy
         # can open this reply: retire the opening whether or not the payload
@@ -623,27 +653,28 @@ def proc_onion(sk: int, onion: Onion, self_name: bytes, params, view) -> ProcRes
             return _fail("integrity")
         return ProcResult(kind="reply", message=opened[2])
 
-    if not params.group.is_element(header.alpha):
+    alpha_field, beta, gamma = _header_fields(header, params)
+    try:
+        alpha = params.group.decode(alpha_field)
+    except GroupDecodeError:
         return _fail("bad-element")
-    if len(header.beta) != params.beta_len or len(delta) != params.payload_len:
-        return _fail("bad-width")
 
-    layer = kem_decap(params.group, sk, header.alpha)
-    if mac(layer.k_mu, header.beta) != header.gamma:
+    layer = kem_decap(params.group, sk, alpha)
+    if mac(layer.k_mu, beta) != gamma:
         return _fail("mac")
-    if not view.check_and_add(serialize_header(header, params)):
+    if not view.check_and_add(header):
         return _fail("replay")
 
-    addr, gamma_next, beta_next = _peel_beta(layer, header, params)
+    addr, gamma_next, beta_next = _peel_beta(layer, beta)
     tag, name = decode_addr(addr)
 
     if tag == ADDR_RELAY:
-        alpha_next = kem_blind(params.group, header.alpha, layer.b)
-        delta_next = prp_dec(layer.k_pi, delta)
+        alpha_next = kem_blind(params.group, alpha, layer.b)
         return ProcResult(
             kind="forward",
             next_hop=name,
-            next_onion=Onion(Header(alpha_next, beta_next, gamma_next), delta_next),
+            next_onion=(params.group.encode(alpha_next) + beta_next + gamma_next
+                        + prp_dec(layer.k_pi, delta)),
         )
 
     if tag == ADDR_EXIT:
@@ -666,7 +697,7 @@ def proc_onion(sk: int, onion: Onion, self_name: bytes, params, view) -> ProcRes
     return _fail("bad-address")
 
 
-def form_reply(m_reply: bytes, onion_at_exit: Onion, exit_name: bytes, sk: int, params):
+def form_reply(m_reply: bytes, onion_at_exit: bytes, exit_name: bytes, sk: int, params):
     """Build the reply onion an exit relay sends back, or None.
 
     Reprocesses the given exit-layer onion against a fresh replay cache,
@@ -695,38 +726,4 @@ def build_reply_onion(info: ReplyInfo, m_reply: bytes, params):
     plain = build_payload_forward(params, bytes(params.addr_len), None, m_reply)
     delta = prp_enc(info.k_tilde, plain)
     _tag, first_hop = decode_addr(info.first_hop)
-    return Onion(info.eta0, delta), first_hop
-
-
-# ---------------------------------------------------------------------------
-# Wire format
-
-def serialize_header(header: Header, params) -> bytes:
-    out = params.group.encode(header.alpha) + header.beta + header.gamma
-    if len(out) != params.header_len:
-        raise ValueError("header fields have the wrong widths")
-    return out
-
-
-def parse_header(data: bytes, params) -> Header:
-    if len(data) != params.header_len:
-        raise GroupDecodeError("bad header width")
-    alpha = params.group.decode(data[: params.group.elem_len])
-    beta = data[params.group.elem_len : params.group.elem_len + params.beta_len]
-    return Header(alpha=alpha, beta=beta, gamma=data[-params.kappa :])
-
-
-def serialize_onion(onion: Onion, params) -> bytes:
-    out = serialize_header(onion.header, params) + onion.delta
-    if len(out) != params.onion_len:
-        raise ValueError("payload has the wrong width")
-    return out
-
-
-def parse_onion(data: bytes, params) -> Onion:
-    if len(data) != params.onion_len:
-        raise GroupDecodeError("bad onion width")
-    return Onion(
-        header=parse_header(data[: params.header_len], params),
-        delta=data[params.header_len :],
-    )
+    return info.eta0 + delta, first_hop

@@ -183,7 +183,8 @@ class _Network:
                 self.log(make_event(None, "adv-drop", item=idx, hop=hop))
                 return
             if rule is not None and rule.action == "tag":
-                onion = tag_payload(onion, self.adv_rng.read(self.params.payload_len))
+                onion = tag_payload(onion, self.adv_rng.read(self.params.payload_len),
+                                    self.params)
                 self.log(make_event(None, "adv-tag", item=idx, hop=hop))
             self.link(prev, current, secure=current in self.relays and prev in self.relays)
 
@@ -245,8 +246,9 @@ def _check_workload(scenario: Scenario, params):
     is both a relay and a sender, every corrupted name is a declared relay
     or sender, each onion's sender and relays are declared, its reply path
     ends at its sender, validate_shape accepts it and its reply message fits
-    the payload frame.  A receiver may be undeclared: its exit drops the
-    delivery."""
+    the payload frame.  Names and the reply message must be exact bytes, as
+    the real world's address fields and payload frame need.  A receiver may
+    be undeclared: its exit drops the delivery."""
     for name in scenario.relays + scenario.senders + scenario.receivers:
         check_name(name, params)
     for name in scenario.corrupted:
@@ -268,8 +270,10 @@ def _check_workload(scenario: Scenario, params):
                              % trace_text(item.reply_path[-1]))
         check_name(item.receiver, params)
         validate_shape(item.path, item.reply_path, item.message, params)
-        # The real exit would drop an over-long reply as unrepliable, where
-        # the ideal world delivers it.
+        # The real exit would drop a str or over-long reply as unrepliable,
+        # where the ideal world delivers it.
+        if item.reply_message is not None and type(item.reply_message) is not bytes:
+            raise ValueError("reply message must be bytes")
         if item.reply_message is not None and len(item.reply_message) > params.max_msg_len:
             raise ValueError("reply message does not fit the payload frame")
 
@@ -597,9 +601,8 @@ def scenario_zero_padding_leak(seed, legacy: bool):
         receiver=receiver_addr(b"svc", params),
         path=tuple((n, keys[n].pk) for n in path_names),
     )
-    header = form_onion(len(path_names), spec, params).header
     # What the corrupted exit reads off its own, authentic layer.
-    run = zero_run(keys[b"exit"].sk, header, params)
+    run = zero_run(keys[b"exit"].sk, form_onion(len(path_names), spec, params), params)
     guessed_n = 2 if run >= 5 * params.kappa else 5
     return {
         "path_length_recovered": guessed_n == true_n,

@@ -296,13 +296,13 @@ _DERIVE_ONE_ONION = """
 from rsor.crypto import SeedRng
 from rsor.group import PROD_GROUP
 from rsor.kem import kem_keygen
-from rsor.packet import FormatParams, OnionSpec, derive, receiver_addr, serialize_onion
+from rsor.packet import FormatParams, OnionSpec, derive, receiver_addr
 
 params = FormatParams(group=PROD_GROUP)
 pks = [kem_keygen(PROD_GROUP, SeedRng(b"k%d" % i)).pk for i in range(2)]
 spec = OnionSpec(seed=b"s", message=b"m", receiver=receiver_addr(b"svc", params),
                  path=((b"r0", pks[0]), (b"r1", pks[1])))
-first_onion = serialize_onion(derive(spec, params).fwd_onions[0], params).hex()
+first_onion = derive(spec, params).fwd_onions[0].hex()
 """
 
 

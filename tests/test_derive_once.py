@@ -88,7 +88,7 @@ def test_sender_keeps_a_reply_opening_and_no_spec():
     # The sender's own reply hop applies no PRP layer, so only the relays'
     # keys before it are kept.
     assert len(opening.k_pis) == len(spec.reply_path) - 1
-    held = [opening.header.beta, opening.header.gamma, opening.k_tilde, *opening.k_pis]
+    held = [opening.header, opening.k_tilde, *opening.k_pis]
     assert all(isinstance(value, bytes) and spec.seed not in value for value in held)
 
 

@@ -2,8 +2,8 @@
 onion once in Proc, and Reply answers from that peel.  These cases pin the
 answers the TLU challenger once gave only when b = 1, the oracles'
 handling of an onion of the wrong width, and the boundary each oracle keeps
-before either world looks at the adversary's input: exact bytes that parse
-as an onion."""
+before either world looks at the adversary's input: exact bytes of an
+onion's width, which proc_onion alone parses."""
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,14 +23,12 @@ from rsor.group import PROD_GROUP, SQR_GROUP
 from rsor.kem import kem_keygen
 from rsor.packet import (
     FormatParams,
-    Header,
     InMemoryView,
     OnionSpec,
     derive,
     form_onion,
     receiver_addr,
     serialize_header,
-    serialize_onion,
     tag_payload,
 )
 
@@ -65,15 +63,10 @@ def _run_tlu(probe, bit):
     return adversary.answer
 
 
-def _wire(oracles, onion):
-    """What an adversary sends an oracle: the onion's wire bytes."""
-    return serialize_onion(onion, oracles.params)
-
-
 @pytest.mark.parametrize("bit", [0, 1])
 def test_tlu_tagged_exit_layer_fails_in_both_worlds(bit):
     def tag_then_proc_and_reply(oracles, onion):
-        tagged = _wire(oracles, tag_payload(onion, SeedRng(b"mask").read(PARAMS.payload_len)))
+        tagged = tag_payload(onion, SeedRng(b"mask").read(PARAMS.payload_len), PARAMS)
         return oracles.proc(P_H, tagged), oracles.reply(P_H, tagged, b"answer")
 
     assert _run_tlu(tag_then_proc_and_reply, bit) == (None, None)
@@ -82,9 +75,8 @@ def test_tlu_tagged_exit_layer_fails_in_both_worlds(bit):
 @pytest.mark.parametrize("bit", [0, 1])
 def test_tlu_oversized_reply_is_none_in_both_worlds(bit):
     def proc_then_long_reply(oracles, onion):
-        data = _wire(oracles, onion)
-        assert oracles.proc(P_H, data)[0] == "exit"
-        return oracles.reply(P_H, data, b"x" * (PARAMS.max_msg_len + 1))
+        assert oracles.proc(P_H, onion)[0] == "exit"
+        return oracles.reply(P_H, onion, b"x" * (PARAMS.max_msg_len + 1))
 
     assert _run_tlu(proc_then_long_reply, bit) is None
 
@@ -101,12 +93,11 @@ class _SluExitProbe(_ExitProbe):
 @pytest.mark.parametrize("bit", [0, 1])
 def test_reply_answers_only_the_processed_onion_once(game, probe_cls, bit):
     def replies_around_proc(oracles, onion):
-        tagged = _wire(oracles, tag_payload(onion, SeedRng(b"mask").read(PARAMS.payload_len)))
-        data = _wire(oracles, onion)
-        before = oracles.reply(P_H, data, b"answer")
-        assert oracles.proc(P_H, data)[0] == "exit"
+        tagged = tag_payload(onion, SeedRng(b"mask").read(PARAMS.payload_len), PARAMS)
+        before = oracles.reply(P_H, onion, b"answer")
+        assert oracles.proc(P_H, onion)[0] == "exit"
         return (before, oracles.reply(P_H, tagged, b"answer"),
-                oracles.reply(P_H, data, b"answer"), oracles.reply(P_H, data, b"answer"))
+                oracles.reply(P_H, onion, b"answer"), oracles.reply(P_H, onion, b"answer"))
 
     adversary = probe_cls(SeedRng(b"exit-probe"), replies_around_proc)
     game(adversary, seed=3, force_b=bit)
@@ -122,32 +113,30 @@ class _EqualsAnything(bytes):
     __hash__ = bytes.__hash__
 
 
-def _look_alikes(onion, params):
-    """Stand-ins for onion's wire bytes that are not exact bytes that parse
-    as an onion: the record and a plain tuple (a named tuple equals one),
-    a record whose header is a plain tuple, a bytearray, a bytes subclass
-    that equals anything, a str, a wrong width, and alpha fields encoding 0,
-    p, all 0xff bytes and p - alpha.  p = 3 mod 4, so p - alpha is a
-    non-residue in PROD_GROUP and above q in SQR_GROUP."""
+def _look_alikes(data, params):
+    """Stand-ins for an onion's wire bytes that are not exact bytes of an
+    onion: a plain tuple of its header and payload, a bytearray, a bytes
+    subclass that equals anything, a str, the payload cut and extended by
+    one byte, and alpha fields encoding 0, p, all 0xff bytes and p - alpha.
+    p = 3 mod 4, so p - alpha is a non-residue in PROD_GROUP and above q in
+    SQR_GROUP."""
     group = params.group
-    data = serialize_onion(onion, params)
-    rest = data[group.elem_len:]
+    alpha, rest = int.from_bytes(data[:group.elem_len], "big"), data[group.elem_len:]
     return [
-        onion,
-        tuple(onion),
-        onion._replace(header=tuple(onion.header)),
+        (data[:params.header_len], data[params.header_len:]),
         bytearray(data),
         _EqualsAnything(data),
         data.decode("latin-1"),
         data[:-1],
+        data + b"\x00",
         bytes(group.elem_len) + rest,
         group.p.to_bytes(group.elem_len, "big") + rest,
         b"\xff" * group.elem_len + rest,
-        (group.p - onion.header.alpha).to_bytes(group.elem_len, "big") + rest,
+        (group.p - alpha).to_bytes(group.elem_len, "big") + rest,
     ]
 
 
-LOOK_ALIKES = 11
+LOOK_ALIKES = 10
 
 
 @pytest.mark.parametrize("group", [PROD_GROUP, SQR_GROUP], ids=["prod", "sqr"])
@@ -158,14 +147,13 @@ def test_look_alikes_of_awaited_onions_are_none_in_both_worlds(group, bit):
     params = FormatParams(group=group)
 
     def probe(oracles, onion):
-        data = serialize_onion(onion, params)
         refused = [oracles.proc(P_H, fake) for fake in _look_alikes(onion, params)]
-        assert oracles.proc(P_H, data)[0] == "exit"
+        assert oracles.proc(P_H, onion)[0] == "exit"
         refused += [oracles.reply(P_H, fake, b"answer") for fake in _look_alikes(onion, params)]
-        _kind, reply, first_hop = oracles.reply(P_H, data, b"answer")
+        _kind, reply, first_hop = oracles.reply(P_H, onion, b"answer")
         at_sender = adversary.peel(first_hop, reply).next_onion
         refused += [oracles.proc(P_S, fake) for fake in _look_alikes(at_sender, params)]
-        return refused, oracles.proc(P_S, serialize_onion(at_sender, params))
+        return refused, oracles.proc(P_S, at_sender)
 
     adversary = _ExitProbe(SeedRng(b"exit-probe"), probe)
     game_tlu_forward(adversary, seed=3, params=params, force_b=bit)
@@ -179,7 +167,7 @@ def test_valid_bytes_are_processed_and_answered_once():
     spec = OnionSpec(seed=b"valid", message=b"m", receiver=receiver_addr(b"svc", PARAMS),
                      path=((b"r0", keys[b"r0"].pk),), reply_path=((b"q0", keys[b"q0"].pk),))
     d = derive(spec, PARAMS)
-    data = serialize_onion(d.onion(1), PARAMS)
+    data = d.onion(1)
     oracles = GameOracles(PARAMS, {b"r0": keys[b"r0"]})
     assert oracles.proc(b"r0", data) == ("exit", b"m", spec.receiver)
     assert oracles.reply(b"r0", data, b"m") == ("reply-onion", d.onion(2), b"q0")
@@ -191,7 +179,7 @@ def test_wrong_payload_width_is_refused_not_raised():
     keys = {b"r0": kem_keygen(PROD_GROUP, SeedRng(b"r0"))}
     spec = OnionSpec(seed=b"width", message=b"m", receiver=receiver_addr(b"svc", PARAMS),
                      path=((b"r0", keys[b"r0"].pk),))
-    short = serialize_onion(form_onion(1, spec, PARAMS), PARAMS)[:-1]
+    short = form_onion(1, spec, PARAMS)[:-1]
     oracles = GameOracles(PARAMS, keys)
     assert oracles.proc(b"r0", short) is None
     assert oracles.reply(b"r0", short, b"answer") is None
@@ -205,7 +193,7 @@ def test_game_sender_retires_the_opening_its_proc_opens():
     d = derive(spec, PARAMS)
     oracles = GameOracles(PARAMS, {P_S: keys[P_S]})
     oracles.state[P_S].expect_reply(d.opening)
-    data = serialize_onion(d.onion(3), PARAMS)
+    data = d.onion(3)
     assert oracles.proc(P_S, data) == ("reply", b"m")
     assert oracles.state[P_S].lookup_reply(d.opening.header) is None
     assert oracles.proc(P_S, data) is None
@@ -232,8 +220,7 @@ def _both_worlds(game, probe_cls, probe, seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_slu_reply_with_a_str_message_is_none_in_both_worlds(seed):
     def proc_then_str_reply(oracles, onion):
-        data = _wire(oracles, onion)
-        return oracles.proc(P_H, data), oracles.reply(P_H, data, "str")
+        return oracles.proc(P_H, onion), oracles.reply(P_H, onion, "str")
 
     at_0, at_1 = _both_worlds(game_slu_backward, _SluExitProbe, proc_then_str_reply, seed)
     assert at_0 == at_1 and at_0[0][0] == "exit" and at_0[1] is None
@@ -242,10 +229,13 @@ def test_slu_reply_with_a_str_message_is_none_in_both_worlds(seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_tlu_look_alikes_at_the_mid_hop_are_none_in_both_worlds(seed):
     # At b = 1 the challenger answers P_H's recognized layer itself, so a
-    # look-alike it took for that layer would answer differently.
+    # look-alike it took for that layer would answer differently: the
+    # payload cut or extended by one byte keeps the header it recognizes,
+    # and would take its tagged branch and forward, where proc_onion
+    # refuses the width at b = 0.
     def proc_look_alikes(oracles, onion):
         return ([oracles.proc(P_H, fake) for fake in _look_alikes(onion, oracles.params)],
-                oracles.proc(P_H, _wire(oracles, onion))[0])
+                oracles.proc(P_H, onion)[0])
 
     at_0, at_1 = _both_worlds(game_tlu_forward, _MidProbe, proc_look_alikes, seed)
     assert at_0 == at_1 == ([None] * LOOK_ALIKES, "forward")
@@ -256,8 +246,7 @@ def test_tlu_str_payload_is_none_in_both_worlds(seed):
     # The str is refused before the real bytes are tried, so the real
     # onion's replay test is still unspent.
     def proc_str_then_bytes(oracles, onion):
-        data = _wire(oracles, onion)
-        return oracles.proc(P_H, data.decode("latin-1")), oracles.proc(P_H, data)[0]
+        return oracles.proc(P_H, onion.decode("latin-1")), oracles.proc(P_H, onion)[0]
 
     at_0, at_1 = _both_worlds(game_tlu_forward, _MidProbe, proc_str_then_bytes, seed)
     assert at_0 == at_1 == (None, "forward")
@@ -268,9 +257,10 @@ def test_tlu_header_subclass_is_none_in_both_worlds(seed):
     # A forged header under the real payload, in a bytes subclass whose
     # __eq__ would match the awaited onion's bytes.
     def proc_forged_header(oracles, onion):
-        forged = Header(PROD_GROUP.g, bytes(PARAMS.beta_len), bytes(PARAMS.kappa))
-        lying = _EqualsAnything(serialize_header(forged, PARAMS) + onion.delta)
-        return oracles.proc(P_H, lying), oracles.proc(P_H, _wire(oracles, onion))[0]
+        forged = serialize_header(PROD_GROUP.g, bytes(PARAMS.beta_len), bytes(PARAMS.kappa),
+                                  PARAMS)
+        lying = _EqualsAnything(forged + onion[PARAMS.header_len:])
+        return oracles.proc(P_H, lying), oracles.proc(P_H, onion)[0]
 
     at_0, at_1 = _both_worlds(game_tlu_forward, _MidProbe, proc_forged_header, seed)
     assert at_0 == at_1 == (None, "forward")
@@ -330,7 +320,7 @@ def test_honest_proc_tags_its_header_once(monkeypatch):
     spec = OnionSpec(seed=b"tag-once", message=b"m", receiver=receiver_addr(b"svc", PARAMS),
                      path=((b"r0", keys[b"r0"].pk),))
     oracles = GameOracles(PARAMS, keys)
-    assert oracles.proc(b"r0", serialize_onion(form_onion(1, spec, PARAMS), PARAMS))[0] == "exit"
+    assert oracles.proc(b"r0", form_onion(1, spec, PARAMS))[0] == "exit"
     assert len(tagged) == 1
 
 
@@ -347,8 +337,7 @@ def _fuzz_target(group):
                      path=((b"r0", keys[b"r0"].pk), (b"r1", keys[b"r1"].pk)),
                      reply_path=((b"q0", keys[b"q0"].pk),))
     d = derive(spec, params)
-    layers = {b"r0": serialize_onion(d.onion(1), params),
-              b"r1": serialize_onion(d.onion(2), params)}
+    layers = {b"r0": d.onion(1), b"r1": d.onion(2)}
     return params, {name: keys[name] for name in layers}, layers
 
 

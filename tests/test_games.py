@@ -19,7 +19,7 @@ from rsor.games import (
 )
 from rsor.games import _BaseAdversary, fair_coin_pvalue
 from rsor.group import PROD_GROUP, SQR_GROUP, GroupParams
-from rsor.packet import FormatParams, Onion, serialize_onion
+from rsor.packet import FormatParams
 
 from binomial import binomial_pvalue
 
@@ -241,7 +241,7 @@ class _ReplayProbe(_BaseAdversary):
     def guess(self):
         step = self.peel(b"x1", self.challenge)
         assert step.kind == "forward"
-        layer = serialize_onion(step.next_onion, self.params)
+        layer = step.next_onion
         self.first = self.oracles.proc(P_H, layer)
         self.replayed = self.oracles.proc(P_H, layer)
         self.reply1 = self.oracles.reply(P_H, layer, b"pong")
@@ -282,11 +282,11 @@ class _SluAbsorbProbe(_BaseAdversary):
     def guess(self):
         formed = self.exit_reply(self.challenge, b"x1", b"back")
         assert formed is not None
-        out = self.oracles.proc(P_H, serialize_onion(formed[0], self.params))
+        out = self.oracles.proc(P_H, formed[0])
         assert out is not None and out[0] == "forward"
         step2 = self.peel(b"x3", out[2])
         assert step2.kind == "forward"
-        self.absorbed = self.oracles.proc(P_S, serialize_onion(step2.next_onion, self.params))
+        self.absorbed = self.oracles.proc(P_S, step2.next_onion)
         return 0
 
 
@@ -311,7 +311,7 @@ class _StiAbsorbProbe(_BaseAdversary):
     def guess(self):
         formed = self.exit_reply(self.challenge, b"x1", b"back")
         assert formed is not None
-        self.absorbed = self.oracles.proc(P_H_BACK, serialize_onion(formed[0], self.params))
+        self.absorbed = self.oracles.proc(P_H_BACK, formed[0])
         return 0
 
 
@@ -384,10 +384,9 @@ class NegatedAlphaAdversary(GuessingAdversary):
         peeled = self.peel(b"x1", self.challenge)
         if peeled.kind != "forward":
             return self.coin()
-        header = peeled.next_onion.header
-        negated = header._replace(alpha=params.group.p - header.alpha)
-        out = self.oracles.proc(
-            P_H, serialize_onion(Onion(negated, peeled.next_onion.delta), params))
+        onion, elem_len = peeled.next_onion, params.group.elem_len
+        negated = params.group.p - int.from_bytes(onion[:elem_len], "big")
+        out = self.oracles.proc(P_H, negated.to_bytes(elem_len, "big") + onion[elem_len:])
         if out is None:
             return self.coin()
         return 0 if out[0] == "forward" else 1
@@ -449,9 +448,10 @@ class BetaBitFlipAdversary(GuessingAdversary):
         onion = self.walk(self.challenge, (b"x1",))
         if onion is None:
             return self.coin()
-        beta = onion.header.beta
-        flipped = onion.header._replace(beta=beta[:-1] + bytes([beta[-1] ^ 1]))
-        out = self.oracles.proc(P_H, serialize_onion(Onion(flipped, onion.delta), self.params))
+        # The last byte of beta is the one before gamma's KAPPA bytes.
+        at = self.params.header_len - KAPPA - 1
+        flipped = onion[:at] + bytes([onion[at] ^ 1]) + onion[at + 1:]
+        out = self.oracles.proc(P_H, flipped)
         return 0 if out is not None and out[0] == "forward" else 1
 
 

@@ -20,13 +20,7 @@ from rsor.crypto import SeedRng
 from rsor.games import ADVERSARIES, GAMES, P_H, P_S, Submission, _BaseAdversary
 from rsor.group import PROD_GROUP, SQR_GROUP
 from rsor.kem import GuessingKemAdversary, WhiteBoxKemAdversary, kem_game_run, kem_keygen
-from rsor.packet import (
-    FormatParams,
-    Onion,
-    OnionSpec,
-    receiver_addr,
-    serialize_onion,
-)
+from rsor.packet import FormatParams, OnionSpec, receiver_addr
 from rsor.sim import (
     Rule,
     Scenario,
@@ -219,8 +213,9 @@ class OracleWalkAdversary(_BaseAdversary):
 
     def _note(self, out):
         def summary(part):
-            if isinstance(part, Onion):
-                return hashlib.sha256(serialize_onion(part, self.params)).hexdigest()
+            # Names and messages are far shorter than an onion.
+            if len(part) == self.params.onion_len:
+                return hashlib.sha256(part).hexdigest()
             return part.decode("latin-1") if isinstance(part, bytes) else part
 
         self.seen.append(None if out is None else [summary(part) for part in out])
@@ -238,17 +233,16 @@ class OracleWalkAdversary(_BaseAdversary):
             onion = formed[0] if formed else None
         if onion is None:
             return self.coin()
-        data = serialize_onion(onion, self.params)
-        first = self._note(self.oracles.proc(P_H, data))
-        self._note(self.oracles.proc(P_H, data))
-        back = self._note(self.oracles.reply(P_H, data, b"answer"))
-        self._note(self.oracles.reply(P_H, data, b"again"))
+        first = self._note(self.oracles.proc(P_H, onion))
+        self._note(self.oracles.proc(P_H, onion))
+        back = self._note(self.oracles.reply(P_H, onion, b"answer"))
+        self._note(self.oracles.reply(P_H, onion, b"again"))
         if self.variant != "tlu-mid":
             # A reply onion, or a forwarded reply layer, reaches P_S via x3.
             onward = back[1] if back else first[2] if first and first[0] == "forward" else None
             at_s = onward and self.walk(onward, [b"x3"])
             if at_s is not None:
-                self._note(self.oracles.proc(P_S, serialize_onion(at_s, self.params)))
+                self._note(self.oracles.proc(P_S, at_s))
         return self.coin()
 
 

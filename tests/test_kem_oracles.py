@@ -123,7 +123,7 @@ def test_a_kem_oracle_backed_decap_peels_as_the_key_does(monkeypatch, group, hop
                      path=path[:3], reply_path=path[3:])
     onion, name = derive(spec, params).onion(hop), names[hop - 1]
     real = proc_onion(keys[name].sk, onion, name, params, InMemoryView())
-    real_run = zero_run(keys[name].sk, onion.header, params)
+    real_run = zero_run(keys[name].sk, onion, params)
     assert real.kind == ("exit" if hop == 3 else "forward")
 
     oracles = KemGameOracles(group, keys[name].sk)
@@ -136,4 +136,4 @@ def test_a_kem_oracle_backed_decap_peels_as_the_key_does(monkeypatch, group, hop
 
     monkeypatch.setattr(packet, "kem_decap", oracle_decap)
     assert proc_onion(None, onion, name, params, InMemoryView()) == real
-    assert zero_run(None, onion.header, params) == real_run
+    assert zero_run(None, onion, params) == real_run

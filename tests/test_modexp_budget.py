@@ -39,7 +39,6 @@ from rsor.packet import (
     proc_onion,
     receiver_addr,
     recognize_onion,
-    serialize_onion,
 )
 
 PARAMS = FormatParams(group=PROD_GROUP)
@@ -72,6 +71,22 @@ def counts(monkeypatch):
             return _original(self, *args)
 
         monkeypatch.setattr(GroupParams, method, counted)
+    return tally
+
+
+@pytest.fixture
+def wire_counts(monkeypatch):
+    """Count GroupParams.encode and GroupParams.decode calls and the header
+    encodings packet.serialize_header makes."""
+    tally = {"encode": 0, "decode": 0, "serialize_header": 0}
+    for owner, name in ((GroupParams, "encode"), (GroupParams, "decode"),
+                        (rsor.packet, "serialize_header")):
+
+        def counted(*args, _original=getattr(owner, name), _name=name):
+            tally[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
     return tally
 
 
@@ -126,6 +141,33 @@ def test_forward_hop_costs_three_modexps(counts):
     result = proc_onion(keys[b"r1"].sk, onion, b"r1", PARAMS, InMemoryView())
     assert result.kind == "forward"
     # alpha in G, then alpha^sk (decap) and alpha^b (blind).
+    assert counts == {"base": 0, "exp": 2, "is_element": 1}
+
+
+def test_relay_hop_decodes_its_alpha_and_encodes_only_the_next(wire_counts):
+    spec, keys = _spec(3, 0)
+    state = RelayState(name=b"r1", keypair=keys[b"r1"])
+    ids = SeedRng(b"wire-ids")
+    onion, expected = form_onion(2, spec, PARAMS), form_onion(3, spec, PARAMS)
+    wire_counts.update(encode=0, decode=0, serialize_header=0)
+    event = relay_on_onion(state, onion, b"r0", PARAMS, ids)
+    _event, action = relay_forward(state, event["tid"], PARAMS, ids)
+    assert action.onion == expected
+    # The replay tag hashes the header bytes as they arrived: the alpha
+    # field is decoded once, for the membership test.  Decap's random
+    # oracles encode alpha and s, and the blinded alpha is encoded into
+    # the next layer.
+    assert wire_counts == {"encode": 3, "decode": 1, "serialize_header": 0}
+
+
+def test_game_proc_tests_a_forward_layer_for_membership_once(counts):
+    spec, keys = _spec(3, 0)
+    oracles = GameOracles(PARAMS, {b"r1": keys[b"r1"]})
+    data, expected = form_onion(2, spec, PARAMS), form_onion(3, spec, PARAMS)
+    counts.update(base=0, exp=0, is_element=0)
+    assert oracles.proc(b"r1", data) == ("forward", b"r2", expected)
+    # The oracle parses nothing: proc_onion's decode is the one membership
+    # test, then decap and blind.
     assert counts == {"base": 0, "exp": 2, "is_element": 1}
 
 
@@ -238,7 +280,7 @@ def test_baseline_round_trip_group_budget(counts):
     assert counts == {"base": 12, "exp": 15, "is_element": 6}
 
 
-def test_sender_opens_its_expected_reply_with_no_group_operation(counts):
+def test_sender_opens_its_expected_reply_with_no_group_operation(counts, wire_counts):
     n, nr = 2, 3
     spec, keys = _spec(n, nr)
     d = derive(spec, PARAMS)
@@ -246,10 +288,13 @@ def test_sender_opens_its_expected_reply_with_no_group_operation(counts):
     sender.view.expect_reply(d.opening)
     reply = d.onion(n + nr)
     counts.update(base=0, exp=0, is_element=0)
+    wire_counts.update(encode=0, decode=0, serialize_header=0)
     event = sender_on_onion(sender, reply, PARAMS)
     assert event["kind"] == "got-reply" and sender.replies == [spec.message]
-    # The sender built this header: no membership test and no decap.
+    # The sender built this header: no membership test, no decap, and no
+    # encoding, since the replay tag hashes the header bytes it arrived as.
     assert counts == {"base": 0, "exp": 0, "is_element": 0}
+    assert wire_counts == {"encode": 0, "decode": 0, "serialize_header": 0}
     # A copy is no longer expected, so it is processed like any onion.
     again = sender_on_onion(sender, reply, PARAMS)
     assert again["kind"] == "dropped" and again["reason"] == "replay"
@@ -405,7 +450,7 @@ def test_game_reply_answers_from_the_proc_peel(counts):
     spec, keys = _spec(2, 2)
     d = derive(spec, PARAMS)
     oracles = GameOracles(PARAMS, {b"r1": keys[b"r1"]})
-    data = serialize_onion(d.onion(2), PARAMS)
+    data = d.onion(2)
     assert oracles.proc(b"r1", data)[0] == "exit"
     counts.update(base=0, exp=0, is_element=0)
     out = oracles.reply(b"r1", data, spec.message)
@@ -430,11 +475,10 @@ def test_encode_rejects_out_of_range_values(value):
 def test_out_of_range_alpha_is_not_recognized_or_processed(alpha):
     spec, keys = _spec(2, 1)
     onion = form_onion(1, spec, PARAMS)
-    bad = onion._replace(header=onion.header._replace(alpha=alpha))
-    assert not recognize_onion(1, bad, derive(spec, PARAMS))
     # On the wire, -1 is an alpha field of all 0xff bytes.
     elem_len = PARAMS.group.elem_len
-    data = alpha.to_bytes(elem_len, "big", signed=True) + serialize_onion(onion, PARAMS)[elem_len:]
+    data = alpha.to_bytes(elem_len, "big", signed=True) + onion[elem_len:]
+    assert not recognize_onion(1, data, derive(spec, PARAMS))
     oracles = GameOracles(PARAMS, {b"r0": keys[b"r0"]})
     assert oracles.proc(b"r0", data) is None
     assert oracles.reply(b"r0", data, b"answer") is None

@@ -24,7 +24,6 @@ from rsor.packet import (
     REPLY_OPENING_CAP,
     FormatParams,
     InMemoryView,
-    Onion,
     OnionSpec,
     build_header,
     derive,
@@ -136,6 +135,16 @@ def test_rid_single_use():
     assert second is None and ev["reason"] == "unknown-rid"
 
 
+def test_a_str_reply_is_dropped_as_unrepliable():
+    relays, sender, _receiver, spec, ids = _network(1, 2, b"str-reply")
+    _event, action = sender_send(sender, spec, PARAMS)
+    state = relays[b"r0"]
+    event = relay_on_onion(state, action.onion, b"alice", PARAMS, ids)
+    _event2, delivered = relay_forward(state, event["tid"], PARAMS, ids)
+    dropped, reply = relay_on_receiver_reply(state, "pong", delivered.rid, PARAMS)
+    assert dropped["reason"] == "unrepliable" and reply is None
+
+
 def test_rids_are_uniform_fresh_values():
     relays, sender, receiver, spec, ids = _network(1, 2, b"ridu")
     rids = set()
@@ -157,7 +166,7 @@ def test_sender_drops_tampered_reply_silently():
     event = relay_on_onion(state, action.onion, b"alice", PARAMS, ids)
     _event2, delivered = relay_forward(state, event["tid"], PARAMS, ids)
     _ev, send = relay_on_receiver_reply(state, b"answer", delivered.rid, PARAMS)
-    tampered = tag_payload(send.onion, b"\xff" * PARAMS.payload_len)
+    tampered = tag_payload(send.onion, b"\xff" * PARAMS.payload_len, PARAMS)
     final = sender_on_onion(sender, tampered, PARAMS)
     assert final["kind"] == "dropped" and final["reason"] == "integrity"
     assert sender.replies == []
@@ -178,15 +187,6 @@ def test_sender_requires_own_name_on_reply_path():
     )
     with pytest.raises(ValueError):
         sender_send(sender, broken, PARAMS)
-
-
-def test_receiver_drops_raw_onions():
-    from rsor.packet import form_onion
-
-    relays, sender, receiver, spec, ids = _network(1, 0, b"rawonion")
-    event = receiver_on_message(receiver, form_onion(1, spec, PARAMS), None, b"r0")
-    assert event["kind"] == "dropped" and event["reason"] == "onion-at-receiver"
-    assert receiver.inbox == []
 
 
 def test_sender_retires_its_opening_when_the_reply_opens():
@@ -215,8 +215,8 @@ def test_forged_reply_header_under_a_known_ident_leaves_the_opening():
     final = (encode_addr(ADDR_REPLY_RETURN, b"alice", PARAMS) + ident
              + bytes((2 * PARAMS.max_hops - 1) * PARAMS.kappa))
     header = build_header(chain, [relay_addr(b"alice", PARAMS)], final, PARAMS)[0]
-    assert header != reply.header
-    event = sender_on_onion(sender, Onion(header, reply.delta), PARAMS)
+    assert header != reply[:PARAMS.header_len]
+    event = sender_on_onion(sender, header + reply[PARAMS.header_len:], PARAMS)
     assert event["kind"] == "dropped" and event["reason"] == "unsolicited"
     assert sender.view.lookup_reply(d.opening.header) == d.opening
     assert sender_on_onion(sender, reply, PARAMS)["kind"] == "got-reply"

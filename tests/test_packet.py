@@ -10,11 +10,10 @@ from rsor.packet import (
     REPLAY_SHARDS,
     REPLY_OPENING_CAP,
     FormatParams,
-    Header,
     InMemoryView,
-    Onion,
     OnionSpec,
     ReplyOpening,
+    _header_fields,
     _holds_tag,
     _open_payload,
     _unframe,
@@ -23,12 +22,10 @@ from rsor.packet import (
     derive,
     form_onion,
     form_reply,
-    parse_onion,
     proc_onion,
     receiver_addr,
     recognize_onion,
     serialize_header,
-    serialize_onion,
     tag_payload,
     validate_spec,
 )
@@ -67,7 +64,7 @@ def test_widths():
     assert PARAMS.onion_len == PARAMS.header_len + 355
     assert PARAMS.reply_block_len == 16 + PARAMS.header_len + 16
     onion = form_onion(1, _spec(3, 2)[0], PARAMS)
-    assert len(serialize_onion(onion, PARAMS)) == PARAMS.onion_len
+    assert type(onion) is bytes and len(onion) == PARAMS.onion_len
 
 
 def _formula_widths(payload_len):
@@ -130,7 +127,7 @@ def test_width_invariant_across_path_lengths():
     for n in range(1, 6):
         for nr in (0, 2):
             spec, _keys_ = _spec(n, nr, seed=b"w%d%d" % (n, nr))
-            widths.add(len(serialize_onion(form_onion(1, spec, PARAMS), PARAMS)))
+            widths.add(len(form_onion(1, spec, PARAMS)))
     assert len(widths) == 1
 
 
@@ -149,7 +146,7 @@ def test_padding_is_beta_suffix():
     for i in range(1, 5):
         phi = build_padding(d.fwd_chain, i - 1, PARAMS)
         if phi:
-            assert d.onion(i).header.beta.endswith(phi)
+            assert _header_fields(d.onion(i), PARAMS)[1].endswith(phi)
 
 
 def test_forward_trip_and_dual_construction():
@@ -159,9 +156,7 @@ def test_forward_trip_and_dual_construction():
     for i in range(1, 5):
         name = spec.path[i - 1][0]
         # The travelling onion must be byte-identical to a fresh derivation.
-        assert serialize_onion(onion, PARAMS) == serialize_onion(
-            form_onion(i, spec, PARAMS), PARAMS
-        )
+        assert onion == form_onion(i, spec, PARAMS)
         result = proc_onion(keys[name].sk, onion, name, PARAMS, view)
         if i < 4:
             assert result.kind == "forward"
@@ -212,9 +207,7 @@ def test_form_reply_matches_direct_layers():
     onion = form_onion(1, spec, PARAMS)
     exit_name = spec.path[-1][0]
     formed = form_reply(spec.message, onion, exit_name, keys[exit_name].sk, PARAMS)
-    assert serialize_onion(formed[0], PARAMS) == serialize_onion(
-        form_onion(2, spec, PARAMS), PARAMS
-    )
+    assert formed[0] == form_onion(2, spec, PARAMS)
 
 
 def test_recognize_onion():
@@ -228,7 +221,7 @@ def test_recognize_onion():
         if i > 1:
             assert not recognize_onion(i - 1, onion, d)
     # Tampered payloads are still recognized (header-only comparison).
-    tagged = tag_payload(form_onion(1, spec, PARAMS), b"\x01" * PARAMS.payload_len)
+    tagged = tag_payload(form_onion(1, spec, PARAMS), b"\x01" * PARAMS.payload_len, PARAMS)
     assert recognize_onion(1, tagged, d)
 
 
@@ -249,7 +242,7 @@ def test_tagging_absorbed_until_exit():
     rng = SeedRng(b"tag-masks")
     spec, keys = _spec(3, 0, seed=b"tag-spec")
     for trial in range(100):
-        onion = tag_payload(form_onion(1, spec, PARAMS), rng.read(PARAMS.payload_len))
+        onion = tag_payload(form_onion(1, spec, PARAMS), rng.read(PARAMS.payload_len), PARAMS)
         view = InMemoryView()
         for i in range(1, 3):
             name = spec.path[i - 1][0]
@@ -263,8 +256,7 @@ def test_tagging_absorbed_until_exit():
 
 def test_header_bitflip_fuzzing():
     spec, keys = _spec(2, 0, seed=b"fuzz")
-    onion = form_onion(1, spec, PARAMS)
-    raw = serialize_onion(onion, PARAMS)
+    raw = form_onion(1, spec, PARAMS)
     rng = SeedRng(b"fuzz-flips")
     header_span = PARAMS.header_len
     rejected = 0
@@ -274,12 +266,7 @@ def test_header_bitflip_fuzzing():
         bit = rng.read(1)[0] % 8
         mutated = bytearray(raw)
         mutated[pos] ^= 1 << bit
-        try:
-            candidate = parse_onion(bytes(mutated), PARAMS)
-        except Exception:
-            rejected += 1
-            continue
-        result = proc_onion(keys[b"r0"].sk, candidate, b"r0", PARAMS, InMemoryView())
+        result = proc_onion(keys[b"r0"].sk, bytes(mutated), b"r0", PARAMS, InMemoryView())
         assert result.kind == "fail"
         rejected += 1
     assert rejected == trials
@@ -389,19 +376,20 @@ def test_expected_reply_with_a_bad_width_or_a_replay_keeps_its_opening():
     view.expect_reply(d.opening)
     sk = keys[b"sender"].sk
 
-    short = Onion(reply.header, reply.delta[:-1])
-    result = proc_onion(sk, short, b"sender", PARAMS, view)
-    assert result.kind == "fail" and result.reason == "bad-width"
-    assert view.lookup_reply(reply.header) == d.opening
+    header = reply[:PARAMS.header_len]
+    for wrong in (reply[:-1], reply + b"\x00", bytearray(reply)):
+        result = proc_onion(sk, wrong, b"sender", PARAMS, view)
+        assert result.kind == "fail" and result.reason == "bad-width"
+        assert view.lookup_reply(header) == d.opening
 
     result = proc_onion(sk, reply, b"sender", PARAMS, view)
     assert result.kind == "reply" and result.message == spec.message
-    assert view.lookup_reply(reply.header) is None
+    assert view.lookup_reply(header) is None
     # Re-filed, the opening meets a header already in the replay cache.
     view.expect_reply(d.opening)
     result = proc_onion(sk, reply, b"sender", PARAMS, view)
     assert result.kind == "fail" and result.reason == "replay"
-    assert view.lookup_reply(reply.header) == d.opening
+    assert view.lookup_reply(header) == d.opening
 
 
 def test_reply_requires_expectation():
@@ -448,28 +436,15 @@ def test_validate_spec_rejects_bad_inputs():
         validate_spec(spec._replace(seed=b""), PARAMS)
 
 
-def test_serialize_parse_roundtrip():
-    spec, _ = _spec(3, 1, seed=b"wire")
-    for i in (1, 3, 4):
-        onion = form_onion(i, spec, PARAMS)
-        raw = serialize_onion(onion, PARAMS)
-        back = parse_onion(raw, PARAMS)
-        assert serialize_onion(back, PARAMS) == raw
-
-
 def test_wrong_widths_raise_value_error():
-    # ValueErrors, not asserts: python -O strips asserts, and callers such
-    # as the game oracles refuse a malformed onion by catching ValueError.
+    # ValueErrors, not asserts: python -O strips asserts.
     onion = form_onion(1, _spec(2, 0, seed=b"widths")[0], PARAMS)
-    header = onion.header
-    for bad in (header._replace(beta=header.beta[:-1]),
-                header._replace(gamma=header.gamma + b"\x00")):
+    alpha_field, beta, gamma = _header_fields(onion, PARAMS)
+    alpha = int.from_bytes(alpha_field, "big")
+    assert serialize_header(alpha, beta, gamma, PARAMS) == onion[:PARAMS.header_len]
+    for bad_beta, bad_gamma in ((beta[:-1], gamma), (beta, gamma + b"\x00")):
         with pytest.raises(ValueError):
-            serialize_header(bad, PARAMS)
-        with pytest.raises(ValueError):
-            serialize_onion(Onion(bad, onion.delta), PARAMS)
-    with pytest.raises(ValueError):
-        serialize_onion(Onion(header, onion.delta[:-1]), PARAMS)
+            serialize_header(alpha, bad_beta, bad_gamma, PARAMS)
 
 
 def test_vector_file_roundtrip():
@@ -485,7 +460,7 @@ def _final_zero_run(spec, keys, params):
     onion = form_onion(n, spec, params)
     d = derive(spec, params)
     stream = prg(d.fwd_chain[n - 1].k_rho, params.stream_len)
-    wide = xor_bytes(onion.header.beta + b"\x00" * (2 * params.kappa), stream)
+    wide = xor_bytes(_header_fields(onion, params)[1] + b"\x00" * (2 * params.kappa), stream)
     run = 0
     for byte in wide[params.kappa:]:
         if byte != 0:
@@ -523,27 +498,26 @@ def test_tag_payload_validation():
     spec, _ = _spec(1, 0, seed=b"tagval")
     onion = form_onion(1, spec, PARAMS)
     with pytest.raises(ValueError):
-        tag_payload(onion, b"\x00" * PARAMS.payload_len)
+        tag_payload(onion, b"\x00" * PARAMS.payload_len, PARAMS)
     with pytest.raises(ValueError):
-        tag_payload(onion, b"\x01")
+        tag_payload(onion, b"\x01", PARAMS)
 
 
 def test_proc_rejects_bad_widths_and_elements():
     spec, keys = _spec(1, 0, seed=b"badw")
     onion = form_onion(1, spec, PARAMS)
-    short = Onion(onion.header, onion.delta[:-1])
-    result = proc_onion(keys[b"r0"].sk, short, b"r0", PARAMS, InMemoryView())
-    assert result.kind == "fail" and result.reason == "bad-width"
-    bad_alpha = Onion(
-        onion.header._replace(alpha=PROD_GROUP.p - 1), onion.delta
-    )
+    for wrong in (onion[:-1], onion + b"\x00", bytearray(onion), onion.decode("latin-1")):
+        result = proc_onion(keys[b"r0"].sk, wrong, b"r0", PARAMS, InMemoryView())
+        assert result.kind == "fail" and result.reason == "bad-width"
+    elem_len = PROD_GROUP.elem_len
+    bad_alpha = (PROD_GROUP.p - 1).to_bytes(elem_len, "big") + onion[elem_len:]
     result = proc_onion(keys[b"r0"].sk, bad_alpha, b"r0", PARAMS, InMemoryView())
     assert result.kind == "fail" and result.reason == "bad-element"
 
 
 def test_refiling_an_expectation_at_the_cap_evicts_nothing():
     view = InMemoryView()
-    openings = [ReplyOpening(header=Header(alpha=i + 1, beta=b"", gamma=b""), k_pis=(), k_tilde=b"")
+    openings = [ReplyOpening(header=b"header-%d" % i, k_pis=(), k_tilde=b"")
                 for i in range(REPLY_OPENING_CAP)]
     for opening in openings + openings[-1:]:
         view.expect_reply(opening)

@@ -5,14 +5,18 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from rsor.crypto import SeedRng
 from rsor.games import game_correctness, run_game_batch
-from rsor.group import SQR_GROUP
-from rsor.packet import FormatParams
+from rsor.group import PROD_GROUP, SQR_GROUP
+from rsor.node import SendOnion
+from rsor.packet import FormatParams, OnionSpec, derive, receiver_addr
 from rsor.sim import (
     Rule,
     Scenario,
     WorkItem,
+    _Network,
     attack_nymserver,
     attack_padding,
     attack_tagging,
@@ -388,6 +392,30 @@ def test_both_worlds_refuse_a_declared_name_too_long_for_an_address(declared):
             run(scenario)
 
 
+def _str_relay(scenario):
+    item = scenario.workload[0]
+    return scenario._replace(relays=("a",) + scenario.relays[1:],
+                             workload=(item._replace(path=("a",) + item.path[1:]),))
+
+
+def _str_item_field(**fields):
+    return lambda s: s._replace(workload=(s.workload[0]._replace(**fields),))
+
+
+@pytest.mark.parametrize("change, named", [
+    (_str_item_field(receiver="svc"), "'svc' is not bytes"),
+    (_str_relay, "'a' is not bytes"),
+    (_str_item_field(reply_message="pong"), "reply message must be bytes"),
+], ids=["receiver", "relay", "reply-message"])
+def test_both_worlds_refuse_a_str_name_or_reply_message(change, named):
+    # The real world needs exact bytes in an address field and the payload
+    # frame, where the ideal world would run a str through.
+    scenario = change(baseline_scenario(seed=1))
+    for run in (run_scenario, run_ideal_scenario):
+        with pytest.raises(ValueError, match=named):
+            run(scenario)
+
+
 @pytest.mark.parametrize("corrupted", [b"zz", b"svc"])
 def test_every_entry_point_refuses_an_undeclared_corrupted_name(corrupted):
     """Only a declared relay or sender can be corrupted: the real world
@@ -438,3 +466,75 @@ def test_parse_config_allows_unknown_receiver():
 def test_empty_scenario_lint_clean():
     empty = Scenario(name="empty", relays=(), senders=(), receivers=(), workload=())
     assert run_scenario(empty) == []
+
+
+# ---------------------------------------------------------------------------
+# Hostile bytes on a link: whatever arrives, the receiving party logs one
+# closing event and nothing raises.
+
+FUZZ_SCENARIO = Scenario(name="fuzz", relays=(b"r0", b"r1"), senders=(b"alice",),
+                         receivers=(b"svc",), workload=())
+DROP_REASONS = {"bad-width", "bad-element", "mac", "replay", "integrity", "unsolicited",
+                "misdirected", "bad-address"}
+
+
+def _link_target(group):
+    """(params, derived, layers): a one-hop onion whose exit r0 can reply
+    over r1 to alice, with the layer r0 peels and the reply alice awaits."""
+    params = FormatParams(group=group)
+    keys = _Network(FUZZ_SCENARIO, params, SeedRng(b"link-fuzz")).keys
+    spec = OnionSpec(seed=b"link-fuzz", message=b"m", receiver=receiver_addr(b"svc", params),
+                     path=((b"r0", keys[b"r0"].pk),),
+                     reply_path=((b"r1", keys[b"r1"].pk), (b"alice", keys[b"alice"].pk)))
+    d = derive(spec, params)
+    return params, d, {b"r0": d.onion(1), b"alice": d.onion(3)}
+
+
+LINK_TARGETS = {group.name: _link_target(group) for group in (PROD_GROUP, SQR_GROUP)}
+_ONION_LEN = FormatParams(group=PROD_GROUP).onion_len
+_HEADER_LEN = FormatParams(group=PROD_GROUP).header_len
+_BETA_AT, _GAMMA_AT = PROD_GROUP.elem_len, _HEADER_LEN - 16
+# Byte spans of alpha, beta, gamma and the payload; both groups share them.
+_FIELDS = [(0, _BETA_AT), (_BETA_AT, _GAMMA_AT), (_GAMMA_AT, _HEADER_LEN),
+           (_HEADER_LEN, _ONION_LEN)]
+
+
+@st.composite
+def _link_input(draw):
+    """(group name, party, what arrives): random bytes of 0 to twice the
+    onion's width, the party's own layer as a bytearray or a str, or that
+    layer with one bit flipped in alpha, beta, gamma or the payload."""
+    group = draw(st.sampled_from(sorted(LINK_TARGETS)))
+    party = draw(st.sampled_from([b"r0", b"alice"]))
+    layer = LINK_TARGETS[group][2][party]
+    kind = draw(st.sampled_from(["random", "bytearray", "str", "flip"]))
+    if kind == "random":
+        return group, party, draw(st.binary(max_size=2 * _ONION_LEN))
+    if kind == "bytearray":
+        return group, party, bytearray(layer)
+    if kind == "str":
+        return group, party, layer.decode("latin-1")
+    start, stop = draw(st.sampled_from(_FIELDS))
+    bit = draw(st.integers(8 * start, 8 * stop - 1))
+    flipped = bytearray(layer)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    return group, party, bytes(flipped)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_link_input())
+@example(("sqr", b"r0", LINK_TARGETS["sqr"][2][b"r0"]))
+@example(("sqr", b"alice", LINK_TARGETS["sqr"][2][b"alice"]))
+def test_run_onion_logs_a_closing_event_for_any_bytes(case):
+    group, party, data = case
+    params, d, layers = LINK_TARGETS[group]
+    # A fresh network each time, with the same keys: alice awaits her reply.
+    net = _Network(FUZZ_SCENARIO, params, SeedRng(b"link-fuzz"))
+    net.senders[b"alice"].view.expect_reply(d.opening)
+    net.run_onion(0, b"r1" if party == b"alice" else b"alice", SendOnion(party, data))
+    last = net.events[-1]
+    if type(data) is bytes and data == layers[party]:
+        assert last["kind"] == ("got-reply" if party == b"alice" else "message-received")
+    else:
+        assert last["kind"] == "dropped" and last["actor"] == party
+    assert {e["reason"] for e in net.events if e["kind"] == "dropped"} <= DROP_REASONS

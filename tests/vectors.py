@@ -1,7 +1,7 @@
 """Hex test-vector records of one onion spec, as tests/data/vectors_*.txt
 hold them."""
 
-from rsor.packet import build_padding, derive, serialize_onion
+from rsor.packet import _header_fields, build_padding, derive
 
 
 def onion_vector_lines(spec, params):
@@ -13,9 +13,10 @@ def onion_vector_lines(spec, params):
     for i in range(n + 1):
         lines.append("phi_%d,%s" % (i, build_padding(d.fwd_chain, i, params).hex()))
     for i, onion in enumerate(d.onions[:n]):
-        lines.append("beta_%d,%s" % (i, onion.header.beta.hex()))
-        lines.append("gamma_%d,%s" % (i, onion.header.gamma.hex()))
+        _alpha, beta, gamma = _header_fields(onion, params)
+        lines.append("beta_%d,%s" % (i, beta.hex()))
+        lines.append("gamma_%d,%s" % (i, gamma.hex()))
     for i, onion in enumerate(d.onions, start=1):
         kind = "onion" if i <= n else "reply_onion"
-        lines.append("%s_%d,%s" % (kind, i, serialize_onion(onion, params).hex()))
+        lines.append("%s_%d,%s" % (kind, i, onion.hex()))
     return lines
