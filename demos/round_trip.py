@@ -54,7 +54,7 @@ for name in (b"guard", b"middle", b"exit"):
 
 print("\n-- the service answers --")
 # The exit answers from the reply block its one peel found.
-reply_onion, next_hop = build_reply_onion(result.reply_info, b"42", params)
+reply_onion, next_hop = build_reply_onion(result.reply_block, b"42", params)
 print("exit    sealed the answer, sends the pre-built reply header to %s"
       % next_hop.decode())
 

@@ -28,7 +28,6 @@ from .packet import (
     InMemoryView,
     OnionSpec,
     ProcResult,
-    ReplyInfo,
     ReplyOpening,
     derive,
     form_onion,

@@ -42,13 +42,13 @@ def _translate(result):
     return None
 
 
-def _reply_from(info, params):
-    """The Reply answer an exit holding info gives: a function from the
-    adversary's message to (reply onion, first-hop name), or None when the
-    onion was not repliable."""
-    if info is None:
+def _reply_from(block, params):
+    """The Reply answer an exit holding a reply block gives: a function
+    from the adversary's message to (reply onion, first-hop name), or None
+    when the onion was not repliable."""
+    if block is None:
         return None
-    return lambda message: build_reply_onion(info, message, params)
+    return lambda message: build_reply_onion(block, message, params)
 
 
 def _out_len(out):
@@ -104,7 +104,7 @@ class GameOracles:
         answer = self.challenger(party, data)
         if answer is None:
             result = proc_onion(self.keys[party].sk, data, party, self.params, state)
-            out, reply = _translate(result), _reply_from(result.reply_info, self.params)
+            out, reply = _translate(result), _reply_from(result.reply_block, self.params)
         elif state.check_and_add(data[:self.params.header_len]):
             out, reply = answer
         else:
@@ -326,7 +326,7 @@ def _tlu_world(oracles, rng, sub, bit, real, bar):
         # path is empty); the b-independent answer is layer n+1 of real,
         # which is repliable since TLU requires a reply path, carrying the
         # adversary's message.
-        return ("exit", real.message, real.receiver), _reply_from(d_real.reply_info, params)
+        return ("exit", real.message, real.receiver), _reply_from(d_real.reply_block, params)
 
     return (d_bar if bit else d_real).onion(1), challenger
 
@@ -491,9 +491,9 @@ class _BaseAdversary:
         """build_reply_onion's answer for message from name's peel of onion
         as a repliable exit, or None."""
         result = self.peel(name, onion)
-        if result.kind != "exit" or result.reply_info is None:
+        if result.kind != "exit" or result.reply_block is None:
             return None
-        return build_reply_onion(result.reply_info, message, self.params)
+        return build_reply_onion(result.reply_block, message, self.params)
 
     def on_challenge(self, onion):
         self.challenge = onion

@@ -79,7 +79,7 @@ def trace_text(value):
 
 class RelayState:
     """view: replay cache; outgoing_buffer: tid -> ProcResult; reply_buffer:
-    rid -> ReplyInfo, oldest first."""
+    rid -> the reply block its exit peel admitted, as bytes, oldest first."""
 
     __slots__ = ("name", "keypair", "view", "outgoing_buffer", "reply_buffer")
 
@@ -141,11 +141,11 @@ def relay_forward(state: RelayState, tid: str, params, rng):
         return event, SendOnion(next_hop=result.next_hop, onion=result.next_onion)
     # An exit: the reply block this peel parsed is all answering needs.
     rid = None
-    if result.reply_info is not None:
+    if result.reply_block is not None:
         rid = rng.read(params.kappa).hex()
         if len(state.reply_buffer) >= REPLY_BUFFER_CAP:
             del state.reply_buffer[next(iter(state.reply_buffer))]
-        state.reply_buffer[rid] = result.reply_info
+        state.reply_buffer[rid] = result.reply_block
     event = make_event(state.name, "message-delivered", tid=tid, repliable=rid is not None)
     return event, SendMessage(receiver=result.receiver, message=result.message, rid=rid)
 
@@ -156,11 +156,11 @@ def relay_on_receiver_reply(state: RelayState, m_reply: bytes, rid: str, params)
     Each rid works exactly once; unknown, reused or evicted rids do nothing,
     and a reply too long for the payload frame is dropped as unrepliable.
     """
-    info = state.reply_buffer.pop(rid, None)
-    if info is None:
+    block = state.reply_buffer.pop(rid, None)
+    if block is None:
         return make_event(state.name, "dropped", reason="unknown-rid"), None
     try:
-        onion, first_hop = build_reply_onion(info, m_reply, params)
+        onion, first_hop = build_reply_onion(block, m_reply, params)
     except ValueError:
         return make_event(state.name, "dropped", reason="unrepliable"), None
     event = make_event(state.name, "reply-sent", to=first_hop)

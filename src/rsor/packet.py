@@ -6,8 +6,10 @@ payload delta.  The sender derives every byte it sends from a seed in one
 pass (derive) and keeps only a ReplyOpening to open the answer; relays peel
 one layer at a time with only their private key.  proc_onion is the one
 parse of an onion, and the one membership test of its alpha.  Forward
-payloads may embed a pre-built reply header so the exit relay can send an
-answer back without learning who asked.
+payloads may embed a reply block, a pre-built reply header between the
+first reply hop's address and the key sealing the answer, so the exit relay
+can send an answer back without learning who asked.  A reply block is its
+bytes, and only this module reads its fields.
 """
 
 import collections
@@ -117,13 +119,6 @@ class FormatParams(collections.namedtuple("FormatParams", "group payload_len leg
         return self.header_len + self.payload_len
 
 
-class ReplyInfo(collections.namedtuple("ReplyInfo", "first_hop eta0 k_tilde")):
-    """What an exit relay needs to answer: where to send the pre-built reply
-    header (eta0, its bytes) and the key sealing the reply payload."""
-
-    __slots__ = ()
-
-
 class OnionSpec(collections.namedtuple("OnionSpec", "seed message receiver path reply_path",
                                        defaults=((),))):
     """Everything that determines one onion: seed, message, receiver, and the
@@ -134,12 +129,13 @@ class OnionSpec(collections.namedtuple("OnionSpec", "seed message receiver path 
 
 
 class ProcResult(collections.namedtuple(
-        "ProcResult", "kind next_hop next_onion message receiver reply_info reason",
+        "ProcResult", "kind next_hop next_onion message receiver reply_block reason",
         defaults=(None,) * 6)):
     """Outcome of processing one onion at one relay.
 
     kind is one of "forward", "exit", "reply", "fail"; every other field
-    defaults to None.  A forward's next_onion is the next layer's bytes.
+    defaults to None.  A forward's next_onion is the next layer's bytes; a
+    repliable exit's reply_block is the block parse_reply_block admitted.
     Callers other than tests must treat every "fail" identically; reason is
     diagnostic only.
     """
@@ -199,8 +195,10 @@ def validate_spec(spec: OnionSpec, params: FormatParams):
         raise ValueError("seed must be nonempty bytes")
     validate_shape([name for name, _pk in spec.path],
                    [name for name, _pk in spec.reply_path], spec.message, params)
-    if len(spec.receiver) != params.addr_len:
-        raise ValueError("receiver must be a full address field")
+    # Exact bytes, so a str or a tuple of addr_len items cannot fail later,
+    # inside derive.
+    if type(spec.receiver) is not bytes or len(spec.receiver) != params.addr_len:
+        raise ValueError("receiver must be a full address field of bytes")
     for path in (spec.path, spec.reply_path):
         for _name, pk in path:
             if not is_public_key(params.group, pk):
@@ -317,42 +315,34 @@ def _unframe(framed: bytes):
     return framed[2 : 2 + length]
 
 
-def serialize_reply_block(info: ReplyInfo, params) -> bytes:
-    return info.first_hop + info.eta0 + info.k_tilde
-
-
 def parse_reply_block(block: bytes, params):
-    """ReplyInfo from payload bytes, or None for the all-zero filler, a
-    block that is not reply_block_len bytes or an embedded header whose
-    alpha is not a group element.  The block may come off the network (a
-    nymserver registration), so a bad width is refused, not asserted."""
-    if len(block) != params.reply_block_len or block == b"\x00" * params.reply_block_len:
+    """The block itself when it is a reply block an exit can answer from,
+    or None: for anything but exact bytes, a width other than
+    reply_block_len, the all-zero filler, or an embedded header whose alpha
+    is not a group element.  The block may come off the network (a
+    nymserver registration), so it is refused, not asserted, and exact
+    bytes, so no holder keeps a caller's mutable object."""
+    if (type(block) is not bytes or len(block) != params.reply_block_len
+            or block == bytes(params.reply_block_len)):
         return None
-    eta0 = block[params.addr_len : params.addr_len + params.header_len]
     try:
-        params.group.decode(eta0[: params.group.elem_len])
+        params.group.decode(block[params.addr_len : params.addr_len + params.group.elem_len])
     except GroupDecodeError:
         return None
-    return ReplyInfo(
-        first_hop=block[: params.addr_len],
-        eta0=eta0,
-        k_tilde=block[-params.kappa :],
-    )
+    return block
 
 
-def build_payload_forward(params, receiver: bytes, reply, message: bytes) -> bytes:
+def build_payload_forward(params, receiver: bytes, reply_block, message: bytes) -> bytes:
     """Innermost forward plaintext: 0_kappa | receiver | reply block | message.
 
-    A missing reply (None) is encoded as an all-zero block of the same width,
-    so repliable and non-repliable payloads are indistinguishable by length.
-    A reply plaintext is this layout with an all-zero receiver and no reply.
+    A missing reply block (None) is encoded as an all-zero block of the same
+    width, so repliable and non-repliable payloads are indistinguishable by
+    length.  A reply plaintext is this layout with an all-zero receiver and
+    no reply block.
     """
-    block = (
-        serialize_reply_block(reply, params)
-        if reply is not None
-        else b"\x00" * params.reply_block_len
-    )
-    out = b"\x00" * params.kappa + receiver + block + _frame(message, params)
+    if reply_block is None:
+        reply_block = bytes(params.reply_block_len)
+    out = b"\x00" * params.kappa + receiver + reply_block + _frame(message, params)
     if len(out) != params.payload_len:
         raise ValueError("receiver address or reply block has the wrong width")
     return out
@@ -387,14 +377,16 @@ class ReplyOpening(collections.namedtuple("ReplyOpening", "header k_pis k_tilde"
 
 
 class Derived(collections.namedtuple(
-        "Derived", "fwd_onions fwd_chain reply_info opening reply_headers message params")):
+        "Derived", "fwd_onions fwd_chain reply_block opening reply_headers message params")):
     """Every layer of one onion, derived once from its spec, as bytes.
 
     fwd_onions holds layers 1..n of the forward trip.  Layers n+1..n+nr are
     the reply trip carrying the spec's own message back: reply_headers holds
     their headers, and their payloads, which no sender sends, are sealed only
     on the first onion(i) with i > n or access to onions, then kept here.
-    reply_info and opening are None, and reply_headers is empty, when the
+    reply_block is the block the forward payload embeds: the first reply
+    hop's address, reply_headers[0] and k_tilde, reply_block_len bytes.
+    reply_block and opening are None, and reply_headers is empty, when the
     onion is not repliable.
     """
 
@@ -406,7 +398,7 @@ class Derived(collections.namedtuple(
         # The exit seals the reply, then every reply-path relay before the
         # sender peels one PRP layer.
         at_delta = self.params.header_len
-        reply = [build_reply_onion(self.reply_info, self.message, self.params)[0]]
+        reply = [build_reply_onion(self.reply_block, self.message, self.params)[0]]
         for header, k_pi in zip(self.reply_headers[1:], self.opening.k_pis):
             reply.append(header + prp_dec(k_pi, reply[-1][at_delta:]))
         return self.fwd_onions + tuple(reply)
@@ -455,7 +447,7 @@ def derive(spec: OnionSpec, params: FormatParams) -> Derived:
     fwd_chain, fwd_headers = _trip(rng, b"forward", spec.path, _EXIT_ADDR, params)
 
     rep_headers = ()
-    reply_info = None
+    reply_block = None
     opening = None
     if spec.reply_path:
         sender_name = spec.reply_path[-1][0]
@@ -463,13 +455,12 @@ def derive(spec: OnionSpec, params: FormatParams) -> Derived:
                   + rng.fork(b"ident").read(params.kappa))
         rep_chain, rep_headers = _trip(rng, b"reply", spec.reply_path, prefix, params)
         k_tilde = rng.fork(b"k-tilde").read(params.kappa)
-        reply_info = ReplyInfo(first_hop=relay_addr(spec.reply_path[0][0], params),
-                               eta0=rep_headers[0], k_tilde=k_tilde)
+        reply_block = relay_addr(spec.reply_path[0][0], params) + rep_headers[0] + k_tilde
         # The sender's own reply hop applies no PRP layer, so its key is not kept.
         k_pis = tuple(layer.k_pi for layer in rep_chain[:-1])
         opening = ReplyOpening(header=rep_headers[-1], k_pis=k_pis, k_tilde=k_tilde)
 
-    plaintext = build_payload_forward(params, spec.receiver, reply_info, spec.message)
+    plaintext = build_payload_forward(params, spec.receiver, reply_block, spec.message)
     fwd_deltas = [None] * n
     delta = plaintext
     for i in range(n - 1, -1, -1):
@@ -479,7 +470,7 @@ def derive(spec: OnionSpec, params: FormatParams) -> Derived:
     return Derived(
         fwd_onions=tuple(map(bytes.__add__, fwd_headers, fwd_deltas)),
         fwd_chain=fwd_chain,
-        reply_info=reply_info,
+        reply_block=reply_block,
         opening=opening,
         reply_headers=tuple(rep_headers),
         message=spec.message,
@@ -686,7 +677,7 @@ def proc_onion(sk: int, data: bytes, self_name: bytes, params, view) -> ProcResu
             kind="exit",
             message=message,
             receiver=receiver,
-            reply_info=parse_reply_block(block, params),
+            reply_block=parse_reply_block(block, params),
         )
 
     if tag == ADDR_REPLY_RETURN:
@@ -702,28 +693,32 @@ def form_reply(m_reply: bytes, onion_at_exit: bytes, exit_name: bytes, sk: int, 
 
     Reprocesses the given exit-layer onion against a fresh replay cache,
     outside any party's replay state, and builds the reply from the
-    embedded ReplyInfo with build_reply_onion, whose (onion, first-hop
+    embedded reply block with build_reply_onion, whose (onion, first-hop
     name) it returns.  None when the forward onion was non-repliable or
     malformed.  This is the paper's one-shot FormReply, kept only as the
     tests' reference.  Relays, the game challengers and the demos keep the
-    ReplyInfo from their single peel and call build_reply_onion instead,
+    reply block from their single peel and call build_reply_onion instead,
     and every game adversary answers from its one exit peel through
     games._BaseAdversary.exit_reply.
     """
     result = proc_onion(sk, onion_at_exit, exit_name, params, InMemoryView())
-    if result.kind != "exit" or result.reply_info is None:
+    if result.kind != "exit" or result.reply_block is None:
         return None
     try:
-        return build_reply_onion(result.reply_info, m_reply, params)
+        return build_reply_onion(result.reply_block, m_reply, params)
     except ValueError:
         return None
 
 
-def build_reply_onion(info: ReplyInfo, m_reply: bytes, params):
-    """The reply onion for info and the name of the relay it goes to first:
-    the reply message sealed under k_tilde behind the stored header.  Raises
-    ValueError when the message does not fit the payload frame."""
+def build_reply_onion(block: bytes, m_reply: bytes, params):
+    """The reply onion for a reply block and the name of the relay it goes
+    to first: the reply message sealed under the block's k_tilde behind its
+    stored header.  The block is one derive wrote or parse_reply_block
+    admitted, so its fields are read at their fixed offsets: the first
+    hop's address, the header, then k_tilde.  Raises ValueError when the
+    message does not fit the payload frame."""
+    at_header = params.addr_len
+    at_key = at_header + params.header_len
     plain = build_payload_forward(params, bytes(params.addr_len), None, m_reply)
-    delta = prp_enc(info.k_tilde, plain)
-    _tag, first_hop = decode_addr(info.first_hop)
-    return info.eta0 + delta, first_hop
+    _tag, first_hop = decode_addr(block[:at_header])
+    return block[at_header:at_key] + prp_enc(block[at_key:], plain), first_hop

@@ -44,7 +44,6 @@ from .packet import (
     form_onion,
     parse_reply_block,
     receiver_addr,
-    serialize_reply_block,
     tag_payload,
     validate_shape,
     zero_run,
@@ -493,20 +492,20 @@ class Nymserver:
         self.events = []
 
     def register(self, nym: bytes, reply_block: bytes):
-        info = parse_reply_block(reply_block, self.params)
-        if info is None:
+        block = parse_reply_block(reply_block, self.params)
+        if block is None:
             self.events.append({"kind": "nym-bad-registration"})
             return
-        self.table[nym] = info
+        self.table[nym] = block
         self.events.append({"kind": "nym-registered", "nym": nym.hex()})
 
     def lookup_and_send(self, nym: bytes, message: bytes):
         """Wrap an incoming message for the pseudonym, or visibly fail."""
-        info = self.table.get(nym)
-        if info is None:
+        block = self.table.get(nym)
+        if block is None:
             self.events.append({"kind": "no-reply-onion", "nym": nym.hex()})
             return None
-        onion, first_hop = build_reply_onion(info, message, self.params)
+        onion, first_hop = build_reply_onion(block, message, self.params)
         self.events.append({"kind": "reply-onion-sent", "nym": nym.hex()})
         return SendOnion(next_hop=first_hop, onion=onion)
 
@@ -548,14 +547,13 @@ def scenario_nymserver_attack(seed, legacy: bool, guess="oracle"):
         reply_path=tuple((n, net.keys[n].pk) for n in (b"d", b"e", b"sender")),
     )
     d = derive(reply_spec, params)
-    block = serialize_reply_block(d.reply_info, params)
     net.senders[b"sender"].view.expect_reply(d.opening)
 
     # Onion 0: the conversation message; onion 1: the nym registration.
     net.send(0, WorkItem(b"sender", (b"a", b"b", b"c"), b"partner",
                          b"hello via nym " + nym.hex().encode()),
              rng.fork(b"seed-a").read(32))
-    net.send(1, WorkItem(b"sender", (b"a", b"b", b"c"), b"nymsrv", nym + block),
+    net.send(1, WorkItem(b"sender", (b"a", b"b", b"c"), b"nymsrv", nym + d.reply_block),
              rng.fork(b"seed-b").read(32))
     for message, _rid, _relay in net.receivers[b"nymsrv"].inbox:
         ns.register(message[:8], message[8:8 + params.reply_block_len])

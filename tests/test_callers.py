@@ -1,7 +1,9 @@
 """The library holds what runs: every public module-level function, class
 and method in src/rsor/ is referenced from code other than its own
 definition, in src/, demos/ or benchmarks/.  A name only tests use
-belongs in a tests helper; a docstring mention is not a reference."""
+belongs in a tests helper; a docstring mention is not a reference.  No
+module in src/rsor/ or demos/ imports a name it never uses, save the
+package's re-exports in __init__.py."""
 
 import ast
 from pathlib import Path
@@ -56,3 +58,23 @@ def test_every_public_library_name_has_a_caller():
     ]
     # Exactly the allowed names: an entry that gains a caller leaves the list.
     assert sorted(uncalled) == sorted(ALLOWED)
+
+
+def _unused_imports(path):
+    """(name, line) of each name path imports but never reads."""
+    tree = ast.parse(path.read_text())
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    yield name, node.lineno
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    scanned = [path for path in sorted((ROOT / "src" / "rsor").glob("*.py"))
+               if path.name != "__init__.py"] + sorted((ROOT / "demos").glob("*.py"))
+    unused = ["%s:%d %s" % (path.relative_to(ROOT), line, name)
+              for path in scanned for name, line in _unused_imports(path)]
+    assert unused == []

@@ -95,7 +95,7 @@ def test_sender_keeps_a_reply_opening_and_no_spec():
 def test_non_repliable_onion_has_no_opening():
     _relays, _sender, spec, action, _ids = _send(nr=0)
     d = derive(spec, PARAMS)
-    assert d.reply_info is None and d.opening is None
+    assert d.reply_block is None and d.opening is None
     assert action.onion == d.onion(1)
     assert len(d.onions) == len(spec.path)
     with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 
 import pytest
@@ -167,7 +169,7 @@ def test_forward_trip_and_dual_construction():
             assert result.message == b"hello service"
             assert result.receiver == spec.receiver
             assert decode_addr(result.receiver) == (ADDR_RECEIVER, b"svc")
-            assert result.reply_info is None
+            assert result.reply_block is None
 
 
 def test_reply_round_trip():
@@ -180,7 +182,7 @@ def test_reply_round_trip():
         if i < 2:
             onion = result.next_onion
     assert result.kind == "exit"
-    assert result.reply_info is not None
+    assert result.reply_block is not None
 
     formed = form_reply(b"pong!", onion, spec.path[-1][0], keys[spec.path[-1][0]].sk, PARAMS)
     assert formed is not None
@@ -434,6 +436,51 @@ def test_validate_spec_rejects_bad_inputs():
         validate_spec(spec._replace(path=off_group), PARAMS)
     with pytest.raises(ValueError):
         validate_spec(spec._replace(seed=b""), PARAMS)
+
+
+# Swaps a valid spec's receiver for a str of the same characters, a tuple
+# of its byte values, a bytearray and a memoryview: validate_spec, derive and
+# form_onion must each refuse every one with ValueError.
+_NON_BYTES_RECEIVERS = """
+from rsor.crypto import SeedRng
+from rsor.group import PROD_GROUP
+from rsor.kem import kem_keygen
+from rsor.packet import FormatParams, OnionSpec, derive, form_onion, receiver_addr, validate_spec
+
+params = FormatParams(group=PROD_GROUP)
+receiver = receiver_addr(b"svc", params)
+pk = kem_keygen(params.group, SeedRng(b"receiver-k")).pk
+spec = OnionSpec(seed=b"receivers", message=b"m", receiver=receiver, path=((b"r0", pk),))
+calls = (validate_spec, derive, lambda spec, params: form_onion(1, spec, params))
+refused = []
+for bad in (receiver.decode("latin-1"), tuple(receiver), bytearray(receiver),
+            memoryview(receiver)):
+    for call in calls:
+        try:
+            call(spec._replace(receiver=bad), params)
+        except ValueError:
+            refused.append(True)
+        else:
+            refused.append(False)
+"""
+
+
+def test_receivers_that_are_not_bytes_raise_value_error():
+    namespace = {}
+    exec(_NON_BYTES_RECEIVERS, namespace)
+    assert namespace["refused"] == [True] * 12
+
+
+def test_receivers_that_are_not_bytes_raise_value_error_under_python_O():
+    # A ValueError, not an assert, which python -O strips.
+    script = 'assert False, "asserts must be stripped"\n' + _NON_BYTES_RECEIVERS + "print(refused)"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == repr([True] * 12)
 
 
 def test_wrong_widths_raise_value_error():

@@ -1,5 +1,5 @@
 """Each party peels an onion once.  The correctness game's exit and the SLU
-direction-structure adversary answer from the ReplyInfo of their own peel
+direction-structure adversary answer from the reply block of their own peel
 instead of peeling the exit layer again inside form_reply."""
 
 import collections

@@ -58,7 +58,7 @@ def test_any_spec_round_trips(seed, message, reply, n, nr):
     assert result.kind == "exit"
     assert result.message == message
     if not nr:
-        assert result.reply_info is None
+        assert result.reply_block is None
         return
     formed = form_reply(reply, onion, names[-1], keys[names[-1]].sk, PARAMS)
     assert formed is not None

@@ -10,9 +10,19 @@ from hypothesis import example, given, settings, strategies as st
 from rsor.crypto import SeedRng
 from rsor.games import game_correctness, run_game_batch
 from rsor.group import PROD_GROUP, SQR_GROUP
-from rsor.node import SendOnion
-from rsor.packet import FormatParams, OnionSpec, derive, receiver_addr
+from rsor.kem import kem_keygen
+from rsor.node import RelayState, SendOnion, relay_forward, relay_on_onion
+from rsor.packet import (
+    FormatParams,
+    InMemoryView,
+    OnionSpec,
+    build_reply_onion,
+    derive,
+    proc_onion,
+    receiver_addr,
+)
 from rsor.sim import (
+    Nymserver,
     Rule,
     Scenario,
     WorkItem,
@@ -237,24 +247,50 @@ def test_nymserver_reply_round_trip_when_not_dropped():
         assert not result["attack_succeeds"]
 
 
-# Registers reply blocks one byte short, one byte long and far too short,
-# then the genuine block; only the genuine one may register.
-_WRONG_WIDTH_REGISTRATIONS = """
+# A nymserver and the genuine reply block of a one-hop spec.
+_NYM_BLOCK = """
 from rsor.crypto import SeedRng
 from rsor.kem import kem_keygen
-from rsor.packet import OnionSpec, derive, receiver_addr, serialize_reply_block
+from rsor.packet import OnionSpec, derive, receiver_addr
 from rsor.sim import Nymserver, default_params
 
 params = default_params(payload_len=700)
 pks = [kem_keygen(params.group, SeedRng(b"nym-k%d" % i)).pk for i in range(2)]
 spec = OnionSpec(seed=b"nym-block", message=b"m", receiver=receiver_addr(b"svc", params),
                  path=((b"r0", pks[0]),), reply_path=((b"sender", pks[1]),))
-block = serialize_reply_block(derive(spec, params).reply_info, params)
+block = derive(spec, params).reply_block
 nymserver = Nymserver(params)
+"""
+
+# Registers reply blocks one byte short, one byte long and far too short,
+# then the genuine block; only the genuine one may register.
+_WRONG_WIDTH_REGISTRATIONS = _NYM_BLOCK + """
 for registered in (block[:-1], block + b"\\x00", b"short", block):
     nymserver.register(b"12345678", registered)
 kinds = [event["kind"] for event in nymserver.events]
 """
+
+# Registers the genuine block as a str of its width, a bytearray and a
+# memoryview, then as bytes: only exact bytes may register, and the table
+# then holds exact bytes, not a caller's mutable object.
+_NON_BYTES_REGISTRATIONS = _NYM_BLOCK + """
+for registered in (block.decode("latin-1"), bytearray(block), memoryview(block), block):
+    nymserver.register(b"12345678", registered)
+kinds = [event["kind"] for event in nymserver.events]
+held = type(nymserver.table[b"12345678"]).__name__
+"""
+
+
+def _run_under_python_O(script):
+    """script's stdout under python -O, which must strip its asserts."""
+    script = 'assert False, "asserts must be stripped"\n' + script
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
 
 
 def test_nymserver_refuses_reply_blocks_of_the_wrong_width():
@@ -265,14 +301,47 @@ def test_nymserver_refuses_reply_blocks_of_the_wrong_width():
 
 def test_nymserver_refuses_reply_blocks_of_the_wrong_width_under_python_O():
     # The width check must not be an assert, which python -O strips.
-    script = 'assert False, "asserts must be stripped"\n' + _WRONG_WIDTH_REGISTRATIONS + "print(kinds)"
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, timeout=60)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == repr(["nym-bad-registration"] * 3 + ["nym-registered"])
+    out = _run_under_python_O(_WRONG_WIDTH_REGISTRATIONS + "print(kinds)")
+    assert out == repr(["nym-bad-registration"] * 3 + ["nym-registered"])
+
+
+def test_nymserver_refuses_reply_blocks_that_are_not_bytes():
+    namespace = {}
+    exec(_NON_BYTES_REGISTRATIONS, namespace)
+    assert namespace["kinds"] == ["nym-bad-registration"] * 3 + ["nym-registered"]
+    assert namespace["held"] == "bytes"
+
+
+def test_nymserver_refuses_reply_blocks_that_are_not_bytes_under_python_O():
+    out = _run_under_python_O(_NON_BYTES_REGISTRATIONS + "print(kinds, held)")
+    assert out == "%r bytes" % (["nym-bad-registration"] * 3 + ["nym-registered"])
+
+
+def test_every_holder_keeps_the_reply_block_derive_wrote():
+    # The exit's peel, the relay's rid buffer and a nym's table entry all
+    # hold the one block, as exact bytes, and each answers like derive's
+    # own reply layer.
+    params = default_params()
+    rng = SeedRng(b"block-holders")
+    names = (b"r0", b"r1", b"q0", b"sender")
+    keys = {name: kem_keygen(params.group, rng.fork(name)) for name in names}
+    spec = OnionSpec(seed=b"block-holders", message=b"m", receiver=receiver_addr(b"svc", params),
+                     path=tuple((n, keys[n].pk) for n in names[:2]),
+                     reply_path=tuple((n, keys[n].pk) for n in names[2:]))
+    d = derive(spec, params)
+    n = len(spec.path)
+    exit_name = spec.path[-1][0]
+    peeled = proc_onion(keys[exit_name].sk, d.onion(n), exit_name, params, InMemoryView())
+    relay, ids = RelayState(exit_name, keys[exit_name]), rng.fork(b"ids")
+    event = relay_on_onion(relay, d.onion(n), b"r0", params, ids)
+    _event, delivery = relay_forward(relay, event["tid"], params, ids)
+    nymserver = Nymserver(params)
+    nymserver.register(b"12345678", d.reply_block)
+    holders = (peeled.reply_block, relay.reply_buffer[delivery.rid],
+               nymserver.table[b"12345678"])
+    for block in holders:
+        assert type(block) is bytes and block == d.reply_block
+        assert build_reply_onion(block, spec.message, params)[0] == d.onion(n + 1)
 
 
 def test_padding_attack_rates():
